@@ -4,18 +4,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use symloc_core::engine::SweepEngine;
-use symloc_core::sweep::{exhaustive_levels, exhaustive_levels_reference, sampled_levels};
-use symloc_par::default_threads;
+use symloc_core::sweep::exhaustive_levels_reference;
 
 fn bench_exhaustive_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1_exhaustive_sweep");
     group.sample_size(10);
     for &m in &[5usize, 6, 7, 8] {
         group.bench_with_input(BenchmarkId::new("single_thread", m), &m, |b, &m| {
-            b.iter(|| black_box(exhaustive_levels(m, 1)));
+            b.iter(|| black_box(SweepEngine::with_threads(m, 1).exhaustive_levels()));
         });
         group.bench_with_input(BenchmarkId::new("all_threads", m), &m, |b, &m| {
-            b.iter(|| black_box(exhaustive_levels(m, default_threads())));
+            b.iter(|| black_box(SweepEngine::new(m).exhaustive_levels()));
         });
     }
     group.finish();
@@ -47,7 +46,7 @@ fn bench_sampled_sweep(c: &mut Criterion) {
             BenchmarkId::new("stratified_100_per_level", m),
             &m,
             |b, &m| {
-                b.iter(|| black_box(sampled_levels(m, 100, 7, default_threads())));
+                b.iter(|| black_box(SweepEngine::new(m).sampled_levels(100, 7)));
             },
         );
     }

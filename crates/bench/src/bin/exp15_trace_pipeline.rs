@@ -1,6 +1,6 @@
 //! Experiment E15 — the streaming trace-analysis pipeline end to end: every
-//! synthetic generator runs through the exact chunk-sharded online engine
-//! and the bounded-memory SHARDS estimator, and the two miss-ratio curves
+//! synthetic generator runs through the exact half of the trace job and
+//! the bounded-memory SHARDS estimator, and the two miss-ratio curves
 //! are compared pointwise. The finale streams a 10-million-access Zipfian
 //! trace over a million-address space through the sampled estimator in one
 //! pass, demonstrating the `O(s_max)` memory bound at a scale the batch
@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symloc_bench::{fmt_f64, ResultTable};
 use symloc_core::tracesweep::{
-    log_spaced_sizes, OnlineReuseEngine, ShardsEstimator, StreamHistogram, TraceIngest,
+    log_spaced_sizes, FusedIngest, OnlineReuseEngine, ShardsEstimator, StreamHistogram, TracePlan,
 };
 use symloc_par::default_threads;
 use symloc_perm::sample::random_permutation;
@@ -32,10 +32,10 @@ const S_MAX: usize = 2048;
 fn exact_sharded(trace: &Trace) -> StreamHistogram {
     let source = TraceSource::Memory(trace.clone());
     let threads = default_threads();
-    let mut ingest =
-        TraceIngest::new(&source, (threads * 2).max(4), threads).expect("memory source");
-    ingest.run_pending(&source, None);
-    ingest.histogram().expect("complete").clone()
+    let plan = TracePlan::exact((threads * 2).max(4));
+    let mut job = FusedIngest::planned(&source, plan, threads).expect("memory source");
+    job.run_pending(&source, None);
+    job.exact_histogram().expect("complete").clone()
 }
 
 fn summarize(name: &str, trace: &Trace, table: &mut ResultTable) {

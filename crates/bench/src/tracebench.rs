@@ -22,7 +22,7 @@ use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::partition::{solve, Bounds, TenantCurve};
 use symloc_core::serve::ServeState;
 use symloc_core::tracesweep::{
-    FusedIngest, MrcPoint, OnlineReuseEngine, SampledIngest, ShardsEstimator, TraceIngest,
+    FusedIngest, MrcPoint, OnlineReuseEngine, ShardsEstimator, TracePlan,
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{sltr_index_path, write_sltr, write_sltr_indexed, SltrReader};
@@ -121,6 +121,13 @@ pub struct TraceMeasurement {
     pub accesses_per_sec: f64,
 }
 
+/// Runs one trace job of `plan` over `source` to completion.
+fn run_job(source: &TraceSource, plan: TracePlan, threads: usize) {
+    let mut job = FusedIngest::planned(source, plan, threads).expect("validated bench source");
+    job.run_pending(source, None);
+    assert!(job.is_complete());
+}
+
 /// Median-of-`runs` throughput of `ingest`, which processes `accesses`
 /// accesses per call. One warmup call precedes the timed runs; each timed
 /// run is a [`Span`] recorded into a per-configuration registry histogram,
@@ -185,6 +192,7 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
     write_trace(&trace, &text_path).expect("temp dir is writable");
 
     let source = TraceSource::Memory(trace);
+    let chunks = (threads * 4).max(8);
     let mut measurements = Vec::new();
     measurements.push(measure_trace(
         "trace_exact_single_thread",
@@ -222,12 +230,7 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         accesses,
         threads,
         runs.min(3),
-        || {
-            let mut ingest =
-                TraceIngest::new(&source, (threads * 4).max(8), threads).expect("memory source");
-            ingest.run_pending(&source, None);
-            assert!(ingest.is_complete());
-        },
+        || run_job(&source, TracePlan::exact(chunks), threads),
     ));
     measurements.push(measure_trace(
         "trace_shards_sampled_single_thread",
@@ -291,8 +294,9 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         },
     ));
     // The parallel-sampled pair: the same total budget run as one
-    // sequential estimator and as `max(2, threads)` hash shards across all
-    // threads. Their ratio is the sampled-path parallel speedup.
+    // sequential estimator and as the sampled-only trace job with
+    // `max(2, threads)` hash shards across all threads. Their ratio is the
+    // sampled-path parallel speedup.
     measurements.push(measure_trace(
         "trace_sampled_seq_budget16k_single_thread",
         accesses,
@@ -304,39 +308,48 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         },
     ));
     let hash_shards = threads.max(2);
+    let sampled_budget = (SAMPLED_SHARDED_TOTAL_BUDGET / hash_shards).max(1);
     measurements.push(measure_trace(
         "trace_sampled_hash_sharded_all_threads",
         accesses,
         threads,
         runs.min(3),
         || {
-            let mut ingest = SampledIngest::new(
+            run_job(
                 &source,
-                hash_shards,
-                (SAMPLED_SHARDED_TOTAL_BUDGET / hash_shards).max(1),
+                TracePlan::sampled(chunks, hash_shards, sampled_budget),
                 threads,
             )
-            .expect("memory source");
-            ingest.run_pending(&source, None);
-            assert!(ingest.is_complete());
+        },
+    ));
+    // The same sampled-only job over the un-indexed text file, a source
+    // that does not seek: its chunks share readers instead of re-parsing
+    // the prefix.
+    let text_source = TraceSource::Text(text_path.clone());
+    measurements.push(measure_trace(
+        "trace_sampled_text_unindexed_all_threads",
+        accesses,
+        threads,
+        runs.min(3),
+        || {
+            run_job(
+                &text_source,
+                TracePlan::sampled(chunks, hash_shards, sampled_budget),
+                threads,
+            )
         },
     ));
     // The .sltr sharded-ingest pair: identical analysis, but the chunk
-    // workers either decode-skip to their range or seek via the sidecar
-    // index. Their ratio is the index's ingest speedup.
-    let chunks = (threads * 4).max(8);
+    // workers either decode their way to their range through shared
+    // readers or seek via the sidecar index. Their ratio is the index's
+    // ingest speedup.
     let plain_source = TraceSource::Binary(plain_path.clone());
     measurements.push(measure_trace(
         "trace_exact_sltr_decode_skip_all_threads",
         accesses,
         threads,
         runs.min(3),
-        || {
-            let mut ingest =
-                TraceIngest::new(&plain_source, chunks, threads).expect("written payload");
-            ingest.run_pending(&plain_source, None);
-            assert!(ingest.is_complete());
-        },
+        || run_job(&plain_source, TracePlan::exact(chunks), threads),
     ));
     let indexed_source = TraceSource::Binary(indexed_path.clone());
     measurements.push(measure_trace(
@@ -344,42 +357,28 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         accesses,
         threads,
         runs.min(3),
-        || {
-            let mut ingest =
-                TraceIngest::new(&indexed_source, chunks, threads).expect("written payload");
-            ingest.run_pending(&indexed_source, None);
-            assert!(ingest.is_complete());
-        },
+        || run_job(&indexed_source, TracePlan::exact(chunks), threads),
     ));
     // The fused-pass pair: the exact + sampled analyses over the indexed
-    // *text* payload, first as two separate passes (a chunked exact ingest
-    // followed by a hash-sharded sampled ingest — S+1 full decodes of the
-    // file), then as one fused pass that decodes every access exactly once
-    // and broadcasts it to both engines. Both iterations produce the same
-    // two curves, so their ratio is the fused single-pass wall-time
-    // speedup. Text is the decode-expensive format, which is exactly the
-    // regime the fused pass exists for; the saving grows with the decode
-    // cost and the shard count.
-    let sampled_budget = (SAMPLED_SHARDED_TOTAL_BUDGET / hash_shards).max(1);
+    // *text* payload, first as two passes (an exact-only job followed by a
+    // sampled-only job — two full decodes of the file), then as one job
+    // with both halves that decodes every access exactly once. Both
+    // iterations produce the same two curves, so their ratio is the
+    // single-pass wall-time speedup. Text is the decode-expensive format,
+    // which is exactly the regime the single pass exists for.
     build_text_index(&text_path, BENCH_INDEX_INTERVAL)
         .expect("written trace")
         .write(sltr_index_path(&text_path))
         .expect("temp dir is writable");
-    let text_source = TraceSource::Text(text_path.clone());
     measurements.push(measure_trace(
         "trace_two_pass_exact_plus_sampled_all_threads",
         accesses,
         threads,
         runs.min(3),
         || {
-            let mut exact = TraceIngest::new(&text_source, chunks, threads).expect("written trace");
-            exact.run_pending(&text_source, None);
-            assert!(exact.is_complete());
-            let mut sampled =
-                SampledIngest::new(&text_source, hash_shards, sampled_budget, threads)
-                    .expect("written trace");
-            sampled.run_pending(&text_source, None);
-            assert!(sampled.is_complete());
+            run_job(&text_source, TracePlan::exact(chunks), threads);
+            let plan = TracePlan::sampled(chunks, hash_shards, sampled_budget);
+            run_job(&text_source, plan, threads);
         },
     ));
     measurements.push(measure_trace(
@@ -388,11 +387,8 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         threads,
         runs.min(3),
         || {
-            let mut fused =
-                FusedIngest::new(&text_source, chunks, hash_shards, sampled_budget, threads)
-                    .expect("written trace");
-            fused.run_pending(&text_source, None);
-            assert!(fused.is_complete());
+            let plan = TracePlan::both(chunks, hash_shards, sampled_budget);
+            run_job(&text_source, plan, threads);
         },
     ));
     // Decode-only microbenches: the format layer's contribution with the

@@ -1,14 +1,13 @@
 //! The unified resumable-job API: one trait, one runner, one checkpoint
 //! lifecycle for every unit-parallel pipeline in the workspace.
 //!
-//! Before this module existed the workspace carried four near-duplicate
-//! resumable-execution implementations — [`crate::shard::ShardedSweep`],
-//! [`crate::shard::SampledSweep`], [`crate::tracesweep::TraceIngest`] and
-//! [`crate::tracesweep::SampledIngest`] — each hand-rolling the same
-//! lifecycle: partition the work into deterministic units, run pending
-//! units in parallel, absorb completed partials in unit order, save an
-//! atomic JSON checkpoint every batch, and resume from a checkpoint that
-//! matches the plan. This module is that lifecycle, written once:
+//! Every resumable pipeline in the workspace — [`crate::shard::ShardedSweep`],
+//! [`crate::shard::SampledSweep`] and the trace job
+//! [`crate::tracesweep::FusedIngest`] — shares one lifecycle: partition the
+//! work into deterministic units, run pending units in parallel, absorb
+//! completed partials in unit order, save an atomic JSON checkpoint every
+//! batch, and resume from a checkpoint that matches the plan. This module
+//! is that lifecycle, written once:
 //!
 //! * [`Job`] — the contract a pipeline implements: deterministic unit
 //!   enumeration ([`Job::unit_count`] / [`Job::pending_units`]), per-unit
@@ -22,13 +21,13 @@
 //!   (`std::thread::scope` underneath), bounded in-flight checkpointing
 //!   with atomic saves ([`crate::jsonio::save_atomic`]), progress
 //!   callbacks, and the deterministic unit-order merge. Every
-//!   `run_pending` / `run_with_checkpoint` / `save` across the four
-//!   pipelines is a thin delegation into this runner.
+//!   `run_pending` / `run_with_checkpoint` across the pipelines is a thin
+//!   delegation into this runner.
 //! * [`JobKind`] — the closed registry of checkpoint kinds, used to
 //!   dispatch `symloc job status` / `symloc job resume` on whatever kind
 //!   a checkpoint file records, and to make cross-kind resumes
 //!   ([`resume_or_new_with`]) a loud, descriptive error instead of a
-//!   silently discarded file.
+//!   silently discarded file. Tags of retired jobs fail just as loudly.
 //!
 //! # Execution model
 //!
@@ -44,14 +43,14 @@
 //!   schedule. Jobs whose single unit is *internally* parallel (the
 //!   exhaustive sweep shard) return 1 so the runner feeds them one unit
 //!   at a time on the caller thread; jobs whose merge state advances
-//!   between passes (the exact trace ingest) return the thread count.
+//!   between passes (the trace job) return the thread count.
 //! * [`Job::units_per_checkpoint`] — how many units complete between
 //!   checkpoint saves in [`JobRunner::run_with_checkpoint`].
 //!
 //! Because units are deterministic and absorption is ordered, resuming a
 //! killed job from its checkpoint reproduces the uninterrupted run
 //! *byte-identically* — the invariant `core/tests/job_props.rs` pins for
-//! all four pipelines at every unit boundary.
+//! every pipeline at every unit boundary.
 
 use crate::jsonio::{self, JsonValue};
 use crate::obs::{MetricsRegistry, Span};
@@ -73,14 +72,8 @@ pub enum JobKind {
     ShardedSweep,
     /// A sampled level-sharded sweep ([`crate::shard::SampledSweep`]).
     SampledSweep,
-    /// An exact chunk-sharded trace ingest
-    /// ([`crate::tracesweep::TraceIngest`]).
-    TraceIngest,
-    /// A sampled hash-sharded trace ingest
-    /// ([`crate::tracesweep::SampledIngest`]).
-    SampledIngest,
-    /// A fused exact+sampled trace ingest — one streaming pass feeding
-    /// both engines ([`crate::tracesweep::FusedIngest`]).
+    /// The trace job — one streaming pass feeding its exact half, its
+    /// sampled half, or both ([`crate::tracesweep::FusedIngest`]).
     FusedIngest,
     /// The persisted tenant table of the `symloc serve` daemon
     /// ([`crate::serve::ServeState`]).
@@ -89,11 +82,9 @@ pub enum JobKind {
 
 impl JobKind {
     /// Every kind, in registry order.
-    pub const ALL: [JobKind; 6] = [
+    pub const ALL: [JobKind; 4] = [
         JobKind::ShardedSweep,
         JobKind::SampledSweep,
-        JobKind::TraceIngest,
-        JobKind::SampledIngest,
         JobKind::FusedIngest,
         JobKind::ServeState,
     ];
@@ -105,8 +96,6 @@ impl JobKind {
         match self {
             JobKind::ShardedSweep => "symloc_sweep_checkpoint",
             JobKind::SampledSweep => "symloc_sampled_sweep_checkpoint",
-            JobKind::TraceIngest => "symloc_trace_ingest_checkpoint",
-            JobKind::SampledIngest => "symloc_sampled_trace_checkpoint",
             JobKind::FusedIngest => "symloc_fused_trace_checkpoint",
             JobKind::ServeState => "symloc_serve_checkpoint",
         }
@@ -125,9 +114,7 @@ impl JobKind {
         match self {
             JobKind::ShardedSweep => "exhaustive sharded sweep",
             JobKind::SampledSweep => "sampled (level-sharded) sweep",
-            JobKind::TraceIngest => "exact trace ingest",
-            JobKind::SampledIngest => "sampled (hash-sharded) trace ingest",
-            JobKind::FusedIngest => "fused exact+sampled trace ingest",
+            JobKind::FusedIngest => "trace mrc job (exact and/or sampled)",
             JobKind::ServeState => "multi-tenant serve state",
         }
     }
@@ -138,8 +125,6 @@ impl JobKind {
         match self {
             JobKind::ShardedSweep => "shard",
             JobKind::SampledSweep => "level",
-            JobKind::TraceIngest => "chunk",
-            JobKind::SampledIngest => "hash shard",
             JobKind::FusedIngest => "chunk",
             JobKind::ServeState => "tenant",
         }
@@ -150,6 +135,38 @@ impl JobKind {
     pub fn parse(tag: &str) -> Option<JobKind> {
         JobKind::ALL.into_iter().find(|k| k.kind_str() == tag)
     }
+}
+
+/// Kind tags of checkpoint formats no job reads any more, with the job
+/// that wrote them. Their documents are never parsed: resuming one fails
+/// loudly and leaves the file alone.
+const RETIRED_KINDS: [(&str, &str); 2] = [
+    ("symloc_trace_ingest_checkpoint", "exact trace ingest"),
+    (
+        "symloc_sampled_trace_checkpoint",
+        "sampled (hash-sharded) trace ingest",
+    ),
+];
+
+/// The loud error for a checkpoint whose kind tag is retired, or `None`
+/// when the tag is not one.
+fn retired_kind_error(tag: &str) -> Option<String> {
+    RETIRED_KINDS
+        .iter()
+        .find(|(retired, _)| *retired == tag)
+        .map(|(retired, job)| {
+            format!(
+                "checkpoint kind {retired:?} ({job}) is retired and no longer read; \
+                 re-run the `symloc trace mrc` command with a new checkpoint file \
+                 (this one is left untouched)"
+            )
+        })
+}
+
+/// The error for a kind tag the registry does not know.
+fn unregistered_kind_error(tag: &str) -> String {
+    retired_kind_error(tag)
+        .unwrap_or_else(|| format!("unknown checkpoint kind {tag:?} (not a registered job)"))
 }
 
 impl std::fmt::Display for JobKind {
@@ -219,7 +236,7 @@ pub trait Job: Sync {
     fn to_json(&self) -> String;
 
     /// An optional kind-specific progress counter for heartbeats — e.g.
-    /// `("accesses", streamed)` for the trace ingests. `None` (the
+    /// `("accesses", streamed)` for the trace job. `None` (the
     /// default) means the job only reports unit counts.
     fn progress_items(&self) -> Option<(&'static str, u64)> {
         None
@@ -740,7 +757,11 @@ pub fn parse_checkpoint(text: &str, expected: JobKind) -> Result<JsonValue, Stri
                     expected.describe(),
                     expected.kind_str(),
                 ),
-                None => format!("not a {} checkpoint (kind = {tag:?})", expected.describe()),
+                None => format!(
+                    "not a {} checkpoint: {}",
+                    expected.describe(),
+                    unregistered_kind_error(tag)
+                ),
             });
         }
         Some(_) => {}
@@ -752,12 +773,25 @@ pub fn parse_checkpoint(text: &str, expected: JobKind) -> Result<JsonValue, Stri
     Ok(doc)
 }
 
-/// The kind recorded in a checkpoint document, if it parses as JSON and
-/// carries a registered kind tag.
-#[must_use]
-pub fn sniff_kind(text: &str) -> Option<JobKind> {
-    let doc = jsonio::parse(text).ok()?;
-    JobKind::parse(doc.get("kind")?.as_str()?)
+/// The kind recorded in a checkpoint document: `Ok(Some(kind))` for a
+/// registered tag, `Ok(None)` when the text is not JSON or carries no
+/// registered tag.
+///
+/// # Errors
+///
+/// Returns a loud error naming the retired kind, and saying to re-run,
+/// for a retired tag.
+pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
+    let Ok(doc) = jsonio::parse(text) else {
+        return Ok(None);
+    };
+    let Some(tag) = doc.get("kind").and_then(JsonValue::as_str) else {
+        return Ok(None);
+    };
+    match retired_kind_error(tag) {
+        Some(err) => Err(err),
+        None => Ok(JobKind::parse(tag)),
+    }
 }
 
 /// The shared resume policy of every pipeline: load the checkpoint at
@@ -767,7 +801,8 @@ pub fn sniff_kind(text: &str) -> Option<JobKind> {
 /// * A checkpoint of a **different registered kind**: a loud error naming
 ///   both kinds — a sampled-sweep checkpoint must never be silently
 ///   discarded (or worse, misread) by an exhaustive sweep, and vice versa
-///   for every cross-kind pair.
+///   for every cross-kind pair. A **retired** kind is just as loud an
+///   error, and the file is left untouched.
 /// * The right kind but a plan that fails `matches` (different spec,
 ///   seed, source, shard count, ...): fresh plan, the stale file left
 ///   untouched on disk until the next save (callers warn about this).
@@ -776,7 +811,7 @@ pub fn sniff_kind(text: &str) -> Option<JobKind> {
 ///
 /// # Errors
 ///
-/// Returns the cross-kind mismatch error described above.
+/// Returns the cross-kind or retired-kind error described above.
 pub fn resume_or_new_with<T>(
     path: &Path,
     expected: JobKind,
@@ -788,7 +823,8 @@ pub fn resume_or_new_with<T>(
     let Ok(text) = std::fs::read_to_string(path) else {
         return Ok((fresh(), false));
     };
-    if let Some(found) = sniff_kind(&text) {
+    let sniffed = sniff_kind(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
+    if let Some(found) = sniffed {
         if found != expected {
             return Err(format!(
                 "checkpoint {} holds a {} ({:?}), not the {} this command would resume; \
@@ -847,8 +883,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or("not a symloc checkpoint (no kind field)")?;
-    let kind = JobKind::parse(tag)
-        .ok_or_else(|| format!("unknown checkpoint kind {tag:?} (not a registered job)"))?;
+    let kind = JobKind::parse(tag).ok_or_else(|| unregistered_kind_error(tag))?;
     let detail_pair = |label: &str, value: String| (label.to_string(), value);
     match kind {
         JobKind::ShardedSweep => {
@@ -875,31 +910,9 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
                 ],
             })
         }
-        JobKind::TraceIngest => {
-            let ingest = crate::tracesweep::TraceIngest::from_json(text, 1)?;
-            Ok(JobStatus {
-                kind,
-                fingerprint: ingest.fingerprint().to_string(),
-                completed: ingest.completed_count(),
-                total: ingest.chunk_count(),
-                detail: vec![detail_pair("accesses", ingest.total_accesses().to_string())],
-            })
-        }
-        JobKind::SampledIngest => {
-            let ingest = crate::tracesweep::SampledIngest::from_json(text, 1)?;
-            Ok(JobStatus {
-                kind,
-                fingerprint: ingest.fingerprint().to_string(),
-                completed: ingest.completed_count(),
-                total: ingest.shard_count(),
-                detail: vec![
-                    detail_pair("accesses", ingest.total_accesses().to_string()),
-                    detail_pair("budget per shard", ingest.budget_per_shard().to_string()),
-                ],
-            })
-        }
         JobKind::FusedIngest => {
             let ingest = crate::tracesweep::FusedIngest::from_json(text, 1)?;
+            let plan = ingest.plan();
             Ok(JobStatus {
                 kind,
                 fingerprint: ingest.fingerprint().to_string(),
@@ -907,8 +920,9 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
                 total: ingest.chunk_count(),
                 detail: vec![
                     detail_pair("accesses", ingest.total_accesses().to_string()),
-                    detail_pair("hash shards", ingest.shard_count().to_string()),
-                    detail_pair("budget per shard", ingest.budget_per_shard().to_string()),
+                    detail_pair("halves", plan.halves().to_string()),
+                    detail_pair("hash shards", plan.shards.to_string()),
+                    detail_pair("budget per shard", plan.budget_per_shard.to_string()),
                 ],
             })
         }
@@ -958,7 +972,7 @@ mod tests {
             doc.get("fingerprint").and_then(JsonValue::as_str),
             Some("m=5;x")
         );
-        assert_eq!(sniff_kind(&out), Some(JobKind::ShardedSweep));
+        assert_eq!(sniff_kind(&out), Ok(Some(JobKind::ShardedSweep)));
     }
 
     #[test]
@@ -975,25 +989,37 @@ mod tests {
 
     #[test]
     fn parse_checkpoint_rejects_foreign_and_versioned_documents() {
-        assert!(parse_checkpoint("not json", JobKind::TraceIngest).is_err());
-        assert!(parse_checkpoint("{}", JobKind::TraceIngest).is_err());
+        assert!(parse_checkpoint("not json", JobKind::FusedIngest).is_err());
+        assert!(parse_checkpoint("{}", JobKind::FusedIngest).is_err());
         let err =
-            parse_checkpoint("{\"kind\": \"something_else\"}", JobKind::TraceIngest).unwrap_err();
+            parse_checkpoint("{\"kind\": \"something_else\"}", JobKind::FusedIngest).unwrap_err();
         assert!(err.contains("something_else"), "{err}");
         let mut out = String::new();
-        write_checkpoint_header(&mut out, JobKind::TraceIngest, "fp");
+        write_checkpoint_header(&mut out, JobKind::FusedIngest, "fp");
         out.push_str("  \"x\": 1\n}\n");
         let bumped = out.replace("\"version\": 1", "\"version\": 9");
-        assert!(parse_checkpoint(&bumped, JobKind::TraceIngest)
+        assert!(parse_checkpoint(&bumped, JobKind::FusedIngest)
             .unwrap_err()
             .contains("version"));
     }
 
     #[test]
     fn sniff_kind_handles_garbage() {
-        assert_eq!(sniff_kind("not json"), None);
-        assert_eq!(sniff_kind("{}"), None);
-        assert_eq!(sniff_kind("{\"kind\": \"mystery\"}"), None);
+        assert_eq!(sniff_kind("not json"), Ok(None));
+        assert_eq!(sniff_kind("{}"), Ok(None));
+        assert_eq!(sniff_kind("{\"kind\": \"mystery\"}"), Ok(None));
+        // Retired tags are not garbage: they fail loudly, naming the job.
+        for (tag, job) in RETIRED_KINDS {
+            let doc = format!("{{\"kind\": \"{tag}\", \"version\": 1}}");
+            let err = sniff_kind(&doc).unwrap_err();
+            assert!(err.contains(tag) && err.contains(job), "{err}");
+            assert!(err.contains("re-run"), "{err}");
+            let err = checkpoint_status(&doc).unwrap_err();
+            assert!(err.contains("retired"), "{err}");
+            let err = parse_checkpoint(&doc, JobKind::FusedIngest).unwrap_err();
+            assert!(err.contains("retired"), "{err}");
+            assert!(JobKind::parse(tag).is_none());
+        }
     }
 
     #[test]
@@ -1305,7 +1331,7 @@ mod tests {
         // Cross-kind: loud error naming both kinds.
         let err = resume_or_new_with(
             &path,
-            JobKind::SampledIngest,
+            JobKind::FusedIngest,
             |_| Ok(1u32),
             |_| true,
             |_| 1,
@@ -1313,7 +1339,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains(JobKind::ShardedSweep.kind_str()), "{err}");
-        assert!(err.contains(JobKind::SampledIngest.describe()), "{err}");
+        assert!(err.contains(JobKind::FusedIngest.describe()), "{err}");
+
+        // Retired kind: loud error, and the file is left as it was.
+        let retired = "{\"kind\": \"symloc_trace_ingest_checkpoint\", \"version\": 1}\n";
+        std::fs::write(&path, retired).unwrap();
+        let err = resume_or_new_with(
+            &path,
+            JobKind::FusedIngest,
+            |_| Ok(1u32),
+            |_| true,
+            |_| 1,
+            || 0u32,
+        )
+        .unwrap_err();
+        assert!(err.contains("retired"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), retired);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -99,8 +99,8 @@ impl JsonValue {
 /// Writes a checkpoint document to `path` atomically: the bytes land in a
 /// sibling `.json.tmp` file first and are renamed over the target, so a
 /// kill mid-save leaves the previous checkpoint intact. The single save
-/// path every checkpointing runner (`ShardedSweep`, `SampledSweep`,
-/// `TraceIngest`, `SampledIngest`) goes through.
+/// path every checkpointing runner (`ShardedSweep`, `SampledSweep`, the
+/// trace job `FusedIngest`, the serve state) goes through.
 ///
 /// # Errors
 ///

@@ -28,7 +28,8 @@
 //!   set-associative LRU/FIFO/PLRU) a sweep evaluates hit vectors under.
 //! * [`job`] — the unified resumable-job API: the [`job::Job`] trait and
 //!   the generic [`job::JobRunner`] every checkpointable pipeline
-//!   (exhaustive/sampled sweeps, exact/sampled trace ingests) runs through.
+//!   (exhaustive/sampled sweeps, the exact and/or sampled trace job) runs
+//!   through.
 //! * [`shard`] — sharded, checkpointable execution of exhaustive sweeps
 //!   (JSON checkpoints, exact resume).
 //! * [`jsonio`] — the minimal hand-rolled JSON reader/writer the offline
@@ -178,15 +179,14 @@ pub mod prelude {
     pub use crate::serve::{ServeState, TenantState};
     pub use crate::shard::{SampledSweep, ShardedSweep};
     pub use crate::sweep::{
-        average_mrc_by_inversion, exhaustive_levels, exhaustive_levels_reference,
-        levels_are_monotone, sampled_levels, sampled_levels_weighted, sweep_levels, LevelAggregate,
+        average_mrc_by_inversion, exhaustive_levels_reference, levels_are_monotone, LevelAggregate,
     };
     pub use crate::theorems::{
         corollary1_holds, locality_cmp, theorem2_holds, theorem3_check,
         theorem4_alternation_optimal, CoverLocalityCheck,
     };
     pub use crate::tracesweep::{
-        chunk_partial, log_spaced_sizes, ChunkPartial, MergeState, MrcPoint, OnlineReuseEngine,
-        ShardsEstimator, StreamHistogram, TraceIngest, WeightedHistogram,
+        chunk_partial, log_spaced_sizes, ChunkPartial, FusedIngest, MergeState, MrcPoint,
+        OnlineReuseEngine, ShardsEstimator, StreamHistogram, TracePlan, WeightedHistogram,
     };
 }

@@ -433,30 +433,15 @@ impl ServeState {
         }
         out.push_str("  \"tenants\": [\n");
         for (i, tenant) in self.tenants.iter().enumerate() {
-            let est = &tenant.estimator;
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"accesses\": {}, \"threshold\": {}, \"raw\": {}, \
-                 \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
+                "    {{\"name\": \"{}\", \"accesses\": {}, ",
                 jsonio::escape(&tenant.name),
                 tenant.accesses,
-                est.threshold(),
-                est.raw_accesses(),
-                est.sampled_accesses(),
-                est.evictions(),
-                est.histogram().cold_weight(),
             );
-            for (j, (d, w)) in est.histogram().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}[{d}, {w}]");
-            }
-            out.push_str("], \"tracked\": [");
-            for (j, addr) in est.tracked_in_order().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}{addr}");
-            }
+            tenant.estimator.write_state(&mut out);
             let sep = if i + 1 < self.tenants.len() { "," } else { "" };
-            let _ = writeln!(out, "]}}{sep}");
+            let _ = writeln!(out, "}}{sep}");
         }
         out.push_str("  ]\n}\n");
         out
@@ -536,68 +521,8 @@ impl ServeState {
                 .get("accesses")
                 .and_then(JsonValue::as_u64)
                 .ok_or("tenant missing accesses")?;
-            let threshold = entry
-                .get("threshold")
-                .and_then(JsonValue::as_u64)
-                .ok_or("tenant missing threshold")?;
-            if threshold == 0 || threshold > SHARDS_MODULUS {
-                return Err(format!(
-                    "tenant threshold {threshold} outside 1..={SHARDS_MODULUS}"
-                ));
-            }
-            let raw = entry
-                .get("raw")
-                .and_then(JsonValue::as_u64)
-                .ok_or("tenant missing raw")?;
-            let sampled = entry
-                .get("sampled")
-                .and_then(JsonValue::as_u64)
-                .ok_or("tenant missing sampled")?;
-            let evictions = entry
-                .get("evictions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("tenant missing evictions")?;
-            let cold = entry
-                .get("cold")
-                .and_then(JsonValue::as_f64)
-                .ok_or("tenant missing cold")?;
-            if !cold.is_finite() || cold < 0.0 {
-                return Err(format!("tenant cold weight {cold} is not a finite count"));
-            }
-            let mut histogram = crate::tracesweep::WeightedHistogram::default();
-            histogram.record_cold(cold);
-            let bins = entry
-                .get("histogram")
-                .and_then(JsonValue::as_array)
-                .ok_or("tenant missing histogram")?;
-            for bin in bins {
-                let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
-                let (d, w) = match pair {
-                    [d, w] => (
-                        d.as_usize().ok_or("bad histogram distance")?,
-                        w.as_f64().ok_or("bad histogram weight")?,
-                    ),
-                    _ => return Err("histogram entry is not a pair".to_string()),
-                };
-                if d == 0 {
-                    return Err("histogram distance 0 is not representable".to_string());
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!("histogram weight {w} is not a finite count"));
-                }
-                histogram.record_finite(d, w);
-            }
-            let tracked_entries = entry
-                .get("tracked")
-                .and_then(JsonValue::as_array)
-                .ok_or("tenant missing tracked")?;
-            let mut tracked = Vec::with_capacity(tracked_entries.len());
-            for addr in tracked_entries {
-                tracked.push(addr.as_u64().ok_or("bad tracked address")?);
-            }
-            let estimator = ShardsEstimator::restore_for_shard(
-                budget, threshold, 0, 1, raw, sampled, evictions, histogram, &tracked,
-            )?;
+            let estimator = ShardsEstimator::restore_state(entry, budget, SHARDS_MODULUS, 0, 1)
+                .map_err(|e| format!("tenant {name:?}: {e}"))?;
             state.tenants.push(TenantState {
                 name: name.to_string(),
                 accesses,

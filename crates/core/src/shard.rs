@@ -257,6 +257,9 @@ impl ShardedSweep {
             .get("m")
             .and_then(JsonValue::as_usize)
             .ok_or("missing m")?;
+        if m > 12 {
+            return Err(format!("degree {m} too large for a factorial sweep"));
+        }
         let statistic = doc
             .get("statistic")
             .and_then(JsonValue::as_str)

@@ -4,11 +4,12 @@
 //! number) and its extensions to larger degrees where exhaustive enumeration
 //! is replaced by stratified sampling.
 //!
-//! The entry points here are thin wrappers over [`crate::engine::SweepEngine`],
-//! which streams permutations through per-worker
-//! [`crate::hits::AnalysisScratch`] workspaces instead of allocating per
-//! permutation. The original per-permutation path is kept as
-//! [`exhaustive_levels_reference`] for cross-checks and speedup measurement.
+//! The sweeps themselves run on [`crate::engine::SweepEngine`], which
+//! streams permutations through per-worker [`crate::hits::AnalysisScratch`]
+//! workspaces instead of allocating per permutation. This module keeps the
+//! level aggregates and what is derived from them, plus the original
+//! per-permutation path as [`exhaustive_levels_reference`] for
+//! cross-checks and speedup measurement.
 
 use crate::engine::SweepEngine;
 use crate::hits::hit_vector;
@@ -17,7 +18,6 @@ use symloc_par::parallel_map_chunked;
 use symloc_perm::inversions::{inversions, max_inversions};
 use symloc_perm::iter::RankRangeIter;
 use symloc_perm::rank::{factorial, RankRange};
-use symloc_perm::statistics::Statistic;
 
 pub use crate::engine::{SweepLevel, SweepSpec};
 pub use crate::model::CacheModel;
@@ -86,23 +86,8 @@ impl LevelAggregate {
     }
 }
 
-/// Exhaustively sweeps all of `S_m`, grouping hit vectors by inversion
-/// number, in parallel over `threads` workers.
-///
-/// Returns one [`LevelAggregate`] per inversion count `0 ..= m(m-1)/2`.
-/// This is the data behind Figure 1 of the paper (`m = 5` there).
-///
-/// Thin wrapper over [`SweepEngine::exhaustive_levels`].
-///
-/// # Panics
-///
-/// Panics if `m > 12` (the factorial sweep would be prohibitive).
-#[must_use]
-pub fn exhaustive_levels(m: usize, threads: usize) -> Vec<LevelAggregate> {
-    SweepEngine::with_threads(m, threads).exhaustive_levels()
-}
-
-/// The original per-permutation implementation of [`exhaustive_levels`]:
+/// The original per-permutation implementation of
+/// [`SweepEngine::exhaustive_levels`]:
 /// allocates a fresh `Permutation`, Fenwick tree, histogram and hit vector
 /// for every σ.
 ///
@@ -149,73 +134,11 @@ pub fn exhaustive_levels_reference(m: usize, threads: usize) -> Vec<LevelAggrega
 /// series plotted in Figure 1 of the paper.
 #[must_use]
 pub fn average_mrc_by_inversion(m: usize, threads: usize) -> Vec<MissRatioCurve> {
-    exhaustive_levels(m, threads)
+    SweepEngine::with_threads(m, threads)
+        .exhaustive_levels()
         .iter()
         .map(LevelAggregate::average_mrc)
         .collect()
-}
-
-/// Stratified-sampling version of [`exhaustive_levels`] for degrees where
-/// `m!` is out of reach: draws `samples_per_level` permutations uniformly at
-/// each inversion count and aggregates their hit vectors.
-///
-/// Thin wrapper over [`SweepEngine::sampled_levels`], which builds each
-/// level's Mahonian sampling table once and reuses per-worker scratch.
-#[must_use]
-pub fn sampled_levels(
-    m: usize,
-    samples_per_level: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<LevelAggregate> {
-    SweepEngine::with_threads(m, threads).sampled_levels(samples_per_level, seed)
-}
-
-/// Generalized sweep: all of `S_m` with levels keyed by any [`Statistic`]
-/// and hit vectors evaluated under any [`CacheModel`], including second
-/// moments for error estimation.
-///
-/// Thin wrapper over [`SweepEngine::sweep_levels`]; for the classic
-/// Figure-1 pair (`Inversions`, `LruStack`) it agrees with
-/// [`exhaustive_levels`], which remains the specialized fast path.
-///
-/// # Panics
-///
-/// Panics if `m > 12`.
-#[must_use]
-pub fn sweep_levels(
-    m: usize,
-    statistic: Statistic,
-    model: CacheModel,
-    threads: usize,
-) -> Vec<SweepLevel> {
-    SweepEngine::with_threads(m, threads).sweep_levels(statistic, model)
-}
-
-/// Mahonian-weighted stratified sampling: a global `budget` of draws is
-/// split across inversion levels proportionally to their Mahonian sizes
-/// (with a floor of `min_per_level`), each hit vector evaluated under
-/// `model`.
-///
-/// Thin wrapper over [`SweepEngine::sampled_levels_weighted`], keyed by the
-/// inversion number; pass a different supported [`Statistic`] to the engine
-/// method directly for e.g. Eulerian-weighted descent sampling.
-#[must_use]
-pub fn sampled_levels_weighted(
-    m: usize,
-    model: CacheModel,
-    budget: usize,
-    min_per_level: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<SweepLevel> {
-    SweepEngine::with_threads(m, threads).sampled_levels_weighted(
-        Statistic::Inversions,
-        model,
-        budget,
-        min_per_level,
-        seed,
-    )
 }
 
 /// Verifies the Figure-1 monotonicity claim on aggregated levels: at every
@@ -244,11 +167,12 @@ pub fn levels_are_monotone(levels: &[LevelAggregate]) -> bool {
 mod tests {
     use super::*;
     use symloc_perm::mahonian::mahonian_row;
+    use symloc_perm::statistics::Statistic;
 
     #[test]
     fn exhaustive_levels_counts_match_mahonian() {
         for m in 1..=6usize {
-            let levels = exhaustive_levels(m, 2);
+            let levels = SweepEngine::with_threads(m, 2).exhaustive_levels();
             let mahonian = mahonian_row(m);
             assert_eq!(levels.len(), mahonian.len());
             for (level, &expected) in levels.iter().zip(mahonian.iter()) {
@@ -264,8 +188,8 @@ mod tests {
 
     #[test]
     fn exhaustive_levels_threads_agree() {
-        let a = exhaustive_levels(5, 1);
-        let b = exhaustive_levels(5, 4);
+        let a = SweepEngine::with_threads(5, 1).exhaustive_levels();
+        let b = SweepEngine::with_threads(5, 4).exhaustive_levels();
         assert_eq!(a, b);
     }
 
@@ -273,7 +197,7 @@ mod tests {
     fn wrapper_matches_reference_implementation() {
         for m in 0..=6usize {
             assert_eq!(
-                exhaustive_levels(m, 2),
+                SweepEngine::with_threads(m, 2).exhaustive_levels(),
                 exhaustive_levels_reference(m, 2),
                 "m={m}"
             );
@@ -283,7 +207,7 @@ mod tests {
     #[test]
     fn theorem2_holds_in_aggregate() {
         // Sum over a level of truncated hit sums = level * count.
-        for level in exhaustive_levels(5, 2) {
+        for level in SweepEngine::with_threads(5, 2).exhaustive_levels() {
             let truncated: u64 = level.hit_sums[..4].iter().sum();
             assert_eq!(truncated, level.inversions as u64 * level.count);
         }
@@ -293,7 +217,7 @@ mod tests {
     fn figure1_average_mrcs_are_ordered_by_level() {
         // Higher inversion number => better (lower) average miss ratio at
         // every cache size below m, matching Figure 1's separation.
-        let levels = exhaustive_levels(5, 2);
+        let levels = SweepEngine::with_threads(5, 2).exhaustive_levels();
         assert!(levels_are_monotone(&levels));
         let curves = average_mrc_by_inversion(5, 2);
         assert_eq!(curves.len(), 11);
@@ -309,7 +233,7 @@ mod tests {
 
     #[test]
     fn mean_hits_accessor() {
-        let levels = exhaustive_levels(4, 1);
+        let levels = SweepEngine::with_threads(4, 1).exhaustive_levels();
         let top = levels.last().unwrap();
         assert_eq!(top.count, 1);
         assert!((top.mean_hits(1) - 1.0).abs() < 1e-12);
@@ -320,7 +244,7 @@ mod tests {
 
     #[test]
     fn sampled_levels_cover_every_level() {
-        let levels = sampled_levels(8, 10, 42, 3);
+        let levels = SweepEngine::with_threads(8, 3).sampled_levels(10, 42);
         assert_eq!(levels.len(), max_inversions(8) + 1);
         for level in &levels {
             assert_eq!(level.count, 10);
@@ -332,20 +256,20 @@ mod tests {
 
     #[test]
     fn sampled_levels_reproducible_for_fixed_seed() {
-        let a = sampled_levels(6, 5, 7, 2);
-        let b = sampled_levels(6, 5, 7, 4);
+        let a = SweepEngine::with_threads(6, 2).sampled_levels(5, 7);
+        let b = SweepEngine::with_threads(6, 4).sampled_levels(5, 7);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_and_tiny_degrees() {
-        let levels = exhaustive_levels(1, 2);
+        let levels = SweepEngine::with_threads(1, 2).exhaustive_levels();
         assert_eq!(levels.len(), 1);
         assert_eq!(levels[0].count, 1);
         let curves = average_mrc_by_inversion(1, 1);
         assert_eq!(curves.len(), 1);
         assert!(levels_are_monotone(&[]));
-        let l0 = exhaustive_levels(0, 2);
+        let l0 = SweepEngine::with_threads(0, 2).exhaustive_levels();
         assert_eq!(l0.len(), 1);
         assert_eq!(l0[0].average_mrc().max_size(), 0);
     }
@@ -353,15 +277,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "too large")]
     fn exhaustive_levels_rejects_huge_degree() {
-        let _ = exhaustive_levels(13, 2);
+        let _ = SweepEngine::with_threads(13, 2).exhaustive_levels();
     }
 
     #[test]
     fn generalized_wrappers_delegate_to_the_engine() {
-        let by_descents = sweep_levels(5, Statistic::Descents, CacheModel::LruStack, 2);
+        let by_descents =
+            SweepEngine::with_threads(5, 2).sweep_levels(Statistic::Descents, CacheModel::LruStack);
         assert_eq!(by_descents.len(), 5); // descent levels 0..=4 of S_5
         assert_eq!(by_descents.iter().map(|l| l.count).sum::<u64>(), 120);
-        let sampled = sampled_levels_weighted(7, CacheModel::LruStack, 500, 2, 9, 2);
+        let sampled = SweepEngine::with_threads(7, 2).sampled_levels_weighted(
+            Statistic::Inversions,
+            CacheModel::LruStack,
+            500,
+            2,
+            9,
+        );
         assert_eq!(sampled.len(), max_inversions(7) + 1);
         assert!(sampled.iter().all(|l| l.count >= 2));
     }

@@ -19,35 +19,23 @@
 //!   the largest-hash address and lowering the sampling threshold, and
 //!   sampled distances/counts are rescaled by the sampling rate. Memory is
 //!   `O(s_max)` no matter how many distinct addresses the trace touches.
-//! * [`SampledIngest`] — the **hash-space-sharded parallel sampled
-//!   pipeline**: the address-hash space is partitioned into `N` residue
-//!   classes, each running a private [`ShardsEstimator`] with its own
-//!   budget and threshold (rate adaptation without any synchronization);
-//!   shards execute concurrently, merge deterministically in shard order,
-//!   and checkpoint per shard, so the bounded-memory path is both parallel
-//!   and killable. Thread-count-invariant by construction; with one shard
-//!   it *is* the sequential estimator.
 //! * [`ChunkPartial`] / [`MergeState`] — chunk-sharded parallel ingestion:
 //!   each worker folds a contiguous chunk of the trace into a *mergeable*
 //!   partial (resolved within-chunk distances, the chunk's first accesses
 //!   with their distinct-before counts, and its distinct addresses in
 //!   last-access order); partials merge left-to-right into exactly the
 //!   sequential result. This is the PARDA decomposition of the stack
-//!   distance problem, driven by [`symloc_par::parallel_reduce_chunked`].
-//! * [`TraceIngest`] — the resumable runner: chunk partials are absorbed in
-//!   order and the merge state (histogram + compressed timeline) checkpoints
-//!   as hand-rolled JSON after every batch, so a killed ingest resumes to a
-//!   byte-identical final checkpoint (same guarantee, and same test
-//!   strategy, as `crate::shard::ShardedSweep`).
-//! * [`FusedIngest`] — the fused single-pass pipeline: **one** streaming
-//!   pass per chunk drives a broadcast tap feeding the exact chunk folder,
-//!   the per-shard routing buffers of every hash-sharded
-//!   [`ShardsEstimator`], and any extra
-//!   [`AccessSink`]. Absorbing the fused
+//!   distance problem.
+//! * [`FusedIngest`] — the one resumable trace job: **one** streaming pass
+//!   per chunk feeds the exact chunk folder and routes every access to its
+//!   hash shard, each half switchable ([`TracePlan`]). Absorbing the
 //!   partials in chunk order advances the exact merge *and* replays each
-//!   shard's slice through its live estimator, so one pass produces an
-//!   exact histogram byte-identical to [`TraceIngest`] and sampled results
-//!   bit-identical to [`SampledIngest`] at the same shard count.
+//!   shard's slice through its live [`ShardsEstimator`] — hash-space
+//!   sharding, so rate adaptation needs no synchronization. The exact half
+//!   is byte-identical to [`OnlineReuseEngine`], the sampled half
+//!   bit-identical to the direct [`SampledIngest`] reference at the same
+//!   shard count, and a killed job resumes to a byte-identical final
+//!   checkpoint.
 //!
 //! ```
 //! use symloc_core::tracesweep::OnlineReuseEngine;
@@ -61,17 +49,14 @@
 //! ```
 
 use crate::job::{self, Job, JobKind, JobRunner};
-use crate::jsonio::{self, JsonValue};
+use crate::jsonio::JsonValue;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Mutex;
 use symloc_par::split_indices;
 use symloc_perm::fenwick::Fenwick;
-use symloc_trace::stream::{AccessSink, BlockRead, CountingSink, TraceSource};
-
-/// Format tag embedded in every ingest checkpoint document.
-#[cfg(test)]
-const CHECKPOINT_KIND: &str = JobKind::TraceIngest.kind_str();
+use symloc_trace::stream::{AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource};
 
 /// Smallest Fenwick capacity a timeline starts with (kept low so the
 /// compaction path is exercised constantly, not only at scale).
@@ -723,6 +708,13 @@ impl Timeline {
         Some(slot)
     }
 
+    /// True when `addr` has a live marker.
+    fn is_live(&self, addr: u64) -> bool {
+        self.interner
+            .lookup(addr)
+            .is_some_and(|id| self.slot_of[id as usize] != NO_SLOT)
+    }
+
     /// Appends a marker for `addr` at the newest slot (the address must not
     /// be live).
     fn append(&mut self, addr: u64) {
@@ -1102,10 +1094,38 @@ impl ShardsEstimator {
         }
     }
 
-    /// Rebuilds the estimator of one hash shard from mid-stream checkpoint
-    /// state: the counters and weighted histogram restore verbatim, the
-    /// timeline is rebuilt by re-observing `tracked` (the live addresses in
-    /// last-access order — relative marker order fully determines every
+    /// Writes the estimator's mid-stream state as the fields of one JSON
+    /// object — `"threshold"`, `"raw"`, `"sampled"`, `"evictions"`,
+    /// `"cold"`, `"histogram"` and `"tracked"` (the live addresses in
+    /// last-access order) — the entry shape trace-job and serve
+    /// checkpoints share. Weights print as shortest round-trip decimals,
+    /// so restoring and re-writing is byte-identical.
+    pub(crate) fn write_state(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
+            self.threshold,
+            self.raw_accesses,
+            self.sampled_accesses,
+            self.evictions,
+            self.histogram.cold_weight(),
+        );
+        for (j, (d, w)) in self.histogram.iter().enumerate() {
+            let comma = if j == 0 { "" } else { ", " };
+            let _ = write!(out, "{comma}[{d}, {w}]");
+        }
+        out.push_str("], \"tracked\": [");
+        for (j, addr) in self.timeline.ordered_addresses().iter().enumerate() {
+            let comma = if j == 0 { "" } else { ", " };
+            let _ = write!(out, "{comma}{addr}");
+        }
+        out.push(']');
+    }
+
+    /// Rebuilds the estimator of one hash shard from an entry written by
+    /// [`ShardsEstimator::write_state`]: the counters and weighted
+    /// histogram restore verbatim, the timeline is rebuilt by re-observing
+    /// the tracked addresses (relative marker order fully determines every
     /// future distance), and the eviction heap is rebuilt from the
     /// addresses' recomputed hashes (the heap is a multiset with a unique
     /// maximum, so its internal layout never affects behavior). A restored
@@ -1115,27 +1135,50 @@ impl ShardsEstimator {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem with
-    /// `tracked`: more addresses than the budget, a duplicate, one hashing
-    /// outside this shard, or one hashing at or above the threshold (none
-    /// of which a real checkpoint can contain).
+    /// Returns a description of the first structural problem: a missing
+    /// or mistyped field, a threshold outside `1 ..= max_threshold`, a
+    /// negative or non-finite weight, or a tracked list with more
+    /// addresses than the budget, a duplicate, one hashing outside this
+    /// shard, or one hashing at or above the threshold (none of which a
+    /// real checkpoint can contain).
     ///
     /// # Panics
     ///
-    /// Panics on the same parameter violations as
-    /// [`ShardsEstimator::for_shard`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore_for_shard(
+    /// Panics if `s_max == 0` or `shard_index >= shard_count`.
+    pub(crate) fn restore_state(
+        entry: &JsonValue,
         s_max: usize,
-        threshold: u64,
+        max_threshold: u64,
         shard_index: u64,
         shard_count: u64,
-        raw_accesses: u64,
-        sampled_accesses: u64,
-        evictions: u64,
-        histogram: WeightedHistogram,
-        tracked: &[u64],
     ) -> Result<Self, String> {
+        let number = |key: &str| {
+            entry
+                .get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("estimator missing {key}"))
+        };
+        let threshold = number("threshold")?;
+        if threshold == 0 || threshold > max_threshold {
+            return Err(format!(
+                "estimator threshold {threshold} outside 1..={max_threshold}"
+            ));
+        }
+        let weight = |value: Option<&JsonValue>, what: &str| {
+            value
+                .and_then(JsonValue::as_f64)
+                .filter(|w| w.is_finite() && *w >= 0.0)
+                .ok_or_else(|| format!("estimator {what} is not a finite count"))
+        };
+        let mut histogram = WeightedHistogram::default();
+        histogram.record_cold(weight(entry.get("cold"), "cold weight")?);
+        for (d, w) in histogram_bins(entry.get("histogram"))? {
+            histogram.record_finite(d, weight(Some(w), "histogram weight")?);
+        }
+        let tracked = entry
+            .get("tracked")
+            .and_then(JsonValue::as_array)
+            .ok_or("estimator missing tracked")?;
         let mut est = Self::for_shard(s_max, threshold, shard_index, shard_count);
         if tracked.len() > s_max {
             return Err(format!(
@@ -1143,7 +1186,8 @@ impl ShardsEstimator {
                 tracked.len()
             ));
         }
-        for &addr in tracked {
+        for addr in tracked {
+            let addr = addr.as_u64().ok_or("bad tracked address")?;
             let hash = splitmix64(addr) % SHARDS_MODULUS;
             if hash % shard_count != shard_index {
                 return Err(format!(
@@ -1161,17 +1205,10 @@ impl ShardsEstimator {
             est.by_hash.push((hash, addr));
         }
         est.histogram = histogram;
-        est.raw_accesses = raw_accesses;
-        est.sampled_accesses = sampled_accesses;
-        est.evictions = evictions;
+        est.raw_accesses = number("raw")?;
+        est.sampled_accesses = number("sampled")?;
+        est.evictions = number("evictions")?;
         Ok(est)
-    }
-
-    /// The tracked addresses in timeline (last-access) order — the
-    /// canonical serialization of the estimator's live set for mid-stream
-    /// checkpoints (see [`ShardsEstimator::restore_for_shard`]).
-    pub(crate) fn tracked_in_order(&self) -> Vec<u64> {
-        self.timeline.ordered_addresses()
     }
 
     /// The current sampling rate relative to the whole address space:
@@ -1334,17 +1371,26 @@ impl ShardsEstimator {
     pub fn mrc_points(&self, sizes: &[usize]) -> Vec<MrcPoint> {
         self.histogram.mrc_points(sizes)
     }
+
+    /// The estimate as a one-shard [`SampledSummary`].
+    #[must_use]
+    pub fn summary(&self) -> SampledSummary {
+        SampledSummary::merge(&[SampledShardResult::from_estimator(self)])
+    }
+}
+
+/// The estimator consumes trace streams directly, like the exact engine.
+impl symloc_trace::stream::AccessSink for ShardsEstimator {
+    fn on_access(&mut self, addr: u64) {
+        self.record(addr);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Hash-space-sharded parallel sampling
+// The hash-sharded sampled reference
 // ---------------------------------------------------------------------------
 
-/// Format tag embedded in every sampled-ingest checkpoint document.
-#[cfg(test)]
-const SAMPLED_CHECKPOINT_KIND: &str = JobKind::SampledIngest.kind_str();
-
-/// The completed result of one hash shard of a [`SampledIngest`].
+/// The result of one hash shard of a sampled estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledShardResult {
     /// The shard's weighted (rescaled) histogram.
@@ -1375,7 +1421,7 @@ impl SampledShardResult {
     }
 }
 
-/// The merged outcome of a completed [`SampledIngest`].
+/// The merged outcome of a hash-sharded sampled estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledSummary {
     /// The merged weighted histogram (shards merged in index order, so the
@@ -1394,6 +1440,31 @@ pub struct SampledSummary {
 }
 
 impl SampledSummary {
+    /// Merges per-shard results in shard order — the one float-addition
+    /// order every sampled estimate uses, so equal shard results give
+    /// bit-identical summaries.
+    fn merge(shards: &[SampledShardResult]) -> Self {
+        let mut histogram = WeightedHistogram::default();
+        let (mut raw, mut sampled, mut evictions) = (0u64, 0u64, 0u64);
+        let mut min_rate = f64::INFINITY;
+        #[allow(clippy::cast_precision_loss)]
+        for shard in shards {
+            histogram.merge(&shard.histogram);
+            raw += shard.raw_accesses;
+            sampled += shard.sampled_accesses;
+            evictions += shard.evictions;
+            let rate = shard.threshold as f64 / SHARDS_MODULUS as f64 / shards.len() as f64;
+            min_rate = min_rate.min(rate);
+        }
+        SampledSummary {
+            histogram,
+            raw_accesses: raw,
+            sampled_accesses: sampled,
+            evictions,
+            min_rate,
+        }
+    }
+
     /// Estimated distinct addresses (merged weighted cold count).
     #[must_use]
     pub fn estimated_footprint(&self) -> f64 {
@@ -1401,52 +1472,36 @@ impl SampledSummary {
     }
 }
 
-/// The hash-space-sharded, checkpointable parallel sampled ingest — the
-/// bounded-memory counterpart of [`TraceIngest`].
+/// The hash-space-sharded sampled estimate, computed the direct way: the
+/// reference the sampled half of [`FusedIngest`] is pinned against. It
+/// has no checkpoint and no job kind.
 ///
-/// The address-hash space is partitioned into `shard_count` residue classes
-/// (`hash % shard_count`); shard `i` runs a [`ShardsEstimator`] over its
-/// class with a private budget and threshold, so rate adaptation needs no
-/// synchronization whatsoever. Shards execute concurrently (each worker of
-/// [`symloc_par::parallel_map_chunked`] streams the source **once** and
-/// routes every access to the owning shard among those it was assigned),
-/// and the per-shard weighted histograms merge in shard order.
-///
-/// Semantics worth being precise about:
+/// The address-hash space is partitioned into `shard_count` residue
+/// classes (`hash % shard_count`); shard `i` runs a [`ShardsEstimator`]
+/// over its class with a private budget and threshold, so rate adaptation
+/// needs no synchronization. Each worker streams the whole source once
+/// and routes every access to the shard that owns it among those it was
+/// assigned; the per-shard histograms merge in shard order.
 ///
 /// * **Deterministic and thread-invariant.** A shard's result depends only
-///   on the access sequence and the shard parameters, never on which worker
-///   ran it or how shards were grouped; merging happens in shard order.
-///   Running with 1 thread or 64 produces byte-identical checkpoints — the
-///   property the equivalence proptests pin across every generator pattern
-///   and shard count.
+///   on the access sequence and the shard parameters, never on which
+///   worker ran it.
 /// * **The shard count is part of the estimator's identity** (like the
-///   hash function): each shard estimates the full curve from a
-///   `1/shard_count` spatial sample, so different shard counts are
-///   different (equally unbiased) estimators, not reorderings of the same
-///   one. `shard_count = 1` *is* the sequential [`ShardsEstimator`], result
-///   for result.
-/// * **Killable.** A shard is the checkpoint unit: completed shards
-///   serialize (weights as shortest-round-trip decimals, so re-serializing
-///   parsed state is byte-identical) and a resumed ingest recomputes only
-///   the shards that were in flight.
+///   hash function): different shard counts are different (equally
+///   unbiased) estimators, not reorderings of one. `shard_count = 1` *is*
+///   the sequential [`ShardsEstimator`], result for result.
 #[derive(Debug, Clone)]
 pub struct SampledIngest {
-    fingerprint: String,
-    total: u64,
     shard_count: usize,
     budget_per_shard: usize,
-    threshold: u64,
     threads: usize,
     partials: Vec<SampledShardResult>,
 }
 
 impl SampledIngest {
-    /// Plans a sampled ingest of `source` over `shard_count` hash shards
-    /// with `budget_per_shard` tracked addresses each, starting at the full
-    /// sampling rate.
-    ///
-    /// Scans the source once to learn (and validate) its length.
+    /// Plans a sampled estimate of `source` over `shard_count` hash shards
+    /// with `budget_per_shard` tracked addresses each, starting at the
+    /// full sampling rate. Scans the source once to validate it.
     ///
     /// # Errors
     ///
@@ -1461,205 +1516,60 @@ impl SampledIngest {
         budget_per_shard: usize,
         threads: usize,
     ) -> Result<Self, String> {
-        Self::with_threshold(
-            source,
-            shard_count,
-            budget_per_shard,
-            SHARDS_MODULUS,
-            threads,
-        )
-    }
-
-    /// [`SampledIngest::new`] with an explicit initial threshold (see
-    /// [`ShardsEstimator::with_threshold`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the source's read or parse error as a string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count == 0`, `budget_per_shard == 0`, or
-    /// `threshold` is outside `1 ..= SHARDS_MODULUS`.
-    pub fn with_threshold(
-        source: &TraceSource,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threshold: u64,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        Ok(Self::with_total(
-            source,
-            total,
-            shard_count,
-            budget_per_shard,
-            threshold,
-            threads,
-        ))
-    }
-
-    fn with_total(
-        source: &TraceSource,
-        total: u64,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threshold: u64,
-        threads: usize,
-    ) -> Self {
         assert!(shard_count > 0, "at least one hash shard is required");
         assert!(
             budget_per_shard > 0,
             "the per-shard budget must be positive"
         );
-        assert!(
-            (1..=SHARDS_MODULUS).contains(&threshold),
-            "threshold {threshold} outside 1..={SHARDS_MODULUS}"
-        );
-        SampledIngest {
-            fingerprint: source.fingerprint(),
-            total,
+        source
+            .total_accesses()
+            .map_err(|e| format!("cannot scan {source}: {e}"))?;
+        Ok(SampledIngest {
             shard_count,
             budget_per_shard,
-            threshold,
             threads: threads.max(1),
             partials: Vec::new(),
-        }
+        })
     }
 
-    /// The source fingerprint the ingest belongs to.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// Total accesses of the source.
-    #[must_use]
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of hash shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The per-shard tracked-address budget.
-    #[must_use]
-    pub fn budget_per_shard(&self) -> usize {
-        self.budget_per_shard
-    }
-
-    /// Number of shards already completed.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.partials.len()
-    }
-
-    /// True when every shard has run.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.partials.len() >= self.shard_count
-    }
-
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
-    /// [`JobRunner`] can drive it.
+    /// Runs up to `limit` pending shards (all of them when `None`): the
+    /// shards are split contiguously across the workers, and each worker
+    /// streams the source once, feeding only the shards it owns. Returns
+    /// how many shards ran.
     ///
     /// # Panics
     ///
-    /// Panics if the source does not match the ingest's fingerprint.
-    fn bind<'a>(&'a mut self, source: &'a TraceSource) -> SampledIngestJob<'a> {
-        assert_eq!(
-            source.fingerprint(),
-            self.fingerprint,
-            "sampled ingest resumed against a different trace source"
-        );
-        SampledIngestJob {
-            ingest: self,
-            source,
-        }
-    }
-
-    /// Runs up to `limit` pending shards (all of them when `None`) in one
-    /// parallel pass: the pending shards are split contiguously across the
-    /// configured workers, and each worker streams the source **once**,
-    /// feeding only the shards it owns. The per-access hash is therefore
-    /// computed once per worker pass — at most `threads` passes total, one
-    /// when sequential — while the expensive timeline work is split
-    /// `shard_count` ways. (`limit` bounds checkpoint granularity:
-    /// [`SampledIngest::run_with_checkpoint`] passes the thread count so a
-    /// kill loses at most one batch.)
-    ///
-    /// Returns how many shards were processed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated on construction).
+    /// Panics if the source fails to stream (it was validated by
+    /// [`SampledIngest::new`]).
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(&mut self.bind(source), limit)
-    }
-
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated on construction).
-    pub fn run_pending_metered(
-        &mut self,
-        source: &TraceSource,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
-    }
-
-    /// Runs pending shards — all, or up to `limit` — saving the checkpoint
-    /// after every completed batch, so a kill loses at most one batch.
-    /// `on_batch(completed, total)` fires after every save. The checkpoint
-    /// is (re)written even when nothing was pending. The loop is
-    /// [`JobRunner::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
-    }
-
-    /// [`SampledIngest::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(
-            &mut self.bind(source),
-            path,
-            limit,
-            metrics,
-            on_batch,
-        )
+        let first = self.partials.len();
+        let pending = limit.map_or(self.shard_count - first, |l| {
+            l.min(self.shard_count - first)
+        });
+        let count = self.shard_count as u64;
+        let budget = self.budget_per_shard;
+        let spans = symloc_par::parallel_map_chunked(pending, self.threads, |span| {
+            if span.is_empty() {
+                return Vec::new();
+            }
+            let (lo, hi) = ((first + span.start) as u64, (first + span.end) as u64);
+            let mut estimators: Vec<ShardsEstimator> = (lo..hi)
+                .map(|i| ShardsEstimator::for_shard(budget, SHARDS_MODULUS, i, count))
+                .collect();
+            for addr in source.stream().expect("validated source streams") {
+                let hash = splitmix64(addr) % SHARDS_MODULUS;
+                let shard = hash % count;
+                if (lo..hi).contains(&shard) {
+                    estimators[(shard - lo) as usize].record_hashed(addr, hash);
+                }
+            }
+            estimators
+                .iter()
+                .map(SampledShardResult::from_estimator)
+                .collect()
+        });
+        self.partials.extend(spans.into_iter().flatten());
+        pending
     }
 
     /// The completed shards so far (in shard order).
@@ -1671,334 +1581,7 @@ impl SampledIngest {
     /// The merged summary, or `None` while shards are pending.
     #[must_use]
     pub fn merged(&self) -> Option<SampledSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut histogram = WeightedHistogram::default();
-        let (mut raw, mut sampled, mut evictions) = (0u64, 0u64, 0u64);
-        let mut min_rate = f64::INFINITY;
-        #[allow(clippy::cast_precision_loss)]
-        for shard in &self.partials {
-            histogram.merge(&shard.histogram);
-            raw += shard.raw_accesses;
-            sampled += shard.sampled_accesses;
-            evictions += shard.evictions;
-            let rate = shard.threshold as f64 / SHARDS_MODULUS as f64 / self.shard_count as f64;
-            min_rate = min_rate.min(rate);
-        }
-        Some(SampledSummary {
-            histogram,
-            raw_accesses: raw,
-            sampled_accesses: sampled,
-            evictions,
-            min_rate,
-        })
-    }
-
-    /// Serializes the ingest — plan, progress, completed shard results —
-    /// as a JSON checkpoint document. Weights print as Rust's shortest
-    /// round-trip decimals, so two ingests in the same logical state
-    /// serialize byte-identically however they got there.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::SampledIngest, &self.fingerprint);
-        let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
-        let _ = writeln!(out, "  \"shard_count\": {},", self.shard_count);
-        let _ = writeln!(out, "  \"budget_per_shard\": {},", self.budget_per_shard);
-        let _ = writeln!(out, "  \"threshold\": {},", self.threshold);
-        let _ = writeln!(out, "  \"next_shard\": {},", self.partials.len());
-        out.push_str("  \"shards\": [\n");
-        for (i, shard) in self.partials.iter().enumerate() {
-            let sep = if i + 1 < self.partials.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "    {{\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"tracked\": {}, \"cold\": {}, \"histogram\": [",
-                shard.threshold,
-                shard.raw_accesses,
-                shard.sampled_accesses,
-                shard.evictions,
-                shard.tracked,
-                shard.histogram.cold_weight(),
-            );
-            for (j, (d, w)) in shard.histogram.iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}[{d}, {w}]");
-            }
-            let _ = writeln!(out, "]}}{sep}");
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Rebuilds a sampled ingest from a checkpoint document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem.
-    pub fn from_json(text: &str, threads: usize) -> Result<SampledIngest, String> {
-        let doc = job::parse_checkpoint(text, JobKind::SampledIngest)?;
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
-        let shard_count = doc
-            .get("shard_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing shard_count")?;
-        if shard_count == 0 {
-            return Err("shard_count must be positive".to_string());
-        }
-        let budget_per_shard = doc
-            .get("budget_per_shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget_per_shard")?;
-        if budget_per_shard == 0 {
-            return Err("budget_per_shard must be positive".to_string());
-        }
-        let threshold = doc
-            .get("threshold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing threshold")?;
-        if threshold == 0 || threshold > SHARDS_MODULUS {
-            return Err(format!(
-                "threshold {threshold} outside 1..={SHARDS_MODULUS}"
-            ));
-        }
-        let next_shard = doc
-            .get("next_shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing next_shard")?;
-        if next_shard > shard_count {
-            return Err(format!(
-                "next_shard {next_shard} exceeds shard_count {shard_count}"
-            ));
-        }
-        let entries = doc
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing shards")?;
-        if entries.len() != next_shard {
-            return Err(format!(
-                "next_shard {next_shard} does not match {} shard entries",
-                entries.len()
-            ));
-        }
-        let mut partials = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let shard_threshold = entry
-                .get("threshold")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing threshold")?;
-            if shard_threshold == 0 || shard_threshold > threshold {
-                return Err(format!(
-                    "shard threshold {shard_threshold} outside 1..={threshold}"
-                ));
-            }
-            let raw_accesses = entry
-                .get("raw")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing raw")?;
-            let sampled_accesses = entry
-                .get("sampled")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing sampled")?;
-            let evictions = entry
-                .get("evictions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing evictions")?;
-            let tracked = entry
-                .get("tracked")
-                .and_then(JsonValue::as_usize)
-                .ok_or("shard missing tracked")?;
-            let cold = entry
-                .get("cold")
-                .and_then(JsonValue::as_f64)
-                .ok_or("shard missing cold")?;
-            if !cold.is_finite() || cold < 0.0 {
-                return Err(format!("shard cold weight {cold} is not a finite count"));
-            }
-            let mut histogram = WeightedHistogram::default();
-            histogram.record_cold(cold);
-            let bins = entry
-                .get("histogram")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing histogram")?;
-            for bin in bins {
-                let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
-                let (d, w) = match pair {
-                    [d, w] => (
-                        d.as_usize().ok_or("bad histogram distance")?,
-                        w.as_f64().ok_or("bad histogram weight")?,
-                    ),
-                    _ => return Err("histogram entry is not a pair".to_string()),
-                };
-                if d == 0 {
-                    return Err("histogram distance 0 is not representable".to_string());
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!("histogram weight {w} is not a finite count"));
-                }
-                histogram.record_finite(d, w);
-            }
-            partials.push(SampledShardResult {
-                histogram,
-                threshold: shard_threshold,
-                raw_accesses,
-                sampled_accesses,
-                evictions,
-                tracked,
-            });
-        }
-        Ok(SampledIngest {
-            fingerprint,
-            total,
-            shard_count,
-            budget_per_shard,
-            threshold,
-            threads: threads.max(1),
-            partials,
-        })
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename) —
-    /// the shared [`crate::jsonio::save_atomic`] path every job uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
-    }
-
-    /// Loads a checkpoint from `path`, or plans a fresh sampled ingest when
-    /// the file does not exist or belongs to a different source or plan
-    /// (same policy, and same length-based staleness check, as
-    /// [`TraceIngest::resume_or_new`]). Returns the ingest and whether
-    /// progress was actually resumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source scan error, or a loud kind-mismatch error when
-    /// the file holds a checkpoint of a *different* job kind (see
-    /// [`crate::job::resume_or_new_with`]).
-    pub fn resume_or_new(
-        source: &TraceSource,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threads: usize,
-        path: &Path,
-    ) -> Result<(SampledIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        job::resume_or_new_with(
-            path,
-            JobKind::SampledIngest,
-            |text| SampledIngest::from_json(text, threads),
-            |ingest| {
-                ingest.fingerprint == source.fingerprint()
-                    && ingest.total == total
-                    && ingest.shard_count == shard_count
-                    && ingest.budget_per_shard == budget_per_shard
-                    && ingest.threshold == SHARDS_MODULUS
-            },
-            SampledIngest::completed_count,
-            || {
-                Self::with_total(
-                    source,
-                    total,
-                    shard_count,
-                    budget_per_shard,
-                    SHARDS_MODULUS,
-                    threads,
-                )
-            },
-        )
-    }
-}
-
-/// A [`SampledIngest`] bound to its trace source: the [`Job`] the generic
-/// runner drives. One *span* of hash-shard units is one worker's single
-/// streaming pass over the source, routing each access to the owning
-/// shard among the span's estimators — the hash is computed once per
-/// worker pass while the timeline work splits `shard_count` ways.
-struct SampledIngestJob<'a> {
-    ingest: &'a mut SampledIngest,
-    source: &'a TraceSource,
-}
-
-impl Job for SampledIngestJob<'_> {
-    type Partial = SampledShardResult;
-
-    fn kind(&self) -> JobKind {
-        JobKind::SampledIngest
-    }
-
-    fn fingerprint(&self) -> String {
-        self.ingest.fingerprint.clone()
-    }
-
-    fn threads(&self) -> usize {
-        self.ingest.threads
-    }
-
-    fn unit_count(&self) -> usize {
-        self.ingest.shard_count
-    }
-
-    fn completed_count(&self) -> usize {
-        self.ingest.partials.len()
-    }
-
-    /// Completion is always a contiguous prefix (shards absorb in order),
-    /// so the pending list is the remaining suffix.
-    fn pending_units(&self) -> Vec<usize> {
-        (self.ingest.partials.len()..self.ingest.shard_count).collect()
-    }
-
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, SampledShardResult)>) {
-        let (lo, hi) = (units[0] as u64, units[units.len() - 1] as u64 + 1);
-        debug_assert_eq!(hi - lo, units.len() as u64, "shard spans are contiguous");
-        let count = self.ingest.shard_count as u64;
-        let mut estimators: Vec<ShardsEstimator> = (lo..hi)
-            .map(|i| {
-                ShardsEstimator::for_shard(
-                    self.ingest.budget_per_shard,
-                    self.ingest.threshold,
-                    i,
-                    count,
-                )
-            })
-            .collect();
-        let stream = self.source.stream().expect("validated source streams");
-        for addr in stream {
-            let hash = splitmix64(addr) % SHARDS_MODULUS;
-            let shard = hash % count;
-            if shard >= lo && shard < hi {
-                estimators[(shard - lo) as usize].record_hashed(addr, hash);
-            }
-        }
-        for (offset, est) in estimators.iter().enumerate() {
-            out.push((
-                lo as usize + offset,
-                SampledShardResult::from_estimator(est),
-            ));
-        }
-    }
-
-    fn absorb(&mut self, unit: usize, partial: SampledShardResult) {
-        debug_assert_eq!(unit, self.ingest.partials.len(), "shards absorb in order");
-        self.ingest.partials.push(partial);
-    }
-
-    fn to_json(&self) -> String {
-        self.ingest.to_json()
+        (self.partials.len() >= self.shard_count).then(|| SampledSummary::merge(&self.partials))
     }
 }
 
@@ -2015,7 +1598,7 @@ impl Job for SampledIngestJob<'_> {
 /// distinct addresses by last access, which is all later chunks ever need
 /// to know about this one. Merging partials left-to-right through
 /// [`MergeState::absorb`] reproduces the sequential engine exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkPartial {
     /// Resolved within-chunk distances.
     pub histogram: StreamHistogram,
@@ -2067,24 +1650,6 @@ pub fn chunk_partial(accesses: impl IntoIterator<Item = u64>) -> ChunkPartial {
     let mut folder = ChunkFolder::default();
     for addr in accesses {
         folder.push(addr);
-    }
-    folder.finish()
-}
-
-/// Block-streaming variant of [`chunk_partial`]: identical result, but the
-/// accesses arrive as decoded slices (see
-/// [`TraceSource::stream_blocks_range`]) instead of one virtual iterator
-/// call each. This is the shape the parallel ingest workers consume, so
-/// `.sltr` chunks decode zero-copy and pre-intern in parallel while the
-/// exact [`MergeState::absorb`] merge stays sequential and in chunk order.
-#[must_use]
-pub fn chunk_partial_blocks(blocks: &mut dyn BlockRead) -> ChunkPartial {
-    let mut folder = ChunkFolder::default();
-    let mut buf = Vec::new();
-    while blocks.next_block(&mut buf) > 0 {
-        for &addr in &buf {
-            folder.push(addr);
-        }
     }
     folder.finish()
 }
@@ -2144,305 +1709,42 @@ impl MergeState {
     pub fn footprint(&self) -> usize {
         self.timeline.live()
     }
-}
 
-// ---------------------------------------------------------------------------
-// The resumable sharded ingest
-// ---------------------------------------------------------------------------
-
-/// A chunk-sharded, checkpointable ingest of one trace source.
-///
-/// The trace is split into `chunk_count` contiguous chunks; each pending
-/// batch of up to `threads` chunks is folded into [`ChunkPartial`]s in
-/// parallel ([`symloc_par::parallel_reduce_chunked`] — the partials are the
-/// monoid) and absorbed in order into the [`MergeState`]. After every batch
-/// the state serializes to a JSON checkpoint; a killed ingest resumes from
-/// it and finishes with a byte-identical final checkpoint.
-#[derive(Debug, Clone)]
-pub struct TraceIngest {
-    fingerprint: String,
-    total: u64,
-    chunk_count: usize,
-    threads: usize,
-    next_chunk: usize,
-    state: MergeState,
-}
-
-impl TraceIngest {
-    /// Plans an ingest of `source` split into `chunk_count` chunks.
-    ///
-    /// Scans the source once to learn (and validate) its length.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source's read or parse error as a string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_count == 0`.
-    pub fn new(source: &TraceSource, chunk_count: usize, threads: usize) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        Ok(Self::with_total(source, total, chunk_count, threads))
-    }
-
-    /// Plans a fresh ingest for a source whose length is already known.
-    fn with_total(source: &TraceSource, total: u64, chunk_count: usize, threads: usize) -> Self {
-        assert!(chunk_count > 0, "at least one chunk is required");
-        TraceIngest {
-            fingerprint: source.fingerprint(),
-            total,
-            chunk_count: Self::effective_chunk_count(chunk_count, total),
-            threads: threads.max(1),
-            next_chunk: 0,
-            state: MergeState::new(),
-        }
-    }
-
-    /// More chunks than accesses degrade gracefully to one chunk per access
-    /// (and one chunk for an empty trace), mirroring the shard planner.
-    fn effective_chunk_count(requested: usize, total: u64) -> usize {
-        requested.min(usize::try_from(total.max(1)).unwrap_or(usize::MAX))
-    }
-
-    /// The source fingerprint the ingest belongs to.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// Total accesses of the source.
-    #[must_use]
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of planned chunks.
-    #[must_use]
-    pub fn chunk_count(&self) -> usize {
-        self.chunk_count
-    }
-
-    /// Number of chunks already absorbed.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.next_chunk
-    }
-
-    /// True when every chunk has been absorbed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.next_chunk >= self.chunk_count
-    }
-
-    /// The deterministic chunk plan (contiguous access ranges).
-    fn chunk_bounds(&self) -> Vec<(u64, u64)> {
-        split_indices(
-            usize::try_from(self.total).expect("trace length fits usize"),
-            self.chunk_count,
-        )
-        .into_iter()
-        .map(|c| (c.start as u64, c.end as u64))
-        .collect()
-    }
-
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
-    /// [`JobRunner`] can drive it. The chunk plan is materialized once per
-    /// binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source does not match the ingest's fingerprint.
-    fn bind<'a>(&'a mut self, source: &'a TraceSource) -> TraceIngestJob<'a> {
-        assert_eq!(
-            source.fingerprint(),
-            self.fingerprint,
-            "ingest resumed against a different trace source"
-        );
-        let bounds = self.chunk_bounds();
-        TraceIngestJob {
-            ingest: self,
-            source,
-            bounds,
-        }
-    }
-
-    /// Runs up to `limit` pending chunks (all of them when `None`) in
-    /// parallel batches of the configured thread count, absorbing partials
-    /// in chunk order. Returns how many chunks were processed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated by [`TraceIngest::new`]).
-    pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(&mut self.bind(source), limit)
-    }
-
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated on construction).
-    pub fn run_pending_metered(
-        &mut self,
-        source: &TraceSource,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
-    }
-
-    /// Runs pending chunks — all, or up to `limit` — saving the checkpoint
-    /// after every absorbed batch, so a kill loses at most one batch.
-    /// `on_batch(completed, total)` fires after every save. The checkpoint
-    /// is (re)written even when nothing was pending. The loop is
-    /// [`JobRunner::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
-    }
-
-    /// [`TraceIngest::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(
-            &mut self.bind(source),
-            path,
-            limit,
-            metrics,
-            on_batch,
-        )
-    }
-
-    /// The merged histogram, or `None` while chunks are pending.
-    #[must_use]
-    pub fn histogram(&self) -> Option<&StreamHistogram> {
-        self.is_complete().then(|| self.state.histogram())
-    }
-
-    /// The partial histogram absorbed so far (complete or not).
-    #[must_use]
-    pub fn partial_histogram(&self) -> &StreamHistogram {
-        self.state.histogram()
-    }
-
-    /// Distinct addresses absorbed so far.
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        self.state.footprint()
-    }
-
-    /// Serializes the ingest — plan, progress, merge state — as a JSON
-    /// checkpoint document. The state is canonical (the timeline is stored
-    /// as its ordered address list), so two ingests in the same logical
-    /// state serialize byte-identically however they got there.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::TraceIngest, &self.fingerprint);
-        let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
-        let _ = writeln!(out, "  \"chunk_count\": {},", self.chunk_count);
-        let _ = writeln!(out, "  \"next_chunk\": {},", self.next_chunk);
-        let _ = writeln!(out, "  \"cold\": {},", self.state.histogram.cold_count());
+    /// Writes the state's checkpoint fields: the cold count, the
+    /// `[[distance, count], ...]` histogram and the timeline (every
+    /// absorbed address, in last-access order).
+    fn write_json(&self, out: &mut String) {
+        let _ = writeln!(out, "  \"cold\": {},", self.histogram.cold_count());
         out.push_str("  \"histogram\": [");
-        for (i, (d, c)) in self.state.histogram.iter().enumerate() {
+        for (i, (d, c)) in self.histogram.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}[{d}, {c}]");
         }
-        out.push_str("],\n");
-        out.push_str("  \"timeline\": [");
-        for (i, addr) in self.state.timeline.ordered_addresses().iter().enumerate() {
+        out.push_str("],\n  \"timeline\": [");
+        for (i, addr) in self.timeline.ordered_addresses().iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}{addr}");
         }
-        out.push_str("]\n}\n");
-        out
+        out.push_str("],\n");
     }
 
-    /// Rebuilds an ingest from a checkpoint document.
+    /// Rebuilds a state from the fields [`MergeState::write_json`] wrote.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
-    pub fn from_json(text: &str, threads: usize) -> Result<TraceIngest, String> {
-        let doc = job::parse_checkpoint(text, JobKind::TraceIngest)?;
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
-        let chunk_count = doc
-            .get("chunk_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing chunk_count")?;
-        if chunk_count == 0 {
-            return Err("chunk_count must be positive".to_string());
-        }
-        if chunk_count != Self::effective_chunk_count(chunk_count, total) {
-            return Err(format!(
-                "chunk_count {chunk_count} exceeds the {total} accesses of the trace"
-            ));
-        }
-        let next_chunk = doc
-            .get("next_chunk")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing next_chunk")?;
-        if next_chunk > chunk_count {
-            return Err(format!(
-                "next_chunk {next_chunk} exceeds chunk_count {chunk_count}"
-            ));
-        }
+    /// Rejects a missing or malformed field, a timeline address that
+    /// appears twice, and a cold count that differs from the timeline
+    /// length (every distinct address is one first touch and one live
+    /// marker) — either would otherwise resume to a wrong curve.
+    fn restore(doc: &JsonValue) -> Result<Self, String> {
         let cold = doc
             .get("cold")
             .and_then(JsonValue::as_u64)
             .ok_or("missing cold")?;
         let mut state = MergeState::new();
         state.histogram.record_cold(cold);
-        let entries = doc
-            .get("histogram")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing histogram")?;
-        for entry in entries {
-            let pair = entry.as_array().ok_or("histogram entry is not a pair")?;
-            let (d, c) = match pair {
-                [d, c] => (
-                    d.as_usize().ok_or("bad histogram distance")?,
-                    c.as_u64().ok_or("bad histogram count")?,
-                ),
-                _ => return Err("histogram entry is not a pair".to_string()),
-            };
-            if d == 0 {
-                return Err("histogram distance 0 is not representable".to_string());
-            }
+        for (d, c) in histogram_bins(doc.get("histogram"))? {
+            let c = c.as_u64().ok_or("bad histogram count")?;
             state.histogram.record_finite(d, c);
         }
         let timeline = doc
@@ -2450,168 +1752,148 @@ impl TraceIngest {
             .and_then(JsonValue::as_array)
             .ok_or("missing timeline")?;
         for addr in timeline {
-            state
-                .timeline
-                .append(addr.as_u64().ok_or("bad timeline address")?);
+            let addr = addr.as_u64().ok_or("bad timeline address")?;
+            if state.timeline.is_live(addr) {
+                return Err(format!("timeline address {addr} appears twice"));
+            }
+            state.timeline.append(addr);
         }
-        Ok(TraceIngest {
-            fingerprint,
-            total,
-            chunk_count,
-            threads: threads.max(1),
-            next_chunk,
-            state,
+        if cold != timeline.len() as u64 {
+            return Err(format!(
+                "cold count {cold} differs from the {} timeline addresses",
+                timeline.len()
+            ));
+        }
+        Ok(state)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The trace job: one streaming pass, an exact half and a sampled half
+// ---------------------------------------------------------------------------
+
+/// The `[[distance, count], ...]` bins of a checkpoint histogram, with
+/// each count left for the caller to type. Distances must be positive and
+/// strictly increasing, as every writer emits them.
+fn histogram_bins(bins: Option<&JsonValue>) -> Result<Vec<(usize, &JsonValue)>, String> {
+    let bins = bins
+        .and_then(JsonValue::as_array)
+        .ok_or("missing histogram")?;
+    let mut out: Vec<(usize, &JsonValue)> = Vec::with_capacity(bins.len());
+    for bin in bins {
+        let Some([d, count]) = bin.as_array() else {
+            return Err("histogram entry is not a pair".to_string());
+        };
+        let d = d.as_usize().ok_or("bad histogram distance")?;
+        if d == 0 {
+            return Err("histogram distance 0 is not representable".to_string());
+        }
+        if out.last().is_some_and(|&(prev, _)| prev >= d) {
+            return Err(format!("histogram distance {d} out of order"));
+        }
+        out.push((d, count));
+    }
+    Ok(out)
+}
+
+/// What a [`FusedIngest`] computes: its chunk plan, and which of its two
+/// halves run. At least one half must be on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TracePlan {
+    /// Contiguous trace chunks — the job's units. More chunks than
+    /// accesses degrade to one chunk per access (and one chunk for an
+    /// empty trace).
+    pub chunks: usize,
+    /// Whether the exact half runs: PARDA chunk partials merged in chunk
+    /// order.
+    pub exact: bool,
+    /// Hash shards of the sampled half; `0` switches the half off.
+    pub shards: usize,
+    /// Tracked addresses per hash shard (`0` while the sampled half is
+    /// off).
+    pub budget_per_shard: usize,
+}
+
+impl TracePlan {
+    /// The exact half alone.
+    #[must_use]
+    pub const fn exact(chunks: usize) -> Self {
+        TracePlan {
+            chunks,
+            exact: true,
+            shards: 0,
+            budget_per_shard: 0,
+        }
+    }
+
+    /// The sampled half alone: `shards` hash shards of `budget_per_shard`
+    /// tracked addresses each.
+    #[must_use]
+    pub const fn sampled(chunks: usize, shards: usize, budget_per_shard: usize) -> Self {
+        TracePlan {
+            chunks,
+            exact: false,
+            shards,
+            budget_per_shard,
+        }
+    }
+
+    /// Both halves, fed by one decode of every access.
+    #[must_use]
+    pub const fn both(chunks: usize, shards: usize, budget_per_shard: usize) -> Self {
+        TracePlan {
+            chunks,
+            exact: true,
+            shards,
+            budget_per_shard,
+        }
+    }
+
+    /// The halves that run: `"exact"`, `"sampled"` or `"exact + sampled"`.
+    #[must_use]
+    pub const fn halves(&self) -> &'static str {
+        match (self.exact, self.shards > 0) {
+            (true, true) => "exact + sampled",
+            (true, false) => "exact",
+            (false, _) => "sampled",
+        }
+    }
+
+    /// The plan as it runs over `total` accesses — chunks capped at the
+    /// trace length (one chunk for an empty trace), the budget zeroed
+    /// while the sampled half is off — or why no such job exists.
+    fn for_length(self, total: u64) -> Result<Self, String> {
+        if self.chunks == 0 {
+            return Err("at least one chunk is required".to_string());
+        }
+        if !self.exact && self.shards == 0 {
+            return Err("a trace job needs its exact half, its sampled half, or both".to_string());
+        }
+        if self.shards > 0 && self.budget_per_shard == 0 {
+            return Err("the per-shard budget must be positive".to_string());
+        }
+        Ok(TracePlan {
+            chunks: self
+                .chunks
+                .min(usize::try_from(total.max(1)).unwrap_or(usize::MAX)),
+            budget_per_shard: if self.shards > 0 {
+                self.budget_per_shard
+            } else {
+                0
+            },
+            ..self
         })
     }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
-    }
-
-    /// Loads a checkpoint from `path`, or plans a fresh ingest when the
-    /// file does not exist or belongs to a different source or plan.
-    /// Returns the ingest and whether progress was actually resumed.
-    ///
-    /// The source is always re-scanned: a checkpoint only resumes when its
-    /// fingerprint, its chunk plan *and* its recorded access count all
-    /// match the source as it exists now. File fingerprints are path-based,
-    /// so the length check is what catches a file that was truncated,
-    /// appended to or replaced between runs (an equal-length content swap
-    /// is not detectable without hashing every resume — don't do that).
-    ///
-    /// # Errors
-    ///
-    /// Returns the source scan error, or a loud kind-mismatch error when
-    /// the file holds a checkpoint of a *different* job kind (see
-    /// [`crate::job::resume_or_new_with`]).
-    pub fn resume_or_new(
-        source: &TraceSource,
-        chunk_count: usize,
-        threads: usize,
-        path: &Path,
-    ) -> Result<(TraceIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        job::resume_or_new_with(
-            path,
-            JobKind::TraceIngest,
-            |text| TraceIngest::from_json(text, threads),
-            |ingest| {
-                ingest.fingerprint == source.fingerprint()
-                    && ingest.total == total
-                    && ingest.chunk_count == Self::effective_chunk_count(chunk_count, total)
-            },
-            TraceIngest::completed_count,
-            || Self::with_total(source, total, chunk_count, threads),
-        )
-    }
 }
-
-/// A [`TraceIngest`] bound to its trace source and materialized chunk
-/// plan: the [`Job`] the generic runner drives. One unit is one contiguous
-/// trace chunk; partials are PARDA-mergeable [`ChunkPartial`]s absorbed in
-/// chunk order into the [`MergeState`].
-struct TraceIngestJob<'a> {
-    ingest: &'a mut TraceIngest,
-    source: &'a TraceSource,
-    bounds: Vec<(u64, u64)>,
-}
-
-impl Job for TraceIngestJob<'_> {
-    type Partial = ChunkPartial;
-
-    fn kind(&self) -> JobKind {
-        JobKind::TraceIngest
-    }
-
-    fn fingerprint(&self) -> String {
-        self.ingest.fingerprint.clone()
-    }
-
-    fn threads(&self) -> usize {
-        self.ingest.threads
-    }
-
-    fn unit_count(&self) -> usize {
-        self.ingest.chunk_count
-    }
-
-    fn completed_count(&self) -> usize {
-        self.ingest.next_chunk
-    }
-
-    /// Completion is always a contiguous prefix (the merge state advances
-    /// chunk by chunk), so the pending list is the remaining suffix.
-    fn pending_units(&self) -> Vec<usize> {
-        (self.ingest.next_chunk..self.ingest.chunk_count).collect()
-    }
-
-    /// The merge state must absorb each pass before the next is planned,
-    /// so one pass takes at most one chunk per worker.
-    fn units_per_pass(&self, threads: usize) -> usize {
-        threads
-    }
-
-    /// Workers decode and fold chunks in parallel over the block-streaming
-    /// path — `.sltr` sources seek via the SLIX sidecar and decode varint
-    /// runs zero-copy — while [`TraceIngestJob::absorb`] keeps the exact
-    /// merge sequential and in chunk order.
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, ChunkPartial)>) {
-        for &unit in units {
-            let (start, end) = self.bounds[unit];
-            let mut blocks = self
-                .source
-                .stream_blocks_range(start, end)
-                .expect("validated source streams");
-            out.push((unit, chunk_partial_blocks(blocks.as_mut())));
-        }
-    }
-
-    fn absorb(&mut self, unit: usize, partial: ChunkPartial) {
-        debug_assert_eq!(unit, self.ingest.next_chunk, "chunks absorb in order");
-        self.ingest.state.absorb(&partial);
-        self.ingest.next_chunk += 1;
-    }
-
-    fn to_json(&self) -> String {
-        self.ingest.to_json()
-    }
-
-    /// Completed chunks are a contiguous prefix of the access range, so
-    /// the accesses streamed so far are the end of the last absorbed
-    /// chunk's bounds.
-    fn progress_items(&self) -> Option<(&'static str, u64)> {
-        let done = self.ingest.next_chunk;
-        let streamed = if done == 0 {
-            0
-        } else {
-            self.bounds[done - 1].1
-        };
-        Some(("accesses", streamed))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fused single-pass exact+sampled ingest
-// ---------------------------------------------------------------------------
-
-/// Format tag embedded in every fused-ingest checkpoint document.
-#[cfg(test)]
-const FUSED_CHECKPOINT_KIND: &str = JobKind::FusedIngest.kind_str();
 
 /// The mergeable partial result of one trace chunk of a [`FusedIngest`]:
 /// the exact [`ChunkPartial`] plus the chunk's accesses routed to their
 /// owning hash shards. Shard `i` holds the sub-sequence of the chunk with
 /// `splitmix64(addr) % SHARDS_MODULUS ≡ i (mod shard_count)`, in access
 /// order, so concatenating a shard's slices across chunks (which absorbing
-/// in chunk order does) reproduces exactly the access sequence the
-/// sampled pipeline feeds that shard's [`ShardsEstimator`].
+/// in chunk order does) reproduces exactly the access sequence
+/// [`SampledIngest`] feeds that shard's [`ShardsEstimator`]. A half that
+/// is off leaves its side empty.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedChunkPartial {
     /// The exact mergeable partial of the chunk.
@@ -2621,16 +1903,16 @@ pub struct FusedChunkPartial {
     pub routed: Vec<Vec<u64>>,
     /// Accesses the decode pass delivered while folding the chunk — the
     /// single-pass proof counter ([`FusedIngest::streamed_accesses`] sums
-    /// it; a complete fused run totals exactly the trace length, one
+    /// it; a complete run totals exactly the trace length, one
     /// observation per access).
     pub streamed: u64,
 }
 
 /// Folds one contiguous chunk of block-streamed accesses into a
-/// [`FusedChunkPartial`], broadcasting every decoded block to the exact
-/// chunk folder, the per-shard routing buffers *and* `sink` — the single
-/// decode pass of the fused pipeline. `sink` is the extension seam for
-/// future per-access consumers (the serve daemon's live feed); pass a
+/// [`FusedChunkPartial`] with both halves on, broadcasting every decoded
+/// block to the exact chunk folder, the per-shard routing buffers *and*
+/// `sink` — the single decode pass of the trace job. `sink` is the
+/// extension seam for further per-access consumers; pass a
 /// [`CountingSink`] to prove the pass touches each access exactly once.
 ///
 /// # Panics
@@ -2644,7 +1926,20 @@ pub fn fused_chunk_partial(
     sink: &mut dyn AccessSink,
 ) -> FusedChunkPartial {
     assert!(shard_count > 0, "at least one hash shard is required");
-    let mut folder = ChunkFolder::default();
+    fold_chunk(blocks, true, shard_count, sink)
+}
+
+/// [`fused_chunk_partial`] for any combination of halves: `exact` folds
+/// the exact partial, `shard_count > 0` routes to that many hash shards.
+/// Each combination has its own loop, so a half that is off costs nothing
+/// per access.
+fn fold_chunk(
+    blocks: &mut dyn BlockRead,
+    exact: bool,
+    shard_count: usize,
+    sink: &mut dyn AccessSink,
+) -> FusedChunkPartial {
+    let mut folder = exact.then(ChunkFolder::default);
     let mut routed = vec![Vec::new(); shard_count];
     let count = shard_count as u64;
     let mut streamed = 0u64;
@@ -2652,47 +1947,74 @@ pub fn fused_chunk_partial(
     while blocks.next_block(&mut buf) > 0 {
         sink.on_block(&buf);
         streamed += buf.len() as u64;
-        for &addr in &buf {
-            folder.push(addr);
-            let shard = splitmix64(addr) % SHARDS_MODULUS % count;
-            routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
+        match folder.as_mut() {
+            Some(folder) if count > 0 => {
+                for &addr in &buf {
+                    folder.push(addr);
+                    route(&mut routed, count, addr);
+                }
+            }
+            Some(folder) => {
+                for &addr in &buf {
+                    folder.push(addr);
+                }
+            }
+            None => {
+                for &addr in &buf {
+                    route(&mut routed, count, addr);
+                }
+            }
         }
     }
     FusedChunkPartial {
-        exact: folder.finish(),
+        exact: folder.map_or_else(ChunkPartial::default, ChunkFolder::finish),
         routed,
         streamed,
     }
 }
 
-/// The fused single-pass exact+sampled ingest: one chunk-sharded streaming
-/// pass over the source produces **both** the exact reuse-distance
-/// histogram and the hash-sharded sampled estimate — where running
-/// [`TraceIngest`] then [`SampledIngest`] would stream the trace once per
-/// pipeline (and the sampled workers once per thread).
+/// Appends `addr` to the buffer of the hash shard that owns it.
+#[inline]
+fn route(routed: &mut [Vec<u64>], count: u64, addr: u64) {
+    let shard = splitmix64(addr) % SHARDS_MODULUS % count;
+    routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
+}
+
+/// The source's length, validating the source on the way.
+fn scan_length(source: &TraceSource) -> Result<u64, String> {
+    source
+        .total_accesses()
+        .map_err(|e| format!("cannot scan {source}: {e}"))
+}
+
+/// The trace job: one chunk-sharded streaming pass over a source that
+/// yields the exact reuse-distance histogram, the hash-sharded sampled
+/// estimate, or both (see [`TracePlan`]).
 ///
-/// The chunk plan is [`TraceIngest`]'s exactly, so the exact side is
-/// byte-identical to a plain exact ingest. Each worker folds its chunks
-/// through [`fused_chunk_partial`]: one block-decode pass feeds the exact
-/// `ChunkFolder`, routes every access to its owning hash shard's buffer,
-/// and taps any extra [`AccessSink`]. Absorbing partials in chunk order
-/// advances the exact [`MergeState`] and replays each shard's slice
-/// through its **live** [`ShardsEstimator`] — the concatenated replays are
-/// exactly the call sequence [`SampledIngest`] makes, so the sampled
-/// results (thresholds, counters, weighted histograms, float for float)
-/// are bit-identical to the two-pass pipeline at the same shard count.
+/// Each worker folds its chunks through one block-decode pass that feeds
+/// the exact [`ChunkPartial`] fold and routes every access to its owning
+/// hash shard's buffer ([`fused_chunk_partial`]). Absorbing the partials
+/// in chunk order advances the exact [`MergeState`] and replays each
+/// shard's slice through its live [`ShardsEstimator`], so:
 ///
-/// Checkpoints capture the exact merge state *and* every estimator
+/// * the exact half is byte-identical to the sequential
+///   [`OnlineReuseEngine`], whatever the chunk and thread counts;
+/// * the sampled half is bit-identical to [`SampledIngest`] at the same
+///   shard count — the concatenated replays are exactly the call sequence
+///   it makes (thresholds, counters and weighted histograms, float for
+///   float).
+///
+/// Checkpoints capture the exact merge state and every estimator
 /// mid-stream (counters, weighted histogram, tracked addresses in
-/// last-access order), so a killed fused ingest resumes to a
-/// byte-identical final checkpoint like every other [`Job`].
+/// last-access order), so a killed job resumes to a byte-identical final
+/// checkpoint like every other [`Job`]. A half that is off is recorded
+/// explicitly: `"exact": false` in place of the exact state, or
+/// `"shard_count": 0`.
 #[derive(Debug, Clone)]
 pub struct FusedIngest {
     fingerprint: String,
     total: u64,
-    chunk_count: usize,
-    shard_count: usize,
-    budget_per_shard: usize,
+    plan: TracePlan,
     threshold: u64,
     threads: usize,
     next_chunk: usize,
@@ -2702,11 +2024,9 @@ pub struct FusedIngest {
 }
 
 impl FusedIngest {
-    /// Plans a fused ingest of `source` split into `chunk_count` chunks,
-    /// with `shard_count` hash shards of `budget_per_shard` tracked
-    /// addresses each on the sampled side.
-    ///
-    /// Scans the source once to learn (and validate) its length.
+    /// Plans a job running both halves: `chunk_count` chunks, and
+    /// `shard_count` hash shards of `budget_per_shard` tracked addresses
+    /// each on the sampled half ([`TracePlan::both`]).
     ///
     /// # Errors
     ///
@@ -2723,51 +2043,48 @@ impl FusedIngest {
         budget_per_shard: usize,
         threads: usize,
     ) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        Ok(Self::with_total(
+        assert!(shard_count > 0, "at least one hash shard is required");
+        Self::planned(
             source,
-            total,
-            chunk_count,
-            shard_count,
-            budget_per_shard,
+            TracePlan::both(chunk_count, shard_count, budget_per_shard),
             threads,
-        ))
+        )
     }
 
-    /// Plans a fresh fused ingest for a source whose length is already
-    /// known.
-    fn with_total(
-        source: &TraceSource,
-        total: u64,
-        chunk_count: usize,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(chunk_count > 0, "at least one chunk is required");
-        assert!(shard_count > 0, "at least one hash shard is required");
-        assert!(
-            budget_per_shard > 0,
-            "the per-shard budget must be positive"
-        );
-        let estimators = (0..shard_count)
+    /// Plans a job of `source` computing what `plan` asks for. Scans the
+    /// source once to learn (and validate) its length.
+    ///
+    /// # Errors
+    ///
+    /// Returns the source's read or parse error as a string.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has no chunks, no half switched on, or a sampled
+    /// half with a zero budget.
+    pub fn planned(source: &TraceSource, plan: TracePlan, threads: usize) -> Result<Self, String> {
+        let total = scan_length(source)?;
+        let plan = plan.for_length(total).unwrap_or_else(|e| panic!("{e}"));
+        Ok(Self::fresh(source.fingerprint(), total, plan, threads))
+    }
+
+    /// A job with nothing absorbed yet, for a plan already fitted to the
+    /// trace length.
+    fn fresh(fingerprint: String, total: u64, plan: TracePlan, threads: usize) -> Self {
+        let estimators = (0..plan.shards)
             .map(|i| {
                 ShardsEstimator::for_shard(
-                    budget_per_shard,
+                    plan.budget_per_shard,
                     SHARDS_MODULUS,
                     i as u64,
-                    shard_count as u64,
+                    plan.shards as u64,
                 )
             })
             .collect();
         FusedIngest {
-            fingerprint: source.fingerprint(),
+            fingerprint,
             total,
-            chunk_count: TraceIngest::effective_chunk_count(chunk_count, total),
-            shard_count,
-            budget_per_shard,
+            plan,
             threshold: SHARDS_MODULUS,
             threads: threads.max(1),
             next_chunk: 0,
@@ -2777,7 +2094,7 @@ impl FusedIngest {
         }
     }
 
-    /// The source fingerprint the ingest belongs to.
+    /// The source fingerprint the job belongs to.
     #[must_use]
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
@@ -2789,22 +2106,16 @@ impl FusedIngest {
         self.total
     }
 
+    /// What the job computes, with the chunk count fitted to the trace.
+    #[must_use]
+    pub fn plan(&self) -> TracePlan {
+        self.plan
+    }
+
     /// Number of planned chunks.
     #[must_use]
     pub fn chunk_count(&self) -> usize {
-        self.chunk_count
-    }
-
-    /// Number of hash shards on the sampled side.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The per-shard tracked-address budget of the sampled side.
-    #[must_use]
-    pub fn budget_per_shard(&self) -> usize {
-        self.budget_per_shard
+        self.plan.chunks
     }
 
     /// Number of chunks already absorbed.
@@ -2816,31 +2127,26 @@ impl FusedIngest {
     /// True when every chunk has been absorbed.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.next_chunk >= self.chunk_count
+        self.next_chunk >= self.plan.chunks
     }
 
-    /// Accesses the fused decode pass has delivered so far — exactly one
+    /// Accesses the decode pass has delivered so far — exactly one
     /// observation per absorbed access, which is the single-pass proof: a
-    /// complete fused run reports exactly the trace length here, where the
-    /// two-pass pipelines would have streamed every access at least twice.
+    /// complete run reports exactly the trace length here, whichever
+    /// halves it ran.
     #[must_use]
     pub fn streamed_accesses(&self) -> u64 {
         self.streamed
     }
 
-    /// The exact histogram, or `None` while chunks are pending.
+    /// The exact histogram, or `None` while chunks are pending or when the
+    /// exact half is off.
     #[must_use]
     pub fn exact_histogram(&self) -> Option<&StreamHistogram> {
-        self.is_complete().then(|| self.state.histogram())
+        (self.plan.exact && self.is_complete()).then(|| self.state.histogram())
     }
 
-    /// The partial exact histogram absorbed so far (complete or not).
-    #[must_use]
-    pub fn partial_exact_histogram(&self) -> &StreamHistogram {
-        self.state.histogram()
-    }
-
-    /// Distinct addresses absorbed so far (exact side).
+    /// Distinct addresses absorbed so far (exact half; 0 when it is off).
     #[must_use]
     pub fn footprint(&self) -> usize {
         self.state.footprint()
@@ -2857,74 +2163,83 @@ impl FusedIngest {
             .collect()
     }
 
-    /// The merged sampled summary, or `None` while chunks are pending.
-    /// Merges in shard order with the same float-addition order as
-    /// [`SampledIngest::merged`], so the two pipelines' summaries are
-    /// bit-identical.
+    /// The merged sampled summary, or `None` while chunks are pending or
+    /// when the sampled half is off. Bit-identical to
+    /// [`SampledIngest::merged`] at the same shard count.
     #[must_use]
     pub fn sampled_summary(&self) -> Option<SampledSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut histogram = WeightedHistogram::default();
-        let (mut raw, mut sampled, mut evictions) = (0u64, 0u64, 0u64);
-        let mut min_rate = f64::INFINITY;
-        for est in &self.estimators {
-            histogram.merge(est.histogram());
-            raw += est.raw_accesses();
-            sampled += est.sampled_accesses();
-            evictions += est.evictions();
-            min_rate = min_rate.min(est.sampling_rate());
-        }
-        Some(SampledSummary {
-            histogram,
-            raw_accesses: raw,
-            sampled_accesses: sampled,
-            evictions,
-            min_rate,
-        })
+        (self.plan.shards > 0 && self.is_complete())
+            .then(|| SampledSummary::merge(&self.sampled_shard_results()))
     }
 
-    /// The deterministic chunk plan — [`TraceIngest`]'s exactly, which is
-    /// what makes the fused exact side byte-identical to a plain ingest.
+    /// Records the sampled half's `estimator.*` gauges as they stand: the
+    /// estimator's own with one hash shard, and with several the totals of
+    /// the tracked addresses, evictions, compactions and estimated
+    /// footprint beside the smallest threshold and sampling rate. Records
+    /// nothing while the sampled half is off.
+    #[allow(clippy::cast_precision_loss)]
+    pub fn record_gauges(&self, registry: &mut crate::obs::MetricsRegistry) {
+        let all = match self.estimators.as_slice() {
+            [] => return,
+            [only] => return only.record_gauges(registry),
+            all => all,
+        };
+        let sum = |f: fn(&ShardsEstimator) -> f64| all.iter().map(f).sum::<f64>();
+        let min = |f: fn(&ShardsEstimator) -> f64| all.iter().map(f).fold(f64::INFINITY, f64::min);
+        registry.set_gauge("estimator.threshold", min(|e| e.threshold() as f64));
+        registry.set_gauge(
+            "estimator.sampling_rate",
+            min(ShardsEstimator::sampling_rate),
+        );
+        registry.set_gauge("estimator.tracked", sum(|e| e.tracked_addresses() as f64));
+        registry.set_gauge("estimator.evictions", sum(|e| e.evictions() as f64));
+        registry.set_gauge("estimator.compactions", sum(|e| e.compactions() as f64));
+        registry.set_gauge(
+            "estimator.estimated_footprint",
+            sum(ShardsEstimator::estimated_footprint),
+        );
+    }
+
+    /// The deterministic chunk plan (contiguous access ranges).
     fn chunk_bounds(&self) -> Vec<(u64, u64)> {
         split_indices(
             usize::try_from(self.total).expect("trace length fits usize"),
-            self.chunk_count,
+            self.plan.chunks,
         )
         .into_iter()
         .map(|c| (c.start as u64, c.end as u64))
         .collect()
     }
 
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
+    /// Binds the job to its (fingerprint-checked) source so the generic
     /// [`JobRunner`] can drive it.
     ///
     /// # Panics
     ///
-    /// Panics if the source does not match the ingest's fingerprint.
+    /// Panics if the source does not match the job's fingerprint.
     fn bind<'a>(&'a mut self, source: &'a TraceSource) -> FusedIngestJob<'a> {
         assert_eq!(
             source.fingerprint(),
             self.fingerprint,
-            "fused ingest resumed against a different trace source"
+            "trace job resumed against a different trace source"
         );
         let bounds = self.chunk_bounds();
         FusedIngestJob {
             ingest: self,
             source,
             bounds,
+            readers: (!source.seeks()).then(|| Mutex::new(Vec::new())),
         }
     }
 
     /// Runs up to `limit` pending chunks (all of them when `None`) in
-    /// parallel batches of the configured thread count, absorbing fused
-    /// partials in chunk order. Returns how many chunks were processed.
+    /// parallel batches of the configured thread count, absorbing partials
+    /// in chunk order. Returns how many chunks were processed.
     ///
     /// # Panics
     ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated by [`FusedIngest::new`]).
+    /// Panics if the source no longer matches the job's fingerprint, or if
+    /// it fails to stream (sources are validated on construction).
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
         JobRunner::run_pending(&mut self.bind(source), limit)
     }
@@ -2934,8 +2249,8 @@ impl FusedIngest {
     ///
     /// # Panics
     ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated on construction).
+    /// Panics if the source no longer matches the job's fingerprint, or if
+    /// it fails to stream (sources are validated on construction).
     pub fn run_pending_metered(
         &mut self,
         source: &TraceSource,
@@ -2988,253 +2303,134 @@ impl FusedIngest {
         )
     }
 
-    /// Serializes the ingest — plan, progress, exact merge state, and
-    /// every estimator's mid-stream state — as a JSON checkpoint document.
-    /// Both sides serialize canonically (timelines as ordered address
-    /// lists, weights as shortest round-trip decimals), so two ingests in
-    /// the same logical state serialize byte-identically however they got
-    /// there.
+    /// Serializes the job — plan, progress, exact merge state, and every
+    /// estimator's mid-stream state — as a JSON checkpoint document. Both
+    /// halves serialize canonically (timelines as ordered address lists,
+    /// weights as shortest round-trip decimals), so two jobs in the same
+    /// logical state serialize byte-identically however they got there.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         job::write_checkpoint_header(&mut out, JobKind::FusedIngest, &self.fingerprint);
         let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
-        let _ = writeln!(out, "  \"chunk_count\": {},", self.chunk_count);
-        let _ = writeln!(out, "  \"shard_count\": {},", self.shard_count);
-        let _ = writeln!(out, "  \"budget_per_shard\": {},", self.budget_per_shard);
+        let _ = writeln!(out, "  \"chunk_count\": {},", self.plan.chunks);
+        let _ = writeln!(out, "  \"shard_count\": {},", self.plan.shards);
+        let _ = writeln!(
+            out,
+            "  \"budget_per_shard\": {},",
+            self.plan.budget_per_shard
+        );
         let _ = writeln!(out, "  \"threshold\": {},", self.threshold);
         let _ = writeln!(out, "  \"next_chunk\": {},", self.next_chunk);
         let _ = writeln!(out, "  \"streamed\": {},", self.streamed);
-        let _ = writeln!(out, "  \"cold\": {},", self.state.histogram.cold_count());
-        out.push_str("  \"histogram\": [");
-        for (i, (d, c)) in self.state.histogram.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}[{d}, {c}]");
+        if self.plan.exact {
+            self.state.write_json(&mut out);
+        } else {
+            out.push_str("  \"exact\": false,\n");
         }
-        out.push_str("],\n");
-        out.push_str("  \"timeline\": [");
-        for (i, addr) in self.state.timeline.ordered_addresses().iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{addr}");
-        }
-        out.push_str("],\n");
         out.push_str("  \"shards\": [\n");
         for (i, est) in self.estimators.iter().enumerate() {
-            let sep = if i + 1 < self.estimators.len() {
-                ","
+            out.push_str("    {");
+            est.write_state(&mut out);
+            out.push_str(if i + 1 < self.estimators.len() {
+                "},\n"
             } else {
-                ""
-            };
-            let _ = write!(
-                out,
-                "    {{\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
-                est.threshold(),
-                est.raw_accesses(),
-                est.sampled_accesses(),
-                est.evictions(),
-                est.histogram().cold_weight(),
-            );
-            for (j, (d, w)) in est.histogram().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}[{d}, {w}]");
-            }
-            out.push_str("], \"tracked\": [");
-            for (j, addr) in est.tracked_in_order().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}{addr}");
-            }
-            let _ = writeln!(out, "]}}{sep}");
+                "}\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
     }
 
-    /// Rebuilds a fused ingest from a checkpoint document.
+    /// Rebuilds a job from a checkpoint document.
     ///
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(text: &str, threads: usize) -> Result<FusedIngest, String> {
         let doc = job::parse_checkpoint(text, JobKind::FusedIngest)?;
+        let number = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("missing {key}"))
+        };
+        let count = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_usize)
+                .ok_or_else(|| format!("missing {key}"))
+        };
         let fingerprint = doc
             .get("fingerprint")
             .and_then(JsonValue::as_str)
             .ok_or("missing fingerprint")?
             .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
-        let chunk_count = doc
-            .get("chunk_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing chunk_count")?;
-        if chunk_count == 0 {
-            return Err("chunk_count must be positive".to_string());
-        }
-        if chunk_count != TraceIngest::effective_chunk_count(chunk_count, total) {
+        let total = number("total_accesses")?;
+        // The exact half is on unless the document says otherwise, and
+        // `false` is the only thing it ever says.
+        let exact = match doc.get("exact") {
+            None => true,
+            Some(JsonValue::Bool(false)) => false,
+            Some(_) => return Err("\"exact\" may only record false (the half is off)".to_string()),
+        };
+        let recorded = TracePlan {
+            chunks: count("chunk_count")?,
+            exact,
+            shards: count("shard_count")?,
+            budget_per_shard: count("budget_per_shard")?,
+        };
+        let plan = recorded.for_length(total)?;
+        if plan != recorded {
             return Err(format!(
-                "chunk_count {chunk_count} exceeds the {total} accesses of the trace"
+                "plan {recorded:?} does not fit a trace of {total} accesses"
             ));
         }
-        let shard_count = doc
-            .get("shard_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing shard_count")?;
-        if shard_count == 0 {
-            return Err("shard_count must be positive".to_string());
-        }
-        let budget_per_shard = doc
-            .get("budget_per_shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget_per_shard")?;
-        if budget_per_shard == 0 {
-            return Err("budget_per_shard must be positive".to_string());
-        }
-        let threshold = doc
-            .get("threshold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing threshold")?;
+        let threshold = number("threshold")?;
         if threshold == 0 || threshold > SHARDS_MODULUS {
             return Err(format!(
                 "threshold {threshold} outside 1..={SHARDS_MODULUS}"
             ));
         }
-        let next_chunk = doc
-            .get("next_chunk")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing next_chunk")?;
-        if next_chunk > chunk_count {
+        let next_chunk = count("next_chunk")?;
+        if next_chunk > plan.chunks {
             return Err(format!(
-                "next_chunk {next_chunk} exceeds chunk_count {chunk_count}"
+                "next_chunk {next_chunk} exceeds chunk_count {}",
+                plan.chunks
             ));
         }
-        let streamed = doc
-            .get("streamed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing streamed")?;
-        let cold = doc
-            .get("cold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing cold")?;
-        let mut state = MergeState::new();
-        state.histogram.record_cold(cold);
+        let streamed = number("streamed")?;
+        let state = if exact {
+            MergeState::restore(&doc)?
+        } else {
+            MergeState::new()
+        };
         let entries = doc
-            .get("histogram")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing histogram")?;
-        for entry in entries {
-            let pair = entry.as_array().ok_or("histogram entry is not a pair")?;
-            let (d, c) = match pair {
-                [d, c] => (
-                    d.as_usize().ok_or("bad histogram distance")?,
-                    c.as_u64().ok_or("bad histogram count")?,
-                ),
-                _ => return Err("histogram entry is not a pair".to_string()),
-            };
-            if d == 0 {
-                return Err("histogram distance 0 is not representable".to_string());
-            }
-            state.histogram.record_finite(d, c);
-        }
-        let timeline = doc
-            .get("timeline")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing timeline")?;
-        for addr in timeline {
-            state
-                .timeline
-                .append(addr.as_u64().ok_or("bad timeline address")?);
-        }
-        let shard_entries = doc
             .get("shards")
             .and_then(JsonValue::as_array)
             .ok_or("missing shards")?;
-        if shard_entries.len() != shard_count {
+        if entries.len() != plan.shards {
             return Err(format!(
-                "shard_count {shard_count} does not match {} shard entries",
-                shard_entries.len()
+                "shard_count {} does not match {} shard entries",
+                plan.shards,
+                entries.len()
             ));
         }
-        let mut estimators = Vec::with_capacity(shard_count);
-        for (index, entry) in shard_entries.iter().enumerate() {
-            let shard_threshold = entry
-                .get("threshold")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing threshold")?;
-            if shard_threshold == 0 || shard_threshold > threshold {
-                return Err(format!(
-                    "shard threshold {shard_threshold} outside 1..={threshold}"
-                ));
-            }
-            let raw_accesses = entry
-                .get("raw")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing raw")?;
-            let sampled_accesses = entry
-                .get("sampled")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing sampled")?;
-            let evictions = entry
-                .get("evictions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing evictions")?;
-            let cold = entry
-                .get("cold")
-                .and_then(JsonValue::as_f64)
-                .ok_or("shard missing cold")?;
-            if !cold.is_finite() || cold < 0.0 {
-                return Err(format!("shard cold weight {cold} is not a finite count"));
-            }
-            let mut histogram = WeightedHistogram::default();
-            histogram.record_cold(cold);
-            let bins = entry
-                .get("histogram")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing histogram")?;
-            for bin in bins {
-                let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
-                let (d, w) = match pair {
-                    [d, w] => (
-                        d.as_usize().ok_or("bad histogram distance")?,
-                        w.as_f64().ok_or("bad histogram weight")?,
-                    ),
-                    _ => return Err("histogram entry is not a pair".to_string()),
-                };
-                if d == 0 {
-                    return Err("histogram distance 0 is not representable".to_string());
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!("histogram weight {w} is not a finite count"));
-                }
-                histogram.record_finite(d, w);
-            }
-            let tracked_entries = entry
-                .get("tracked")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing tracked")?;
-            let mut tracked = Vec::with_capacity(tracked_entries.len());
-            for addr in tracked_entries {
-                tracked.push(addr.as_u64().ok_or("bad tracked address")?);
-            }
-            estimators.push(ShardsEstimator::restore_for_shard(
-                budget_per_shard,
-                shard_threshold,
-                index as u64,
-                shard_count as u64,
-                raw_accesses,
-                sampled_accesses,
-                evictions,
-                histogram,
-                &tracked,
-            )?);
-        }
+        let estimators = entries
+            .iter()
+            .enumerate()
+            .map(|(index, entry)| {
+                ShardsEstimator::restore_state(
+                    entry,
+                    plan.budget_per_shard,
+                    threshold,
+                    index as u64,
+                    plan.shards as u64,
+                )
+            })
+            .collect::<Result<_, _>>()?;
         Ok(FusedIngest {
             fingerprint,
             total,
-            chunk_count,
-            shard_count,
-            budget_per_shard,
+            plan,
             threshold,
             threads: threads.max(1),
             next_chunk,
@@ -3244,74 +2440,95 @@ impl FusedIngest {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically (temp file + rename).
+    /// Loads a checkpoint from `path`, or plans a fresh job when the file
+    /// does not exist or belongs to a different source or plan (the halves
+    /// are part of the plan). Returns the job and whether progress was
+    /// actually resumed.
+    ///
+    /// The source is always re-scanned: a checkpoint only resumes when its
+    /// fingerprint, its plan *and* its recorded access count all match the
+    /// source as it exists now. File fingerprints are path-based, so the
+    /// length check is what catches a file that was truncated, appended to
+    /// or replaced between runs (an equal-length content swap is not
+    /// detectable without hashing every resume).
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
-    }
-
-    /// Loads a checkpoint from `path`, or plans a fresh fused ingest when
-    /// the file does not exist or belongs to a different source or plan
-    /// (same policy, and same length-based staleness check, as
-    /// [`TraceIngest::resume_or_new`]). Returns the ingest and whether
-    /// progress was actually resumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source scan error, or a loud kind-mismatch error when
-    /// the file holds a checkpoint of a *different* job kind (see
+    /// Returns the source scan error, or a loud error when the file holds
+    /// a checkpoint of a *different* or retired job kind (see
     /// [`crate::job::resume_or_new_with`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same plans as [`FusedIngest::planned`].
     pub fn resume_or_new(
         source: &TraceSource,
-        chunk_count: usize,
-        shard_count: usize,
-        budget_per_shard: usize,
+        plan: TracePlan,
         threads: usize,
         path: &Path,
     ) -> Result<(FusedIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
+        let total = scan_length(source)?;
+        let plan = plan.for_length(total).unwrap_or_else(|e| panic!("{e}"));
+        let fingerprint = source.fingerprint();
         job::resume_or_new_with(
             path,
             JobKind::FusedIngest,
             |text| FusedIngest::from_json(text, threads),
             |ingest| {
-                ingest.fingerprint == source.fingerprint()
+                ingest.fingerprint == fingerprint
                     && ingest.total == total
-                    && ingest.chunk_count == TraceIngest::effective_chunk_count(chunk_count, total)
-                    && ingest.shard_count == shard_count
-                    && ingest.budget_per_shard == budget_per_shard
+                    && ingest.plan == plan
                     && ingest.threshold == SHARDS_MODULUS
             },
             FusedIngest::completed_count,
-            || {
-                Self::with_total(
-                    source,
-                    total,
-                    chunk_count,
-                    shard_count,
-                    budget_per_shard,
-                    threads,
-                )
-            },
+            || Self::fresh(fingerprint.clone(), total, plan, threads),
         )
     }
 }
 
 /// A [`FusedIngest`] bound to its trace source and materialized chunk
 /// plan: the [`Job`] the generic runner drives. One unit is one contiguous
-/// trace chunk, streamed **once** through the [`fused_chunk_partial`]
-/// broadcast tap; absorption advances the exact merge and replays the
-/// routed slices through the live estimators, both strictly in chunk
-/// order.
+/// trace chunk, streamed **once** through [`fold_chunk`]; absorption
+/// advances the exact merge and replays the routed slices through the live
+/// estimators, both strictly in chunk order.
 struct FusedIngestJob<'a> {
     ingest: &'a mut FusedIngest,
     source: &'a TraceSource,
     bounds: Vec<(u64, u64)>,
+    /// For a source that does not seek ([`TraceSource::seeks`]): open
+    /// readers parked where their last chunk ended, so a chunk continues
+    /// the furthest one not past its start instead of decoding the trace
+    /// prefix again. Each worker then decodes the trace about once.
+    readers: Option<Mutex<Vec<BlockCursor>>>,
+}
+
+impl FusedIngestJob<'_> {
+    /// Folds the accesses `start..end` — from a seek, or from the furthest
+    /// parked reader not past `start` (a new one when none is).
+    fn fold_range(&self, start: u64, end: u64, sink: &mut dyn AccessSink) -> FusedChunkPartial {
+        let plan = self.ingest.plan;
+        let Some(readers) = &self.readers else {
+            let mut blocks = self
+                .source
+                .stream_blocks_range(start, end)
+                .expect("validated source streams");
+            return fold_chunk(blocks.as_mut(), plan.exact, plan.shards, sink);
+        };
+        let parked = {
+            let mut parked = readers.lock().expect("reader pool lock");
+            let best = (0..parked.len())
+                .filter(|&i| parked[i].position() <= start)
+                .max_by_key(|&i| parked[i].position());
+            best.map(|i| parked.swap_remove(i))
+        };
+        let mut cursor = parked.unwrap_or_else(|| {
+            BlockCursor::open(self.source, start).expect("validated source streams")
+        });
+        cursor.skip_to(start);
+        let partial = fold_chunk(&mut cursor.take(end - start), plan.exact, plan.shards, sink);
+        readers.lock().expect("reader pool lock").push(cursor);
+        partial
+    }
 }
 
 impl Job for FusedIngestJob<'_> {
@@ -3330,17 +2547,17 @@ impl Job for FusedIngestJob<'_> {
     }
 
     fn unit_count(&self) -> usize {
-        self.ingest.chunk_count
+        self.ingest.plan.chunks
     }
 
     fn completed_count(&self) -> usize {
         self.ingest.next_chunk
     }
 
-    /// Completion is always a contiguous prefix (both merge sides advance
-    /// chunk by chunk), so the pending list is the remaining suffix.
+    /// Completion is always a contiguous prefix (both halves advance chunk
+    /// by chunk), so the pending list is the remaining suffix.
     fn pending_units(&self) -> Vec<usize> {
-        (self.ingest.next_chunk..self.ingest.chunk_count).collect()
+        (self.ingest.next_chunk..self.ingest.plan.chunks).collect()
     }
 
     /// Both absorbed states must advance before the next pass is planned,
@@ -3350,19 +2567,16 @@ impl Job for FusedIngestJob<'_> {
     }
 
     /// Workers decode and fold chunks in parallel over the block-streaming
-    /// path — each chunk streamed exactly once through the broadcast tap
-    /// (a [`CountingSink`] rides along and cross-checks the single-pass
-    /// counter) — while [`FusedIngestJob::absorb`] keeps both merges
-    /// sequential and in chunk order.
+    /// path — `.sltr` sources seek via the SLIX sidecar — each chunk
+    /// streamed exactly once (a [`CountingSink`] rides along and
+    /// cross-checks the single-pass counter), while
+    /// [`FusedIngestJob::absorb`] keeps both merges sequential and in
+    /// chunk order.
     fn run_span(&self, units: &[usize], out: &mut Vec<(usize, FusedChunkPartial)>) {
         for &unit in units {
             let (start, end) = self.bounds[unit];
-            let mut blocks = self
-                .source
-                .stream_blocks_range(start, end)
-                .expect("validated source streams");
             let mut tap = CountingSink::new();
-            let partial = fused_chunk_partial(blocks.as_mut(), self.ingest.shard_count, &mut tap);
+            let partial = self.fold_range(start, end, &mut tap);
             debug_assert_eq!(
                 tap.accesses(),
                 partial.streamed,
@@ -3374,19 +2588,14 @@ impl Job for FusedIngestJob<'_> {
 
     fn absorb(&mut self, unit: usize, partial: FusedChunkPartial) {
         debug_assert_eq!(unit, self.ingest.next_chunk, "chunks absorb in order");
-        self.ingest.state.absorb(&partial.exact);
-        for (shard, slice) in partial.routed.iter().enumerate() {
-            let est = &mut self.ingest.estimators[shard];
-            for &addr in slice {
-                let hash = splitmix64(addr) % SHARDS_MODULUS;
-                debug_assert_eq!(
-                    hash % self.ingest.shard_count as u64,
-                    shard as u64,
-                    "routed addresses replay into their owning shard"
-                );
-                est.record_hashed(addr, hash);
-            }
+        if self.ingest.plan.exact {
+            self.ingest.state.absorb(&partial.exact);
         }
+        replay(
+            &mut self.ingest.estimators,
+            &partial.routed,
+            self.ingest.threads,
+        );
         self.ingest.streamed += partial.streamed;
         self.ingest.next_chunk += 1;
     }
@@ -3398,6 +2607,33 @@ impl Job for FusedIngestJob<'_> {
     fn progress_items(&self) -> Option<(&'static str, u64)> {
         Some(("accesses", self.ingest.streamed))
     }
+}
+
+/// Replays each hash shard's routed slice of one chunk through that
+/// shard's estimator, in access order. The shards are independent, so they
+/// replay in parallel — contiguous groups of shards on up to `threads`
+/// workers, the first group on the calling thread — and the result is the
+/// same on any thread count.
+fn replay(estimators: &mut [ShardsEstimator], routed: &[Vec<u64>], threads: usize) {
+    let replay_group = |group: &mut [ShardsEstimator], slices: &[Vec<u64>]| {
+        for (est, slice) in group.iter_mut().zip(slices) {
+            for &addr in slice {
+                est.record_hashed(addr, splitmix64(addr) % SHARDS_MODULUS);
+            }
+        }
+    };
+    let per_worker = estimators.len().div_ceil(threads.max(1)).max(1);
+    let (first, rest) = estimators.split_at_mut(per_worker.min(estimators.len()));
+    let (first_slices, rest_slices) = routed.split_at(first.len());
+    std::thread::scope(|scope| {
+        for (group, slices) in rest
+            .chunks_mut(per_worker)
+            .zip(rest_slices.chunks(per_worker))
+        {
+            scope.spawn(move || replay_group(group, slices));
+        }
+        replay_group(first, first_slices);
+    });
 }
 
 #[cfg(test)]
@@ -3414,6 +2650,10 @@ mod tests {
         engine
     }
 
+    fn gen(spec: &str) -> TraceSource {
+        TraceSource::Gen(GenSpec::parse(spec).unwrap())
+    }
+
     fn batch_histogram(trace: &Trace) -> StreamHistogram {
         let mut h = StreamHistogram::new();
         for d in reuse_distances(trace) {
@@ -3423,6 +2663,14 @@ mod tests {
             }
         }
         h
+    }
+
+    /// Runs a job of `plan` over `source` to completion.
+    fn job_over(source: &TraceSource, plan: TracePlan, threads: usize) -> FusedIngest {
+        let mut job = FusedIngest::planned(source, plan, threads).unwrap();
+        job.run_pending(source, None);
+        assert!(job.is_complete());
+        job
     }
 
     #[test]
@@ -3601,86 +2849,108 @@ mod tests {
         let mut sequential = ShardsEstimator::new(1024);
         sequential.record_all(trace.iter().map(|a| a.value() as u64));
         let source = TraceSource::Memory(trace);
-        let mut ingest = SampledIngest::new(&source, 1, 1024, 3).unwrap();
-        assert_eq!(ingest.run_pending(&source, None), 1);
-        let merged = ingest.merged().unwrap();
-        assert_eq!(merged.histogram, *sequential.histogram());
-        assert_eq!(merged.raw_accesses, sequential.raw_accesses());
-        assert_eq!(merged.sampled_accesses, sequential.sampled_accesses());
-        assert_eq!(merged.evictions, sequential.evictions());
-        assert!((merged.min_rate - sequential.sampling_rate()).abs() < 1e-15);
+        let mut reference = SampledIngest::new(&source, 1, 1024, 3).unwrap();
+        assert_eq!(reference.run_pending(&source, None), 1);
+        // The sampled-only job at one hash shard is the same estimator.
+        let job = job_over(&source, TracePlan::sampled(5, 1, 1024), 3);
+        for merged in [reference.merged().unwrap(), job.sampled_summary().unwrap()] {
+            assert_eq!(merged.histogram, *sequential.histogram());
+            assert_eq!(merged.raw_accesses, sequential.raw_accesses());
+            assert_eq!(merged.sampled_accesses, sequential.sampled_accesses());
+            assert_eq!(merged.evictions, sequential.evictions());
+            assert!((merged.min_rate - sequential.sampling_rate()).abs() < 1e-15);
+        }
     }
 
     #[test]
     fn sampled_ingest_is_thread_invariant_and_deterministic() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:400:8000:0.9:5").unwrap());
-        let mut reference = SampledIngest::new(&source, 5, 64, 1).unwrap();
-        reference.run_pending(&source, None);
-        let expected = reference.to_json();
+        let source = gen("gen:zipf:400:8000:0.9:5");
+        let plan = TracePlan::sampled(4, 5, 64);
+        let expected = job_over(&source, plan, 1).to_json();
         for threads in [2, 3, 8] {
-            let mut ingest = SampledIngest::new(&source, 5, 64, threads).unwrap();
-            ingest.run_pending(&source, None);
-            assert_eq!(ingest.to_json(), expected, "threads={threads}");
+            let job = job_over(&source, plan, threads);
+            assert_eq!(job.to_json(), expected, "threads={threads}");
         }
-        // Each access lands in exactly one shard.
-        assert_eq!(reference.merged().unwrap().raw_accesses, 8000);
+        // The sampled-only job is the direct reference, shard for shard,
+        // whatever the reference's own thread count.
+        let job = job_over(&source, plan, 2);
+        for threads in [1, 3] {
+            let mut reference = SampledIngest::new(&source, 5, 64, threads).unwrap();
+            reference.run_pending(&source, None);
+            assert_eq!(job.sampled_shard_results(), reference.shard_results());
+            assert_eq!(job.sampled_summary(), reference.merged());
+        }
+        // Each access lands in exactly one shard, and the exact half is off.
+        assert_eq!(job.sampled_summary().unwrap().raw_accesses, 8000);
+        assert!(job.exact_histogram().is_none());
+        assert_eq!(job.streamed_accesses(), 8000);
     }
 
     #[test]
     fn sampled_ingest_resumes_to_byte_identical_checkpoint() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:300:5000:0.8:11").unwrap());
-        let mut reference = SampledIngest::new(&source, 6, 48, 2).unwrap();
-        reference.run_pending(&source, None);
+        let source = gen("gen:zipf:300:5000:0.8:11");
+        let plan = TracePlan::sampled(6, 3, 16);
+        let reference = job_over(&source, plan, 2);
         let reference_json = reference.to_json();
 
-        let mut interrupted = SampledIngest::new(&source, 6, 48, 2).unwrap();
+        let mut interrupted = FusedIngest::planned(&source, plan, 2).unwrap();
         assert_eq!(interrupted.run_pending(&source, Some(3)), 3);
-        assert!(!interrupted.is_complete());
-        assert!(interrupted.merged().is_none());
+        assert!(interrupted.sampled_summary().is_none());
         let checkpoint = interrupted.to_json();
+        assert!(checkpoint.contains("\"exact\": false"), "{checkpoint}");
         drop(interrupted);
 
-        let mut resumed = SampledIngest::from_json(&checkpoint, 4).unwrap();
+        let mut resumed = FusedIngest::from_json(&checkpoint, 4).unwrap();
         assert_eq!(resumed.completed_count(), 3);
+        assert_eq!(resumed.to_json(), checkpoint);
         assert_eq!(resumed.run_pending(&source, None), 3);
         assert_eq!(resumed.to_json(), reference_json, "resume must be exact");
-        assert_eq!(resumed.merged(), reference.merged());
+        assert_eq!(resumed.sampled_summary(), reference.sampled_summary());
     }
 
     #[test]
     fn sampled_ingest_checkpoint_files_and_resume_or_new() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("symloc_tracesweep_sampled_checkpoint.json");
+        let path = std::env::temp_dir().join(format!(
+            "symloc_tracesweep_sampled_checkpoint_{}.json",
+            std::process::id()
+        ));
         std::fs::remove_file(&path).ok();
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:200:3000:0.7:13").unwrap());
+        let source = gen("gen:zipf:200:3000:0.7:13");
+        let plan = TracePlan::sampled(4, 2, 32);
 
-        let (mut ingest, resumed) = SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
+        let (mut job, resumed) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
-        ingest
-            .run_with_checkpoint(&source, &path, Some(2), |done, total| {
-                progress.push((done, total));
-            })
-            .unwrap();
+        job.run_with_checkpoint(&source, &path, Some(2), |done, total| {
+            progress.push((done, total));
+        })
+        .unwrap();
         assert_eq!(progress, vec![(2, 4)]);
-        assert!(!ingest.is_complete());
+        assert!(!job.is_complete());
 
-        let (mut resumed_ingest, resumed) =
-            SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
+        let (mut resumed_job, resumed) =
+            FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(resumed);
-        assert_eq!(resumed_ingest.completed_count(), 2);
-        resumed_ingest
+        assert_eq!(resumed_job.completed_count(), 2);
+        resumed_job
             .run_with_checkpoint(&source, &path, None, |_, _| {})
             .unwrap();
-        assert!(resumed_ingest.is_complete());
+        assert!(resumed_job.is_complete());
 
-        // A different plan ignores the stale checkpoint.
-        let (fresh, resumed) = SampledIngest::resume_or_new(&source, 5, 32, 2, &path).unwrap();
-        assert!(!resumed);
-        assert_eq!(fresh.completed_count(), 0);
+        // A different sampled plan — or the same one with the exact half
+        // switched on — ignores the stale checkpoint.
+        for other in [
+            TracePlan::sampled(4, 3, 32),
+            TracePlan::sampled(4, 2, 16),
+            TracePlan::both(4, 2, 32),
+        ] {
+            let (fresh, resumed) = FusedIngest::resume_or_new(&source, other, 2, &path).unwrap();
+            assert!(!resumed, "{other:?}");
+            assert_eq!(fresh.completed_count(), 0);
+        }
 
-        // Complete ingest: nothing pending, checkpoint still rewritten.
-        let (mut done, _) = SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
+        // Complete job: nothing pending, checkpoint still rewritten.
+        let (mut done, _) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
             done.run_with_checkpoint(&source, &path, None, |_, _| {})
@@ -3692,27 +2962,23 @@ mod tests {
 
     #[test]
     fn sampled_ingest_rejects_corrupted_checkpoints() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:16:8").unwrap());
-        let mut ingest = SampledIngest::new(&source, 2, 8, 1).unwrap();
-        ingest.run_pending(&source, Some(1));
-        let good = ingest.to_json();
-        assert!(SampledIngest::from_json(&good, 1).is_ok());
-        assert!(SampledIngest::from_json("{}", 1).is_err());
-        assert!(SampledIngest::from_json("not json", 1).is_err());
-        assert!(SampledIngest::from_json(&good.replace(SAMPLED_CHECKPOINT_KIND, "x"), 1).is_err());
-        assert!(
-            SampledIngest::from_json(&good.replace("\"version\": 1", "\"version\": 7"), 1).is_err()
-        );
-        assert!(SampledIngest::from_json(
-            &good.replace("\"next_shard\": 1", "\"next_shard\": 9"),
-            1
-        )
-        .is_err());
-        assert!(SampledIngest::from_json(
-            &good.replace("\"budget_per_shard\": 8", "\"budget_per_shard\": 0"),
-            1
-        )
-        .is_err());
+        let source = gen("gen:cyclic:16:8");
+        let mut job = FusedIngest::planned(&source, TracePlan::sampled(4, 2, 8), 1).unwrap();
+        job.run_pending(&source, Some(1));
+        let good = job.to_json();
+        assert!(FusedIngest::from_json(&good, 1).is_ok());
+        for mangled in [
+            good.replace("\"exact\": false", "\"exact\": true"),
+            good.replace("\"exact\": false", "\"exact\": 0"),
+            // Dropping the flag switches the exact half back on, and its
+            // state is missing.
+            good.replace("  \"exact\": false,\n", ""),
+            good.replace("\"budget_per_shard\": 8", "\"budget_per_shard\": 0"),
+            good.replace("\"shard_count\": 2", "\"shard_count\": 0"),
+            good.replace("\"next_chunk\": 1", "\"next_chunk\": 9"),
+        ] {
+            assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        }
     }
 
     #[test]
@@ -3726,9 +2992,9 @@ mod tests {
         // 4 shards × 512 budget = the same total budget as the sequential
         // accuracy test above; the merged estimate must stay comparably
         // close to the exact curve.
-        let mut ingest = SampledIngest::new(&source, 4, 512, 2).unwrap();
-        ingest.run_pending(&source, None);
-        let merged = ingest.merged().unwrap();
+        let merged = job_over(&source, TracePlan::sampled(8, 4, 512), 2)
+            .sampled_summary()
+            .unwrap();
         assert!(merged.min_rate < 1.0);
         let mut worst = 0.0f64;
         for c in log_spaced_sizes(exact.footprint(), 12) {
@@ -3778,84 +3044,107 @@ mod tests {
 
     #[test]
     fn ingest_is_thread_and_chunk_invariant() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:80:2000:0.9:7").unwrap());
-        let mut reference = TraceIngest::new(&source, 1, 1).unwrap();
-        assert_eq!(reference.run_pending(&source, None), 1);
-        let expected = reference.histogram().unwrap().clone();
-        for (chunks, threads) in [(4, 1), (4, 3), (9, 2), (16, 8)] {
-            let mut ingest = TraceIngest::new(&source, chunks, threads).unwrap();
-            ingest.run_pending(&source, None);
+        let source = gen("gen:zipf:80:2000:0.9:7");
+        let expected = engine_over(
+            &GenSpec::parse("gen:zipf:80:2000:0.9:7")
+                .unwrap()
+                .materialize(),
+        )
+        .into_histogram();
+        for (chunks, threads) in [(1, 1), (4, 1), (4, 3), (9, 2), (16, 8)] {
+            let job = job_over(&source, TracePlan::exact(chunks), threads);
             assert_eq!(
-                *ingest.histogram().unwrap(),
-                expected,
+                job.exact_histogram().unwrap(),
+                &expected,
                 "chunks={chunks} threads={threads}"
             );
+            assert!(job.sampled_summary().is_none());
+        }
+    }
+
+    #[test]
+    fn sources_that_do_not_seek_share_readers_to_identical_results() {
+        let spec = "gen:zipf:150:2500:0.9:13";
+        let source = gen(spec);
+        let memory = TraceSource::Memory(GenSpec::parse(spec).unwrap().materialize());
+        assert!(!source.seeks() && memory.seeks());
+        for plan in [
+            TracePlan::exact(7),
+            TracePlan::sampled(7, 3, 16),
+            TracePlan::both(7, 2, 24),
+        ] {
+            let expected = job_over(&memory, plan, 1);
+            for threads in [1, 2, 4] {
+                let job = job_over(&source, plan, threads);
+                let at = format!("{plan:?} threads={threads}");
+                assert_eq!(job.exact_histogram(), expected.exact_histogram(), "{at}");
+                assert_eq!(job.sampled_summary(), expected.sampled_summary(), "{at}");
+                assert_eq!(job.streamed_accesses(), 2500, "{at}");
+            }
         }
     }
 
     #[test]
     fn interrupted_ingest_resumes_to_byte_identical_checkpoint() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:60:1500:0.8:9").unwrap());
-
-        // The uninterrupted reference run.
-        let mut reference = TraceIngest::new(&source, 6, 2).unwrap();
-        reference.run_pending(&source, None);
+        let source = gen("gen:zipf:60:1500:0.8:9");
+        let plan = TracePlan::exact(6);
+        let reference = job_over(&source, plan, 2);
         let reference_json = reference.to_json();
 
-        // Run part of the ingest, "die", serialize, resume, finish.
-        let mut interrupted = TraceIngest::new(&source, 6, 2).unwrap();
+        // Run part of the job, "die", serialize, resume, finish.
+        let mut interrupted = FusedIngest::planned(&source, plan, 2).unwrap();
         assert_eq!(interrupted.run_pending(&source, Some(3)), 3);
         assert!(!interrupted.is_complete());
-        assert!(interrupted.histogram().is_none());
+        assert!(interrupted.exact_histogram().is_none());
         let checkpoint = interrupted.to_json();
+        assert!(checkpoint.contains("\"shard_count\": 0"), "{checkpoint}");
         drop(interrupted);
 
-        let mut resumed = TraceIngest::from_json(&checkpoint, 4).unwrap();
+        let mut resumed = FusedIngest::from_json(&checkpoint, 4).unwrap();
         assert_eq!(resumed.completed_count(), 3);
         assert_eq!(resumed.run_pending(&source, None), 3);
         assert_eq!(resumed.to_json(), reference_json, "resume must be exact");
-        assert_eq!(
-            *resumed.histogram().unwrap(),
-            *reference.histogram().unwrap()
-        );
+        assert_eq!(resumed.exact_histogram(), reference.exact_histogram());
     }
 
     #[test]
     fn ingest_checkpoint_files_and_resume_or_new() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("symloc_tracesweep_ingest_checkpoint.json");
+        let path = std::env::temp_dir().join(format!(
+            "symloc_tracesweep_ingest_checkpoint_{}.json",
+            std::process::id()
+        ));
         std::fs::remove_file(&path).ok();
-        let source = TraceSource::Gen(GenSpec::parse("gen:sawtooth:30:40").unwrap());
+        let source = gen("gen:sawtooth:30:40");
+        let plan = TracePlan::exact(5);
 
-        let (mut ingest, resumed) = TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+        let (mut job, resumed) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
-        ingest
-            .run_with_checkpoint(&source, &path, Some(2), |done, total| {
-                progress.push((done, total))
-            })
-            .unwrap();
+        job.run_with_checkpoint(&source, &path, Some(2), |done, total| {
+            progress.push((done, total))
+        })
+        .unwrap();
         assert_eq!(progress, vec![(2, 5)]);
-        assert!(!ingest.is_complete());
+        assert!(!job.is_complete());
 
         // Resume from disk and finish.
-        let (mut resumed_ingest, resumed) =
-            TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+        let (mut resumed_job, resumed) =
+            FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(resumed);
-        assert_eq!(resumed_ingest.completed_count(), 2);
-        resumed_ingest
+        assert_eq!(resumed_job.completed_count(), 2);
+        resumed_job
             .run_with_checkpoint(&source, &path, None, |_, _| {})
             .unwrap();
-        assert!(resumed_ingest.is_complete());
+        assert!(resumed_job.is_complete());
 
         // A different source ignores the stale checkpoint.
-        let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:30:40").unwrap());
-        let (fresh, resumed) = TraceIngest::resume_or_new(&other, 5, 2, &path).unwrap();
+        let other = gen("gen:cyclic:30:40");
+        let (fresh, resumed) = FusedIngest::resume_or_new(&other, plan, 2, &path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
 
-        // Complete ingest: nothing pending, checkpoint still rewritten.
-        let (mut done, _) = TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+        // Complete job: nothing pending, checkpoint still rewritten.
+        let (mut done, _) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
             done.run_with_checkpoint(&source, &path, None, |_, _| {})
@@ -3864,7 +3153,7 @@ mod tests {
         );
         // And matches the sequential engine.
         let expected = engine_over(&sawtooth_trace(30, 40));
-        assert_eq!(*done.histogram().unwrap(), *expected.histogram());
+        assert_eq!(done.exact_histogram().unwrap(), expected.histogram());
         std::fs::remove_file(&path).ok();
     }
 
@@ -3872,24 +3161,25 @@ mod tests {
     fn resume_rejects_a_file_that_changed_length() {
         // File fingerprints are path-based, so a checkpoint must also be
         // tied to the access count: replacing the trace file between runs
-        // restarts the ingest instead of silently resuming against the
-        // wrong data (regression test).
+        // restarts the job instead of silently resuming against the wrong
+        // data (regression test).
         let dir = std::env::temp_dir();
-        let trace_path = dir.join("symloc_tracesweep_swap_test.trace");
-        let ckpt_path = dir.join("symloc_tracesweep_swap_test.ckpt.json");
+        let pid = std::process::id();
+        let trace_path = dir.join(format!("symloc_tracesweep_swap_test_{pid}.trace"));
+        let ckpt_path = dir.join(format!("symloc_tracesweep_swap_test_{pid}.ckpt.json"));
         std::fs::remove_file(&ckpt_path).ok();
         std::fs::write(&trace_path, "0\n1\n2\n0\n1\n2\n0\n1\n").unwrap();
         let source = TraceSource::Text(trace_path.clone());
+        let plan = TracePlan::exact(4);
 
-        let (mut ingest, _) = TraceIngest::resume_or_new(&source, 4, 1, &ckpt_path).unwrap();
-        ingest
-            .run_with_checkpoint(&source, &ckpt_path, Some(2), |_, _| {})
+        let (mut job, _) = FusedIngest::resume_or_new(&source, plan, 1, &ckpt_path).unwrap();
+        job.run_with_checkpoint(&source, &ckpt_path, Some(2), |_, _| {})
             .unwrap();
-        assert!(!ingest.is_complete());
+        assert!(!job.is_complete());
 
         // Same path, different (shorter) content: fresh plan, not a resume.
         std::fs::write(&trace_path, "7\n7\n").unwrap();
-        let (fresh, resumed) = TraceIngest::resume_or_new(&source, 4, 1, &ckpt_path).unwrap();
+        let (fresh, resumed) = FusedIngest::resume_or_new(&source, plan, 1, &ckpt_path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
         assert_eq!(fresh.total_accesses(), 2);
@@ -3899,59 +3189,60 @@ mod tests {
 
     #[test]
     fn ingest_rejects_corrupted_checkpoints() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
-        let mut ingest = TraceIngest::new(&source, 2, 1).unwrap();
-        ingest.run_pending(&source, Some(1));
-        let good = ingest.to_json();
-        assert!(TraceIngest::from_json(&good, 1).is_ok());
-        assert!(TraceIngest::from_json("{}", 1).is_err());
-        assert!(TraceIngest::from_json("not json", 1).is_err());
-        assert!(TraceIngest::from_json(&good.replace(CHECKPOINT_KIND, "other"), 1).is_err());
-        assert!(
-            TraceIngest::from_json(&good.replace("\"version\": 1", "\"version\": 9"), 1).is_err()
-        );
-        assert!(TraceIngest::from_json(
-            &good.replace("\"next_chunk\": 1", "\"next_chunk\": 99"),
-            1
-        )
-        .is_err());
-        assert!(TraceIngest::from_json(
-            &good.replace("\"chunk_count\": 2", "\"chunk_count\": 0"),
-            1
-        )
-        .is_err());
+        let source = gen("gen:cyclic:8:4");
+        let mut job = FusedIngest::planned(&source, TracePlan::exact(2), 1).unwrap();
+        job.run_pending(&source, Some(1));
+        let good = job.to_json();
+        assert!(FusedIngest::from_json(&good, 1).is_ok());
+        for mangled in [
+            "{}".to_string(),
+            "not json".to_string(),
+            good.replace(JobKind::FusedIngest.kind_str(), "other"),
+            good.replace("\"version\": 1", "\"version\": 9"),
+            good.replace("\"next_chunk\": 1", "\"next_chunk\": 99"),
+            good.replace("\"chunk_count\": 2", "\"chunk_count\": 0"),
+            // More chunks than accesses is not a plan any job writes.
+            good.replace("\"chunk_count\": 2", "\"chunk_count\": 99"),
+            // An exact-only job has no shard budget, and switching the
+            // exact half off leaves a job with no half at all.
+            good.replace("\"budget_per_shard\": 0", "\"budget_per_shard\": 4"),
+            good.replace("  \"cold\"", "  \"exact\": false,\n  \"cold\""),
+        ] {
+            assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "different trace source")]
     fn ingest_refuses_a_mismatched_source() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
-        let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:5").unwrap());
-        let mut ingest = TraceIngest::new(&source, 2, 1).unwrap();
-        ingest.run_pending(&other, None);
+        let source = gen("gen:cyclic:8:4");
+        let other = gen("gen:cyclic:8:5");
+        let mut job = FusedIngest::planned(&source, TracePlan::exact(2), 1).unwrap();
+        job.run_pending(&other, None);
     }
 
     #[test]
     #[should_panic(expected = "at least one chunk")]
     fn ingest_rejects_zero_chunks() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:4:2").unwrap());
-        let _ = TraceIngest::new(&source, 0, 1);
+        let _ = FusedIngest::planned(&gen("gen:cyclic:4:2"), TracePlan::exact(0), 1);
     }
 
     #[test]
     fn ingest_reports_source_errors() {
         let source = TraceSource::Text(std::path::PathBuf::from("/no/such/trace.txt"));
-        assert!(TraceIngest::new(&source, 2, 1).is_err());
+        assert!(FusedIngest::planned(&source, TracePlan::exact(2), 1).is_err());
+        assert!(SampledIngest::new(&source, 2, 8, 1).is_err());
     }
 
     #[test]
     fn empty_trace_ingests_cleanly() {
         let source = TraceSource::Memory(Trace::new());
-        let mut ingest = TraceIngest::new(&source, 3, 2).unwrap();
-        ingest.run_pending(&source, None);
-        assert!(ingest.is_complete());
-        assert_eq!(ingest.histogram().unwrap().accesses(), 0);
-        assert_eq!(ingest.footprint(), 0);
+        let job = job_over(&source, TracePlan::exact(3), 2);
+        assert_eq!(job.exact_histogram().unwrap().accesses(), 0);
+        assert_eq!(job.footprint(), 0);
+        assert_eq!(job.chunk_count(), 1);
+        let job = job_over(&source, TracePlan::sampled(3, 2, 8), 2);
+        assert_eq!(job.sampled_summary().unwrap().raw_accesses, 0);
     }
 
     #[test]
@@ -3982,34 +3273,51 @@ mod tests {
             replayed[(splitmix64(addr) % SHARDS_MODULUS % 3) as usize].push(addr);
         }
         assert_eq!(partial.routed, replayed);
+        // A half that is off leaves its side of the partial empty.
+        let mut blocks = source.stream_blocks_range(0, addrs.len() as u64).unwrap();
+        let routed_only = fold_chunk(blocks.as_mut(), false, 3, &mut CountingSink::new());
+        assert_eq!(routed_only.exact, ChunkPartial::default());
+        assert_eq!(routed_only.routed, replayed);
+        let mut blocks = source.stream_blocks_range(0, addrs.len() as u64).unwrap();
+        let exact_only = fold_chunk(blocks.as_mut(), true, 0, &mut CountingSink::new());
+        assert_eq!(exact_only.exact, partial.exact);
+        assert!(exact_only.routed.is_empty());
     }
 
     #[test]
     fn fused_ingest_equals_exact_and_sampled_pipelines() {
-        // The headline invariant: one fused pass produces an exact
-        // histogram byte-identical to TraceIngest and sampled results
-        // bit-identical to SampledIngest at the same shard count.
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:300:5000:0.8:21").unwrap());
-        let mut exact = TraceIngest::new(&source, 6, 2).unwrap();
-        exact.run_pending(&source, None);
-        let mut sampled = SampledIngest::new(&source, 3, 16, 2).unwrap();
-        sampled.run_pending(&source, None);
+        // The headline invariant: one pass with both halves produces an
+        // exact histogram byte-identical to the sequential engine (and to
+        // the exact-only job) and sampled results bit-identical to the
+        // direct reference (and to the sampled-only job) at the same
+        // shard count.
+        let source = gen("gen:zipf:300:5000:0.8:21");
+        let engine = engine_over(
+            &GenSpec::parse("gen:zipf:300:5000:0.8:21")
+                .unwrap()
+                .materialize(),
+        );
+        let exact = job_over(&source, TracePlan::exact(6), 2);
+        let sampled = job_over(&source, TracePlan::sampled(6, 3, 16), 2);
+        let mut reference = SampledIngest::new(&source, 3, 16, 2).unwrap();
+        reference.run_pending(&source, None);
 
         let mut fused = FusedIngest::new(&source, 6, 3, 16, 2).unwrap();
         fused.run_pending(&source, None);
         assert!(fused.is_complete());
-        assert_eq!(fused.exact_histogram().unwrap(), exact.histogram().unwrap());
+        assert_eq!(fused.exact_histogram().unwrap(), engine.histogram());
+        assert_eq!(fused.exact_histogram(), exact.exact_histogram());
         assert_eq!(fused.footprint(), exact.footprint());
-        assert_eq!(fused.sampled_shard_results(), sampled.shard_results());
-        assert_eq!(fused.sampled_summary(), sampled.merged());
-        // …and the single-pass counter covers the whole trace exactly once,
-        // where the two separate pipelines streamed it (at least) twice.
+        assert_eq!(fused.sampled_shard_results(), reference.shard_results());
+        assert_eq!(fused.sampled_summary(), reference.merged());
+        assert_eq!(fused.sampled_summary(), sampled.sampled_summary());
+        // …and the single-pass counter covers the whole trace exactly once.
         assert_eq!(fused.streamed_accesses(), fused.total_accesses());
     }
 
     #[test]
     fn fused_ingest_is_thread_and_chunk_invariant() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:200:3000:0.9:31").unwrap());
+        let source = gen("gen:zipf:200:3000:0.9:31");
         let mut reference = FusedIngest::new(&source, 5, 2, 24, 1).unwrap();
         reference.run_pending(&source, None);
         let expected = reference.to_json();
@@ -4039,7 +3347,7 @@ mod tests {
     fn interrupted_fused_ingest_resumes_to_byte_identical_checkpoint() {
         // Small budgets over a large footprint so thresholds have dropped
         // and shards carry non-trivial tracked sets at the kill point.
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:300:5000:0.8:41").unwrap());
+        let source = gen("gen:zipf:300:5000:0.8:41");
         let mut reference = FusedIngest::new(&source, 6, 3, 16, 2).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
@@ -4050,6 +3358,7 @@ mod tests {
         assert!(interrupted.exact_histogram().is_none());
         assert!(interrupted.sampled_summary().is_none());
         let checkpoint = interrupted.to_json();
+        assert!(!checkpoint.contains("\"exact\""), "{checkpoint}");
         drop(interrupted);
 
         let mut resumed = FusedIngest::from_json(&checkpoint, 4).unwrap();
@@ -4062,14 +3371,35 @@ mod tests {
         assert_eq!(resumed.sampled_summary(), reference.sampled_summary());
     }
 
+    /// An in-progress both-halves checkpoint as the three-job code wrote
+    /// it (1 of 3 chunks of `gen:zipf:40:300:0.8:7`, 3 hash shards of
+    /// budget 5). The both-halves document layout is unchanged, so it
+    /// must keep resuming to the uninterrupted run.
+    const EARLIER_FUSED_CHECKPOINT: &str =
+        include_str!("../tests/data/fused_checkpoint_1_of_3.json");
+
+    #[test]
+    fn earlier_fused_checkpoints_resume_byte_identically() {
+        let source = gen("gen:zipf:40:300:0.8:7");
+        let mut resumed = FusedIngest::from_json(EARLIER_FUSED_CHECKPOINT, 2).unwrap();
+        assert_eq!(resumed.to_json(), EARLIER_FUSED_CHECKPOINT);
+        assert_eq!(resumed.completed_count(), 1);
+        resumed.run_pending(&source, None);
+        let uninterrupted = job_over(&source, TracePlan::both(3, 3, 5), 1);
+        assert_eq!(resumed.to_json(), uninterrupted.to_json());
+    }
+
     #[test]
     fn fused_ingest_checkpoint_files_and_resume_or_new() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("symloc_tracesweep_fused_checkpoint.json");
+        let path = std::env::temp_dir().join(format!(
+            "symloc_tracesweep_fused_checkpoint_{}.json",
+            std::process::id()
+        ));
         std::fs::remove_file(&path).ok();
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:100:2000:0.7:51").unwrap());
+        let source = gen("gen:zipf:100:2000:0.7:51");
+        let plan = TracePlan::both(5, 2, 16);
 
-        let (mut fused, resumed) = FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+        let (mut fused, resumed) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
         fused
@@ -4081,7 +3411,7 @@ mod tests {
         assert!(!fused.is_complete());
 
         let (mut resumed_fused, resumed) =
-            FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+            FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(resumed);
         assert_eq!(resumed_fused.completed_count(), 2);
         resumed_fused
@@ -4090,16 +3420,20 @@ mod tests {
         assert!(resumed_fused.is_complete());
 
         // A different sampled plan ignores the stale checkpoint even though
-        // the exact plan still matches.
-        let (fresh, resumed) = FusedIngest::resume_or_new(&source, 5, 4, 16, 2, &path).unwrap();
-        assert!(!resumed);
-        assert_eq!(fresh.completed_count(), 0);
-        let (fresh, resumed) = FusedIngest::resume_or_new(&source, 5, 2, 8, 2, &path).unwrap();
-        assert!(!resumed);
-        assert_eq!(fresh.completed_count(), 0);
+        // the exact plan still matches, and so does a different mode.
+        for other in [
+            TracePlan::both(5, 4, 16),
+            TracePlan::both(5, 2, 8),
+            TracePlan::exact(5),
+            TracePlan::sampled(5, 2, 16),
+        ] {
+            let (fresh, resumed) = FusedIngest::resume_or_new(&source, other, 2, &path).unwrap();
+            assert!(!resumed, "{other:?}");
+            assert_eq!(fresh.completed_count(), 0);
+        }
 
-        // Complete ingest: nothing pending, checkpoint still rewritten.
-        let (mut done, _) = FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+        // Complete job: nothing pending, checkpoint still rewritten.
+        let (mut done, _) = FusedIngest::resume_or_new(&source, plan, 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
             done.run_with_checkpoint(&source, &path, None, |_, _| {})
@@ -4111,43 +3445,45 @@ mod tests {
 
     #[test]
     fn fused_ingest_rejects_corrupted_checkpoints() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:zipf:50:600:0.9:61").unwrap());
+        let source = gen("gen:zipf:50:600:0.9:61");
         let mut fused = FusedIngest::new(&source, 3, 2, 8, 1).unwrap();
         fused.run_pending(&source, Some(1));
         let good = fused.to_json();
         assert!(FusedIngest::from_json(&good, 1).is_ok());
-        assert!(FusedIngest::from_json("{}", 1).is_err());
-        assert!(FusedIngest::from_json("not json", 1).is_err());
-        assert!(FusedIngest::from_json(&good.replace(FUSED_CHECKPOINT_KIND, "other"), 1).is_err());
-        assert!(
-            FusedIngest::from_json(&good.replace("\"version\": 1", "\"version\": 9"), 1).is_err()
-        );
-        assert!(FusedIngest::from_json(
-            &good.replace("\"next_chunk\": 1", "\"next_chunk\": 99"),
-            1
-        )
-        .is_err());
-        assert!(FusedIngest::from_json(
-            &good.replace("\"shard_count\": 2", "\"shard_count\": 5"),
-            1
-        )
-        .is_err());
-        assert!(FusedIngest::from_json(
-            &good.replace("\"budget_per_shard\": 8", "\"budget_per_shard\": 0"),
-            1
-        )
-        .is_err());
-        // Mangled tracked lists are rejected: a duplicated address, and an
-        // address that does not belong to its shard's residue class.
-        let mangled = good.replace("\"tracked\": [", "\"tracked\": [1, 1, ");
-        assert!(FusedIngest::from_json(&mangled, 1).is_err());
+        let timeline_start = good.find("\"timeline\": [").unwrap() + "\"timeline\": [".len();
+        let first_addr: String = good[timeline_start..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        let cold = fused.state.histogram().cold_count();
+        for mangled in [
+            "{}".to_string(),
+            "not json".to_string(),
+            good.replace(JobKind::FusedIngest.kind_str(), "other"),
+            good.replace("\"version\": 1", "\"version\": 9"),
+            good.replace("\"next_chunk\": 1", "\"next_chunk\": 99"),
+            good.replace("\"shard_count\": 2", "\"shard_count\": 5"),
+            good.replace("\"budget_per_shard\": 8", "\"budget_per_shard\": 0"),
+            // Mangled tracked lists are rejected: a duplicated address, and
+            // an address that does not belong to its shard's residue class.
+            good.replace("\"tracked\": [", "\"tracked\": [1, 1, "),
+            // A duplicated timeline address, and a cold count that differs
+            // from the timeline length, would resume to a wrong curve.
+            good.replace("\"timeline\": [", &format!("\"timeline\": [{first_addr}, ")),
+            good.replace(
+                &format!("\"cold\": {cold},"),
+                &format!("\"cold\": {},", cold + 1),
+            ),
+        ] {
+            assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "different trace source")]
     fn fused_ingest_refuses_a_mismatched_source() {
-        let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
-        let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:5").unwrap());
+        let source = gen("gen:cyclic:8:4");
+        let other = gen("gen:cyclic:8:5");
         let mut fused = FusedIngest::new(&source, 2, 2, 8, 1).unwrap();
         fused.run_pending(&other, None);
     }
@@ -4163,8 +3499,8 @@ mod tests {
         assert_eq!(fused.footprint(), 0);
         let summary = fused.sampled_summary().unwrap();
         assert_eq!(summary.raw_accesses, 0);
-        // Same rate floor as SampledIngest: threshold never moved, so the
-        // per-shard rate is 1/shard_count.
+        // The threshold never moved, so the per-shard rate is
+        // 1/shard_count.
         assert!((summary.min_rate - 0.5).abs() < 1e-15);
     }
 }

@@ -10,15 +10,16 @@
 //! 3. The SHARDS sampled estimator against the exact engine: *equal* when
 //!    the budget covers the footprint at full rate, and within a stated
 //!    error bound when the budget binds.
-//! 4. The fused single-pass ingest against the two separate pipelines:
-//!    exact side byte-identical to [`TraceIngest`], sampled side
-//!    bit-identical to [`SampledIngest`], across every pattern × shard
-//!    count × thread count.
+//! 4. The trace job ([`FusedIngest`]) against its references: the exact
+//!    half byte-identical to the sequential engine, the sampled half
+//!    bit-identical to the direct [`SampledIngest`] reference, with either
+//!    half alone or both, across every pattern × shard count × thread
+//!    count.
 
 use proptest::prelude::*;
 use symloc_core::tracesweep::{
     chunk_partial, log_spaced_sizes, FusedIngest, MergeState, OnlineReuseEngine, SampledIngest,
-    ShardsEstimator, StreamHistogram, TraceIngest, SHARDS_MODULUS,
+    ShardsEstimator, StreamHistogram, TracePlan,
 };
 use symloc_trace::generators::{
     cyclic_trace, interleaved_trace, move_to_front_trace, multi_epoch_trace, random_trace,
@@ -68,6 +69,13 @@ fn online_engine(trace: &Trace) -> OnlineReuseEngine {
     let mut engine = OnlineReuseEngine::new();
     engine.record_all(trace.iter().map(|a| a.value() as u64));
     engine
+}
+
+/// Runs a trace job of `plan` over `source` to completion.
+fn job_over(source: &TraceSource, plan: TracePlan, threads: usize) -> FusedIngest {
+    let mut job = FusedIngest::planned(source, plan, threads).unwrap();
+    job.run_pending(source, None);
+    job
 }
 
 /// One instance of every generator pattern the trace crate provides,
@@ -184,30 +192,29 @@ proptest! {
         seed in any::<u64>(),
         shard_count in 1usize..8,
     ) {
-        // The tentpole equivalence: for every generator pattern and shard
-        // count, executing the hash-sharded sampled ingest in parallel is
-        // byte-identical (checkpoints and all) to executing it one shard
-        // at a time on one thread — and identical across thread counts.
+        // For every generator pattern and shard count, the sampled-only
+        // job is byte-identical (checkpoints and all) across thread
+        // counts, and equals the direct reference run one shard at a time
+        // on one thread.
         for (name, trace) in all_generator_patterns(seed) {
             let source = TraceSource::Memory(trace);
-            let mut sequential = SampledIngest::new(&source, shard_count, 32, 1).unwrap();
-            sequential.run_pending(&source, None);
+            let plan = TracePlan::sampled(4, shard_count, 32);
+            let sequential = job_over(&source, plan, 1);
             let expected = sequential.to_json();
             for threads in [2, 5] {
-                let mut parallel =
-                    SampledIngest::new(&source, shard_count, 32, threads).unwrap();
-                parallel.run_pending(&source, None);
                 prop_assert_eq!(
-                    parallel.to_json(),
+                    job_over(&source, plan, threads).to_json(),
                     expected.clone(),
                     "{} seed {} shards {} threads {}",
                     name, seed, shard_count, threads
                 );
             }
+            let mut reference = SampledIngest::new(&source, shard_count, 32, 1).unwrap();
+            reference.run_pending(&source, None);
+            prop_assert_eq!(sequential.sampled_summary(), reference.merged(), "{}", name);
             // Every access lands in exactly one hash shard.
-            let merged = sequential.merged().unwrap();
             prop_assert_eq!(
-                merged.raw_accesses,
+                sequential.sampled_summary().unwrap().raw_accesses,
                 source.total_accesses().unwrap(),
                 "{}", name
             );
@@ -220,67 +227,71 @@ proptest! {
         shard_count in 1usize..8,
         threads in 1usize..5,
     ) {
-        // The PR-7 tentpole equivalence: one fused streaming pass must
-        // reproduce the exact pipeline byte-identically and the sampled
-        // pipeline bit-identically at the same shard count — for every
-        // generator pattern, hash-shard count and thread count — while its
-        // single-pass counter proves each access streamed exactly once.
+        // One pass with both halves must reproduce the sequential engine
+        // byte-identically and the direct sampled reference bit-identically
+        // at the same shard count — as must each half run alone — for
+        // every generator pattern, hash-shard count and thread count, while
+        // the single-pass counter proves each access streamed exactly once.
         for (name, trace) in all_generator_patterns(seed) {
+            let engine = online_engine(&trace);
             let source = TraceSource::Memory(trace);
-            let mut exact = TraceIngest::new(&source, 4, threads).unwrap();
-            exact.run_pending(&source, None);
-            let mut sampled = SampledIngest::new(&source, shard_count, 32, threads).unwrap();
-            sampled.run_pending(&source, None);
-            let mut fused = FusedIngest::new(&source, 4, shard_count, 32, threads).unwrap();
-            fused.run_pending(&source, None);
-            prop_assert_eq!(
-                fused.exact_histogram().unwrap(),
-                exact.histogram().unwrap(),
-                "{} seed {} shards {} threads {}",
-                name, seed, shard_count, threads
-            );
-            let fused_shards = fused.sampled_shard_results();
-            prop_assert_eq!(
-                fused_shards.as_slice(),
-                sampled.shard_results(),
-                "{} seed {} shards {} threads {}",
-                name, seed, shard_count, threads
-            );
-            prop_assert_eq!(
-                fused.sampled_summary(),
-                sampled.merged(),
-                "{} seed {} shards {} threads {}",
-                name, seed, shard_count, threads
-            );
-            prop_assert_eq!(
-                fused.streamed_accesses(),
-                source.total_accesses().unwrap(),
-                "{} seed {}: the fused pass must stream each access exactly once",
-                name, seed
-            );
+            let exact = job_over(&source, TracePlan::exact(4), threads);
+            let sampled = job_over(&source, TracePlan::sampled(4, shard_count, 32), threads);
+            let mut reference = SampledIngest::new(&source, shard_count, 32, threads).unwrap();
+            reference.run_pending(&source, None);
+            let fused = job_over(&source, TracePlan::both(4, shard_count, 32), threads);
+            for job in [&fused, &exact] {
+                prop_assert_eq!(
+                    job.exact_histogram().unwrap(),
+                    engine.histogram(),
+                    "{} seed {} shards {} threads {}",
+                    name, seed, shard_count, threads
+                );
+            }
+            for job in [&fused, &sampled] {
+                prop_assert_eq!(
+                    job.sampled_shard_results(),
+                    reference.shard_results().to_vec(),
+                    "{} seed {} shards {} threads {}",
+                    name, seed, shard_count, threads
+                );
+                prop_assert_eq!(
+                    job.sampled_summary(),
+                    reference.merged(),
+                    "{} seed {} shards {} threads {}",
+                    name, seed, shard_count, threads
+                );
+            }
+            for job in [&fused, &exact, &sampled] {
+                prop_assert_eq!(
+                    job.streamed_accesses(),
+                    source.total_accesses().unwrap(),
+                    "{} seed {}: the pass must stream each access exactly once",
+                    name, seed
+                );
+            }
         }
     }
 
     #[test]
     fn one_hash_shard_at_fixed_threshold_is_the_sequential_estimator(
         seed in any::<u64>(),
-        threshold_num in 1u64..=4,
+        budget_exp in 2u32..=20,
     ) {
-        // At a fixed global threshold the sampling set is static; a
-        // 1-shard parallel ingest must reproduce the classic sequential
-        // SHARDS estimator exactly on every pattern.
-        let threshold = threshold_num * (SHARDS_MODULUS / 4);
+        // With one hash shard the sampled-only job is the classic
+        // sequential SHARDS estimator on every pattern: at a fixed
+        // threshold (a budget the footprint never reaches) and while rate
+        // adaptation moves it (a budget that binds).
+        let budget = 1usize << budget_exp;
         for (name, trace) in all_generator_patterns(seed) {
-            let mut sequential = ShardsEstimator::with_threshold(1 << 20, threshold);
+            let mut sequential = ShardsEstimator::new(budget);
             sequential.record_all(trace.iter().map(|a| a.value() as u64));
-            prop_assert_eq!(sequential.evictions(), 0, "{}", name);
             let source = TraceSource::Memory(trace);
-            let mut ingest =
-                SampledIngest::with_threshold(&source, 1, 1 << 20, threshold, 3).unwrap();
-            ingest.run_pending(&source, None);
-            let merged = ingest.merged().unwrap();
+            let job = job_over(&source, TracePlan::sampled(3, 1, budget), 3);
+            let merged = job.sampled_summary().unwrap();
             prop_assert_eq!(&merged.histogram, sequential.histogram(), "{}", name);
             prop_assert_eq!(merged.sampled_accesses, sequential.sampled_accesses(), "{}", name);
+            prop_assert_eq!(merged.evictions, sequential.evictions(), "{}", name);
             prop_assert!((merged.min_rate - sequential.sampling_rate()).abs() < 1e-15, "{}", name);
         }
     }
@@ -293,7 +304,7 @@ proptest! {
     ) {
         // The .sltr chunk index must change how chunk workers reach their
         // range (seek vs decode-skip), never what they read: the final
-        // ingest checkpoints must be byte-identical.
+        // checkpoints must be byte-identical.
         use symloc_trace::binio::{sltr_index_path, write_sltr, write_sltr_indexed};
         let dir = std::env::temp_dir();
         let path = dir.join(format!(
@@ -307,15 +318,12 @@ proptest! {
             std::fs::remove_file(&sidecar).ok();
             write_sltr(&trace, &path).unwrap();
             let source = TraceSource::Binary(path.clone());
-            let mut plain = TraceIngest::new(&source, chunks, 2).unwrap();
-            plain.run_pending(&source, None);
-            let expected = plain.to_json();
+            let plan = TracePlan::both(chunks, 2, 16);
+            let expected = job_over(&source, plan, 2).to_json();
             // Indexed run of the same payload.
             write_sltr_indexed(&trace, &path, interval).unwrap();
-            let mut indexed = TraceIngest::new(&source, chunks, 2).unwrap();
-            indexed.run_pending(&source, None);
             prop_assert_eq!(
-                indexed.to_json(),
+                job_over(&source, plan, 2).to_json(),
                 expected,
                 "{} seed {} chunks {} interval {}",
                 name, seed, chunks, interval
@@ -351,14 +359,14 @@ proptest! {
     }
 }
 
-/// Renders the checkpoint document the seed-era (pre-interner) ingest wrote
-/// after absorbing `done` of `chunks` chunks — built from the naive model
-/// alone, sharing no serialization code with `TraceIngest::to_json`: the
-/// histogram and cold count come from the literal quadratic distances of
-/// the absorbed prefix, and the timeline is the prefix's distinct addresses
-/// ordered by last access (the order the seed-era HashMap engine produced
-/// by sorting its live slots).
-fn seed_era_checkpoint_json(
+/// Renders the checkpoint document of an exact-only trace job that has
+/// absorbed `done` of `chunks` chunks — built from the naive model alone,
+/// sharing no serialization code with `FusedIngest::to_json`: the histogram
+/// and cold count come from the literal quadratic distances of the absorbed
+/// prefix, and the timeline is the prefix's distinct addresses ordered by
+/// last access. The exact state keeps the layout the seed-era (pre-interner)
+/// ingest wrote.
+fn naive_exact_checkpoint_json(
     fingerprint: &str,
     total: u64,
     chunks: usize,
@@ -391,11 +399,13 @@ fn seed_era_checkpoint_json(
     by_last.sort_unstable();
 
     let mut out = String::new();
-    out.push_str("{\n  \"kind\": \"symloc_trace_ingest_checkpoint\",\n  \"version\": 1,\n");
+    out.push_str("{\n  \"kind\": \"symloc_fused_trace_checkpoint\",\n  \"version\": 1,\n");
     let _ = writeln!(out, "  \"fingerprint\": \"{fingerprint}\",");
     let _ = writeln!(out, "  \"total_accesses\": {total},");
     let _ = writeln!(out, "  \"chunk_count\": {chunks},");
+    out.push_str("  \"shard_count\": 0,\n  \"budget_per_shard\": 0,\n  \"threshold\": 16777216,\n");
     let _ = writeln!(out, "  \"next_chunk\": {done},");
+    let _ = writeln!(out, "  \"streamed\": {},", prefix.len());
     let _ = writeln!(out, "  \"cold\": {cold},");
     out.push_str("  \"histogram\": [");
     for (i, (d, c)) in finite.iter().enumerate() {
@@ -408,18 +418,18 @@ fn seed_era_checkpoint_json(
         let sep = if i == 0 { "" } else { ", " };
         let _ = write!(out, "{sep}{addr}");
     }
-    out.push_str("]\n}\n");
+    out.push_str("],\n  \"shards\": [\n  ]\n}\n");
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The interned engine's checkpoints are byte-compatible with seed-era
-    /// documents, both ways: a mid-ingest checkpoint written today is
-    /// byte-identical to the independently rendered seed-era document, and
-    /// resuming that old-format document through `core::job` finishes to
-    /// exactly the JSON of an uninterrupted run.
+    /// Exact-only checkpoints are byte-identical to the documents the
+    /// naive model renders, both ways: a mid-job checkpoint written today
+    /// equals the independently rendered document, and resuming that
+    /// document through `core::job` finishes to exactly the JSON of an
+    /// uninterrupted run.
     #[test]
     fn interned_checkpoints_stay_byte_compatible_with_seed_era_documents(
         seed in any::<u64>(),
@@ -429,14 +439,13 @@ proptest! {
         for (name, trace) in all_generator_patterns(seed) {
             let addrs: Vec<u64> = trace.iter().map(|a| a.value() as u64).collect();
             let source = TraceSource::Memory(trace);
-            let mut full = TraceIngest::new(&source, chunks, 1).unwrap();
-            full.run_pending(&source, None);
+            let full = job_over(&source, TracePlan::exact(chunks), 1);
             let expected = full.to_json();
             let chunk_count = full.chunk_count();
             let done = (chunk_count * quarter as usize) / 4;
             let spans = symloc_par::split_indices(addrs.len(), chunk_count);
             let prefix_end = if done == 0 { 0 } else { spans[done - 1].end };
-            let doc = seed_era_checkpoint_json(
+            let doc = naive_exact_checkpoint_json(
                 &source.fingerprint(),
                 addrs.len() as u64,
                 chunk_count,
@@ -444,9 +453,9 @@ proptest! {
                 &addrs[..prefix_end],
             );
 
-            // Today's engine, stopped at the same chunk, serializes the
-            // exact bytes the seed-era engine wrote.
-            let mut mid = TraceIngest::new(&source, chunks, 1).unwrap();
+            // Today's job, stopped at the same chunk, serializes the exact
+            // bytes the naive model renders.
+            let mut mid = FusedIngest::planned(&source, TracePlan::exact(chunks), 1).unwrap();
             mid.run_pending(&source, Some(done));
             prop_assert_eq!(
                 mid.to_json(),
@@ -455,9 +464,9 @@ proptest! {
                 name, seed, chunk_count, done
             );
 
-            // And the old-format document resumes through core::job to the
+            // And the rendered document resumes through core::job to the
             // identical final checkpoint.
-            let mut resumed = TraceIngest::from_json(&doc, 2).unwrap();
+            let mut resumed = FusedIngest::from_json(&doc, 2).unwrap();
             resumed.run_pending(&source, None);
             prop_assert_eq!(
                 resumed.to_json(),

@@ -190,8 +190,8 @@ pub fn sltr_index_path(sltr: &Path) -> std::path::PathBuf {
 /// with different-length content after indexing ([`SltrError::IndexStale`])
 /// instead of seeking into the wrong bytes. An *equal-length* content swap
 /// is not detectable without hashing the payload on every open — the same
-/// deliberate trade-off the ingest checkpoints make (see
-/// `TraceIngest::resume_or_new`): rewriting a trace in place means
+/// deliberate trade-off the trace-job checkpoints make (see
+/// `FusedIngest::resume_or_new`): rewriting a trace in place means
 /// regenerating its index (`symloc trace convert` always writes both).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SltrIndex {

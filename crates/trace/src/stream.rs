@@ -800,11 +800,117 @@ impl TraceSource {
     pub fn stream_blocks_range(&self, start: u64, end: u64) -> Result<AccessBlocks, TraceIoError> {
         match self {
             TraceSource::Binary(path) => sltr_blocks_range(path, start, end.saturating_sub(start)),
+            TraceSource::Text(path) => text_blocks_range(path, start, end.saturating_sub(start)),
             _ => Ok(Box::new(IterBlocks {
                 iter: self.stream_range(start, end)?,
             })),
         }
     }
+
+    /// True when a range read starts without decoding the accesses before
+    /// it: in-memory traces, the deterministic generator patterns, and
+    /// files with a valid sidecar chunk index. Seeded random generators
+    /// replay their draws and un-indexed files decode every earlier access,
+    /// so chunked readers of those should share a [`BlockCursor`].
+    #[must_use]
+    pub fn seeks(&self) -> bool {
+        let file_len = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
+        match self {
+            TraceSource::Text(path) => matching_index(path, file_len(path)).is_some(),
+            TraceSource::Binary(path) => {
+                matching_index(path, file_len(path).saturating_sub(5)).is_some()
+            }
+            TraceSource::Gen(spec) => {
+                !matches!(spec, GenSpec::Random { .. } | GenSpec::Zipf { .. })
+            }
+            TraceSource::Memory(_) => true,
+        }
+    }
+}
+
+/// A block reader over a source from some access to its end that hands out
+/// consecutive bounded ranges ([`BlockCursor::take`]), so several chunks of
+/// a source that does not [seek](TraceSource::seeks) are read by continuing
+/// one stream instead of decoding the prefix again for each.
+pub struct BlockCursor {
+    blocks: AccessBlocks,
+    position: u64,
+    buf: Vec<u64>,
+    next: usize,
+}
+
+impl BlockCursor {
+    /// A cursor at access `start` of `source`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of opening the underlying file, if any.
+    pub fn open(source: &TraceSource, start: u64) -> Result<BlockCursor, TraceIoError> {
+        Ok(BlockCursor {
+            blocks: source.stream_blocks_range(start, u64::MAX)?,
+            position: start,
+            buf: Vec::new(),
+            next: 0,
+        })
+    }
+
+    /// The index of the next access the cursor hands out.
+    #[must_use]
+    pub fn position(&self) -> u64 {
+        self.position
+    }
+
+    /// Up to `limit` decoded accesses at the cursor, advancing past them;
+    /// empty at the end of the source.
+    fn advance(&mut self, limit: u64) -> &[u64] {
+        if self.next == self.buf.len() {
+            self.next = 0;
+            self.blocks.next_block(&mut self.buf);
+        }
+        let n = (self.buf.len() - self.next).min(usize::try_from(limit).unwrap_or(usize::MAX));
+        let run = &self.buf[self.next..self.next + n];
+        self.next += n;
+        self.position += n as u64;
+        run
+    }
+
+    /// Decodes and drops accesses until the cursor is at `position` (or at
+    /// the end of the source); a no-op when it is already there or past it.
+    pub fn skip_to(&mut self, position: u64) {
+        while self.position < position && !self.advance(position - self.position).is_empty() {}
+    }
+
+    /// A block reader over the next `len` accesses; reading it advances
+    /// the cursor.
+    pub fn take(&mut self, len: u64) -> CursorRange<'_> {
+        CursorRange {
+            cursor: self,
+            remaining: len,
+        }
+    }
+}
+
+/// The next accesses of a [`BlockCursor`], as a [`BlockRead`].
+pub struct CursorRange<'a> {
+    cursor: &'a mut BlockCursor,
+    remaining: u64,
+}
+
+impl BlockRead for CursorRange<'_> {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        buf.clear();
+        buf.extend_from_slice(self.cursor.advance(self.remaining));
+        self.remaining -= buf.len() as u64;
+        buf.len()
+    }
+}
+
+/// The sidecar chunk index of `path` when one exists and describes a
+/// payload of `payload_len` bytes.
+fn matching_index(path: &Path, payload_len: u64) -> Option<SltrIndex> {
+    let index = SltrIndex::read(sltr_index_path(path)).ok()?;
+    index.check_matches_payload_only(payload_len).ok()?;
+    Some(index)
 }
 
 impl std::fmt::Display for TraceSource {
@@ -823,14 +929,10 @@ impl std::fmt::Display for TraceSource {
 /// Returns the error of opening or seeking the trace file itself.
 fn sltr_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
     use std::io::{Seek, SeekFrom};
-    let Ok(index) = SltrIndex::read(sltr_index_path(path)) else {
+    let mut file = File::open(path)?;
+    let Some(index) = matching_index(path, file.metadata()?.len().saturating_sub(5)) else {
         return Ok(None);
     };
-    let mut file = File::open(path)?;
-    let payload_len = file.metadata()?.len().saturating_sub(5);
-    if index.check_matches_payload_only(payload_len).is_err() {
-        return Ok(None);
-    }
     let (offset, skip) = index.seek_hint(start);
     file.seek(SeekFrom::Start(5 + offset))?;
     let reader = SltrReader::resume(file, start - skip);
@@ -854,12 +956,10 @@ fn sltr_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIt
 /// the skipped prefix.
 fn sltr_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks, TraceIoError> {
     use std::io::{Seek, SeekFrom};
-    let seek = (|| {
-        let index = SltrIndex::read(sltr_index_path(path)).ok()?;
-        let payload_len = std::fs::metadata(path).ok()?.len().saturating_sub(5);
-        index.check_matches_payload_only(payload_len).ok()?;
-        Some(index.seek_hint(start))
-    })();
+    let seek = std::fs::metadata(path)
+        .ok()
+        .and_then(|meta| matching_index(path, meta.len().saturating_sub(5)))
+        .map(|index| index.seek_hint(start));
     let (mut reader, mut skip) = match seek {
         Some((offset, indexed)) => {
             let mut file = File::open(path)?;
@@ -889,6 +989,75 @@ fn sltr_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks,
     }))
 }
 
+/// Block decoding of a (possibly seek-positioned) text trace through one
+/// reused line buffer, bounded to `remaining` accesses.
+struct TextBlocks {
+    reader: BufReader<File>,
+    line: String,
+    remaining: u64,
+}
+
+impl TextBlocks {
+    /// The next access, or `None` at the end of the file.
+    fn next_access(&mut self) -> Option<u64> {
+        loop {
+            self.line.clear();
+            let read = self
+                .reader
+                .read_line(&mut self.line)
+                .expect("trace file readable");
+            if read == 0 {
+                return None;
+            }
+            if let Some(addr) = text_access_of_line(&self.line) {
+                return Some(addr);
+            }
+        }
+    }
+}
+
+impl BlockRead for TextBlocks {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        buf.clear();
+        let max = BLOCK_LEN.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        while buf.len() < max {
+            let Some(addr) = self.next_access() else {
+                break;
+            };
+            buf.push(addr);
+        }
+        self.remaining -= buf.len() as u64;
+        buf.len()
+    }
+}
+
+/// Opens a block reader over `take` accesses of a text trace starting at
+/// access `start`: seeking to the nearest indexed line with a valid sidecar
+/// index, parse-skipping the whole prefix without one. Both paths yield
+/// identical accesses.
+///
+/// # Errors
+///
+/// Returns the error of opening or seeking the trace file.
+fn text_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks, TraceIoError> {
+    use std::io::{Seek, SeekFrom};
+    let mut file = File::open(path)?;
+    let (offset, skip) = matching_index(path, file.metadata()?.len())
+        .map_or((0, start), |index| index.seek_hint(start));
+    file.seek(SeekFrom::Start(offset))?;
+    let mut blocks = TextBlocks {
+        reader: BufReader::new(file),
+        line: String::new(),
+        remaining: take,
+    };
+    for _ in 0..skip {
+        if blocks.next_access().is_none() {
+            break;
+        }
+    }
+    Ok(Box::new(blocks))
+}
+
 /// Parses one line of a text trace into its access, skipping comments and
 /// blank lines. Panics on malformed content — callers validate sources
 /// with [`TraceSource::total_accesses`] before streaming.
@@ -914,16 +1083,10 @@ fn text_access_of_line(line: &str) -> Option<u64> {
 /// Returns the error of opening or seeking the trace file itself.
 fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
     use std::io::{Seek, SeekFrom};
-    let Ok(index) = SltrIndex::read(sltr_index_path(path)) else {
+    let mut file = File::open(path)?;
+    let Some(index) = matching_index(path, file.metadata()?.len()) else {
         return Ok(None);
     };
-    let mut file = File::open(path)?;
-    if index
-        .check_matches_payload_only(file.metadata()?.len())
-        .is_err()
-    {
-        return Ok(None);
-    }
     let (offset, skip) = index.seek_hint(start);
     file.seek(SeekFrom::Start(offset))?;
     let iter = BufReader::new(file)
@@ -1222,7 +1385,7 @@ mod tests {
     }
 
     /// Drains a block stream into one flat vector.
-    fn collect_blocks(mut blocks: AccessBlocks) -> Vec<u64> {
+    fn collect_blocks(blocks: &mut dyn BlockRead) -> Vec<u64> {
         let mut all = Vec::new();
         let mut buf = Vec::new();
         loop {
@@ -1270,9 +1433,70 @@ mod tests {
                 (20_000, 30_000),
             ] {
                 let via_iter: Vec<u64> = source.stream_range(start, end).unwrap().collect();
-                let via_blocks = collect_blocks(source.stream_blocks_range(start, end).unwrap());
+                let via_blocks =
+                    collect_blocks(source.stream_blocks_range(start, end).unwrap().as_mut());
                 assert_eq!(via_blocks, via_iter, "{source} range {start}..{end}");
             }
+        }
+        std::fs::remove_file(&text).ok();
+        std::fs::remove_file(&plain).ok();
+        std::fs::remove_file(&indexed).ok();
+        std::fs::remove_file(sltr_index_path(&indexed)).ok();
+    }
+
+    #[test]
+    fn cursor_ranges_equal_stream_ranges_and_seeks_names_random_access() {
+        use crate::binio::{sltr_index_path, write_sltr_indexed};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(79);
+        let t = zipfian_trace(50_000, 9500, 0.8, &mut rng);
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let text = dir.join(format!("symloc_stream_cursor_{pid}.trace"));
+        let plain = dir.join(format!("symloc_stream_cursor_plain_{pid}.sltr"));
+        let indexed = dir.join(format!("symloc_stream_cursor_indexed_{pid}.sltr"));
+        write_trace(&t, &text).unwrap();
+        write_sltr(&t, &plain).unwrap();
+        write_sltr_indexed(&t, &indexed, 128).unwrap();
+        for (source, seeks) in [
+            (
+                TraceSource::Gen(GenSpec::parse("gen:zipf:100:9500:0.7:3").unwrap()),
+                false,
+            ),
+            (
+                TraceSource::Gen(GenSpec::parse("gen:random:100:9500:3").unwrap()),
+                false,
+            ),
+            (
+                TraceSource::Gen(GenSpec::parse("gen:cyclic:95:100").unwrap()),
+                true,
+            ),
+            (TraceSource::Text(text.clone()), false),
+            (TraceSource::Memory(t.clone()), true),
+            (TraceSource::Binary(plain.clone()), false),
+            (TraceSource::Binary(indexed.clone()), true),
+        ] {
+            assert_eq!(source.seeks(), seeks, "{source}");
+            // Consecutive takes, skips inside and across blocks, and a
+            // take clamped at the end of the source.
+            let mut cursor = BlockCursor::open(&source, 5).unwrap();
+            for (start, end) in [
+                (5u64, 17u64),
+                (17, 17),
+                (127, 129),
+                (4095, 4099),
+                (4099, 8200),
+                (9000, 50_000),
+            ] {
+                cursor.skip_to(start);
+                assert_eq!(cursor.position(), start, "{source} skip to {start}");
+                let taken = collect_blocks(&mut cursor.take(end - start));
+                let expect: Vec<u64> = source.stream_range(start, end).unwrap().collect();
+                assert_eq!(taken, expect, "{source} range {start}..{end}");
+            }
+            assert_eq!(cursor.position(), 9500, "{source}");
+            assert!(collect_blocks(&mut cursor.take(10)).is_empty());
         }
         std::fs::remove_file(&text).ok();
         std::fs::remove_file(&plain).ok();
@@ -1298,7 +1522,7 @@ mod tests {
         // on both the iterator and the block path.
         let all: Vec<u64> = source.stream_range(0, 10).unwrap().collect();
         assert_eq!(all, as_u64(&sawtooth_trace(30, 10))[..10].to_vec());
-        let blocks = collect_blocks(source.stream_blocks_range(3, 10).unwrap());
+        let blocks = collect_blocks(source.stream_blocks_range(3, 10).unwrap().as_mut());
         assert_eq!(blocks, as_u64(&sawtooth_trace(30, 10))[3..10].to_vec());
 
         // A corrupt sidecar is also a loud validation error.

@@ -4,17 +4,21 @@
 
 use super::flags::{embed_json, write_metrics, CommandSpec, FlagSpec, JSON, METRICS, THREADS};
 use super::sweep::sweep_report;
-use super::tracecmd::{mrc_array, mrc_table};
+use super::tracecmd::{json_document, TraceReport};
 use super::CliError;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobStatus};
+use symloc_core::jsonio::escape;
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
-use symloc_core::tracesweep::{log_spaced_sizes, FusedIngest, SampledIngest, TraceIngest};
+use symloc_core::tracesweep::FusedIngest;
 use symloc_par::default_threads;
 use symloc_trace::stream::TraceSource;
+
+/// MRC points in the curves of a resumed trace job's report.
+const REPORT_POINTS: usize = 16;
 
 const MAX_UNITS: FlagSpec = FlagSpec::value(
     "--max-units",
@@ -184,35 +188,27 @@ fn status_json(
 }
 
 /// Renders a `job resume --json` completion report: the shared progress
-/// fields plus per-kind `extra` pairs whose values are raw JSON fragments
-/// (numbers, arrays or objects rendered by the caller), plus the run's
-/// metrics-registry snapshot.
+/// fields plus per-kind `extra` pairs whose values are raw JSON fragments,
+/// plus the run's metrics-registry snapshot.
 fn resume_json(
     kind: JobKind,
     fingerprint: &str,
     ran: usize,
     completed: usize,
     total: usize,
-    extra: &[(&str, String)],
+    extra: Vec<(&str, String)>,
     metrics: &MetricsRegistry,
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"kind\": \"{kind}\",");
-    let _ = writeln!(
-        out,
-        "  \"fingerprint\": \"{}\",",
-        symloc_core::jsonio::escape(fingerprint)
-    );
-    let _ = writeln!(out, "  \"complete\": {},", completed >= total);
-    let _ = writeln!(out, "  \"ran\": {ran},");
-    let _ = writeln!(out, "  \"completed\": {completed},");
-    let _ = write!(out, "  \"total\": {total}");
-    for (key, value) in extra {
-        let _ = write!(out, ",\n  \"{key}\": {value}");
-    }
-    let _ = write!(out, ",\n  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("\n}\n");
-    out
+    let mut fields = vec![
+        ("kind", format!("\"{kind}\"")),
+        ("fingerprint", format!("\"{}\"", escape(fingerprint))),
+        ("complete", (completed >= total).to_string()),
+        ("ran", ran.to_string()),
+        ("completed", completed.to_string()),
+        ("total", total.to_string()),
+    ];
+    fields.extend(extra);
+    json_document(&fields, metrics)
 }
 
 /// `symloc job status <checkpoint>` — decodes any registered checkpoint
@@ -286,11 +282,13 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))?;
     // Sniff the kind only — each arm decodes the (possibly large)
     // checkpoint exactly once and prints the banner from the decoded job.
-    let kind = symloc_core::job::sniff_kind(&text).ok_or_else(|| {
-        CliError(format!(
-            "cannot decode checkpoint {path_str}: not a registered symloc checkpoint"
-        ))
-    })?;
+    let kind = symloc_core::job::sniff_kind(&text)
+        .map_err(|e| CliError(format!("cannot resume checkpoint {path_str}: {e}")))?
+        .ok_or_else(|| {
+            CliError(format!(
+                "cannot decode checkpoint {path_str}: not a registered symloc checkpoint"
+            ))
+        })?;
     let ckpt_err = |e: std::io::Error| CliError(format!("cannot write checkpoint {path_str}: {e}"));
 
     let mut out = String::new();
@@ -322,7 +320,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                     ran,
                     sweep.completed_count(),
                     sweep.shard_count(),
-                    &[],
+                    Vec::new(),
                     &registry,
                 ));
             }
@@ -358,7 +356,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                     ran,
                     sweep.completed_count(),
                     sweep.level_count(),
-                    &[],
+                    Vec::new(),
                     &registry,
                 ));
             }
@@ -375,190 +373,42 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 }
             }
         }
-        JobKind::TraceIngest => {
-            let mut ingest = TraceIngest::from_json(&text, threads).map_err(CliError)?;
+        JobKind::FusedIngest => {
+            let mut job = FusedIngest::from_json(&text, threads).map_err(CliError)?;
             banner(
                 &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.chunk_count(),
+                job.fingerprint(),
+                job.completed_count(),
+                job.chunk_count(),
             );
-            let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
+            let source = reopen_source(job.fingerprint(), job.total_accesses())?;
+            let ran = job
                 .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
                 .map_err(ckpt_err)?;
+            job.record_gauges(&mut registry);
+            let report = TraceReport::of_job(&job, threads);
             if json {
-                let mut extra = Vec::new();
-                if let Some(h) = ingest.histogram() {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    extra.push(("accesses", h.accesses().to_string()));
-                    extra.push(("footprint", footprint.to_string()));
-                    extra.push((
-                        "mrc",
-                        mrc_array(&h.mrc_points(&log_spaced_sizes(footprint, 16))),
-                    ));
-                }
                 write_metrics(metrics_path, &registry)?;
                 return Ok(resume_json(
                     kind,
-                    ingest.fingerprint(),
+                    job.fingerprint(),
                     ran,
-                    ingest.completed_count(),
-                    ingest.chunk_count(),
-                    &extra,
+                    job.completed_count(),
+                    job.chunk_count(),
+                    report.map_or_else(Vec::new, |r| r.json_fields(REPORT_POINTS)),
                     &registry,
                 ));
             }
             let _ = writeln!(
                 out,
                 "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.chunk_count()
+                job.completed_count(),
+                job.chunk_count()
             );
-            match ingest.histogram() {
-                Some(h) => {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let _ = writeln!(out, "accesses            : {}", h.accesses());
-                    let _ = writeln!(out, "footprint           : {footprint}");
-                    out.push_str(&mrc_table(&h.mrc_points(&log_spaced_sizes(footprint, 16))));
-                }
+            match report {
+                Some(report) => out.push_str(&report.text(REPORT_POINTS)),
                 None => {
                     let _ = writeln!(out, "ingest incomplete — re-run to continue");
-                }
-            }
-        }
-        JobKind::SampledIngest => {
-            let mut ingest = SampledIngest::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.shard_count(),
-            );
-            let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
-                .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
-            if json {
-                let mut extra = Vec::new();
-                if let Some(summary) = ingest.merged() {
-                    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-                    extra.push(("accesses", summary.raw_accesses.to_string()));
-                    extra.push(("footprint", footprint.to_string()));
-                    extra.push((
-                        "mrc",
-                        mrc_array(
-                            &summary
-                                .histogram
-                                .mrc_points(&log_spaced_sizes(footprint, 16)),
-                        ),
-                    ));
-                }
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    ingest.fingerprint(),
-                    ran,
-                    ingest.completed_count(),
-                    ingest.shard_count(),
-                    &extra,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} hash shard(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.shard_count()
-            );
-            match ingest.merged() {
-                Some(summary) => {
-                    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-                    let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
-                    let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-                    out.push_str(&mrc_table(
-                        &summary
-                            .histogram
-                            .mrc_points(&log_spaced_sizes(footprint, 16)),
-                    ));
-                }
-                None => {
-                    let _ = writeln!(out, "sampled ingest incomplete — re-run to continue");
-                }
-            }
-        }
-        JobKind::FusedIngest => {
-            let mut ingest = FusedIngest::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.chunk_count(),
-            );
-            let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
-                .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
-            if json {
-                let mut extra = vec![("streamed", ingest.streamed_accesses().to_string())];
-                if let (Some(h), Some(summary)) =
-                    (ingest.exact_histogram(), ingest.sampled_summary())
-                {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let est = summary.estimated_footprint().round().max(1.0) as usize;
-                    extra.push(("accesses", h.accesses().to_string()));
-                    extra.push((
-                        "exact",
-                        format!(
-                            "{{\"footprint\": {footprint}, \"mrc\": {}}}",
-                            mrc_array(&h.mrc_points(&log_spaced_sizes(footprint, 16)))
-                        ),
-                    ));
-                    extra.push((
-                        "sampled",
-                        format!(
-                            "{{\"footprint\": {est}, \"min_rate\": {}, \"mrc\": {}}}",
-                            summary.min_rate,
-                            mrc_array(&summary.histogram.mrc_points(&log_spaced_sizes(est, 16)))
-                        ),
-                    ));
-                }
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    ingest.fingerprint(),
-                    ran,
-                    ingest.completed_count(),
-                    ingest.chunk_count(),
-                    &extra,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-            match (ingest.exact_histogram(), ingest.sampled_summary()) {
-                (Some(h), Some(summary)) => {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let est = summary.estimated_footprint().round().max(1.0) as usize;
-                    let _ = writeln!(out, "accesses            : {}", h.accesses());
-                    let _ = writeln!(
-                        out,
-                        "streamed            : {} (each access decoded once)",
-                        ingest.streamed_accesses()
-                    );
-                    let _ = writeln!(out, "exact footprint     : {footprint}");
-                    out.push_str(&mrc_table(&h.mrc_points(&log_spaced_sizes(footprint, 16))));
-                    let _ = writeln!(out, "sampled footprint   : ~{est} (estimated)");
-                    out.push_str(&mrc_table(
-                        &summary.histogram.mrc_points(&log_spaced_sizes(est, 16)),
-                    ));
-                }
-                _ => {
-                    let _ = writeln!(out, "fused ingest incomplete — re-run to continue");
                 }
             }
         }
@@ -714,7 +564,8 @@ mod tests {
         )))
         .unwrap();
         let report = job(&sargs(&format!("status {path_str}"))).unwrap();
-        assert!(report.contains("exact trace ingest"), "{report}");
+        assert!(report.contains(JobKind::FusedIngest.describe()), "{report}");
+        assert!(report.contains("halves      : exact\n"), "{report}");
         assert!(report.contains("2 of 6 chunks complete"), "{report}");
         assert!(report.contains("gen:zipf:60:2000:0.8:3"), "{report}");
 
@@ -726,7 +577,7 @@ mod tests {
         );
         assert!(finished.contains("miss ratio"), "{finished}");
 
-        // Sampled hash-sharded ingest round-trips the same way, and the
+        // The sampled half alone round-trips the same way, and the
         // finished checkpoint matches the one the trace command writes.
         let (spath, spath_str) = tmp("sampled_ingest.json");
         trace_mrc(&sargs(&format!(
@@ -734,10 +585,7 @@ mod tests {
         )))
         .unwrap();
         let report = job(&sargs(&format!("status {spath_str}"))).unwrap();
-        assert!(
-            report.contains("sampled (hash-sharded) trace ingest"),
-            "{report}"
-        );
+        assert!(report.contains("halves      : sampled\n"), "{report}");
         let finished = job(&sargs(&format!("resume {spath_str}"))).unwrap();
         assert!(finished.contains("4 of 4 complete"), "{finished}");
         let via_job = std::fs::read_to_string(&spath).unwrap();
@@ -761,10 +609,8 @@ mod tests {
         )))
         .unwrap();
         let report = job(&sargs(&format!("status {path_str}"))).unwrap();
-        assert!(
-            report.contains("fused exact+sampled trace ingest"),
-            "{report}"
-        );
+        assert!(report.contains(JobKind::FusedIngest.describe()), "{report}");
+        assert!(report.contains("halves      : exact + sampled"), "{report}");
         assert!(report.contains("2 of 4 chunks complete"), "{report}");
         assert!(report.contains("gen:zipf:200:4000:0.8:5"), "{report}");
 

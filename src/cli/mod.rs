@@ -74,9 +74,9 @@ pub fn usage() -> String {
      \x20              when sampled)\n\
      \x20 symloc trace mrc <file|gen:...> [--exact] [--sample S_MAX]\n\
      \x20              [--shards N] [--threads N] [--points K] [--json]\n\
-     \x20              [--checkpoint FILE [--max-chunks N]]  (resumable ingest;\n\
-     \x20              with --sample, --shards N partitions the hash space;\n\
-     \x20              --exact --sample together = one fused pass, both curves)\n\
+     \x20              [--checkpoint FILE [--max-chunks N]]  (resumable job of\n\
+     \x20              N chunks; with --sample also N hash shards; --exact\n\
+     \x20              --sample together = both curves from one pass)\n\
      \x20 symloc trace convert <file|gen:...> <out-file> [--index N]\n\
      \x20              (.sltr <-> text, streaming; both formats also get a\n\
      \x20              seekable .idx chunk index — interval N, 0 = none)\n\

@@ -431,10 +431,20 @@ fn run_stdin_session(daemon: &Mutex<Daemon>, reader: impl BufRead) -> Result<Str
     Ok(out)
 }
 
+/// Sends one reply line in a single write. A reply split across writes
+/// (text, then newline) lets Nagle's algorithm hold the second segment
+/// until the client's delayed ACK — about 40 ms per reply.
+fn send_reply(writer: &mut TcpStream, reply: String) -> std::io::Result<()> {
+    let mut line = reply.into_bytes();
+    line.push(b'\n');
+    writer.write_all(&line)
+}
+
 /// One TCP connection: line in, response line out, until QUIT/EOF/
 /// shutdown. Read timeouts keep the thread polling the shutdown flag.
 fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(writer) => writer,
         Err(_) => return,
@@ -451,16 +461,12 @@ fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
                 match handle_line(daemon, &mut session, trimmed) {
                     Action::Silent => {}
                     Action::Reply(reply) => {
-                        if writeln!(writer, "{reply}")
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
+                        if send_reply(&mut writer, reply).is_err() {
                             break;
                         }
                     }
                     Action::Close(reply) => {
-                        let _ = writeln!(writer, "{reply}");
-                        let _ = writer.flush();
+                        let _ = send_reply(&mut writer, reply);
                         break;
                     }
                 }

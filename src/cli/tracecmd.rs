@@ -1,6 +1,7 @@
-//! `symloc trace` — streaming trace analysis: `mrc` (exact or sampled,
-//! resumable), `convert` (format conversion + sidecar chunk indexes) and
-//! `index` (build the sidecar for an existing file).
+//! `symloc trace` — streaming trace analysis: `mrc` (the exact and/or
+//! sampled miss-ratio curve, resumable), `convert` (format conversion +
+//! sidecar chunk indexes) and `index` (build the sidecar for an existing
+//! file).
 
 use super::flags::{
     embed_json, write_metrics, CommandSpec, FlagSpec, CHECKPOINT, JSON, METRICS, THREADS,
@@ -9,20 +10,21 @@ use super::{help_requested, CliError};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use symloc_core::jsonio::escape;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::tracesweep::{
-    log_spaced_sizes, FusedIngest, MrcPoint, OnlineReuseEngine, SampledIngest, ShardsEstimator,
-    TraceIngest,
+    log_spaced_sizes, FusedIngest, MrcPoint, OnlineReuseEngine, SampledSummary, ShardsEstimator,
+    StreamHistogram, TracePlan,
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{
     build_sltr_index, sltr_index_path, SltrIndex, SltrWriter, DEFAULT_INDEX_INTERVAL,
 };
-use symloc_trace::stream::{build_text_index, AccessSink as _, MeteredSink, TraceSource};
+use symloc_trace::stream::{build_text_index, AccessSink, MeteredSink, TraceSource};
 
 const EXACT: FlagSpec = FlagSpec::switch(
     "--exact",
-    "the exact engine (the default); with --sample = fused single-pass both",
+    "the exact curve (the default); with --sample, both curves from one pass",
 );
 const SAMPLE: FlagSpec = FlagSpec::value(
     "--sample",
@@ -32,7 +34,7 @@ const SAMPLE: FlagSpec = FlagSpec::value(
 const SHARDS: FlagSpec = FlagSpec::value(
     "--shards",
     "N",
-    "chunk count (exact) / hash-shard count (sampled); default 8 / 1",
+    "chunk count (default 8); with --sample also the hash-shard count (default 1)",
 );
 const POINTS: FlagSpec = FlagSpec::value(
     "--points",
@@ -42,7 +44,7 @@ const POINTS: FlagSpec = FlagSpec::value(
 const MAX_CHUNKS: FlagSpec = FlagSpec::value(
     "--max-chunks",
     "N",
-    "run at most N chunks/shards this invocation (needs --checkpoint)",
+    "run at most N chunks this invocation (needs --checkpoint)",
 );
 const INDEX: FlagSpec = FlagSpec::value(
     "--index",
@@ -98,29 +100,58 @@ pub(crate) const TRACE_INDEX: CommandSpec = CommandSpec {
 pub struct TraceMrcOptions {
     /// The trace source (file or `gen:` spec).
     pub source: TraceSource,
-    /// `Some(s_max)` selects the bounded-memory sampled estimator
-    /// (`s_max` = total tracked-address budget, split across hash shards).
+    /// Whether the exact curve is computed: `--exact`, or no `--sample`.
+    pub exact: bool,
+    /// `Some(s_max)` adds the bounded-memory sampled curve (`s_max` =
+    /// total tracked-address budget, split across hash shards).
     pub sample: Option<usize>,
-    /// Chunk count for sharded exact ingestion.
+    /// Chunk count of the trace job.
     pub shards: usize,
-    /// Hash-shard count for the sampled estimator (set by the same
-    /// `--shards` flag; defaults to 1 = the sequential estimator).
+    /// Hash-shard count of the sampled curve (set by the same `--shards`
+    /// flag; defaults to 1 = the sequential estimator).
     pub sample_shards: usize,
     /// Worker threads.
     pub threads: usize,
     /// Number of MRC evaluation points (log-spaced over the footprint).
     pub points: usize,
-    /// Checkpoint file enabling resumable exact ingestion.
+    /// Checkpoint file making the run resumable.
     pub checkpoint: Option<String>,
     /// At most this many chunks this invocation (`None` = run to the end).
     pub max_chunks: Option<usize>,
     /// Emit a machine-readable JSON report instead of the table.
     pub json: bool,
-    /// `--exact --sample S` together: the fused single-pass run producing
-    /// both the exact and the sampled curve from one streaming pass.
-    pub fused: bool,
     /// Write the metrics-registry snapshot (JSON) to this file.
     pub metrics: Option<String>,
+}
+
+impl TraceMrcOptions {
+    /// The trace-job plan the options ask for.
+    fn plan(&self) -> TracePlan {
+        match self.sample {
+            Some(s_max) => TracePlan {
+                chunks: self.shards,
+                exact: self.exact,
+                shards: self.sample_shards,
+                budget_per_shard: s_max / self.sample_shards,
+            },
+            None => TracePlan::exact(self.shards),
+        }
+    }
+
+    /// True for the runs that skip the job and stream the trace once
+    /// through one engine, without a checkpoint: the exact curve alone on
+    /// one thread, or the sampled curve alone at one hash shard. Chunks
+    /// cannot speed either up — one thread cannot split the exact work,
+    /// and one estimator replays every access in order — while a source
+    /// that does not seek (a random generator, an un-indexed file) would
+    /// be decoded more than once.
+    fn streams(&self) -> bool {
+        let one_engine = match self.sample {
+            None => self.threads == 1,
+            Some(_) => !self.exact && self.sample_shards == 1,
+        };
+        one_engine && self.checkpoint.is_none()
+    }
 }
 
 /// Parses the argument list of `symloc trace mrc` (everything after the
@@ -142,6 +173,7 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
     let sample = parsed.usize(SAMPLE.name)?;
     let options = TraceMrcOptions {
         source,
+        exact: parsed.switch(EXACT.name) || sample.is_none(),
         sample,
         shards: shards.unwrap_or(8),
         sample_shards: shards.unwrap_or(1),
@@ -150,7 +182,6 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
         checkpoint: parsed.value(CHECKPOINT.name).map(ToString::to_string),
         max_chunks: parsed.usize(MAX_CHUNKS.name)?,
         json: parsed.switch(JSON.name),
-        fused: parsed.switch(EXACT.name) && sample.is_some(),
         metrics: parsed.value(METRICS.name).map(ToString::to_string),
     };
     if options.sample == Some(0) {
@@ -174,7 +205,7 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
     if options.max_chunks.is_some() && options.checkpoint.is_none() {
         return Err(CliError(
             "--max-chunks only makes sense with --checkpoint (a bounded \
-             partial ingest needs somewhere to save its progress)"
+             partial run needs somewhere to save its progress)"
                 .into(),
         ));
     }
@@ -227,104 +258,161 @@ pub(crate) fn mrc_array(points: &[MrcPoint]) -> String {
     out
 }
 
-/// Renders a finished MRC analysis as a JSON document, with the run's
-/// metrics-registry snapshot attached.
-fn mrc_json(
-    source: &TraceSource,
-    engine: &str,
-    accesses: u64,
-    footprint: usize,
-    estimated: bool,
-    points: &[MrcPoint],
-    metrics: &MetricsRegistry,
-) -> String {
+/// Renders `fields` (each value a raw JSON fragment) and the run's
+/// metrics-registry snapshot as one JSON document.
+pub(crate) fn json_document(fields: &[(&str, String)], metrics: &MetricsRegistry) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
-        symloc_core::jsonio::escape(&source.fingerprint())
-    );
-    let _ = writeln!(out, "  \"engine\": \"{engine}\",");
-    let _ = writeln!(out, "  \"complete\": true,");
-    let _ = writeln!(out, "  \"accesses\": {accesses},");
-    let _ = writeln!(out, "  \"footprint\": {footprint},");
-    let _ = writeln!(out, "  \"footprint_estimated\": {estimated},");
-    let _ = writeln!(out, "  \"mrc\": {},", mrc_array(points));
+    for (key, value) in fields {
+        let _ = writeln!(out, "  \"{key}\": {value},");
+    }
     let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
     out.push_str("}\n");
     out
 }
 
-/// Renders a finished fused run — both curves — as one JSON document.
-#[allow(clippy::too_many_arguments)]
-fn fused_mrc_json(
-    source: &TraceSource,
+/// A finished trace analysis in the one shape `trace mrc` and `job
+/// resume` report, human and `--json`: the access counts, and a curve for
+/// each half that ran.
+pub(crate) struct TraceReport {
+    /// The `"engine"` tag of the JSON report.
+    engine: &'static str,
+    /// The human description of the engine.
+    description: String,
     accesses: u64,
     streamed: u64,
-    footprint: usize,
-    exact_points: &[MrcPoint],
-    est_footprint: usize,
-    min_rate: f64,
-    sampled_points: &[MrcPoint],
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
-        symloc_core::jsonio::escape(&source.fingerprint())
-    );
-    let _ = writeln!(out, "  \"engine\": \"fused_exact_sampled\",");
-    let _ = writeln!(out, "  \"complete\": true,");
-    let _ = writeln!(out, "  \"accesses\": {accesses},");
-    let _ = writeln!(out, "  \"streamed\": {streamed},");
-    let _ = writeln!(
-        out,
-        "  \"exact\": {{\"footprint\": {footprint}, \"mrc\": {}}},",
-        mrc_array(exact_points)
-    );
-    let _ = writeln!(
-        out,
-        "  \"sampled\": {{\"footprint\": {est_footprint}, \"footprint_estimated\": true, \
-         \"min_rate\": {min_rate}, \"mrc\": {}}},",
-        mrc_array(sampled_points)
-    );
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
-    out
+    exact: Option<StreamHistogram>,
+    sampled: Option<SampledSummary>,
 }
 
-/// Renders an in-progress checkpointed ingest as a JSON document.
-fn mrc_progress_json(
-    source: &TraceSource,
-    completed: usize,
-    total: usize,
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
-        symloc_core::jsonio::escape(&source.fingerprint())
-    );
-    let _ = writeln!(out, "  \"complete\": false,");
-    let _ = writeln!(out, "  \"completed\": {completed},");
-    let _ = writeln!(out, "  \"total\": {total},");
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
-    out
+impl TraceReport {
+    /// The report of a complete trace job, or `None` while chunks are
+    /// pending.
+    pub(crate) fn of_job(job: &FusedIngest, threads: usize) -> Option<TraceReport> {
+        if !job.is_complete() {
+            return None;
+        }
+        let plan = job.plan();
+        let sampled = job.sampled_summary();
+        let mut description = format!(
+            "trace job ({} chunks, {threads} threads): {}",
+            plan.chunks,
+            plan.halves()
+        );
+        if let Some(summary) = &sampled {
+            let _ = write!(
+                description,
+                " ({} hash shards x {} budget, min rate {:.4}, {} sampled, {} evictions)",
+                plan.shards,
+                plan.budget_per_shard,
+                summary.min_rate,
+                summary.sampled_accesses,
+                summary.evictions
+            );
+        }
+        Some(TraceReport {
+            engine: match (plan.exact, sampled.is_some()) {
+                (true, true) => "fused_exact_sampled",
+                (true, false) => "exact_sharded",
+                (false, _) => "sampled_hash_sharded",
+            },
+            description,
+            accesses: job.total_accesses(),
+            streamed: job.streamed_accesses(),
+            exact: job.exact_histogram().cloned(),
+            sampled,
+        })
+    }
+
+    /// The exact curve's footprint and points.
+    fn exact_curve(histogram: &StreamHistogram, points: usize) -> (usize, Vec<MrcPoint>) {
+        let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
+        (
+            footprint,
+            histogram.mrc_points(&log_spaced_sizes(footprint, points)),
+        )
+    }
+
+    /// The sampled curve's estimated footprint and points.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    fn sampled_curve(summary: &SampledSummary, points: usize) -> (usize, Vec<MrcPoint>) {
+        let footprint = summary.estimated_footprint().round().max(1.0) as usize;
+        (
+            footprint,
+            summary
+                .histogram
+                .mrc_points(&log_spaced_sizes(footprint, points)),
+        )
+    }
+
+    /// The human report: the counts, then one table per curve.
+    pub(crate) fn text(&self, points: usize) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "accesses            : {}", self.accesses);
+        let _ = writeln!(out, "engine              : {}", self.description);
+        let _ = writeln!(
+            out,
+            "streamed            : {} (each access decoded once)",
+            self.streamed
+        );
+        if let Some(histogram) = &self.exact {
+            let (footprint, curve) = Self::exact_curve(histogram, points);
+            let _ = writeln!(out, "exact footprint     : {footprint}");
+            out.push_str(&mrc_table(&curve));
+        }
+        if let Some(summary) = &self.sampled {
+            let (footprint, curve) = Self::sampled_curve(summary, points);
+            let _ = writeln!(out, "sampled footprint   : ~{footprint} (estimated)");
+            out.push_str(&mrc_table(&curve));
+        }
+        out
+    }
+
+    /// The report's JSON fields: `engine`, `accesses`, `streamed`, and an
+    /// `exact` and a `sampled` curve object for each half that ran.
+    pub(crate) fn json_fields(&self, points: usize) -> Vec<(&'static str, String)> {
+        let mut fields = vec![
+            ("engine", format!("\"{}\"", self.engine)),
+            ("accesses", self.accesses.to_string()),
+            ("streamed", self.streamed.to_string()),
+        ];
+        if let Some(histogram) = &self.exact {
+            let (footprint, curve) = Self::exact_curve(histogram, points);
+            fields.push((
+                "exact",
+                format!(
+                    "{{\"footprint\": {footprint}, \"mrc\": {}}}",
+                    mrc_array(&curve)
+                ),
+            ));
+        }
+        if let Some(summary) = &self.sampled {
+            let (footprint, curve) = Self::sampled_curve(summary, points);
+            fields.push((
+                "sampled",
+                format!(
+                    "{{\"footprint\": {footprint}, \"footprint_estimated\": true, \
+                     \"min_rate\": {}, \"mrc\": {}}}",
+                    summary.min_rate,
+                    mrc_array(&curve)
+                ),
+            ));
+        }
+        fields
+    }
 }
 
 /// `symloc trace mrc <file|gen:...>` — streams the trace once and reports
-/// its reuse-distance profile and miss-ratio curve: exact (optionally
-/// sharded and checkpoint-resumable), SHARDS-sampled in `O(s_max)` memory,
-/// or — with `--exact --sample S` together — the fused single-pass run
-/// reporting both curves from one streaming pass.
+/// its miss-ratio curves: the exact curve, the SHARDS-sampled curve in
+/// `O(s_max)` memory, or — with `--exact --sample S` — both from one
+/// pass. Every run goes through the resumable trace job except those of
+/// [`TraceMrcOptions::streams`] — one curve from one engine, without a
+/// checkpoint — which stream the trace once through that engine.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] on malformed arguments, unreadable sources,
-/// checkpoint I/O failures, or a checkpoint file of a different job kind.
+/// checkpoint I/O failures, or a checkpoint file of a different or
+/// retired job kind.
 pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
     if help_requested(args) {
         return Ok(TRACE_MRC.help());
@@ -334,214 +422,24 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
     let mut registry = MetricsRegistry::new();
     let mut out = String::new();
     let _ = writeln!(out, "trace mrc — {source}");
-
-    if options.fused {
-        return trace_mrc_fused(&options, out, &mut registry);
-    }
-
-    if let Some(s_max) = options.sample {
-        // Hash-sharded (and optionally checkpoint-resumable) parallel
-        // sampling; one hash shard without a checkpoint degenerates to the
-        // classic single-pass sequential estimator below.
-        if options.checkpoint.is_some() || options.sample_shards > 1 {
-            let shard_count = options.sample_shards;
-            let budget = (s_max / shard_count).max(1);
-            let summary = if let Some(checkpoint) = &options.checkpoint {
-                let path = Path::new(checkpoint);
-                let (mut ingest, resumed) = SampledIngest::resume_or_new(
-                    source,
-                    shard_count,
-                    budget,
-                    options.threads,
-                    path,
-                )
-                .map_err(CliError)?;
-                if resumed {
-                    let _ = writeln!(
-                        out,
-                        "resumed from {checkpoint}: {} of {} hash shards were already done",
-                        ingest.completed_count(),
-                        ingest.shard_count()
-                    );
-                } else if path.exists() {
-                    let _ = writeln!(
-                        out,
-                        "warning: existing checkpoint {checkpoint} does not match this \
-                         source/plan (source {source}, {} accesses, {} hash shards); \
-                         starting fresh and overwriting it",
-                        ingest.total_accesses(),
-                        ingest.shard_count()
-                    );
-                }
-                let ran = ingest
-                    .run_with_checkpoint_metered(
-                        source,
-                        path,
-                        options.max_chunks,
-                        Some(&mut registry),
-                        |_, _| {},
-                    )
-                    .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-                write_metrics(options.metrics.as_deref(), &registry)?;
-                let _ = writeln!(
-                    out,
-                    "ran {ran} hash shard(s); {} of {} complete; checkpoint saved to {checkpoint}",
-                    ingest.completed_count(),
-                    ingest.shard_count()
-                );
-                match ingest.merged() {
-                    Some(summary) => summary,
-                    None => {
-                        if options.json {
-                            return Ok(mrc_progress_json(
-                                source,
-                                ingest.completed_count(),
-                                ingest.shard_count(),
-                                &registry,
-                            ));
-                        }
-                        let _ = writeln!(
-                            out,
-                            "sampled ingest incomplete — re-run the same command to \
-                             continue from the checkpoint"
-                        );
-                        return Ok(out);
-                    }
-                }
-            } else {
-                let mut ingest = SampledIngest::new(source, shard_count, budget, options.threads)
-                    .map_err(CliError)?;
-                let span = Span::start();
-                ingest.run_pending(source, None);
-                registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-                span.record(&mut registry, "trace.total_nanos");
-                write_metrics(options.metrics.as_deref(), &registry)?;
-                ingest.merged().expect("sampled ingest ran to completion")
-            };
-            let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-            let sizes = log_spaced_sizes(footprint, options.points);
-            let points = summary.histogram.mrc_points(&sizes);
-            if options.json {
-                return Ok(mrc_json(
-                    source,
-                    "sampled_hash_sharded",
-                    summary.raw_accesses,
-                    footprint,
-                    true,
-                    &points,
+    let report = if options.streams() {
+        stream_one_pass(&options, &mut registry)?
+    } else {
+        let job = run_trace_job(&options, &mut out, &mut registry)?;
+        match TraceReport::of_job(&job, options.threads) {
+            Some(report) => report,
+            None if options.json => {
+                return Ok(json_document(
+                    &[
+                        ("source", format!("\"{}\"", escape(&source.fingerprint()))),
+                        ("complete", "false".to_string()),
+                        ("completed", job.completed_count().to_string()),
+                        ("total", job.chunk_count().to_string()),
+                    ],
                     &registry,
                 ));
             }
-            let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
-            let _ = writeln!(
-                out,
-                "engine              : sampled hash-sharded ({shard_count} shards x {budget} \
-                 budget, min rate {:.4}, {} sampled, {} evictions, {} threads)",
-                summary.min_rate, summary.sampled_accesses, summary.evictions, options.threads
-            );
-            let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-            out.push_str(&mrc_table(&points));
-            return Ok(out);
-        }
-
-        // The bounded-memory sampled estimator: one sequential pass.
-        let mut estimator = ShardsEstimator::new(s_max);
-        let span = Span::start();
-        estimator.record_all(validated_stream(source)?);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "trace.total_nanos");
-        estimator.record_gauges(&mut registry);
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let footprint = estimator.estimated_footprint().round().max(1.0) as usize;
-        let sizes = log_spaced_sizes(footprint, options.points);
-        let points = estimator.mrc_points(&sizes);
-        if options.json {
-            return Ok(mrc_json(
-                source,
-                "sampled",
-                estimator.raw_accesses(),
-                footprint,
-                true,
-                &points,
-                &registry,
-            ));
-        }
-        let _ = writeln!(out, "accesses            : {}", estimator.raw_accesses());
-        let _ = writeln!(
-            out,
-            "engine              : sampled (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
-            estimator.sampling_rate(),
-            estimator.sampled_accesses(),
-            estimator.evictions()
-        );
-        let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-        out.push_str(&mrc_table(&points));
-        return Ok(out);
-    }
-
-    let mut engine_name = "exact_streaming";
-    let histogram = if let Some(checkpoint) = &options.checkpoint {
-        let path = Path::new(checkpoint);
-        let (mut ingest, resumed) =
-            TraceIngest::resume_or_new(source, options.shards, options.threads, path)
-                .map_err(CliError)?;
-        if resumed {
-            let _ = writeln!(
-                out,
-                "resumed from {checkpoint}: {} of {} chunks were already done",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-        } else if path.exists() {
-            // A checkpoint is on disk but did not match this source, access
-            // count or chunk plan — say so before overwriting it, so a
-            // mistyped --shards or path does not silently discard progress.
-            let _ = writeln!(
-                out,
-                "warning: existing checkpoint {checkpoint} does not match this \
-                 source/plan (source {source}, {} accesses, {} chunks); starting \
-                 fresh and overwriting it",
-                ingest.total_accesses(),
-                ingest.chunk_count()
-            );
-        }
-        let ran = ingest
-            .run_with_checkpoint_metered(
-                source,
-                path,
-                options.max_chunks,
-                Some(&mut registry),
-                |_, _| {},
-            )
-            .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let _ = writeln!(
-            out,
-            "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",
-            ingest.completed_count(),
-            ingest.chunk_count()
-        );
-        match ingest.histogram() {
-            Some(h) => {
-                engine_name = "exact_sharded";
-                let _ = writeln!(out, "accesses            : {}", h.accesses());
-                let _ = writeln!(
-                    out,
-                    "engine              : exact sharded ({} chunks, {} threads)",
-                    ingest.chunk_count(),
-                    options.threads
-                );
-                h.clone()
-            }
             None => {
-                if options.json {
-                    return Ok(mrc_progress_json(
-                        source,
-                        ingest.completed_count(),
-                        ingest.chunk_count(),
-                        &registry,
-                    ));
-                }
                 let _ = writeln!(
                     out,
                     "ingest incomplete — re-run the same command to continue from the checkpoint"
@@ -549,203 +447,168 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
                 return Ok(out);
             }
         }
-    } else if options.threads > 1 {
-        let mut ingest =
-            TraceIngest::new(source, options.shards, options.threads).map_err(CliError)?;
-        let span = Span::start();
-        ingest.run_pending(source, None);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "trace.total_nanos");
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let h = ingest
-            .histogram()
-            .expect("ingest ran to completion")
-            .clone();
-        engine_name = "exact_sharded";
-        let _ = writeln!(out, "accesses            : {}", h.accesses());
-        let _ = writeln!(
-            out,
-            "engine              : exact sharded ({} chunks, {} threads)",
-            ingest.chunk_count(),
-            options.threads
-        );
-        h
-    } else {
-        // The single-threaded exact path runs through a `MeteredSink`, so
-        // decode time (pulling blocks off the source) and compute time
-        // (the engine's Fenwick work) are split — delivery to the engine
-        // is unchanged, so the curve is byte-identical to the unmetered
-        // loop.
-        let mut sink = MeteredSink::new(OnlineReuseEngine::new());
-        let mut blocks = validated_block_stream(source)?;
-        let mut buf = Vec::new();
-        loop {
-            let decode = Span::start();
-            let n = blocks.next_block(&mut buf);
-            sink.add_decode_nanos(decode.elapsed_nanos());
-            if n == 0 {
-                break;
-            }
-            sink.on_block(&buf);
-        }
-        registry.add("trace.accesses", sink.accesses());
-        registry.add("trace.blocks", sink.blocks());
-        registry.add("trace.decode_nanos", sink.decode_nanos());
-        registry.add("trace.compute_nanos", sink.compute_nanos());
-        let engine = sink.into_inner();
-        engine.record_gauges(&mut registry);
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let _ = writeln!(out, "accesses            : {}", engine.accesses());
-        let _ = writeln!(out, "engine              : exact streaming (1 thread)");
-        engine.into_histogram()
     };
-
-    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
-    let sizes = log_spaced_sizes(footprint, options.points);
-    let points = histogram.mrc_points(&sizes);
     if options.json {
-        return Ok(mrc_json(
-            source,
-            engine_name,
-            histogram.accesses(),
-            footprint,
-            false,
-            &points,
-            &registry,
-        ));
+        let mut fields = vec![
+            ("source", format!("\"{}\"", escape(&source.fingerprint()))),
+            ("complete", "true".to_string()),
+        ];
+        fields.extend(report.json_fields(options.points));
+        return Ok(json_document(&fields, &registry));
     }
-    let _ = writeln!(out, "footprint           : {footprint}");
-    out.push_str(&mrc_table(&points));
+    out.push_str(&report.text(options.points));
     Ok(out)
 }
 
-/// The fused `--exact --sample` path of [`trace_mrc`]: **one** streaming
-/// pass over the trace produces both the exact and the sampled curve
-/// (identical to what separate exact and sampled runs would report),
-/// optionally checkpoint-resumable like either separate pipeline.
-fn trace_mrc_fused(
+/// The run of [`TraceMrcOptions::streams`]: one pass of the trace through
+/// the exact engine or the sampled estimator, writing the `--metrics`
+/// snapshot with the engine's gauges.
+fn stream_one_pass(
     options: &TraceMrcOptions,
-    mut out: String,
     registry: &mut MetricsRegistry,
-) -> Result<String, CliError> {
-    let source = &options.source;
-    let s_max = options.sample.expect("fused mode implies --sample");
-    let shard_count = options.sample_shards;
-    let budget = (s_max / shard_count).max(1);
-    let ingest = if let Some(checkpoint) = &options.checkpoint {
-        let path = Path::new(checkpoint);
-        let (mut ingest, resumed) = FusedIngest::resume_or_new(
-            source,
-            options.shards,
-            shard_count,
-            budget,
-            options.threads,
-            path,
-        )
-        .map_err(CliError)?;
-        if resumed {
-            let _ = writeln!(
-                out,
-                "resumed from {checkpoint}: {} of {} chunks were already done",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-        } else if path.exists() {
-            let _ = writeln!(
-                out,
-                "warning: existing checkpoint {checkpoint} does not match this \
-                 source/plan (source {source}, {} accesses, {} chunks, {} hash \
-                 shards); starting fresh and overwriting it",
-                ingest.total_accesses(),
-                ingest.chunk_count(),
-                ingest.shard_count()
-            );
+) -> Result<TraceReport, CliError> {
+    let report = match options.sample {
+        None => {
+            let engine = stream_into(OnlineReuseEngine::new(), &options.source, registry)?;
+            engine.record_gauges(registry);
+            TraceReport {
+                engine: "exact_streaming",
+                description: "exact streaming (1 thread)".to_string(),
+                accesses: engine.accesses(),
+                streamed: engine.accesses(),
+                exact: Some(engine.into_histogram()),
+                sampled: None,
+            }
         }
-        let ran = ingest
-            .run_with_checkpoint_metered(
-                source,
-                path,
-                options.max_chunks,
-                Some(&mut *registry),
-                |_, _| {},
-            )
-            .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-        write_metrics(options.metrics.as_deref(), registry)?;
-        let _ = writeln!(
-            out,
-            "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",
-            ingest.completed_count(),
-            ingest.chunk_count()
-        );
-        ingest
-    } else {
-        let mut ingest =
-            FusedIngest::new(source, options.shards, shard_count, budget, options.threads)
-                .map_err(CliError)?;
-        let span = Span::start();
-        ingest.run_pending(source, None);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(registry, "trace.total_nanos");
-        write_metrics(options.metrics.as_deref(), registry)?;
-        ingest
-    };
-    let (Some(histogram), Some(summary)) = (ingest.exact_histogram(), ingest.sampled_summary())
-    else {
-        if options.json {
-            return Ok(mrc_progress_json(
-                source,
-                ingest.completed_count(),
-                ingest.chunk_count(),
-                registry,
-            ));
+        Some(s_max) => {
+            let estimator = stream_into(ShardsEstimator::new(s_max), &options.source, registry)?;
+            estimator.record_gauges(registry);
+            TraceReport {
+                engine: "sampled",
+                description: format!(
+                    "sampled streaming (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
+                    estimator.sampling_rate(),
+                    estimator.sampled_accesses(),
+                    estimator.evictions()
+                ),
+                accesses: estimator.raw_accesses(),
+                streamed: estimator.raw_accesses(),
+                exact: None,
+                sampled: Some(estimator.summary()),
+            }
         }
-        let _ = writeln!(
-            out,
-            "fused ingest incomplete — re-run the same command to continue from \
-             the checkpoint"
-        );
-        return Ok(out);
     };
-    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
-    let exact_points = histogram.mrc_points(&log_spaced_sizes(footprint, options.points));
-    let est_footprint = summary.estimated_footprint().round().max(1.0) as usize;
-    let sampled_points = summary
-        .histogram
-        .mrc_points(&log_spaced_sizes(est_footprint, options.points));
-    if options.json {
-        return Ok(fused_mrc_json(
-            source,
-            histogram.accesses(),
-            ingest.streamed_accesses(),
-            footprint,
-            &exact_points,
-            est_footprint,
-            summary.min_rate,
-            &sampled_points,
-            registry,
-        ));
+    write_metrics(options.metrics.as_deref(), registry)?;
+    Ok(report)
+}
+
+/// Streams `source` once into `engine` behind a `MeteredSink`, so decode
+/// time (pulling blocks off the source) and compute time (the engine's
+/// work) are split into `trace.*` counters — delivery to the engine is
+/// unchanged, so its result is identical to the unmetered loop.
+fn stream_into<S: AccessSink>(
+    engine: S,
+    source: &TraceSource,
+    registry: &mut MetricsRegistry,
+) -> Result<S, CliError> {
+    let span = Span::start();
+    let mut sink = MeteredSink::new(engine);
+    let mut blocks = validated_block_stream(source)?;
+    let mut buf = Vec::new();
+    loop {
+        let decode = Span::start();
+        let n = blocks.next_block(&mut buf);
+        sink.add_decode_nanos(decode.elapsed_nanos());
+        if n == 0 {
+            break;
+        }
+        sink.on_block(&buf);
     }
-    let _ = writeln!(out, "accesses            : {}", histogram.accesses());
+    registry.add("trace.accesses", sink.accesses());
+    registry.add("trace.blocks", sink.blocks());
+    registry.add("trace.decode_nanos", sink.decode_nanos());
+    registry.add("trace.compute_nanos", sink.compute_nanos());
+    span.record(registry, "trace.total_nanos");
+    Ok(sink.into_inner())
+}
+
+/// Runs the trace job the options describe — resumed from and saved to
+/// `--checkpoint` when given — noting resumes, plan mismatches and
+/// progress in `out`, and writing the `--metrics` snapshot with the
+/// sampled half's estimator gauges.
+fn run_trace_job(
+    options: &TraceMrcOptions,
+    out: &mut String,
+    registry: &mut MetricsRegistry,
+) -> Result<FusedIngest, CliError> {
+    let job = match &options.checkpoint {
+        None => {
+            let source = &options.source;
+            let mut job =
+                FusedIngest::planned(source, options.plan(), options.threads).map_err(CliError)?;
+            let span = Span::start();
+            job.run_pending(source, None);
+            registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
+            span.record(registry, "trace.total_nanos");
+            job
+        }
+        Some(checkpoint) => run_checkpointed_job(options, checkpoint, out, registry)?,
+    };
+    job.record_gauges(registry);
+    write_metrics(options.metrics.as_deref(), registry)?;
+    Ok(job)
+}
+
+/// [`run_trace_job`] resumed from and saved to `checkpoint`.
+fn run_checkpointed_job(
+    options: &TraceMrcOptions,
+    checkpoint: &str,
+    out: &mut String,
+    registry: &mut MetricsRegistry,
+) -> Result<FusedIngest, CliError> {
+    let source = &options.source;
+    let plan = options.plan();
+    let path = Path::new(checkpoint);
+    let (mut job, resumed) =
+        FusedIngest::resume_or_new(source, plan, options.threads, path).map_err(CliError)?;
+    if resumed {
+        let _ = writeln!(
+            out,
+            "resumed from {checkpoint}: {} of {} chunks were already done",
+            job.completed_count(),
+            job.chunk_count()
+        );
+    } else if path.exists() {
+        // A checkpoint is on disk but did not match this source, access
+        // count or plan — say so before overwriting it, so a mistyped
+        // flag or path does not silently discard progress.
+        let _ = writeln!(
+            out,
+            "warning: existing checkpoint {checkpoint} does not match this \
+             source/plan (source {source}, {} accesses, {} chunks, {}, {} hash \
+             shards); starting fresh and overwriting it",
+            job.total_accesses(),
+            job.chunk_count(),
+            plan.halves(),
+            plan.shards
+        );
+    }
+    let ran = job
+        .run_with_checkpoint_metered(
+            source,
+            path,
+            options.max_chunks,
+            Some(&mut *registry),
+            |_, _| {},
+        )
+        .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
     let _ = writeln!(
         out,
-        "engine              : fused single-pass ({} chunks -> exact + {} hash \
-         shards x {} budget, min rate {:.4}, {} threads)",
-        ingest.chunk_count(),
-        shard_count,
-        budget,
-        summary.min_rate,
-        options.threads
+        "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",
+        job.completed_count(),
+        job.chunk_count()
     );
-    let _ = writeln!(
-        out,
-        "streamed            : {} (each access decoded once)",
-        ingest.streamed_accesses()
-    );
-    let _ = writeln!(out, "exact footprint     : {footprint}");
-    out.push_str(&mrc_table(&exact_points));
-    let _ = writeln!(out, "sampled footprint   : ~{est_footprint} (estimated)");
-    out.push_str(&mrc_table(&sampled_points));
-    Ok(out)
+    Ok(job)
 }
 
 /// `symloc trace convert <in> <out> [--index N]` — streams a trace from any
@@ -959,27 +822,48 @@ mod tests {
         assert!(parse_trace_mrc_options(&sargs("x.trace --shards 0")).is_err());
         assert!(parse_trace_mrc_options(&sargs("x.trace --points 0")).is_err());
         assert!(parse_trace_mrc_options(&sargs("x.trace --frobnicate 1")).is_err());
-        // --exact --sample together select the fused single-pass mode.
-        let fused = parse_trace_mrc_options(&sargs("x.trace --exact --sample 9")).unwrap();
-        assert!(fused.fused);
-        assert_eq!(fused.sample, Some(9));
-        assert!(
-            !parse_trace_mrc_options(&sargs("x.trace --sample 9"))
-                .unwrap()
-                .fused
-        );
-        assert!(
-            !parse_trace_mrc_options(&sargs("x.trace --exact"))
-                .unwrap()
-                .fused
-        );
+        // --exact --sample together select both halves of the job; either
+        // flag alone selects one, and no flag at all the exact half.
+        let both = parse_trace_mrc_options(&sargs("x.trace --exact --sample 9")).unwrap();
+        assert_eq!(both.plan(), TracePlan::both(8, 1, 9));
+        let sampled = parse_trace_mrc_options(&sargs("x.trace --sample 9")).unwrap();
+        assert_eq!(sampled.plan(), TracePlan::sampled(8, 1, 9));
+        for exact in ["x.trace --exact", "x.trace"] {
+            let options = parse_trace_mrc_options(&sargs(exact)).unwrap();
+            assert_eq!(options.plan(), TracePlan::exact(8));
+        }
+        // Only one curve from one engine without a checkpoint skips the
+        // job: the exact curve on one thread, or the sampled curve at one
+        // hash shard.
+        for streams in [
+            "x.trace --threads 1",
+            "x.trace --sample 9",
+            "x.trace --sample 9 --shards 1 --threads 4",
+        ] {
+            assert!(
+                parse_trace_mrc_options(&sargs(streams)).unwrap().streams(),
+                "{streams}"
+            );
+        }
+        for job in [
+            "x.trace --threads 2",
+            "x.trace --threads 1 --exact --sample 9",
+            "x.trace --sample 9 --shards 2",
+            "x.trace --sample 9 --checkpoint c.json",
+            "x.trace --threads 1 --checkpoint c.json",
+        ] {
+            assert!(
+                !parse_trace_mrc_options(&sargs(job)).unwrap().streams(),
+                "{job}"
+            );
+        }
         // The fused budget floor matches the sampled path's.
         assert!(parse_trace_mrc_options(&sargs("x.trace --exact --sample 3 --shards 4")).is_err());
-        // Sampled runs checkpoint now (hash shards), and --shards doubles
-        // as the hash-shard count on the sampled path.
+        // Sampled runs checkpoint too, and --shards doubles as the
+        // hash-shard count of the sampled half.
         assert!(parse_trace_mrc_options(&sargs("x.trace --sample 9 --checkpoint c.json")).is_ok());
         let sharded = parse_trace_mrc_options(&sargs("x.trace --sample 64 --shards 4")).unwrap();
-        assert_eq!(sharded.sample_shards, 4);
+        assert_eq!(sharded.plan(), TracePlan::sampled(4, 4, 16));
         assert_eq!(
             parse_trace_mrc_options(&sargs("x.trace --sample 64"))
                 .unwrap()
@@ -999,20 +883,23 @@ mod tests {
 
     #[test]
     fn trace_mrc_exact_sampled_and_sharded_agree() {
-        // Exact streaming, exact sharded and full-budget sampling must all
+        // Exact streaming, the exact job and full-budget sampling must all
         // report the same curve for the same generated trace.
         let exact = trace_mrc(&sargs("gen:sawtooth:50:8 --threads 1 --points 6")).unwrap();
         assert!(exact.contains("accesses            : 400"));
         assert!(exact.contains("exact streaming"));
-        assert!(exact.contains("footprint           : 50"));
+        assert!(exact.contains("exact footprint     : 50"));
         let sharded = trace_mrc(&sargs(
             "gen:sawtooth:50:8 --threads 3 --shards 5 --points 6",
         ))
         .unwrap();
-        assert!(sharded.contains("exact sharded (5 chunks, 3 threads)"));
+        assert!(
+            sharded.contains("trace job (5 chunks, 3 threads): exact"),
+            "{sharded}"
+        );
         let tail = |s: &str| {
             s.lines()
-                .skip_while(|l| !l.starts_with("footprint"))
+                .skip_while(|l| !l.starts_with("exact footprint"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
@@ -1021,6 +908,7 @@ mod tests {
         let sampled = trace_mrc(&sargs("gen:sawtooth:50:8 --sample 100 --points 6")).unwrap();
         assert!(sampled.contains("rate 1.0000"));
         assert!(sampled.contains("~50 (estimated)"));
+        assert!(!sampled.contains("exact footprint"), "{sampled}");
         for line in tail(&exact).lines().skip(1) {
             assert!(
                 sampled.contains(line.trim_start_matches(' ')),
@@ -1039,19 +927,72 @@ mod tests {
         );
         assert_eq!(doc.get("complete"), Some(&JsonValue::Bool(true)));
         assert_eq!(doc.get("accesses").and_then(JsonValue::as_u64), Some(400));
-        assert_eq!(doc.get("footprint").and_then(JsonValue::as_u64), Some(50));
-        let mrc = doc.get("mrc").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(
+            doc.get("engine").and_then(JsonValue::as_str),
+            Some("exact_streaming")
+        );
+        let exact = doc.get("exact").unwrap();
+        assert_eq!(exact.get("footprint").and_then(JsonValue::as_u64), Some(50));
+        assert!(doc.get("sampled").is_none());
+        let mrc = exact.get("mrc").and_then(JsonValue::as_array).unwrap();
         assert!(!mrc.is_empty());
         for point in mrc {
             let pair = point.as_array().unwrap();
             assert!(pair[0].as_u64().is_some());
             assert!((0.0..=1.0).contains(&pair[1].as_f64().unwrap()));
         }
-        // The sampled engine reports an estimated footprint.
+        // The sampled curve reports an estimated footprint, and no exact
+        // curve rides along.
         let sampled =
             trace_mrc(&sargs("gen:sawtooth:50:8 --sample 100 --points 6 --json")).unwrap();
         let doc = jsonio::parse(&sampled).unwrap();
-        assert_eq!(doc.get("footprint_estimated"), Some(&JsonValue::Bool(true)));
+        assert_eq!(
+            doc.get("engine").and_then(JsonValue::as_str),
+            Some("sampled")
+        );
+        assert_eq!(
+            doc.get("sampled").unwrap().get("footprint_estimated"),
+            Some(&JsonValue::Bool(true))
+        );
+        assert!(doc.get("exact").is_none());
+    }
+
+    #[test]
+    fn trace_mrc_metrics_snapshots_carry_engine_gauges() {
+        let path = std::env::temp_dir().join(format!(
+            "symloc_cli_trace_metrics_{}.json",
+            std::process::id()
+        ));
+        for (flags, names) in [
+            (
+                "--threads 1",
+                &["engine.footprint", "trace.decode_nanos"][..],
+            ),
+            (
+                "--sample 64",
+                &["estimator.threshold", "trace.decode_nanos"][..],
+            ),
+            (
+                "--sample 64 --shards 3",
+                &["estimator.tracked", "job.elapsed_secs"][..],
+            ),
+            (
+                "--exact --sample 64 --shards 3 --threads 2",
+                &["estimator.sampling_rate", "estimator.estimated_footprint"][..],
+            ),
+        ] {
+            std::fs::remove_file(&path).ok();
+            trace_mrc(&sargs(&format!(
+                "gen:zipf:200:4000:0.8:5 {flags} --points 4 --metrics {}",
+                path.display()
+            )))
+            .unwrap();
+            let snapshot = std::fs::read_to_string(&path).unwrap();
+            for name in names {
+                assert!(snapshot.contains(&format!("\"{name}\"")), "{flags}: {name}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1089,7 +1030,7 @@ mod tests {
         let direct = trace_mrc(&sargs("gen:zipf:60:2000:0.8:3 --threads 1")).unwrap();
         let tail = |s: &str| {
             s.lines()
-                .skip_while(|l| !l.starts_with("footprint"))
+                .skip_while(|l| !l.starts_with("exact footprint"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
@@ -1109,7 +1050,7 @@ mod tests {
         ))
         .unwrap();
         assert!(
-            direct.contains("sampled hash-sharded (4 shards x 16 budget"),
+            direct.contains("sampled (4 hash shards x 16 budget"),
             "{direct}"
         );
         assert!(direct.contains("accesses            : 4000"));
@@ -1120,7 +1061,7 @@ mod tests {
         );
         let first = trace_mrc(&sargs(&format!("{spec} --max-chunks 2"))).unwrap();
         assert!(first.contains("2 of 4 complete"), "{first}");
-        assert!(first.contains("sampled ingest incomplete"));
+        assert!(first.contains("ingest incomplete"));
 
         let second = trace_mrc(&sargs(&spec)).unwrap();
         assert!(second.contains("resumed from"));
@@ -1135,26 +1076,40 @@ mod tests {
         };
         assert_eq!(tail(&second), tail(&direct));
 
-        // One hash shard falls back to the classic sequential estimator
-        // output.
+        // One hash shard without a checkpoint streams the trace once
+        // through the sequential estimator, and reports the table of the
+        // job at one hash shard, whose whole budget is on that shard.
         let single = trace_mrc(&sargs("gen:zipf:200:4000:0.8:5 --sample 64 --points 6")).unwrap();
-        assert!(single.contains("engine              : sampled (s_max 64"));
+        assert!(single.contains("sampled streaming (s_max 64"), "{single}");
+        std::fs::remove_file(&path).ok();
+        let job = trace_mrc(&sargs(&format!(
+            "gen:zipf:200:4000:0.8:5 --sample 64 --points 6 --checkpoint {path_str}"
+        )))
+        .unwrap();
+        assert!(job.contains("sampled (1 hash shards x 64 budget"), "{job}");
+        let table = |s: &str| {
+            s.lines()
+                .skip_while(|l| !l.starts_with("sampled footprint"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(table(&single), table(&job));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_mrc_fused_agrees_with_separate_exact_and_sampled_runs() {
-        // One fused pass must reproduce the exact table of the sharded
-        // exact run *and* the sampled table of the hash-sharded sampled
-        // run, for the same plans.
+        // One pass with both halves must reproduce the exact table of the
+        // exact-only run *and* the sampled table of the sampled-only run,
+        // for the same plans.
         let fused = trace_mrc(&sargs(
             "gen:zipf:200:4000:0.8:5 --exact --sample 64 --shards 4 --threads 2 --points 6",
         ))
         .unwrap();
         assert!(
             fused.contains(
-                "engine              : fused single-pass (4 chunks -> exact + 4 hash \
-                 shards x 16 budget"
+                "engine              : trace job (4 chunks, 2 threads): exact + sampled \
+                 (4 hash shards x 16 budget"
             ),
             "{fused}"
         );
@@ -1178,13 +1133,13 @@ mod tests {
         };
         assert_eq!(
             table_after(&fused, "exact footprint"),
-            table_after(&exact, "footprint"),
-            "fused exact curve must match the two-pass exact curve"
+            table_after(&exact, "exact footprint"),
+            "fused exact curve must match the exact-only curve"
         );
         assert_eq!(
             table_after(&fused, "sampled footprint"),
-            table_after(&sampled, "footprint"),
-            "fused sampled curve must match the two-pass sampled curve"
+            table_after(&sampled, "sampled footprint"),
+            "fused sampled curve must match the sampled-only curve"
         );
     }
 
@@ -1240,7 +1195,7 @@ mod tests {
         );
         let first = trace_mrc(&sargs(&format!("{spec} --max-chunks 2"))).unwrap();
         assert!(first.contains("2 of 4 complete"), "{first}");
-        assert!(first.contains("fused ingest incomplete"));
+        assert!(first.contains("ingest incomplete"));
 
         // A --json probe of the incomplete state reports progress.
         let probe = trace_mrc(&sargs(&format!("{spec} --max-chunks 0 --json"))).unwrap();

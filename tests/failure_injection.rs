@@ -293,7 +293,7 @@ fn interner_id_exhaustion_panics_instead_of_wrapping() {
 
 #[test]
 fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
-    use symmetric_locality::core::tracesweep::TraceIngest;
+    use symmetric_locality::core::tracesweep::{FusedIngest, TracePlan};
     use symmetric_locality::trace::binio::{sltr_index_path, write_sltr_indexed};
     use symmetric_locality::trace::generators::{cyclic_trace, zipfian_trace};
     use symmetric_locality::trace::stream::TraceSource;
@@ -310,8 +310,9 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
     let healthy_index = write_sltr_indexed(&t, &path, 64).unwrap();
     let source = TraceSource::Binary(path.clone());
 
-    // Reference: the parallel ingest with a healthy sidecar.
-    let mut healthy = TraceIngest::new(&source, 8, 2).unwrap();
+    // Reference: the parallel job with a healthy sidecar.
+    let plan = TracePlan::both(8, 2, 64);
+    let mut healthy = FusedIngest::planned(&source, plan, 2).unwrap();
     healthy.run_pending(&source, None);
     let expected = healthy.to_json();
 
@@ -319,7 +320,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
     // mismatched index — here, one describing a different payload). The
     // parallel decode path must silently fall back to sequential
     // decode-skip per chunk and finish byte-identical, not mis-seek.
-    let mut ingest = TraceIngest::new(&source, 8, 2).unwrap();
+    let mut ingest = FusedIngest::planned(&source, plan, 2).unwrap();
     let stale = write_sltr_indexed(&cyclic_trace(10, 3), &other, 16).unwrap();
     stale.write(&sidecar).unwrap();
     ingest.run_pending(&source, None);
@@ -327,7 +328,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
 
     // Sidecar vanishing entirely mid-job is the same fallback.
     healthy_index.write(&sidecar).unwrap();
-    let mut ingest = TraceIngest::new(&source, 8, 2).unwrap();
+    let mut ingest = FusedIngest::planned(&source, plan, 2).unwrap();
     std::fs::remove_file(&sidecar).unwrap();
     ingest.run_pending(&source, None);
     assert_eq!(ingest.to_json(), expected);
@@ -341,7 +342,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
 fn mangled_checkpoint_documents_are_rejected_with_context() {
     use symmetric_locality::core::engine::SweepSpec;
     use symmetric_locality::core::shard::SampledSweep;
-    use symmetric_locality::core::tracesweep::{SampledIngest, TraceIngest};
+    use symmetric_locality::core::tracesweep::{FusedIngest, TracePlan};
     use symmetric_locality::trace::stream::{GenSpec, TraceSource};
 
     // A sampled-sweep checkpoint with flipped bits in every load-bearing
@@ -361,32 +362,52 @@ fn mangled_checkpoint_documents_are_rejected_with_context() {
         assert!(SampledSweep::from_json(&mangled, 1).is_err(), "{mangled}");
     }
 
-    // Same for the sampled trace ingest…
+    // Same for the trace job with its sampled half alone…
     let source = TraceSource::Gen(GenSpec::parse("gen:zipf:50:500:0.9:1").unwrap());
-    let mut ingest = SampledIngest::new(&source, 2, 16, 1).unwrap();
-    ingest.run_pending(&source, Some(1));
-    let good = ingest.to_json();
+    let mut sampled = FusedIngest::planned(&source, TracePlan::sampled(3, 2, 16), 1).unwrap();
+    sampled.run_pending(&source, Some(1));
+    let good = sampled.to_json();
     for mangled in [
-        good.replace("symloc_sampled_trace_checkpoint", "nope"),
+        good.replace("symloc_fused_trace_checkpoint", "nope"),
         good.replace("\"threshold\": 16777216", "\"threshold\": 0"),
         good.replace("\"cold\": ", "\"cold\": -"),
         good.replace("histogram", "histogrum"),
+        good.replace("\"exact\": false", "\"exakt\": false"),
         "{}".to_string(),
         "not json at all".to_string(),
     ] {
-        assert!(SampledIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
     }
 
-    // …and the exact trace ingest.
-    let mut exact = TraceIngest::new(&source, 3, 1).unwrap();
+    // …with its exact half alone: a mangled timeline, a duplicated
+    // timeline address, or a cold count that differs from the timeline
+    // length must fail rather than resume to a wrong curve…
+    let mut exact = FusedIngest::planned(&source, TracePlan::exact(3), 1).unwrap();
     exact.run_pending(&source, Some(1));
     let good = exact.to_json();
-    assert!(TraceIngest::from_json(&good.replace("timeline", "timeleap"), 1).is_err());
-    assert!(TraceIngest::from_json(&good.replace("[", "{"), 1).is_err());
+    let timeline = good.find("\"timeline\": [").unwrap() + "\"timeline\": [".len();
+    let first: String = good[timeline..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    let cold_line = good.lines().find(|l| l.contains("\"cold\": ")).unwrap();
+    let cold: u64 = cold_line
+        .trim()
+        .trim_start_matches("\"cold\": ")
+        .trim_end_matches(',')
+        .parse()
+        .unwrap();
+    for mangled in [
+        good.replace("timeline", "timeleap"),
+        good.replace("[", "{"),
+        good.replace("\"timeline\": [", &format!("\"timeline\": [{first}, ")),
+        good.replace(cold_line, &format!("  \"cold\": {},", cold + 1)),
+    ] {
+        assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+    }
 
-    // …and the fused ingest, whose checkpoint carries both sides: mangling
+    // …and with both halves, whose checkpoint carries both sides: mangling
     // either the exact state or any per-shard sampled state is rejected.
-    use symmetric_locality::core::tracesweep::FusedIngest;
     let mut fused = FusedIngest::new(&source, 3, 2, 16, 1).unwrap();
     fused.run_pending(&source, Some(1));
     let good = fused.to_json();
@@ -434,7 +455,7 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
     use symmetric_locality::core::job::JobKind;
     use symmetric_locality::core::serve::ServeState;
     use symmetric_locality::core::shard::{SampledSweep, ShardedSweep};
-    use symmetric_locality::core::tracesweep::{FusedIngest, SampledIngest, TraceIngest};
+    use symmetric_locality::core::tracesweep::{FusedIngest, TracePlan};
     use symmetric_locality::trace::stream::{GenSpec, TraceSource};
 
     // One small in-progress checkpoint per job kind.
@@ -443,10 +464,6 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
     sharded.run_pending(Some(1));
     let mut sampled_sweep = SampledSweep::new(SweepSpec::figure1(5), 60, 2, 1, 1);
     sampled_sweep.run_pending(Some(2));
-    let mut ingest = TraceIngest::new(&source, 3, 1).unwrap();
-    ingest.run_pending(&source, Some(1));
-    let mut sampled_ingest = SampledIngest::new(&source, 2, 16, 1).unwrap();
-    sampled_ingest.run_pending(&source, Some(1));
     let mut fused_ingest = FusedIngest::new(&source, 3, 2, 16, 1).unwrap();
     fused_ingest.run_pending(&source, Some(1));
     let mut serve_state = ServeState::new(16, 4).unwrap();
@@ -455,8 +472,6 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
     let documents = [
         (JobKind::ShardedSweep, sharded.to_json()),
         (JobKind::SampledSweep, sampled_sweep.to_json()),
-        (JobKind::TraceIngest, ingest.to_json()),
-        (JobKind::SampledIngest, sampled_ingest.to_json()),
         (JobKind::FusedIngest, fused_ingest.to_json()),
         (JobKind::ServeState, serve_state.to_json()),
     ];
@@ -468,8 +483,6 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
         match expected {
             JobKind::ShardedSweep => ShardedSweep::from_json(text, 1).unwrap_err(),
             JobKind::SampledSweep => SampledSweep::from_json(text, 1).unwrap_err(),
-            JobKind::TraceIngest => TraceIngest::from_json(text, 1).unwrap_err(),
-            JobKind::SampledIngest => SampledIngest::from_json(text, 1).unwrap_err(),
             JobKind::FusedIngest => FusedIngest::from_json(text, 1).unwrap_err(),
             JobKind::ServeState => ServeState::from_json(text).unwrap_err(),
         }
@@ -509,17 +522,8 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
                     .map(|(s, _)| s.completed_count()),
             ),
             (
-                JobKind::TraceIngest,
-                TraceIngest::resume_or_new(&source, 3, 1, &path).map(|(s, _)| s.completed_count()),
-            ),
-            (
-                JobKind::SampledIngest,
-                SampledIngest::resume_or_new(&source, 2, 16, 1, &path)
-                    .map(|(s, _)| s.completed_count()),
-            ),
-            (
                 JobKind::FusedIngest,
-                FusedIngest::resume_or_new(&source, 3, 2, 16, 1, &path)
+                FusedIngest::resume_or_new(&source, TracePlan::both(3, 2, 16), 1, &path)
                     .map(|(s, _)| s.completed_count()),
             ),
             (
@@ -547,7 +551,7 @@ fn corrupt_truncated_or_stale_heartbeats_degrade_status_but_never_fail() {
     use symmetric_locality::cli;
     use symmetric_locality::core::job::Heartbeat;
     use symmetric_locality::core::obs::MetricsRegistry;
-    use symmetric_locality::core::tracesweep::TraceIngest;
+    use symmetric_locality::core::tracesweep::{FusedIngest, TracePlan};
     use symmetric_locality::trace::stream::{GenSpec, TraceSource};
 
     let dir = std::env::temp_dir();
@@ -565,7 +569,7 @@ fn corrupt_truncated_or_stale_heartbeats_degrade_status_but_never_fail() {
 
     // An interrupted checkpointed ingest leaves a live heartbeat sidecar.
     let source = TraceSource::Gen(GenSpec::parse("gen:zipf:60:2000:0.8:3").unwrap());
-    let mut ingest = TraceIngest::new(&source, 6, 1).unwrap();
+    let mut ingest = FusedIngest::planned(&source, TracePlan::exact(6), 1).unwrap();
     ingest
         .run_with_checkpoint(&source, &ck, Some(1), |_, _| {})
         .unwrap();
@@ -792,4 +796,77 @@ fn cli_surfaces_errors_instead_of_panicking() {
         "0<1".to_string(),
     ]);
     assert!(err.is_err(), "cyclic constraints must be rejected");
+}
+
+#[test]
+fn retired_trace_checkpoints_fail_loudly_and_stay_untouched() {
+    use symmetric_locality::cli;
+
+    // The exact-only and sampled-only trace jobs once wrote checkpoints of
+    // their own kinds. Those tags are retired: every command that could
+    // resume one refuses it, names the retired kind, says to re-run, and
+    // leaves the file byte for byte as it was.
+    let dir = std::env::temp_dir();
+    let ck = dir.join(format!(
+        "symloc_failinj_retired_{}.json",
+        std::process::id()
+    ));
+    let ck_str = ck.to_str().unwrap().to_string();
+    let run = |args: &[&str]| {
+        cli::run(
+            &args
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<String>>(),
+        )
+    };
+    for (tag, body) in [
+        (
+            "symloc_trace_ingest_checkpoint",
+            "  \"total_accesses\": 500,\n  \"chunk_count\": 3,\n  \"next_chunk\": 1,\n  \
+             \"cold\": 0,\n  \"histogram\": [],\n  \"timeline\": []\n",
+        ),
+        (
+            "symloc_sampled_trace_checkpoint",
+            "  \"total_accesses\": 500,\n  \"shard_count\": 2,\n  \"budget_per_shard\": 16,\n  \
+             \"threshold\": 16777216,\n  \"next_shard\": 0,\n  \"shards\": [\n  ]\n",
+        ),
+    ] {
+        let doc = format!(
+            "{{\n  \"kind\": \"{tag}\",\n  \"version\": 1,\n  \"fingerprint\": \
+             \"gen:zipf:50:500:0.9:1\",\n{body}}}\n"
+        );
+        std::fs::write(&ck, &doc).unwrap();
+        for args in [
+            vec!["job", "status", &ck_str],
+            vec!["job", "resume", &ck_str],
+            vec![
+                "trace",
+                "mrc",
+                "gen:zipf:50:500:0.9:1",
+                "--shards",
+                "3",
+                "--checkpoint",
+                &ck_str,
+            ],
+            vec![
+                "trace",
+                "mrc",
+                "gen:zipf:50:500:0.9:1",
+                "--sample",
+                "32",
+                "--shards",
+                "2",
+                "--checkpoint",
+                &ck_str,
+            ],
+        ] {
+            let err = run(&args).expect_err("a retired checkpoint must not resume");
+            assert!(err.0.contains(tag), "{args:?}: {err}");
+            assert!(err.0.contains("retired"), "{args:?}: {err}");
+            assert!(err.0.contains("re-run"), "{args:?}: {err}");
+            assert_eq!(std::fs::read_to_string(&ck).unwrap(), doc, "{args:?}");
+        }
+    }
+    std::fs::remove_file(&ck).ok();
 }

@@ -134,8 +134,8 @@ fn hierarchy_simulation_prefers_better_symmetric_locality() {
 
 #[test]
 fn parallel_sweep_matches_sequential_sweep() {
-    let sequential = exhaustive_levels(6, 1);
-    let parallel = exhaustive_levels(6, symloc_par::default_threads());
+    let sequential = SweepEngine::with_threads(6, 1).exhaustive_levels();
+    let parallel = SweepEngine::with_threads(6, symloc_par::default_threads()).exhaustive_levels();
     assert_eq!(sequential, parallel);
     let curves = average_mrc_by_inversion(6, 4);
     assert_eq!(curves.len(), max_inversions(6) + 1);

@@ -204,3 +204,37 @@ fn tcp_daemon_survives_sigterm_and_answers_identically() {
     assert!(child.wait().expect("daemon exits").success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn plain_clients_get_each_reply_without_a_delayed_ack_stall() {
+    // A plain client — one write per request, no TCP_NODELAY of its own —
+    // waiting for every reply before the next request. A reply sent as
+    // two segments waits out the client's delayed ACK (~40 ms each, ~2 s
+    // for 50 round trips); one segment per reply answers at once.
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_ping_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut child, addr) = spawn_tcp(&dir.join("serve.ckpt.json"));
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        writer.write_all(b"PING\n").expect("send PING");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        assert_eq!(reply, "OK pong\n");
+    }
+    let elapsed = start.elapsed();
+    writer.write_all(b"QUIT\n").expect("send QUIT");
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(kill.success());
+    assert!(child.wait().expect("daemon exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "50 sequential PING round trips took {elapsed:?}"
+    );
+}

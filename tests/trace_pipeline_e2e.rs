@@ -67,21 +67,22 @@ fn convert_then_sampled_sharded_mrc_with_kill_and_resume() {
         "{reference_report}"
     );
     assert!(
-        reference_report.contains("sampled hash-sharded (3 shards x 32 budget"),
+        reference_report
+            .contains("trace job (3 chunks, 2 threads): sampled (3 hash shards x 32 budget"),
         "{reference_report}"
     );
     let reference_rows = parse_mrc_table(&reference_report);
     assert!(!reference_rows.is_empty());
     let reference_bytes = std::fs::read(&reference_ckpt).unwrap();
 
-    // 3. The same analysis, killed after one shard…
+    // 3. The same analysis, killed after one chunk…
     let killed_ckpt = dir.join("killed.ckpt.json");
     let killed_ckpt_str = killed_ckpt.to_string_lossy().to_string();
     let first = run(&format!(
         "{mrc_args} --checkpoint {killed_ckpt_str} --max-chunks 1"
     ));
     assert!(first.contains("1 of 3 complete"), "{first}");
-    assert!(first.contains("sampled ingest incomplete"), "{first}");
+    assert!(first.contains("ingest incomplete"), "{first}");
     assert!(killed_ckpt.exists());
     assert_ne!(
         std::fs::read(&killed_ckpt).unwrap(),
@@ -106,8 +107,8 @@ fn convert_then_sampled_sharded_mrc_with_kill_and_resume() {
     );
     assert_eq!(parse_mrc_table(&resumed_report), reference_rows);
 
-    // 6. The exact (chunk-sharded) path over the same indexed file also
-    //    kills and resumes to the uninterrupted result.
+    // 6. The exact half alone over the same indexed file also kills and
+    //    resumes to the uninterrupted result.
     let exact_ckpt = dir.join("exact.ckpt.json");
     let exact_ckpt_str = exact_ckpt.to_string_lossy().to_string();
     let exact_args = format!("trace mrc {sltr_str} --shards 4 --threads 2 --points 8");
