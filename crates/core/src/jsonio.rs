@@ -9,6 +9,7 @@
 //! duplicate keys).
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,18 +98,39 @@ impl JsonValue {
 }
 
 /// Writes a checkpoint document to `path` atomically: the bytes land in a
-/// sibling `.json.tmp` file first and are renamed over the target, so a
-/// kill mid-save leaves the previous checkpoint intact. The single save
-/// path every checkpointing runner (`ShardedSweep`, `SampledSweep`, the
-/// trace job `FusedIngest`, the serve state) goes through.
+/// sibling temp file first and are renamed over the target, so a kill
+/// mid-save leaves the previous checkpoint intact. The single save path
+/// every checkpointing runner (`ShardedSweep`, `SampledSweep`, the trace
+/// job `FusedIngest`, the serve state) goes through.
+///
+/// Every call writes its own temp file, `<file>.<pid>.<n>.tmp`, so two
+/// writers to one path never write into each other's bytes: the target
+/// always holds one whole document. The temp file is removed when the
+/// write or the rename fails.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
 pub fn save_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+    let Some(name) = path.file_name() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} does not name a file", path.display()),
+        ));
+    };
+    let mut temp = name.to_os_string();
+    temp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = path.with_file_name(temp);
+    let saved = std::fs::write(&temp, contents).and_then(|()| std::fs::rename(&temp, path));
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    saved
 }
 
 /// Escapes a string for embedding in a JSON document.
@@ -255,11 +277,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8 string")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash at once.
+                // Both are ASCII, so the run ends on a character boundary
+                // and only the run needs a UTF-8 check, which keeps
+                // parsing linear in the document size.
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|_| "non-utf8 string")?);
+                *pos += len;
             }
         }
     }
@@ -374,7 +402,7 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let nasty = "quote \" slash \\ newline \n tab \t bell \u{1} done";
+        let nasty = "quote \" slash \\ newline \n tab \t bell \u{1} ünïcødé ✓ 𝄞 done";
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(nasty));

@@ -213,11 +213,14 @@ impl StreamHistogram {
         self.cold += other.cold;
     }
 
-    /// The miss-ratio curve evaluated at `sizes` (each in one pass over the
-    /// histogram; `sizes` need not be sorted).
+    /// The miss-ratio curve evaluated at `sizes`, all of them in one pass
+    /// over the histogram (`sizes` need not be sorted). Each point equals
+    /// the one [`StreamHistogram::hits_up_to`] gives.
     #[must_use]
     pub fn mrc_points(&self, sizes: &[usize]) -> Vec<MrcPoint> {
-        mrc_points_from(sizes, self.accesses() as f64, |c| self.hits_up_to(c) as f64)
+        mrc_points_from(sizes, self.accesses() as f64, self.iter(), |hits| {
+            hits as f64
+        })
     }
 }
 
@@ -275,10 +278,13 @@ impl WeightedHistogram {
         self.counts.keys().next_back().copied()
     }
 
-    /// The estimated miss-ratio curve evaluated at `sizes`.
+    /// The estimated miss-ratio curve evaluated at `sizes`, all of them in
+    /// one pass over the histogram. The running sum adds the weights in
+    /// the key order [`WeightedHistogram::hits_up_to`] adds them, so every
+    /// point is float-for-float the one it gives.
     #[must_use]
     pub fn mrc_points(&self, sizes: &[usize]) -> Vec<MrcPoint> {
-        mrc_points_from(sizes, self.total_weight(), |c| self.hits_up_to(c))
+        mrc_points_from(sizes, self.total_weight(), self.iter(), |hits| hits)
     }
 
     /// Merges another weighted histogram into this one. Weights add in key
@@ -307,19 +313,37 @@ pub struct MrcPoint {
     pub miss_ratio: f64,
 }
 
-fn mrc_points_from(
+/// Evaluates a curve at every size of `sizes` in one walk over `entries`
+/// (`(distance, count)` in increasing distance order): the sizes are
+/// visited in ascending order while a running sum of the counts advances,
+/// so the whole curve costs `O(entries + sizes log sizes)` instead of one
+/// histogram pass per point.
+fn mrc_points_from<W: Copy + Default + std::ops::Add<Output = W>>(
     sizes: &[usize],
     total: f64,
-    hits_up_to: impl Fn(usize) -> f64,
+    entries: impl Iterator<Item = (usize, W)>,
+    to_f64: impl Fn(W) -> f64,
 ) -> Vec<MrcPoint> {
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by_key(|&i| sizes[i]);
+    let mut hits = vec![W::default(); sizes.len()];
+    let mut entries = entries.peekable();
+    let mut running = W::default();
+    for i in order {
+        while let Some((_, count)) = entries.next_if(|&(d, _)| d <= sizes[i]) {
+            running = running + count;
+        }
+        hits[i] = running;
+    }
     sizes
         .iter()
-        .map(|&c| MrcPoint {
+        .zip(hits)
+        .map(|(&c, hits)| MrcPoint {
             cache_size: c,
             miss_ratio: if total <= 0.0 {
                 0.0
             } else {
-                (1.0 - hits_up_to(c) / total).clamp(0.0, 1.0)
+                (1.0 - to_f64(hits) / total).clamp(0.0, 1.0)
             },
         })
         .collect()

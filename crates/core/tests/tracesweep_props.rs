@@ -15,11 +15,15 @@
 //!    bit-identical to the direct [`SampledIngest`] reference, with either
 //!    half alone or both, across every pattern × shard count × thread
 //!    count.
+//! 5. The one-pass curve evaluation (`mrc_points` on
+//!    [`StreamHistogram`] and [`WeightedHistogram`]) against one
+//!    `hits_up_to` sum per point: bit-identical miss ratios for any size
+//!    list, in any order, with duplicates and zeros.
 
 use proptest::prelude::*;
 use symloc_core::tracesweep::{
     chunk_partial, log_spaced_sizes, FusedIngest, MergeState, OnlineReuseEngine, SampledIngest,
-    ShardsEstimator, StreamHistogram, TracePlan,
+    ShardsEstimator, StreamHistogram, TracePlan, WeightedHistogram,
 };
 use symloc_trace::generators::{
     cyclic_trace, interleaved_trace, move_to_front_trace, multi_epoch_trace, random_trace,
@@ -474,6 +478,94 @@ proptest! {
                 "{} seed {} chunks {} done {}",
                 name, seed, chunk_count, done
             );
+        }
+    }
+}
+
+/// A histogram distance: small, straddling the dense/spill boundary at
+/// 2^16, anywhere below 70k, or far past every evaluated size.
+fn histogram_distance() -> impl Strategy<Value = usize> {
+    (0usize..4, 1usize..=70_000).prop_map(|(band, d)| match band {
+        0 => d % 64 + 1,
+        1 => (1 << 16) - 32 + d % 64,
+        2 => d,
+        _ => 1_000_000 + d,
+    })
+}
+
+/// An evaluation grid: unsorted, with zeros, sizes around the 2^16
+/// boundary, and a repeated size.
+fn curve_sizes() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(
+        (0usize..4, 0usize..=70_000).prop_map(|(band, c)| match band {
+            0 => 0,
+            1 => (1 << 16) - 16 + c % 32,
+            _ => c,
+        }),
+        0..=40,
+    )
+    .prop_map(|mut sizes| {
+        if let Some(&first) = sizes.first() {
+            sizes.push(first);
+        }
+        sizes
+    })
+}
+
+/// The reference for one point: the `hits_up_to` sum at that size.
+fn reference_miss_ratio(hits: f64, total: f64) -> f64 {
+    if total <= 0.0 {
+        0.0
+    } else {
+        (1.0 - hits / total).clamp(0.0, 1.0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_pass_weighted_curve_is_bit_identical_to_per_point_sums(
+        entries in proptest::collection::vec(
+            (histogram_distance(), any::<f64>(), 0i32..12),
+            0..=300,
+        ),
+        cold in 0.0f64..1e4,
+        sizes in curve_sizes(),
+    ) {
+        let mut h = WeightedHistogram::default();
+        // Weights span twelve orders of magnitude, so the running sum
+        // rounds, and only the same additions in the same order match.
+        for &(d, unit, exponent) in &entries {
+            h.record_finite(d, unit * 10f64.powi(exponent - 4));
+        }
+        h.record_cold(cold);
+        let points = h.mrc_points(&sizes);
+        prop_assert_eq!(points.len(), sizes.len());
+        for (point, &c) in points.iter().zip(&sizes) {
+            prop_assert_eq!(point.cache_size, c);
+            let want = reference_miss_ratio(h.hits_up_to(c), h.total_weight());
+            prop_assert_eq!(point.miss_ratio.to_bits(), want.to_bits(), "size {}", c);
+        }
+    }
+
+    #[test]
+    fn one_pass_exact_curve_is_bit_identical_to_per_point_sums(
+        entries in proptest::collection::vec((histogram_distance(), 1u64..1000), 0..=300),
+        cold in 0u64..1000,
+        sizes in curve_sizes(),
+    ) {
+        let mut h = StreamHistogram::new();
+        for &(d, count) in &entries {
+            h.record_finite(d, count);
+        }
+        h.record_cold(cold);
+        let points = h.mrc_points(&sizes);
+        prop_assert_eq!(points.len(), sizes.len());
+        for (point, &c) in points.iter().zip(&sizes) {
+            prop_assert_eq!(point.cache_size, c);
+            let want = reference_miss_ratio(h.hits_up_to(c) as f64, h.accesses() as f64);
+            prop_assert_eq!(point.miss_ratio.to_bits(), want.to_bits(), "size {}", c);
         }
     }
 }

@@ -5,27 +5,41 @@
 //! [`symloc_core::tracesweep::ShardsEstimator`]s inside a [`ServeState`],
 //! and answers `MRC` / `MRCJ` /
 //! `WSS` / `STATS` / `PARTITION` queries from any connection. Two
-//! transports share one session engine:
+//! transports share one session loop:
 //!
 //! * `--stdin`: a single session over standard input, responses
 //!   accumulated into the command's report — the deterministic shape the
 //!   tests drive.
 //! * `--port P`: a TCP listener (`127.0.0.1`, `0` = ephemeral; the bound
-//!   address is printed immediately), thread per connection, state behind
-//!   one mutex. `SIGTERM`/`SIGINT` save the checkpoint and exit cleanly.
+//!   address is printed immediately), one thread per connection.
+//!   `SIGTERM`/`SIGINT` save the checkpoint and exit cleanly.
+//!
+//! A session frames and parses its lines on its own thread, inside the
+//! reader's buffer, with no line longer than
+//! [`symloc_trace::wire::MAX_LINE_BYTES`]. It takes the lock on the
+//! tenant table once per 4096-access block and once per query.
 //!
 //! With `--checkpoint`, the tenant table persists through the
-//! [`JobKind::ServeState`] codec: saves are atomic, every save refreshes
-//! a [`Heartbeat`] liveness sidecar (`symloc job status` reads it), and a
-//! restarted daemon resumes every tenant byte-identically — queries
-//! answer from persisted state only, so an answer straddling a restart
-//! never changes.
+//! [`JobKind::ServeState`] codec. One saver thread does every write. At a
+//! save point (every `--save-every` accesses, `SAVE`, shutdown) the
+//! session clones the table under the lock and hands the copy over, so
+//! ingest never waits for serialization. The saver writes in order and
+//! drops nothing: `SAVE` answers after its own write, shutdown waits for
+//! all of them, and a failed background write is answered to the next
+//! request (or fails shutdown if no request heard of it). Saves are
+//! atomic, every save refreshes a [`Heartbeat`] liveness sidecar (`symloc
+//! job status` reads it), and a restarted daemon resumes every tenant
+//! byte-identically — queries answer from persisted state only, so an
+//! answer straddling a restart never changes.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use std::fmt::Write as _;
 
@@ -34,7 +48,7 @@ use symloc_core::obs::{Metric, MetricsRegistry, Span};
 use symloc_core::serve::ServeState;
 use symloc_core::tracesweep::MrcPoint;
 use symloc_trace::stream::AccessSink;
-use symloc_trace::wire::{parse_request, AccessBatcher, Request};
+use symloc_trace::wire::{parse_line, AccessBatcher, Framed, LineFramer, Request, MAX_LINE_BYTES};
 
 use super::flags::{CommandSpec, FlagSpec, CHECKPOINT, METRICS};
 use super::CliError;
@@ -92,6 +106,17 @@ pub(crate) const SERVE: CommandSpec = CommandSpec {
     ],
 };
 
+/// Read buffer of a TCP session. Lines are framed inside it, so a larger
+/// buffer means fewer `read` calls per line.
+const TCP_READ_BUFFER: usize = 64 * 1024;
+
+/// The error a save point reports when the saver thread is gone.
+const SAVER_STOPPED: &str = "checkpoint saver stopped";
+
+/// Why locking the saver's failure slot can fail: it is only ever held
+/// for one `take` or insert, so only a panic inside those could poison it.
+const FAILURE_SLOT: &str = "saver failure slot poisoned";
+
 /// Set by the SIGTERM/SIGINT handler; the accept loop and every
 /// connection thread poll it.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -117,33 +142,137 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
+/// One write for the saver thread: a snapshot of the tenant table, the
+/// heartbeat describing it, and, for `SAVE` and shutdown, where the
+/// outcome goes.
+struct SaveJob {
+    state: ServeState,
+    heartbeat: Heartbeat,
+    done: Option<Sender<Result<(), String>>>,
+}
+
+/// The saver thread and its queue. The queue holds one snapshot, so a
+/// daemon that outpaces the disk waits at its next save point instead of
+/// piling up copies of the table.
+struct Saver {
+    path: PathBuf,
+    queue: SyncSender<SaveJob>,
+    thread: JoinHandle<()>,
+    /// The first failed cadence write that no request has answered yet.
+    failure: Arc<Mutex<Option<String>>>,
+}
+
+impl Saver {
+    fn start(path: PathBuf) -> Saver {
+        let (queue, jobs) = mpsc::sync_channel(1);
+        let failure = Arc::new(Mutex::new(None));
+        let thread = {
+            let (path, failure) = (path.clone(), Arc::clone(&failure));
+            std::thread::spawn(move || write_saves(&path, &jobs, &failure))
+        };
+        Saver {
+            path,
+            queue,
+            thread,
+            failure,
+        }
+    }
+}
+
+/// The saver thread: writes each snapshot atomically and then its
+/// liveness sidecar, in queue order, until the queue closes. The sidecar
+/// write is best-effort, exactly like the job runner's own. A caller
+/// waiting on a write hears of its failure, or else of an earlier failed
+/// write no request has heard of; a failed cadence write with no waiter
+/// is kept for the next request.
+fn write_saves(path: &Path, jobs: &Receiver<SaveJob>, failure: &Mutex<Option<String>>) {
+    for job in jobs {
+        let written = job
+            .state
+            .save(path)
+            .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()));
+        if written.is_ok() {
+            let _ = std::fs::write(Heartbeat::sidecar_path(path), job.heartbeat.to_json());
+        }
+        match job.done {
+            Some(done) => {
+                let earlier = failure.lock().expect(FAILURE_SLOT).take();
+                let _ = done.send(written.and_then(|()| earlier.map_or(Ok(()), Err)));
+            }
+            None => {
+                if let Err(reason) = written {
+                    failure.lock().expect(FAILURE_SLOT).get_or_insert(reason);
+                }
+            }
+        }
+    }
+}
+
+/// The outcome of a queued save, for a caller that waits for the write.
+type PendingSave = Receiver<Result<(), String>>;
+
+fn wait_for(save: &PendingSave) -> Result<(), String> {
+    save.recv()
+        .unwrap_or_else(|_| Err(SAVER_STOPPED.to_string()))
+}
+
 /// The daemon behind the transports: the tenant table plus persistence
 /// policy. TCP mode wraps it in a mutex; stdin mode owns it directly.
 struct Daemon {
     state: ServeState,
-    checkpoint: Option<PathBuf>,
+    saver: Option<Saver>,
     save_every: u64,
     since_save: u64,
     run_span: Span,
 }
 
 impl Daemon {
-    /// Saves the checkpoint (when configured) and refreshes the liveness
-    /// sidecar. Every save is atomic and bumps the `serve.saves` counter.
-    fn save_now(&mut self) -> Result<Option<String>, String> {
-        let Some(path) = self.checkpoint.clone() else {
-            return Ok(None);
+    fn new(state: ServeState, checkpoint: Option<PathBuf>, save_every: u64) -> Daemon {
+        Daemon {
+            state,
+            saver: checkpoint.map(Saver::start),
+            save_every,
+            since_save: 0,
+            run_span: Span::start(),
+        }
+    }
+
+    /// Takes a save point (when a checkpoint is configured): counts it in
+    /// `serve.saves`, snapshots the table and queues the snapshot for the
+    /// saver. Runs under the caller's lock, so snapshots queue in the
+    /// order they were taken. `done` receives the outcome of the write.
+    fn queue_save(&mut self, done: Option<Sender<Result<(), String>>>) -> Result<bool, String> {
+        let Some(saver) = &self.saver else {
+            return Ok(false);
         };
         self.state.note_save();
-        self.state
-            .save(&path)
-            .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
         self.since_save = 0;
-        // Liveness sidecar: reuse the JobRunner heartbeat codec so
-        // `symloc job status` reports the daemon as live. Best-effort,
-        // exactly like the runner's own sidecar writes.
-        let _ = std::fs::write(Heartbeat::sidecar_path(&path), self.heartbeat().to_json());
-        Ok(Some(path.display().to_string()))
+        let job = SaveJob {
+            state: self.state.clone(),
+            heartbeat: self.heartbeat(),
+            done,
+        };
+        saver
+            .queue
+            .send(job)
+            .map_err(|_| SAVER_STOPPED.to_string())?;
+        Ok(true)
+    }
+
+    /// Queues a save point whose write the caller waits for; `None`
+    /// without a checkpoint.
+    fn request_save(&mut self) -> Result<Option<PendingSave>, String> {
+        let (done, outcome) = mpsc::channel();
+        Ok(self.queue_save(Some(done))?.then_some(outcome))
+    }
+
+    /// Reports a failed cadence write that no request has answered yet.
+    fn take_save_failure(&self) -> Result<(), String> {
+        let failure = self
+            .saver
+            .as_ref()
+            .and_then(|saver| saver.failure.lock().expect(FAILURE_SLOT).take());
+        failure.map_or(Ok(()), Err)
     }
 
     /// The daemon's liveness heartbeat. A daemon has no planned end, so
@@ -163,22 +292,36 @@ impl Daemon {
         }
     }
 
-    /// Streams `block` into `tenant` and saves when the cadence says so.
+    /// Streams `block` into `tenant` and takes a save point when the
+    /// cadence says so.
     fn record(&mut self, tenant: &str, block: &[u64]) -> Result<(), String> {
         let index = self.state.ensure_tenant(tenant)?;
         self.state.record_block(index, block);
         self.since_save += block.len() as u64;
         if self.save_every > 0 && self.since_save >= self.save_every {
-            self.save_now()?;
+            self.queue_save(None)?;
         }
         Ok(())
     }
 
-    /// Removes the liveness sidecar — the daemon is no longer live.
-    fn retire_heartbeat(&self) {
-        if let Some(path) = &self.checkpoint {
-            let _ = std::fs::remove_file(Heartbeat::sidecar_path(path));
-        }
+    /// The shutdown save: queues the final snapshot behind every earlier
+    /// one, joins the saver, and only then removes the liveness sidecar,
+    /// so no late write can bring it back. Returns the checkpoint path, or
+    /// the error of the final write or of a cadence write no request
+    /// heard of.
+    fn finish(&mut self) -> Result<Option<String>, String> {
+        let last = self
+            .request_save()
+            .and_then(|pending| pending.as_ref().map_or(Ok(()), wait_for));
+        let Some(saver) = self.saver.take() else {
+            return Ok(None);
+        };
+        drop(saver.queue);
+        let joined = saver.thread.join();
+        let _ = std::fs::remove_file(Heartbeat::sidecar_path(&saver.path));
+        last?;
+        joined.map_err(|_| SAVER_STOPPED.to_string())?;
+        Ok(Some(saver.path.display().to_string()))
     }
 }
 
@@ -285,97 +428,157 @@ fn stats_line(scope: &str, registry: &MetricsRegistry) -> String {
 /// Handles one protocol line against the daemon. Accesses batch locally
 /// in the session and only touch the daemon on block boundaries; every
 /// query flushes first so answers always reflect the full stream so far.
-fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &str) -> Action {
-    let request = match parse_request(line) {
+/// A failed cadence write is answered to the first request that reaches
+/// the daemon after it, instead of that request.
+fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Action {
+    let request = match parse_line(line) {
         Ok(request) => request,
         Err(reason) => return Action::Reply(err_line(&reason)),
     };
     match request {
         // Comment lines never touch the daemon — a piped text trace's
         // header costs no lock traffic.
-        Request::Comment => Action::Silent,
+        Request::Comment => return Action::Silent,
         Request::Access(addr) => {
             if session.tenant.is_none() {
                 return Action::Reply(err_line("no tenant bound (send HELLO <tenant> first)"));
             }
-            if session.batcher.push(addr) {
-                let mut daemon = daemon.lock().unwrap();
-                if let Err(reason) = session.flush(&mut daemon) {
-                    return Action::Reply(err_line(&reason));
-                }
-            }
-            Action::Silent
-        }
-        _ => {
-            let mut daemon = daemon.lock().unwrap();
-            if let Err(reason) = session.flush(&mut daemon) {
-                return Action::Reply(err_line(&reason));
-            }
-            match request {
-                Request::Access(_) | Request::Comment => unreachable!("handled above"),
-                Request::Hello(tenant) => match daemon.state.ensure_tenant(tenant) {
-                    Ok(_) => {
-                        session.tenant = Some(tenant.to_string());
-                        Action::Reply(format!("OK tenant {tenant}"))
-                    }
-                    Err(reason) => Action::Reply(err_line(&reason)),
-                },
-                Request::Mrc { tenant, points } => {
-                    match daemon.state.mrc(tenant, points.unwrap_or(16)) {
-                        Ok(points) => Action::Reply(mrc_line(tenant, &points)),
-                        Err(reason) => Action::Reply(err_line(&reason)),
-                    }
-                }
-                Request::Mrcj { tenant, points } => {
-                    match daemon.state.mrcj_line(tenant, points.unwrap_or(16)) {
-                        Ok(doc) => Action::Reply(format!("OK mrcj {tenant} {doc}")),
-                        Err(reason) => Action::Reply(err_line(&reason)),
-                    }
-                }
-                Request::Partition(budget) => match daemon.state.partition(budget) {
-                    Ok(solution) => {
-                        daemon
-                            .state
-                            .note_partition(budget, solution.predicted_aggregate_miss_ratio);
-                        Action::Reply(format!("OK {}", solution.render_compact()))
-                    }
-                    Err(reason) => Action::Reply(err_line(&reason)),
-                },
-                Request::Wss(tenant) => match daemon.state.wss(tenant) {
-                    Ok(wss) => Action::Reply(format!("OK wss {tenant} {wss}")),
-                    Err(reason) => Action::Reply(err_line(&reason)),
-                },
-                Request::Stats(tenant) => match tenant {
-                    Some(tenant) => match daemon.state.tenant_metrics(tenant) {
-                        Ok(registry) => Action::Reply(stats_line(tenant, &registry)),
-                        Err(reason) => Action::Reply(err_line(&reason)),
-                    },
-                    None => {
-                        let registry = daemon.state.fleet_metrics();
-                        Action::Reply(stats_line("fleet", &registry))
-                    }
-                },
-                Request::Save => match daemon.save_now() {
-                    Ok(Some(path)) => Action::Reply(format!(
-                        "OK saved {path} tenants {}",
-                        daemon.state.tenant_count()
-                    )),
-                    Ok(None) => Action::Reply(err_line(
-                        "no checkpoint configured (start with --checkpoint FILE)",
-                    )),
-                    Err(reason) => Action::Reply(err_line(&reason)),
-                },
-                Request::Ping => Action::Reply("OK pong".to_string()),
-                Request::Quit => Action::Close("OK bye".to_string()),
+            if !session.batcher.push(addr) {
+                return Action::Silent;
             }
         }
+        _ => {}
+    }
+    let mut daemon = daemon.lock().unwrap();
+    if let Err(reason) = daemon
+        .take_save_failure()
+        .and_then(|()| session.flush(&mut daemon))
+    {
+        return Action::Reply(err_line(&reason));
+    }
+    match request {
+        Request::Comment => unreachable!("handled above"),
+        Request::Access(_) => Action::Silent,
+        Request::Hello(tenant) => match daemon.state.ensure_tenant(tenant) {
+            Ok(_) => {
+                session.tenant = Some(tenant.to_string());
+                Action::Reply(format!("OK tenant {tenant}"))
+            }
+            Err(reason) => Action::Reply(err_line(&reason)),
+        },
+        Request::Mrc { tenant, points } => match daemon.state.mrc(tenant, points.unwrap_or(16)) {
+            Ok(points) => Action::Reply(mrc_line(tenant, &points)),
+            Err(reason) => Action::Reply(err_line(&reason)),
+        },
+        Request::Mrcj { tenant, points } => {
+            match daemon.state.mrcj_line(tenant, points.unwrap_or(16)) {
+                Ok(doc) => Action::Reply(format!("OK mrcj {tenant} {doc}")),
+                Err(reason) => Action::Reply(err_line(&reason)),
+            }
+        }
+        Request::Partition(budget) => match daemon.state.partition(budget) {
+            Ok(solution) => {
+                daemon
+                    .state
+                    .note_partition(budget, solution.predicted_aggregate_miss_ratio);
+                Action::Reply(format!("OK {}", solution.render_compact()))
+            }
+            Err(reason) => Action::Reply(err_line(&reason)),
+        },
+        Request::Wss(tenant) => match daemon.state.wss(tenant) {
+            Ok(wss) => Action::Reply(format!("OK wss {tenant} {wss}")),
+            Err(reason) => Action::Reply(err_line(&reason)),
+        },
+        Request::Stats(tenant) => match tenant {
+            Some(tenant) => match daemon.state.tenant_metrics(tenant) {
+                Ok(registry) => Action::Reply(stats_line(tenant, &registry)),
+                Err(reason) => Action::Reply(err_line(&reason)),
+            },
+            None => {
+                let registry = daemon.state.fleet_metrics();
+                Action::Reply(stats_line("fleet", &registry))
+            }
+        },
+        // The write is waited for without the lock, so other sessions
+        // keep streaming while this one waits.
+        Request::Save => match daemon.request_save() {
+            Ok(Some(pending)) => {
+                let saved = format!(
+                    "OK saved {} tenants {}",
+                    daemon
+                        .saver
+                        .as_ref()
+                        .expect("a queued save has a saver")
+                        .path
+                        .display(),
+                    daemon.state.tenant_count()
+                );
+                drop(daemon);
+                match wait_for(&pending) {
+                    Ok(()) => Action::Reply(saved),
+                    Err(reason) => Action::Reply(err_line(&reason)),
+                }
+            }
+            Ok(None) => Action::Reply(err_line(
+                "no checkpoint configured (start with --checkpoint FILE)",
+            )),
+            Err(reason) => Action::Reply(err_line(&reason)),
+        },
+        Request::Ping => Action::Reply("OK pong".to_string()),
+        Request::Quit => Action::Close("OK bye".to_string()),
     }
 }
 
-/// Flushes a session's tail into the daemon at connection close.
-fn close_session(daemon: &Mutex<Daemon>, session: &mut Session) {
+/// Runs one session — the loop both transports share — until `QUIT`,
+/// end of stream, an over-long line, a failed reply or `stop`. Replies go
+/// through `send`. Read timeouts only re-check `stop`; any other read
+/// error ends the session and is returned. The session's buffered tail
+/// is flushed into the daemon at close.
+fn run_session(
+    daemon: &Mutex<Daemon>,
+    mut reader: impl BufRead,
+    stop: &AtomicBool,
+    mut send: impl FnMut(String) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut session = Session::new();
+    let mut framer = LineFramer::new();
+    let mut ended = Ok(());
+    while !stop.load(Ordering::SeqCst) {
+        let framed = framer.read(&mut reader, |line| {
+            let (reply, close) = match handle_line(daemon, &mut session, line) {
+                Action::Silent => return ControlFlow::Continue(()),
+                Action::Reply(reply) => (reply, false),
+                Action::Close(reply) => (reply, true),
+            };
+            if send(reply).is_err() || close {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        match framed {
+            Ok(Framed::More) => {}
+            Ok(Framed::Stopped | Framed::Eof) => break,
+            Ok(Framed::TooLong) => {
+                let _ = send(err_line(&format!("line exceeds {MAX_LINE_BYTES} bytes")));
+                break;
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => {
+                ended = Err(e);
+                break;
+            }
+        }
+    }
     let mut daemon = daemon.lock().unwrap();
     let _ = session.flush(&mut daemon);
+    ended
 }
 
 /// The shutdown report both transports return.
@@ -412,22 +615,12 @@ fn summary(daemon: &Daemon, saved: Option<&str>) -> String {
 /// Runs one session over a reader, collecting responses. The stdin
 /// transport and the unit tests drive this directly.
 fn run_stdin_session(daemon: &Mutex<Daemon>, reader: impl BufRead) -> Result<String, CliError> {
-    let mut session = Session::new();
     let mut out = String::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| CliError(format!("cannot read stream: {e}")))?;
-        match handle_line(daemon, &mut session, &line) {
-            Action::Silent => {}
-            Action::Reply(reply) => {
-                let _ = writeln!(out, "{reply}");
-            }
-            Action::Close(reply) => {
-                let _ = writeln!(out, "{reply}");
-                break;
-            }
-        }
-    }
-    close_session(daemon, &mut session);
+    run_session(daemon, reader, &AtomicBool::new(false), |reply| {
+        let _ = writeln!(out, "{reply}");
+        Ok(())
+    })
+    .map_err(|e| CliError(format!("cannot read stream: {e}")))?;
     Ok(out)
 }
 
@@ -440,47 +633,18 @@ fn send_reply(writer: &mut TcpStream, reply: String) -> std::io::Result<()> {
     writer.write_all(&line)
 }
 
-/// One TCP connection: line in, response line out, until QUIT/EOF/
+/// One TCP connection: lines in, response lines out, until QUIT/EOF/
 /// shutdown. Read timeouts keep the thread polling the shutdown flag.
-fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
+fn run_tcp_session(daemon: &Mutex<Daemon>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
-    let mut reader = BufReader::new(stream);
-    let mut session = Session::new();
-    let mut line = String::new();
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let trimmed = line.trim_end_matches('\n');
-                match handle_line(daemon, &mut session, trimmed) {
-                    Action::Silent => {}
-                    Action::Reply(reply) => {
-                        if send_reply(&mut writer, reply).is_err() {
-                            break;
-                        }
-                    }
-                    Action::Close(reply) => {
-                        let _ = send_reply(&mut writer, reply);
-                        break;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-    }
-    close_session(daemon, &mut session);
+    let reader = BufReader::with_capacity(TCP_READ_BUFFER, stream);
+    let _ = run_session(daemon, reader, &SHUTDOWN, |reply| {
+        send_reply(&mut writer, reply)
+    });
 }
 
 /// The TCP transport: accept loop + thread per connection, until a
@@ -563,13 +727,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
             false,
         ),
     };
-    let daemon = Daemon {
-        state,
-        checkpoint,
-        save_every,
-        since_save: 0,
-        run_span: Span::start(),
-    };
+    let daemon = Daemon::new(state, checkpoint, save_every);
 
     let mut out = String::new();
     if resumed {
@@ -588,8 +746,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     } else {
         run_tcp(daemon, port)?
     };
-    let saved = daemon.save_now().map_err(CliError)?;
-    daemon.retire_heartbeat();
+    let saved = daemon.finish().map_err(CliError)?;
     super::flags::write_metrics(metrics_path.as_deref(), &daemon.state.fleet_metrics())?;
     out.push_str(&summary(&daemon, saved.as_deref()));
     Ok(out)
@@ -600,13 +757,18 @@ mod tests {
     use super::*;
 
     fn daemon(budget: usize, max_tenants: usize, checkpoint: Option<PathBuf>) -> Mutex<Daemon> {
-        Mutex::new(Daemon {
-            state: ServeState::new(budget, max_tenants).unwrap(),
+        Mutex::new(Daemon::new(
+            ServeState::new(budget, max_tenants).unwrap(),
             checkpoint,
-            save_every: 0,
-            since_save: 0,
-            run_span: Span::start(),
-        })
+            0,
+        ))
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("symloc-serve-cli-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     fn drive(daemon: &Mutex<Daemon>, script: &str) -> String {
@@ -718,8 +880,7 @@ mod tests {
 
     #[test]
     fn mrc_answers_are_byte_identical_across_restart() {
-        let dir = std::env::temp_dir().join(format!("symloc-serve-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("restart");
         let path = dir.join("serve.ckpt.json");
         let first = daemon(32, 8, Some(path.clone()));
         let before = drive(
@@ -731,13 +892,7 @@ mod tests {
         // same queries with byte-identical lines.
         let (state, resumed) = ServeState::resume_or_new(&path, 32, 8).unwrap();
         assert!(resumed);
-        let second = Mutex::new(Daemon {
-            state,
-            checkpoint: Some(path.clone()),
-            save_every: 0,
-            since_save: 0,
-            run_span: Span::start(),
-        });
+        let second = Mutex::new(Daemon::new(state, Some(path.clone()), 0));
         let after = drive(&second, "MRC alpha\nMRC beta 8\nMRCJ alpha\nPARTITION 16\n");
         // Curve and partition answers derive from persisted state only,
         // so a resumed daemon repeats them byte-for-byte.
@@ -757,6 +912,85 @@ mod tests {
         let status =
             symloc_core::job::checkpoint_status(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(hb.matches(&status));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_over_long_line_answers_err_and_ends_the_session() {
+        let daemon = daemon(64, 8, None);
+        let script = format!("PING\n{}\nPING\n", "7".repeat(MAX_LINE_BYTES + 1));
+        let out = drive(&daemon, &script);
+        assert_eq!(out, "OK pong\nERR line exceeds 4096 bytes\n");
+        // A line of exactly the bound is still a line.
+        let out = drive(
+            &daemon,
+            &format!("HELLO t\n{}\n", "0".repeat(MAX_LINE_BYTES)),
+        );
+        assert_eq!(out, "OK tenant t\n");
+    }
+
+    #[test]
+    fn non_utf8_lines_answer_err_and_keep_the_session_alive() {
+        let daemon = daemon(64, 8, None);
+        let mut script = b"HELLO t\n\xff\xfe\n".to_vec();
+        script.extend_from_slice(b"1\n2\nWSS t\n");
+        let out = run_stdin_session(&daemon, std::io::Cursor::new(script)).unwrap();
+        assert!(out.contains("ERR line is not valid UTF-8"), "{out}");
+        assert!(out.contains("OK wss t 2"), "{out}");
+    }
+
+    #[test]
+    fn cadence_saves_write_what_an_in_process_table_holds() {
+        let dir = scratch_dir("cadence");
+        let path = dir.join("serve.ckpt.json");
+        let daemon = Mutex::new(Daemon::new(
+            ServeState::new(32, 8).unwrap(),
+            Some(path.clone()),
+            4,
+        ));
+        // Accesses reach the table in blocks of WIRE_BLOCK_LEN; a query
+        // flushes the tail, so two WSS queries make two cadence saves.
+        let out = drive(
+            &daemon,
+            "HELLO t\n1\n2\n3\n1\n2\nWSS t\n4\n5\n6\n7\nWSS t\nSAVE\n",
+        );
+        assert!(out.contains("OK saved "), "{out}");
+        let mut expected = ServeState::new(32, 8).unwrap();
+        let t = expected.ensure_tenant("t").unwrap();
+        expected.record_block(t, &[1, 2, 3, 1, 2]);
+        expected.record_block(t, &[4, 5, 6, 7]);
+        for _ in 0..3 {
+            expected.note_save();
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected.to_json());
+        let mut daemon = daemon.into_inner().unwrap();
+        assert_eq!(daemon.finish().unwrap(), Some(path.display().to_string()));
+        assert!(!Heartbeat::sidecar_path(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_background_write_is_answered_and_fails_shutdown() {
+        let dir = scratch_dir("blocked");
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, "").unwrap();
+        let path = blocker.join("serve.ckpt.json");
+        let daemon = Mutex::new(Daemon::new(
+            ServeState::new(32, 8).unwrap(),
+            Some(path.clone()),
+            1,
+        ));
+        // The WSS flush queues a cadence save that fails on the saver
+        // thread. SAVE hears of that failure (before queueing its own
+        // write, or from the saver once its own write also failed), so the
+        // PING after it finds nothing left to report.
+        let out = drive(&daemon, "HELLO t\n1\nWSS t\nSAVE\nPING\n");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[..2], ["OK tenant t", "OK wss t 1"], "{out}");
+        assert!(lines[2].starts_with("ERR cannot write checkpoint"), "{out}");
+        assert_eq!(lines[3], "OK pong", "{out}");
+        let err = daemon.into_inner().unwrap().finish().unwrap_err();
+        assert!(err.starts_with("cannot write checkpoint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

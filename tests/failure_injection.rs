@@ -870,3 +870,126 @@ fn retired_trace_checkpoints_fail_loudly_and_stay_untouched() {
     }
     std::fs::remove_file(&ck).ok();
 }
+
+#[test]
+fn concurrent_atomic_saves_to_one_path_never_tear() {
+    use std::sync::{Arc, Barrier};
+    use symmetric_locality::core::jsonio::{parse, save_atomic};
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_writers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = Arc::new(dir.join("shared.json"));
+    // Documents of different lengths, so a torn or interleaved write
+    // could not pass for either.
+    let docs = Arc::new([
+        format!("{{\"writer\": 0, \"pad\": \"{}\"}}", "a".repeat(48 * 1024)),
+        format!("{{\"writer\": 1, \"pad\": \"{}\"}}", "b".repeat(80 * 1024)),
+    ]);
+    let barrier = Arc::new(Barrier::new(2));
+    let writers: Vec<_> = (0..2)
+        .map(|writer| {
+            let (path, docs, barrier) =
+                (Arc::clone(&path), Arc::clone(&docs), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                for _ in 0..200 {
+                    save_atomic(&path, &docs[writer]).expect("atomic save");
+                    let text = std::fs::read_to_string(&*path).expect("read back");
+                    assert!(parse(&text).is_ok(), "the checkpoint stopped parsing");
+                    assert!(
+                        text == docs[0] || text == docs[1],
+                        "the checkpoint is neither document ({} bytes)",
+                        text.len()
+                    );
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+    // Each writer used its own temp file, and none is left behind.
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["shared.json"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+#[cfg(unix)]
+fn a_failed_background_checkpoint_write_is_answered_and_fails_shutdown() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_saver_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The checkpoint's parent is a regular file, so no write can succeed.
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, "keep").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args([
+            "serve",
+            "--port",
+            "0",
+            "--save-every",
+            "4096",
+            "--checkpoint",
+        ])
+        .arg(blocker.join("serve.ckpt.json"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn symloc serve");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.as_mut().unwrap())
+        .read_line(&mut banner)
+        .expect("read listen banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap()
+        .to_string();
+
+    // One full block: its flush queues a cadence save, which fails on the
+    // saver thread. A later request hears of it.
+    let stream = std::net::TcpStream::connect(&addr).expect("connect to daemon");
+    let mut writer = stream.try_clone().unwrap();
+    let mut script = String::from("HELLO t\n");
+    for addr in 0..4096 {
+        script.push_str(&format!("{addr}\n"));
+    }
+    writer.write_all(script.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply, "OK tenant t\n");
+    let mut heard = None;
+    for _ in 0..200 {
+        writer.write_all(b"PING\n").unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        if reply != "OK pong\n" {
+            heard = Some(reply.clone());
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let heard = heard.expect("the failed background write was never reported");
+    assert!(heard.starts_with("ERR cannot write checkpoint "), "{heard}");
+
+    // Shutdown cannot save either, and says so with a non-zero exit.
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(kill.success());
+    let output = child.wait_with_output().expect("daemon exits");
+    assert!(!output.status.success(), "a failed final save exited 0");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot write checkpoint"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&blocker).unwrap(), "keep");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -83,16 +83,15 @@ fn stdin_daemon_resumes_tenants_byte_identically() {
 
 /// Spawns the TCP daemon and parses the announced ephemeral address.
 fn spawn_tcp(checkpoint: &Path) -> (Child, String) {
+    spawn_tcp_with(checkpoint, &["--budget", "32"])
+}
+
+/// Spawns the TCP daemon on an ephemeral port with extra flags.
+fn spawn_tcp_with(checkpoint: &Path, flags: &[&str]) -> (Child, String) {
     let mut child = Command::new(SYMLOC)
-        .args([
-            "serve",
-            "--port",
-            "0",
-            "--budget",
-            "32",
-            "--checkpoint",
-            &checkpoint.to_string_lossy(),
-        ])
+        .args(["serve", "--port", "0", "--checkpoint"])
+        .arg(checkpoint)
+        .args(flags)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -237,4 +236,150 @@ fn plain_clients_get_each_reply_without_a_delayed_ack_stall() {
         elapsed < std::time::Duration::from_secs(1),
         "50 sequential PING round trips took {elapsed:?}"
     );
+}
+
+/// Sends SIGTERM to the daemon and collects its exit and output.
+fn terminate(child: Child) -> std::process::Output {
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(kill.success());
+    child.wait_with_output().expect("daemon exits")
+}
+
+/// `blocks` as wire lines after a `HELLO`, with `tail` appended.
+fn access_script(tenant: &str, blocks: &[Vec<u64>], tail: &str) -> String {
+    let mut script = format!("HELLO {tenant}\n");
+    for addr in blocks.iter().flatten() {
+        script.push_str(&addr.to_string());
+        script.push('\n');
+    }
+    script.push_str(tail);
+    script
+}
+
+#[test]
+fn an_over_long_line_closes_only_its_own_connection() {
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_long_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_tcp(&dir.join("serve.ckpt.json"));
+
+    // 1 MiB without a newline. The daemon stops reading once the line
+    // passes the bound, so the rest of the flood may fail to send.
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'7'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    assert_eq!(reply, "ERR line exceeds 4096 bytes\n");
+    // Then the connection is closed: end of stream or a reset, and no
+    // further reply.
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(n) => assert_eq!(n, 0, "unexpected {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().unwrap();
+
+    // Another client is served as usual.
+    let replies = tcp_exchange(&addr, &["PING", "QUIT"]);
+    assert_eq!(replies, ["OK pong", "OK bye"]);
+    assert!(terminate(child).status.success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn save_answers_after_the_saver_wrote_every_earlier_snapshot() {
+    use symmetric_locality::core::serve::ServeState;
+
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_saver_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("serve.ckpt.json");
+    let (child, addr) = spawn_tcp_with(&ckpt, &["--save-every", "4096"]);
+
+    // Three full blocks: each block flush is a cadence save on the saver
+    // thread, and SAVE is the fourth save point.
+    let blocks: Vec<Vec<u64>> = (0..3u64)
+        .map(|b| (0..4096u64).map(|i| (i * 7919 + b * 131) % 6000).collect())
+        .collect();
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut writer = stream.try_clone().expect("clone stream");
+    writer
+        .write_all(access_script("t", &blocks, "SAVE\n").as_bytes())
+        .expect("send script");
+    let mut reader = BufReader::new(stream);
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        replies.push(reply.trim_end().to_string());
+    }
+    assert_eq!(replies[0], "OK tenant t");
+    assert!(
+        replies[1].starts_with("OK saved ") && replies[1].ends_with(" tenants 1"),
+        "{replies:?}"
+    );
+
+    // The file holds exactly what an in-process table fed the same
+    // blocks holds after four save points.
+    let mut expected = ServeState::new(1024, 64).unwrap();
+    let t = expected.ensure_tenant("t").unwrap();
+    for block in &blocks {
+        expected.record_block(t, block);
+    }
+    for _ in 0..4 {
+        expected.note_save();
+    }
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), expected.to_json());
+
+    writer.write_all(b"QUIT\n").expect("send QUIT");
+    assert!(terminate(child).status.success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sigterm_drains_the_saver_before_retiring_the_heartbeat() {
+    use symmetric_locality::core::serve::ServeState;
+
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_drain_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("serve.ckpt.json");
+    // Every block flush is a save point, so saves are still queued when
+    // the signal lands.
+    let (child, addr) = spawn_tcp_with(&ckpt, &["--save-every", "1"]);
+    let blocks: Vec<Vec<u64>> = (0..32u64)
+        .map(|b| (0..4096u64).map(|i| (i * 104_729 + b) % 50_000).collect())
+        .collect();
+    let replies = {
+        let stream = TcpStream::connect(&addr).expect("connect to daemon");
+        let mut writer = stream.try_clone().expect("clone stream");
+        writer
+            .write_all(access_script("t", &blocks, "PING\n").as_bytes())
+            .expect("send script");
+        let mut reader = BufReader::new(stream);
+        let mut replies = String::new();
+        for _ in 0..2 {
+            reader.read_line(&mut replies).expect("read reply");
+        }
+        replies
+    };
+    assert_eq!(replies, "OK tenant t\nOK pong\n");
+    let output = terminate(child);
+    assert!(output.status.success(), "{output:?}");
+    assert!(
+        !dir.join("serve.ckpt.json.hb").exists(),
+        "heartbeat sidecar outlived the daemon"
+    );
+    // Every cadence save and the final one were written, in order.
+    let state = ServeState::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    assert_eq!(state.total_accesses(), 32 * 4096);
+    assert_eq!(state.saves(), 33);
+    std::fs::remove_dir_all(&dir).ok();
 }
