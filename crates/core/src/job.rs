@@ -809,6 +809,9 @@ pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
 /// * The right kind and a matching plan: resumed; the returned flag says
 ///   whether any completed progress actually came back.
 ///
+/// Whatever the outcome, temp files that interrupted saves to `path` left
+/// behind are removed first ([`jsonio::remove_stale_temps`]).
+///
 /// # Errors
 ///
 /// Returns the cross-kind or retired-kind error described above.
@@ -820,6 +823,7 @@ pub fn resume_or_new_with<T>(
     completed: impl FnOnce(&T) -> usize,
     fresh: impl FnOnce() -> T,
 ) -> Result<(T, bool), String> {
+    jsonio::remove_stale_temps(path);
     let Ok(text) = std::fs::read_to_string(path) else {
         return Ok((fresh(), false));
     };

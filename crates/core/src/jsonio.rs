@@ -133,6 +133,40 @@ pub fn save_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()
     saved
 }
 
+/// Removes the temp files of [`save_atomic`] calls to `path` that a kill
+/// or power loss cut short (`<file>.<pid>.<n>.tmp`): no later save reuses
+/// their names, so nothing else removes them. Meant for the moment a
+/// checkpoint is opened to be resumed, when no other process is saving to
+/// `path`. Best-effort: what cannot be listed or removed stays.
+pub fn remove_stale_temps(path: &std::path::Path) {
+    let Some(name) = path.file_name().and_then(|name| name.to_str()) else {
+        return;
+    };
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    for entry in entries.flatten() {
+        let stale = entry
+            .file_name()
+            .to_str()
+            .and_then(|file| {
+                file.strip_prefix(name)?
+                    .strip_prefix('.')?
+                    .strip_suffix(".tmp")
+            })
+            .and_then(|tag| tag.split_once('.'))
+            .is_some_and(|(pid, n)| number(pid) && number(n));
+        if stale {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 /// Escapes a string for embedding in a JSON document.
 #[must_use]
 pub fn escape(s: &str) -> String {
@@ -406,6 +440,38 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn stale_temps_of_one_checkpoint_are_removed() {
+        let dir = std::env::temp_dir().join(format!("symloc-jsonio-temps-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.json");
+        save_atomic(&path, "{}").unwrap();
+        let kept = [
+            "ck.json",
+            "ck.json.tmp",
+            "ck.json.7.tmp",
+            "ck.json.x.7.tmp",
+            "ck.json.7.8.9.tmp",
+            "other.json.7.8.tmp",
+        ];
+        for name in &kept[1..] {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        for stale in ["ck.json.7.8.tmp", "ck.json.4242.0.tmp"] {
+            std::fs::write(dir.join(stale), "{\"partial").unwrap();
+        }
+        remove_stale_temps(&path);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let mut want = kept.map(String::from).to_vec();
+        want.sort();
+        assert_eq!(names, want);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -27,17 +27,12 @@
 //! A line may be at most [`MAX_LINE_BYTES`] long; a longer one is a
 //! framing error after which the stream is closed.
 //!
-//! This module is pure framing: [`LineFramer`] splits a byte stream into
-//! lines inside the reader's buffer, [`parse_line`] maps a line's bytes to
-//! a [`Request`] (access lines straight from the bytes, everything else
-//! through [`parse_request`]), and [`AccessBatcher`] coalesces runs of
-//! access lines into blocks delivered through the [`AccessSink`] block
-//! path — the socket-side producer for the same tap seam the fused file
-//! pipeline feeds. Policy (tenant tables, persistence, response wording)
-//! lives with the daemon, not here.
-
-use std::io::BufRead;
-use std::ops::ControlFlow;
+//! This module is pure framing: [`parse_line`] maps a line's bytes to a
+//! [`Request`] through [`parse_request`], and [`AccessBatcher`] coalesces
+//! runs of access lines into blocks delivered through the [`AccessSink`]
+//! block path — the socket-side producer for the same tap seam the fused
+//! file pipeline feeds. Policy (tenant tables, persistence, response
+//! wording) lives with the daemon, not here.
 
 use crate::stream::AccessSink;
 
@@ -112,10 +107,9 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     }
     // The hot path: a bare decimal address.
     if line.as_bytes()[0].is_ascii_digit() {
-        return match line.parse::<u64>() {
-            Ok(addr) => Ok(Request::Access(addr)),
-            Err(_) => Err(format!("malformed access address {line:?}")),
-        };
+        return parse_decimal(line.as_bytes())
+            .map(Request::Access)
+            .ok_or_else(|| format!("malformed access address {line:?}"));
     }
     let mut words = line.split(' ');
     let keyword = words.next().unwrap_or_default();
@@ -167,20 +161,23 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
     Ok(request)
 }
 
-/// Parses one protocol line given as raw bytes (without its terminator).
+/// Parses one protocol line given as raw bytes (without its terminator):
+/// [`parse_request`] on the line's text.
 ///
-/// Bare decimal access lines, the bulk of any session, are parsed
-/// straight from the bytes with checked `u64` arithmetic. Every other
-/// line is checked to be UTF-8 and handed to [`parse_request`], so a line
-/// that is text always gets the request or error text `parse_request`
-/// gives.
+/// A bare decimal access line, the bulk of any session, is parsed
+/// straight from its bytes: it is ASCII, so the UTF-8 check is skipped,
+/// and [`parse_request`] parses its digits with the same function.
 ///
 /// # Errors
 ///
 /// Returns the [`parse_request`] error, or a UTF-8 error for a line that
 /// is not text.
 pub fn parse_line(line: &[u8]) -> Result<Request<'_>, String> {
-    if let Some(addr) = parse_decimal(line) {
+    let mut digits = line;
+    while let [rest @ .., b'\r'] = digits {
+        digits = rest;
+    }
+    if let Some(addr) = parse_decimal(digits) {
         return Ok(Request::Access(addr));
     }
     match std::str::from_utf8(line) {
@@ -189,109 +186,19 @@ pub fn parse_line(line: &[u8]) -> Result<Request<'_>, String> {
     }
 }
 
-/// One or more ASCII digits, then any number of `\r`, as a `u64`; `None`
-/// for any other line and on overflow.
-fn parse_decimal(mut line: &[u8]) -> Option<u64> {
-    while let [rest @ .., b'\r'] = line {
-        line = rest;
-    }
-    if line.is_empty() {
+/// One or more ASCII digits as a `u64`; `None` for anything else and on
+/// overflow.
+fn parse_decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
         return None;
     }
-    line.iter().try_fold(0u64, |value, &byte| {
+    digits.iter().try_fold(0u64, |value, &byte| {
         let digit = byte.wrapping_sub(b'0');
         if digit > 9 {
             return None;
         }
         value.checked_mul(10)?.checked_add(u64::from(digit))
     })
-}
-
-/// How a [`LineFramer::read`] call ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framed {
-    /// Every complete line of the buffer was delivered; read again.
-    More,
-    /// The line callback asked to stop.
-    Stopped,
-    /// End of stream; an unterminated last line was delivered first.
-    Eof,
-    /// A line grew past [`MAX_LINE_BYTES`]. The stream is out of step
-    /// with the protocol and should be closed.
-    TooLong,
-}
-
-/// Splits a byte stream into protocol lines inside the reader's buffer.
-///
-/// A line that arrives whole in one buffer fill goes to the callback in
-/// place, with no copy and no UTF-8 check. Only a line split across two
-/// fills is gathered in a side buffer, which never grows past
-/// [`MAX_LINE_BYTES`].
-#[derive(Debug, Default)]
-pub struct LineFramer {
-    partial: Vec<u8>,
-}
-
-impl LineFramer {
-    /// A framer at the start of a stream.
-    #[must_use]
-    pub fn new() -> LineFramer {
-        LineFramer::default()
-    }
-
-    /// Fills `reader`'s buffer once and calls `on_line` with each complete
-    /// line in it, in order and without its `\n`, until `on_line` breaks.
-    ///
-    /// # Errors
-    ///
-    /// Returns the reader's I/O error (read timeouts included). The
-    /// framer keeps its state, so the call can simply be repeated.
-    pub fn read<R: BufRead>(
-        &mut self,
-        reader: &mut R,
-        mut on_line: impl FnMut(&[u8]) -> ControlFlow<()>,
-    ) -> std::io::Result<Framed> {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            if !self.partial.is_empty() {
-                let _ = on_line(&std::mem::take(&mut self.partial));
-            }
-            return Ok(Framed::Eof);
-        }
-        let mut start = 0;
-        let mut outcome = Framed::More;
-        while let Some(len) = buf[start..].iter().position(|&b| b == b'\n') {
-            if self.partial.len() + len > MAX_LINE_BYTES {
-                outcome = Framed::TooLong;
-                break;
-            }
-            let line = &buf[start..start + len];
-            let flow = if self.partial.is_empty() {
-                on_line(line)
-            } else {
-                self.partial.extend_from_slice(line);
-                let flow = on_line(&self.partial);
-                self.partial.clear();
-                flow
-            };
-            start += len + 1;
-            if flow.is_break() {
-                outcome = Framed::Stopped;
-                break;
-            }
-        }
-        if outcome == Framed::More {
-            let rest = &buf[start..];
-            if self.partial.len() + rest.len() > MAX_LINE_BYTES {
-                outcome = Framed::TooLong;
-            } else {
-                self.partial.extend_from_slice(rest);
-                start = buf.len();
-            }
-        }
-        reader.consume(start);
-        Ok(outcome)
-    }
 }
 
 /// Coalesces per-line accesses into blocks for an [`AccessSink`].
@@ -426,90 +333,34 @@ mod tests {
         }
     }
 
-    /// Frames `bytes` read through a buffer of `capacity` bytes; returns
-    /// the lines and how the stream ended.
-    fn frame(bytes: &[u8], capacity: usize) -> (Vec<Vec<u8>>, Framed) {
-        let mut reader = std::io::BufReader::with_capacity(capacity, bytes);
-        let mut framer = LineFramer::new();
-        let mut lines = Vec::new();
-        loop {
-            let framed = framer
-                .read(&mut reader, |line| {
-                    lines.push(line.to_vec());
-                    ControlFlow::Continue(())
-                })
-                .unwrap();
-            if framed != Framed::More {
-                return (lines, framed);
-            }
+    #[test]
+    fn parse_line_answers_what_parse_request_answers() {
+        for line in [
+            "0",
+            "42",
+            "0042\r\r",
+            "18446744073709551615", // u64::MAX
+            "18446744073709551616", // u64::MAX + 1
+            "99999999999999999999",
+            "12x",
+            "1 2",
+            "+5",
+            "-5",
+            " 5",
+            "",
+            "\r",
+            "PING",
+            "HELLO t",
+            "# 12",
+        ] {
+            assert_eq!(parse_line(line.as_bytes()), parse_request(line), "{line:?}");
         }
-    }
-
-    #[test]
-    fn framer_splits_lines_across_buffer_fills() {
-        let input = b"HELLO t\n12\r\n\n345678901234\nMRC t 4";
-        let want: Vec<Vec<u8>> = vec![
-            b"HELLO t".to_vec(),
-            b"12\r".to_vec(),
-            Vec::new(),
-            b"345678901234".to_vec(),
-            b"MRC t 4".to_vec(),
-        ];
-        // Every buffer size, from one byte (every line straddles fills)
-        // to the whole input in one fill.
-        for capacity in 1..=input.len() + 1 {
-            assert_eq!(frame(input, capacity), (want.clone(), Framed::Eof));
-        }
-    }
-
-    #[test]
-    fn framer_bounds_line_length() {
-        for capacity in [7, 4096, 1 << 16] {
-            let fits = [vec![b'1'; MAX_LINE_BYTES], b"\nPING\n".to_vec()].concat();
-            let (lines, end) = frame(&fits, capacity);
-            assert_eq!((lines.len(), end), (2, Framed::Eof), "capacity {capacity}");
-            let long = [vec![b'1'; MAX_LINE_BYTES + 1], b"\nPING\n".to_vec()].concat();
-            assert_eq!(frame(&long, capacity), (Vec::new(), Framed::TooLong));
-            // No newline at all: the framer stops once the bound is passed.
-            let endless = vec![b'x'; 1 << 20];
-            assert_eq!(frame(&endless, capacity), (Vec::new(), Framed::TooLong));
-        }
-    }
-
-    #[test]
-    fn framer_stops_when_asked() {
-        let mut reader = std::io::BufReader::new(&b"PING\nQUIT\nPING\n"[..]);
-        let mut framer = LineFramer::new();
-        let mut seen = Vec::new();
-        let framed = framer
-            .read(&mut reader, |line| {
-                seen.push(line.to_vec());
-                if line == b"QUIT" {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-            .unwrap();
-        assert_eq!(framed, Framed::Stopped);
-        assert_eq!(seen, [b"PING".to_vec(), b"QUIT".to_vec()]);
-    }
-
-    #[test]
-    fn parse_line_takes_the_byte_path_for_accesses() {
-        assert_eq!(parse_line(b"42"), Ok(Request::Access(42)));
-        assert_eq!(parse_line(b"0042\r\r"), Ok(Request::Access(42)));
         assert_eq!(
             parse_line(b"18446744073709551615"),
             Ok(Request::Access(u64::MAX))
         );
-        assert_eq!(
-            parse_line(b"18446744073709551616"),
-            parse_request("18446744073709551616")
-        );
-        assert_eq!(parse_line(b"PING"), Ok(Request::Ping));
-        assert_eq!(parse_line(b""), parse_request(""));
         assert!(parse_line(b"HELLO \xff").unwrap_err().contains("UTF-8"));
+        assert!(parse_line(b"4\xff").unwrap_err().contains("UTF-8"));
     }
 
     #[test]

@@ -290,6 +290,12 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             ))
         })?;
     let ckpt_err = |e: std::io::Error| CliError(format!("cannot write checkpoint {path_str}: {e}"));
+    if kind != JobKind::ServeState {
+        // Resuming takes the checkpoint over, so what interrupted saves
+        // left next to it goes. A serve checkpoint stays its daemon's,
+        // which may be saving to it right now.
+        symloc_core::jsonio::remove_stale_temps(path);
+    }
 
     let mut out = String::new();
     let banner = |out: &mut String, fingerprint: &str, completed: usize, total: usize| {

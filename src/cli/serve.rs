@@ -14,31 +14,30 @@
 //!   address is printed immediately), one thread per connection.
 //!   `SIGTERM`/`SIGINT` save the checkpoint and exit cleanly.
 //!
-//! A session frames and parses its lines on its own thread, inside the
-//! reader's buffer, with no line longer than
-//! [`symloc_trace::wire::MAX_LINE_BYTES`]. It takes the lock on the
-//! tenant table once per 4096-access block and once per query.
+//! A session reads and parses its lines on its own thread, with no line
+//! longer than [`symloc_trace::wire::MAX_LINE_BYTES`]. It takes the lock
+//! on the tenant table once per 4096-access block and once per query.
 //!
 //! With `--checkpoint`, the tenant table persists through the
 //! [`JobKind::ServeState`] codec. One saver thread does every write. At a
 //! save point (every `--save-every` accesses, `SAVE`, shutdown) the
 //! session clones the table under the lock and hands the copy over, so
 //! ingest never waits for serialization. The saver writes in order and
-//! drops nothing: `SAVE` answers after its own write, shutdown waits for
-//! all of them, and a failed background write is answered to the next
-//! request (or fails shutdown if no request heard of it). Saves are
-//! atomic, every save refreshes a [`Heartbeat`] liveness sidecar (`symloc
-//! job status` reads it), and a restarted daemon resumes every tenant
-//! byte-identically — queries answer from persisted state only, so an
-//! answer straddling a restart never changes.
+//! drops nothing: `SAVE` answers after its own write, and shutdown, on
+//! every exit path, waits for all of them. A failed cadence write never
+//! replaces a request: the next `SAVE` reports it, and so does shutdown
+//! if no `SAVE` did, by exiting non-zero. Saves are atomic, every save
+//! refreshes a [`Heartbeat`] liveness sidecar (`symloc job status` reads
+//! it), and a restarted daemon resumes every tenant byte-identically —
+//! queries answer from persisted state only, so an answer straddling a
+//! restart never changes.
 
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 
 use std::fmt::Write as _;
@@ -48,7 +47,7 @@ use symloc_core::obs::{Metric, MetricsRegistry, Span};
 use symloc_core::serve::ServeState;
 use symloc_core::tracesweep::MrcPoint;
 use symloc_trace::stream::AccessSink;
-use symloc_trace::wire::{parse_line, AccessBatcher, Framed, LineFramer, Request, MAX_LINE_BYTES};
+use symloc_trace::wire::{parse_line, AccessBatcher, Request, MAX_LINE_BYTES};
 
 use super::flags::{CommandSpec, FlagSpec, CHECKPOINT, METRICS};
 use super::CliError;
@@ -106,16 +105,12 @@ pub(crate) const SERVE: CommandSpec = CommandSpec {
     ],
 };
 
-/// Read buffer of a TCP session. Lines are framed inside it, so a larger
-/// buffer means fewer `read` calls per line.
+/// Read buffer of a TCP session: a larger buffer means fewer `read` calls
+/// per line.
 const TCP_READ_BUFFER: usize = 64 * 1024;
 
-/// The error a save point reports when the saver thread is gone.
+/// The error a waiting caller hears when the saver thread is gone.
 const SAVER_STOPPED: &str = "checkpoint saver stopped";
-
-/// Why locking the saver's failure slot can fail: it is only ever held
-/// for one `take` or insert, so only a panic inside those could poison it.
-const FAILURE_SLOT: &str = "saver failure slot poisoned";
 
 /// Set by the SIGTERM/SIGINT handler; the accept loop and every
 /// connection thread poll it.
@@ -158,23 +153,19 @@ struct Saver {
     path: PathBuf,
     queue: SyncSender<SaveJob>,
     thread: JoinHandle<()>,
-    /// The first failed cadence write that no request has answered yet.
-    failure: Arc<Mutex<Option<String>>>,
 }
 
 impl Saver {
     fn start(path: PathBuf) -> Saver {
         let (queue, jobs) = mpsc::sync_channel(1);
-        let failure = Arc::new(Mutex::new(None));
         let thread = {
-            let (path, failure) = (path.clone(), Arc::clone(&failure));
-            std::thread::spawn(move || write_saves(&path, &jobs, &failure))
+            let path = path.clone();
+            std::thread::spawn(move || write_saves(&path, &jobs))
         };
         Saver {
             path,
             queue,
             thread,
-            failure,
         }
     }
 }
@@ -182,10 +173,10 @@ impl Saver {
 /// The saver thread: writes each snapshot atomically and then its
 /// liveness sidecar, in queue order, until the queue closes. The sidecar
 /// write is best-effort, exactly like the job runner's own. A caller
-/// waiting on a write hears of its failure, or else of an earlier failed
-/// write no request has heard of; a failed cadence write with no waiter
-/// is kept for the next request.
-fn write_saves(path: &Path, jobs: &Receiver<SaveJob>, failure: &Mutex<Option<String>>) {
+/// waiting on a write (`SAVE`, shutdown) hears of its failure, or else of
+/// an earlier failed cadence write no caller has heard of yet.
+fn write_saves(path: &Path, jobs: &Receiver<SaveJob>) {
+    let mut unheard = None;
     for job in jobs {
         let written = job
             .state
@@ -196,12 +187,12 @@ fn write_saves(path: &Path, jobs: &Receiver<SaveJob>, failure: &Mutex<Option<Str
         }
         match job.done {
             Some(done) => {
-                let earlier = failure.lock().expect(FAILURE_SLOT).take();
+                let earlier = unheard.take();
                 let _ = done.send(written.and_then(|()| earlier.map_or(Ok(()), Err)));
             }
             None => {
                 if let Err(reason) = written {
-                    failure.lock().expect(FAILURE_SLOT).get_or_insert(reason);
+                    unheard.get_or_insert(reason);
                 }
             }
         }
@@ -240,10 +231,13 @@ impl Daemon {
     /// Takes a save point (when a checkpoint is configured): counts it in
     /// `serve.saves`, snapshots the table and queues the snapshot for the
     /// saver. Runs under the caller's lock, so snapshots queue in the
-    /// order they were taken. `done` receives the outcome of the write.
-    fn queue_save(&mut self, done: Option<Sender<Result<(), String>>>) -> Result<bool, String> {
+    /// order they were taken. `done` receives the outcome of the write;
+    /// if the saver is gone, `done` is dropped with the snapshot and its
+    /// receiver reports [`SAVER_STOPPED`]. Returns whether a checkpoint is
+    /// configured.
+    fn queue_save(&mut self, done: Option<Sender<Result<(), String>>>) -> bool {
         let Some(saver) = &self.saver else {
-            return Ok(false);
+            return false;
         };
         self.state.note_save();
         self.since_save = 0;
@@ -252,27 +246,15 @@ impl Daemon {
             heartbeat: self.heartbeat(),
             done,
         };
-        saver
-            .queue
-            .send(job)
-            .map_err(|_| SAVER_STOPPED.to_string())?;
-        Ok(true)
+        let _ = saver.queue.send(job);
+        true
     }
 
     /// Queues a save point whose write the caller waits for; `None`
     /// without a checkpoint.
-    fn request_save(&mut self) -> Result<Option<PendingSave>, String> {
+    fn request_save(&mut self) -> Option<PendingSave> {
         let (done, outcome) = mpsc::channel();
-        Ok(self.queue_save(Some(done))?.then_some(outcome))
-    }
-
-    /// Reports a failed cadence write that no request has answered yet.
-    fn take_save_failure(&self) -> Result<(), String> {
-        let failure = self
-            .saver
-            .as_ref()
-            .and_then(|saver| saver.failure.lock().expect(FAILURE_SLOT).take());
-        failure.map_or(Ok(()), Err)
+        self.queue_save(Some(done)).then_some(outcome)
     }
 
     /// The daemon's liveness heartbeat. A daemon has no planned end, so
@@ -293,13 +275,14 @@ impl Daemon {
     }
 
     /// Streams `block` into `tenant` and takes a save point when the
-    /// cadence says so.
+    /// cadence says so. Nothing waits for a cadence write; its failure is
+    /// kept for the next `SAVE` and for shutdown.
     fn record(&mut self, tenant: &str, block: &[u64]) -> Result<(), String> {
         let index = self.state.ensure_tenant(tenant)?;
         self.state.record_block(index, block);
         self.since_save += block.len() as u64;
         if self.save_every > 0 && self.since_save >= self.save_every {
-            self.queue_save(None)?;
+            self.queue_save(None);
         }
         Ok(())
     }
@@ -307,12 +290,10 @@ impl Daemon {
     /// The shutdown save: queues the final snapshot behind every earlier
     /// one, joins the saver, and only then removes the liveness sidecar,
     /// so no late write can bring it back. Returns the checkpoint path, or
-    /// the error of the final write or of a cadence write no request
-    /// heard of.
+    /// the error of the final write or of a cadence write no `SAVE`
+    /// reported.
     fn finish(&mut self) -> Result<Option<String>, String> {
-        let last = self
-            .request_save()
-            .and_then(|pending| pending.as_ref().map_or(Ok(()), wait_for));
+        let last = self.request_save().as_ref().map_or(Ok(()), wait_for);
         let Some(saver) = self.saver.take() else {
             return Ok(None);
         };
@@ -428,8 +409,6 @@ fn stats_line(scope: &str, registry: &MetricsRegistry) -> String {
 /// Handles one protocol line against the daemon. Accesses batch locally
 /// in the session and only touch the daemon on block boundaries; every
 /// query flushes first so answers always reflect the full stream so far.
-/// A failed cadence write is answered to the first request that reaches
-/// the daemon after it, instead of that request.
 fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Action {
     let request = match parse_line(line) {
         Ok(request) => request,
@@ -450,10 +429,7 @@ fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Ac
         _ => {}
     }
     let mut daemon = daemon.lock().unwrap();
-    if let Err(reason) = daemon
-        .take_save_failure()
-        .and_then(|()| session.flush(&mut daemon))
-    {
+    if let Err(reason) = session.flush(&mut daemon) {
         return Action::Reply(err_line(&reason));
     }
     match request {
@@ -502,7 +478,7 @@ fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Ac
         // The write is waited for without the lock, so other sessions
         // keep streaming while this one waits.
         Request::Save => match daemon.request_save() {
-            Ok(Some(pending)) => {
+            Some(pending) => {
                 let saved = format!(
                     "OK saved {} tenants {}",
                     daemon
@@ -519,10 +495,9 @@ fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Ac
                     Err(reason) => Action::Reply(err_line(&reason)),
                 }
             }
-            Ok(None) => Action::Reply(err_line(
+            None => Action::Reply(err_line(
                 "no checkpoint configured (start with --checkpoint FILE)",
             )),
-            Err(reason) => Action::Reply(err_line(&reason)),
         },
         Request::Ping => Action::Reply("OK pong".to_string()),
         Request::Quit => Action::Close("OK bye".to_string()),
@@ -531,9 +506,10 @@ fn handle_line(daemon: &Mutex<Daemon>, session: &mut Session, line: &[u8]) -> Ac
 
 /// Runs one session — the loop both transports share — until `QUIT`,
 /// end of stream, an over-long line, a failed reply or `stop`. Replies go
-/// through `send`. Read timeouts only re-check `stop`; any other read
-/// error ends the session and is returned. The session's buffered tail
-/// is flushed into the daemon at close.
+/// through `send`. A read timeout keeps the part of the line read so far
+/// and only re-checks `stop`; any other read error ends the session and
+/// is returned. The session's buffered tail is flushed into the daemon at
+/// close.
 fn run_session(
     daemon: &Mutex<Daemon>,
     mut reader: impl BufRead,
@@ -541,39 +517,42 @@ fn run_session(
     mut send: impl FnMut(String) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut session = Session::new();
-    let mut framer = LineFramer::new();
+    let mut line = Vec::new();
     let mut ended = Ok(());
     while !stop.load(Ordering::SeqCst) {
-        let framed = framer.read(&mut reader, |line| {
-            let (reply, close) = match handle_line(daemon, &mut session, line) {
-                Action::Silent => return ControlFlow::Continue(()),
-                Action::Reply(reply) => (reply, false),
-                Action::Close(reply) => (reply, true),
-            };
-            if send(reply).is_err() || close {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        match framed {
-            Ok(Framed::More) => {}
-            Ok(Framed::Stopped | Framed::Eof) => break,
-            Ok(Framed::TooLong) => {
-                let _ = send(err_line(&format!("line exceeds {MAX_LINE_BYTES} bytes")));
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => {
+        // At most one byte past the bound is ever read into the line.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        if let Err(e) = reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) {
                 ended = Err(e);
                 break;
             }
+            continue;
+        }
+        let terminated = line.last() == Some(&b'\n');
+        if terminated {
+            line.pop();
+        } else if line.len() > MAX_LINE_BYTES {
+            let _ = send(err_line(&format!("line exceeds {MAX_LINE_BYTES} bytes")));
+            break;
+        } else if line.is_empty() {
+            break;
+        }
+        let open = match handle_line(daemon, &mut session, &line) {
+            Action::Silent => true,
+            Action::Reply(reply) => send(reply).is_ok(),
+            Action::Close(reply) => {
+                let _ = send(reply);
+                false
+            }
+        };
+        line.clear();
+        // An unterminated line is the last one of the stream.
+        if !open || !terminated {
+            break;
         }
     }
     let mut daemon = daemon.lock().unwrap();
@@ -647,10 +626,9 @@ fn run_tcp_session(daemon: &Mutex<Daemon>, stream: TcpStream) {
     });
 }
 
-/// The TCP transport: accept loop + thread per connection, until a
-/// termination signal. Returns the daemon for the caller's final save
-/// and report.
-fn run_tcp(daemon: Daemon, port: u16) -> Result<Daemon, CliError> {
+/// Binds the TCP listener on 127.0.0.1 and announces the bound address.
+/// The termination signals are caught from here on.
+fn listen(port: u16) -> Result<TcpListener, CliError> {
     install_signal_handlers();
     SHUTDOWN.store(false, Ordering::SeqCst);
     let listener = TcpListener::bind(("127.0.0.1", port))
@@ -665,29 +643,51 @@ fn run_tcp(daemon: Daemon, port: u16) -> Result<Daemon, CliError> {
     // --port 0 this line is how callers discover the ephemeral port.
     println!("listening on {addr}");
     let _ = std::io::stdout().flush();
+    Ok(listener)
+}
 
-    let daemon = Arc::new(Mutex::new(daemon));
-    let mut workers = Vec::new();
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let daemon = Arc::clone(&daemon);
-                workers.push(std::thread::spawn(move || run_tcp_session(&daemon, stream)));
+/// The TCP transport: accept loop + thread per connection, until a
+/// termination signal or a failed accept. Returns once every connection
+/// thread has finished.
+fn run_tcp(daemon: &Mutex<Daemon>, listener: &TcpListener) -> Result<(), CliError> {
+    std::thread::scope(|scope| {
+        while !SHUTDOWN.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    scope.spawn(move || run_tcp_session(daemon, stream));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(25));
+                }
+                Err(e) => {
+                    // Close the open connections too, so the caller can
+                    // take the shutdown save.
+                    SHUTDOWN.store(true, Ordering::SeqCst);
+                    return Err(CliError(format!("accept failed: {e}")));
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(e) => return Err(CliError(format!("accept failed: {e}"))),
         }
-        workers.retain(|w| !w.is_finished());
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
-    Ok(Arc::try_unwrap(daemon)
-        .map_err(|_| CliError("connection thread leaked past join".to_string()))?
+        Ok(())
+    })
+}
+
+/// Runs `transport` against the daemon, then shuts the daemon down
+/// whatever the transport returned: a transport error is returned only
+/// after the final save is written and the saver joined, so no queued
+/// snapshot is lost. Returns the transport's output, the daemon and the
+/// checkpoint it saved to.
+fn run_to_shutdown(
+    daemon: Daemon,
+    transport: impl FnOnce(&Mutex<Daemon>) -> Result<String, CliError>,
+) -> Result<(String, Daemon, Option<String>), CliError> {
+    let daemon = Mutex::new(daemon);
+    let served = transport(&daemon);
+    let mut daemon = daemon
         .into_inner()
-        .unwrap())
+        .expect("a session panicked holding the tenant table");
+    let saved = daemon.finish();
+    let served = served?;
+    Ok((served, daemon, saved.map_err(CliError)?))
 }
 
 /// Entry point for `symloc serve`.
@@ -727,26 +727,26 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
             false,
         ),
     };
-    let daemon = Daemon::new(state, checkpoint, save_every);
-
     let mut out = String::new();
     if resumed {
         let _ = writeln!(
             out,
             "resumed {} tenant(s), {} access(es) from checkpoint",
-            daemon.state.tenant_count(),
-            daemon.state.total_accesses()
+            state.tenant_count(),
+            state.total_accesses()
         );
     }
-    let mut daemon = if stdin_mode {
-        let daemon = Mutex::new(daemon);
-        let session_out = run_stdin_session(&daemon, std::io::stdin().lock())?;
-        out.push_str(&session_out);
-        daemon.into_inner().unwrap()
+    let listener = if stdin_mode {
+        None
     } else {
-        run_tcp(daemon, port)?
+        Some(listen(port)?)
     };
-    let saved = daemon.finish().map_err(CliError)?;
+    let daemon = Daemon::new(state, checkpoint, save_every);
+    let (session_out, daemon, saved) = run_to_shutdown(daemon, |daemon| match &listener {
+        Some(listener) => run_tcp(daemon, listener).map(|()| String::new()),
+        None => run_stdin_session(daemon, std::io::stdin().lock()),
+    })?;
+    out.push_str(&session_out);
     super::flags::write_metrics(metrics_path.as_deref(), &daemon.state.fleet_metrics())?;
     out.push_str(&summary(&daemon, saved.as_deref()));
     Ok(out)
@@ -755,6 +755,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symloc_trace::wire::WIRE_BLOCK_LEN;
 
     fn daemon(budget: usize, max_tenants: usize, checkpoint: Option<PathBuf>) -> Mutex<Daemon> {
         Mutex::new(Daemon::new(
@@ -969,28 +970,137 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `count` access lines, one per address from `first` on.
+    fn access_lines(first: u64, count: usize) -> String {
+        (first..first + count as u64)
+            .map(|a| format!("{a}\n"))
+            .collect()
+    }
+
     #[test]
-    fn a_failed_background_write_is_answered_and_fails_shutdown() {
+    fn a_failed_background_write_is_reported_by_save_and_shutdown_only() {
         let dir = scratch_dir("blocked");
         let blocker = dir.join("not-a-directory");
         std::fs::write(&blocker, "").unwrap();
         let path = blocker.join("serve.ckpt.json");
         let daemon = Mutex::new(Daemon::new(
             ServeState::new(32, 8).unwrap(),
-            Some(path.clone()),
-            1,
+            Some(path),
+            WIRE_BLOCK_LEN as u64,
         ));
-        // The WSS flush queues a cadence save that fails on the saver
-        // thread. SAVE hears of that failure (before queueing its own
-        // write, or from the saver once its own write also failed), so the
-        // PING after it finds nothing left to report.
-        let out = drive(&daemon, "HELLO t\n1\nWSS t\nSAVE\nPING\n");
+        // One full block for `a` reaches a cadence save point, whose write
+        // fails on the saver thread. Then two more snapshots through the
+        // one-slot queue: the second is taken only once the first, and so
+        // the failed write before it, is done.
+        let first = drive(
+            &daemon,
+            &format!("HELLO a\n{}", access_lines(0, WIRE_BLOCK_LEN)),
+        );
+        assert_eq!(first, "OK tenant a\n");
+        for _ in 0..2 {
+            assert!(daemon.lock().unwrap().queue_save(None));
+        }
+        // Every request of the next session is served, the HELLO included,
+        // so its accesses land in `b`; only SAVE reports the failure.
+        let out = drive(&daemon, "HELLO b\n1\n2\n3\nWSS a\nWSS b\nSAVE\nPING\n");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines[..2], ["OK tenant t", "OK wss t 1"], "{out}");
-        assert!(lines[2].starts_with("ERR cannot write checkpoint"), "{out}");
-        assert_eq!(lines[3], "OK pong", "{out}");
-        let err = daemon.into_inner().unwrap().finish().unwrap_err();
+        assert_eq!(lines.len(), 5, "{out}");
+        assert_eq!(lines[0], "OK tenant b", "{out}");
+        assert!(lines[1].starts_with("OK wss a "), "{out}");
+        assert_eq!(lines[2], "OK wss b 3", "{out}");
+        assert!(lines[3].starts_with("ERR cannot write checkpoint"), "{out}");
+        assert_eq!(lines[4], "OK pong", "{out}");
+        let mut daemon = daemon.into_inner().unwrap();
+        assert_eq!(daemon.state.tenant("a").unwrap().accesses(), 4096);
+        assert_eq!(daemon.state.tenant("b").unwrap().accesses(), 3);
+        let err = daemon.finish().unwrap_err();
         assert!(err.starts_with("cannot write checkpoint"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reader that fails every read.
+    struct Broken;
+
+    impl std::io::Read for Broken {
+        fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("connection lost"))
+        }
+    }
+
+    #[test]
+    fn a_read_error_still_writes_every_queued_save() {
+        let dir = scratch_dir("read-error");
+        let path = dir.join("serve.ckpt.json");
+        let daemon = Daemon::new(
+            ServeState::new(32, 8).unwrap(),
+            Some(path.clone()),
+            WIRE_BLOCK_LEN as u64,
+        );
+        // A full block reaches a cadence save point, then a short tail,
+        // then the stream fails.
+        let script = format!("HELLO t\n{}", access_lines(0, WIRE_BLOCK_LEN + 7));
+        let reader = BufReader::new(std::io::Cursor::new(script).chain(Broken));
+        let Err(err) = run_to_shutdown(daemon, |daemon| run_stdin_session(daemon, reader)) else {
+            panic!("a failed read must fail the session");
+        };
+        assert!(err.0.contains("connection lost"), "{err}");
+        // The cadence save and the shutdown save were both written, and
+        // the saver was joined before the heartbeat was retired.
+        let mut expected = ServeState::new(32, 8).unwrap();
+        let t = expected.ensure_tenant("t").unwrap();
+        let addrs: Vec<u64> = (0..WIRE_BLOCK_LEN as u64 + 7).collect();
+        expected.record_block(t, &addrs[..WIRE_BLOCK_LEN]);
+        expected.note_save();
+        expected.record_block(t, &addrs[WIRE_BLOCK_LEN..]);
+        expected.note_save();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected.to_json());
+        assert!(!Heartbeat::sidecar_path(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reader that hands out `chunk` bytes per read, with a read timeout
+    /// before each read, like a slow TCP peer.
+    struct Stuttering {
+        bytes: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
+        timed_out: bool,
+    }
+
+    impl std::io::Read for Stuttering {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let len = buf.len().min(self.chunk);
+            self.bytes.read(&mut buf[..len])
+        }
+    }
+
+    fn drive_stuttering(daemon: &Mutex<Daemon>, script: &str, chunk: usize) -> String {
+        let reader = Stuttering {
+            bytes: std::io::Cursor::new(script.as_bytes().to_vec()),
+            chunk,
+            timed_out: false,
+        };
+        run_stdin_session(daemon, BufReader::new(reader)).unwrap()
+    }
+
+    #[test]
+    fn read_timeouts_mid_line_keep_the_line() {
+        let script = "HELLO t\n12\n345\n12\nWSS t\nPING\nMRC t 4";
+        let whole = drive(&daemon(64, 8, None), script);
+        assert!(whole.starts_with("OK tenant t\nOK wss t 2\nOK pong\nOK mrc t "));
+        for chunk in 1..=4 {
+            assert_eq!(drive_stuttering(&daemon(64, 8, None), script, chunk), whole);
+        }
+        // The line bound holds across timeouts too.
+        let daemon = daemon(64, 8, None);
+        let long = format!("PING\n{}\nPING\n", "7".repeat(MAX_LINE_BYTES + 1));
+        let out = drive_stuttering(&daemon, &long, 1000);
+        assert_eq!(out, "OK pong\nERR line exceeds 4096 bytes\n");
+        let fits = format!("HELLO t\n{}\nPING\n", "0".repeat(MAX_LINE_BYTES));
+        let out = drive_stuttering(&daemon, &fits, 1000);
+        assert_eq!(out, "OK tenant t\nOK pong\n");
     }
 }
