@@ -27,7 +27,8 @@
 //!   dispatch `symloc job status` / `symloc job resume` on whatever kind
 //!   a checkpoint file records, and to make cross-kind resumes
 //!   ([`resume_or_new_with`]) a loud, descriptive error instead of a
-//!   silently discarded file. Tags of retired jobs fail just as loudly.
+//!   silently discarded file. Tags of retired jobs, and documents of the
+//!   right kind that do not decode, fail just as loudly.
 //!
 //! # Execution model
 //!
@@ -803,6 +804,10 @@ pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
 ///   discarded (or worse, misread) by an exhaustive sweep, and vice versa
 ///   for every cross-kind pair. A **retired** kind is just as loud an
 ///   error, and the file is left untouched.
+/// * The right kind but a document that does not decode (a mangled or
+///   hostile field): a loud error carrying the decoder's reason, and the
+///   file is left untouched — overwriting it would silently discard what
+///   may be hours of progress.
 /// * The right kind but a plan that fails `matches` (different spec,
 ///   seed, source, shard count, ...): fresh plan, the stale file left
 ///   untouched on disk until the next save (callers warn about this).
@@ -814,7 +819,8 @@ pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
 ///
 /// # Errors
 ///
-/// Returns the cross-kind or retired-kind error described above.
+/// Returns the cross-kind, retired-kind or undecodable-document error
+/// described above.
 pub fn resume_or_new_with<T>(
     path: &Path,
     expected: JobKind,
@@ -846,6 +852,14 @@ pub fn resume_or_new_with<T>(
             let resumed = completed(&job) > 0;
             Ok((job, resumed))
         }
+        Err(e) if sniffed == Some(expected) => Err(format!(
+            "checkpoint {} holds a {} ({:?}) that does not decode: {e}; it was left \
+             untouched — remove it to start over, or point the checkpoint flag at a \
+             different file",
+            path.display(),
+            expected.describe(),
+            expected.kind_str(),
+        )),
         _ => Ok((fresh(), false)),
     }
 }
@@ -1319,6 +1333,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!((value, resumed), (1, true));
+
+        // Right kind, undecodable: loud error carrying the reason, and
+        // the file is left as it was.
+        let err = resume_or_new_with(
+            &path,
+            JobKind::ShardedSweep,
+            |_| Err::<u32, _>("bad field".to_string()),
+            |_| true,
+            |_| 1,
+            || 0u32,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("bad field") && err.contains("untouched"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc);
 
         // Right kind, plan mismatch: fresh.
         let (value, resumed) = resume_or_new_with(

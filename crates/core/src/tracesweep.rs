@@ -23,9 +23,14 @@
 //!   each worker folds a contiguous chunk of the trace into a *mergeable*
 //!   partial (resolved within-chunk distances, the chunk's first accesses
 //!   with their distinct-before counts, and its distinct addresses in
-//!   last-access order); partials merge left-to-right into exactly the
-//!   sequential result. This is the PARDA decomposition of the stack
-//!   distance problem.
+//!   last-access order, as indices into those first accesses); partials
+//!   merge left-to-right into exactly the sequential result. This is the
+//!   PARDA decomposition of the stack distance problem. The serial merge
+//!   costs what each chunk adds, not the global footprint: one hash per
+//!   distinct chunk address, and a Fenwick tree that counts only the
+//!   entries chunks have removed from the global last-access order.
+//! * [`StreamHistogram`] — the exact histogram, one dense `u64` array
+//!   indexed by distance (a distance never exceeds the footprint).
 //! * [`FusedIngest`] — the one resumable trace job: **one** streaming pass
 //!   per chunk feeds the exact chunk folder and routes every access to its
 //!   hash shard, each half switchable ([`TracePlan`]). Absorbing the
@@ -66,34 +71,26 @@ const MIN_TIMELINE_CAPACITY: usize = 64;
 // Histograms
 // ---------------------------------------------------------------------------
 
-/// Distances at or below this bound live in the histogram's dense front
-/// array (one `u64` per distance, `record_finite` is an increment);
-/// distances above it spill to the sparse tree. `1 << 16` entries is 512
-/// KiB fully grown — and the front only grows to the largest distance
-/// actually seen.
-const DENSE_DISTANCE_LIMIT: usize = 1 << 16;
-
 /// A reuse-distance histogram with `u64` counts, built online.
 ///
-/// The streaming counterpart of `symloc_cache`'s dense-trace histogram.
-/// `record_finite` sits on the exact engine's per-access path, so common
-/// (small) distances are a plain array increment — `dense[d - 1]`, grown
-/// geometrically up to `DENSE_DISTANCE_LIMIT` — and only the rare huge
-/// distances pay a `BTreeMap` probe. Counts are 64-bit so
-/// multi-billion-access traces aggregate without overflow.
+/// The streaming counterpart of `symloc_cache`'s dense-trace histogram:
+/// one `u64` per distance, so `record_finite` — on the exact engine's
+/// per-access path — is a plain array increment at `counts[d - 1]`, grown
+/// geometrically to the largest distance actually seen. A reuse distance
+/// never exceeds the footprint, so the array costs at most 16 bytes per
+/// distinct address, less than the timeline that produced the distances.
+/// Counts are 64-bit so multi-billion-access traces aggregate without
+/// overflow.
 #[derive(Debug, Clone, Default)]
 pub struct StreamHistogram {
     /// Count of distance `d` at index `d - 1`, for `d` up to the grown
-    /// length (zeros are "no such distance", exactly like an absent key).
-    dense: Vec<u64>,
-    /// Counts for distances beyond `DENSE_DISTANCE_LIMIT` — every key
-    /// here is strictly larger than any dense index.
-    counts: BTreeMap<usize, u64>,
+    /// length (zeros are "no such distance").
+    counts: Vec<u64>,
     cold: u64,
 }
 
 /// Logical equality: the same recorded distances and counts, regardless of
-/// how far the dense front happened to grow.
+/// how far the array happened to grow.
 impl PartialEq for StreamHistogram {
     fn eq(&self, other: &Self) -> bool {
         self.cold == other.cold && self.iter().eq(other.iter())
@@ -117,15 +114,16 @@ impl StreamHistogram {
     #[inline]
     pub fn record_finite(&mut self, d: usize, count: u64) {
         assert!(d > 0, "reuse distance 0 is not representable");
-        if d <= DENSE_DISTANCE_LIMIT {
-            if d > self.dense.len() {
-                self.dense
-                    .resize(d.next_power_of_two().max(MIN_TIMELINE_CAPACITY), 0);
-            }
-            self.dense[d - 1] += count;
-        } else {
-            *self.counts.entry(d).or_insert(0) += count;
+        if d > self.counts.len() {
+            self.grow(d);
         }
+        self.counts[d - 1] += count;
+    }
+
+    #[cold]
+    fn grow(&mut self, d: usize) {
+        self.counts
+            .resize(d.next_power_of_two().max(MIN_TIMELINE_CAPACITY), 0);
     }
 
     /// Records `count` cold (infinite-distance) accesses.
@@ -136,13 +134,10 @@ impl StreamHistogram {
     /// Number of accesses with exactly distance `d`.
     #[must_use]
     pub fn count_at(&self, d: usize) -> u64 {
-        if d == 0 {
-            0
-        } else if d <= self.dense.len() {
-            self.dense[d - 1]
-        } else {
-            self.counts.get(&d).copied().unwrap_or(0)
-        }
+        d.checked_sub(1)
+            .and_then(|index| self.counts.get(index))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Number of cold accesses.
@@ -154,7 +149,7 @@ impl StreamHistogram {
     /// Number of accesses with finite distance.
     #[must_use]
     pub fn finite_count(&self) -> u64 {
-        self.dense.iter().sum::<u64>() + self.counts.values().sum::<u64>()
+        self.counts.iter().sum()
     }
 
     /// Total recorded accesses.
@@ -167,8 +162,7 @@ impl StreamHistogram {
     /// size `c`).
     #[must_use]
     pub fn hits_up_to(&self, c: usize) -> u64 {
-        self.dense[..c.min(self.dense.len())].iter().sum::<u64>()
-            + self.counts.range(..=c).map(|(_, &n)| n).sum::<u64>()
+        self.counts[..c.min(self.counts.len())].iter().sum()
     }
 
     /// Miss ratio of an LRU cache of size `c`.
@@ -185,30 +179,30 @@ impl StreamHistogram {
     /// Largest finite distance recorded.
     #[must_use]
     pub fn max_distance(&self) -> Option<usize> {
-        self.counts.keys().next_back().copied().or_else(|| {
-            self.dense
-                .iter()
-                .rposition(|&c| c > 0)
-                .map(|index| index + 1)
-        })
+        self.counts
+            .iter()
+            .rposition(|&c| c > 0)
+            .map(|index| index + 1)
     }
 
     /// Iterates over `(distance, count)` in increasing distance order.
-    /// Every dense distance is smaller than every spilled one, so the
-    /// chain stays sorted.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.dense
+        self.counts
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(index, &c)| (index + 1, c))
-            .chain(self.counts.iter().map(|(&d, &c)| (d, c)))
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &StreamHistogram) {
-        for (d, c) in other.iter() {
-            self.record_finite(d, c);
+        if let Some(d) = other.max_distance() {
+            if d > self.counts.len() {
+                self.grow(d);
+            }
+            for (mine, &theirs) in self.counts.iter_mut().zip(&other.counts[..d]) {
+                *mine += theirs;
+            }
         }
         self.cold += other.cold;
     }
@@ -714,54 +708,15 @@ impl Timeline {
         distance
     }
 
-    /// Number of live markers strictly after `slot`.
-    fn markers_after(&self, slot: usize) -> u64 {
-        self.tree.range_sum(slot + 1, self.next_slot)
-    }
-
-    /// Removes an address's marker; returns the slot it occupied.
-    fn remove(&mut self, addr: u64) -> Option<usize> {
-        let id = self.interner.lookup(addr)? as usize;
-        let slot = *self.slot_of.get(id)?;
-        if slot == NO_SLOT {
-            return None;
-        }
-        self.slot_of[id] = NO_SLOT;
-        self.live -= 1;
-        self.tree.sub(slot, 1);
-        Some(slot)
-    }
-
-    /// True when `addr` has a live marker.
-    fn is_live(&self, addr: u64) -> bool {
-        self.interner
-            .lookup(addr)
-            .is_some_and(|id| self.slot_of[id as usize] != NO_SLOT)
-    }
-
-    /// Appends a marker for `addr` at the newest slot (the address must not
-    /// be live).
-    fn append(&mut self, addr: u64) {
-        self.ensure_slot();
-        let id = self.intern(addr);
-        debug_assert_eq!(self.slot_of[id], NO_SLOT, "append of live addr");
-        self.tree.add(self.next_slot, 1);
-        self.slot_of[id] = self.next_slot;
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            self.id_of_slot[self.next_slot] = id as u32;
-        }
-        self.live += 1;
-        self.next_slot += 1;
-    }
-
-    /// The live addresses in timeline (last-access) order.
-    fn ordered_addresses(&self) -> Vec<u64> {
+    /// The live addresses' ids in timeline (last-access) order. Ids are
+    /// first-touch ranks, so this is the order as indices into the list
+    /// of first touches.
+    fn ordered_ids(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.live);
         for slot in 0..self.next_slot {
             let id = self.id_of_slot[slot];
             if self.slot_of[id as usize] == slot {
-                out.push(self.interner.address(id));
+                out.push(id);
             }
         }
         out
@@ -1629,8 +1584,10 @@ pub struct ChunkPartial {
     /// `(addr, distinct addresses seen earlier in the chunk)` for every
     /// first-in-chunk access, in access order.
     pub unresolved: Vec<(u64, u64)>,
-    /// The chunk's distinct addresses ordered by their last access.
-    pub last_order: Vec<u64>,
+    /// The chunk's distinct addresses ordered by their last access, each
+    /// given as its index into `unresolved` (a permutation of
+    /// `0..unresolved.len()`).
+    pub last_order: Vec<u32>,
     /// Accesses in the chunk.
     pub accesses: u64,
 }
@@ -1657,11 +1614,13 @@ impl ChunkFolder {
         }
     }
 
+    /// The timeline interns addresses in first-touch order, so its ids are
+    /// exactly the `unresolved` indices `last_order` is given in.
     fn finish(self) -> ChunkPartial {
         ChunkPartial {
             histogram: self.histogram,
             unresolved: self.unresolved,
-            last_order: self.timeline.ordered_addresses(),
+            last_order: self.timeline.ordered_ids(),
             accesses: self.count,
         }
     }
@@ -1678,14 +1637,44 @@ pub fn chunk_partial(accesses: impl IntoIterator<Item = u64>) -> ChunkPartial {
     folder.finish()
 }
 
-/// The left-to-right merge state of sharded ingestion: a global compressed
-/// timeline of every address's last absorbed access, plus the global
-/// histogram. Absorbing the chunks of a trace in order yields exactly the
-/// sequential [`OnlineReuseEngine`] result.
-#[derive(Debug, Clone, Default)]
+/// The left-to-right merge state of sharded ingestion: every absorbed
+/// address in last-access order, plus the global histogram. Absorbing the
+/// chunks of a trace in order yields exactly the sequential
+/// [`OnlineReuseEngine`] result.
+///
+/// The order is a list of slots holding global address ids. Absorbing a
+/// chunk only *removes* entries (an address the chunk touches again) and
+/// *appends* them at the end, so a removal leaves a dead slot behind and
+/// the Fenwick tree counts dead slots alone: the live entries after a
+/// slot are the later slots minus the dead ones among them. Appends touch
+/// no tree. When the slots run out, the live ones are repacked to the
+/// front and the tree is reset, the way the engine's timeline compacts,
+/// so an absorb costs `O(k log footprint)` amortized for a chunk of `k`
+/// distinct addresses, never a pass over the whole footprint.
+#[derive(Debug, Clone)]
 pub struct MergeState {
-    timeline: Timeline,
+    interner: AddrInterner,
+    /// Global ids in last-access order. A slot is live iff `slot_of`
+    /// points back at it.
+    slots: Vec<u32>,
+    /// `id → slot` of its live entry (`NO_SLOT` between its removal and
+    /// its re-append within one absorb).
+    slot_of: Vec<usize>,
+    /// Counts the dead slots; its length is the slot capacity.
+    dead: Fenwick,
     histogram: StreamHistogram,
+}
+
+impl Default for MergeState {
+    fn default() -> Self {
+        MergeState {
+            interner: AddrInterner::new(),
+            slots: Vec::new(),
+            slot_of: Vec::new(),
+            dead: Fenwick::new(MIN_TIMELINE_CAPACITY),
+            histogram: StreamHistogram::new(),
+        }
+    }
 }
 
 impl MergeState {
@@ -1697,29 +1686,81 @@ impl MergeState {
 
     /// Absorbs the next chunk's partial. Must be called in chunk order.
     pub fn absorb(&mut self, partial: &ChunkPartial) {
-        // Resolve the chunk's first accesses against the global timeline:
-        // the distance of a cross-chunk reuse is (distinct addresses earlier
-        // in the chunk) + (older-chunk addresses whose marker still sits
-        // after the previous access) + 1. Removing each resolved address's
-        // marker as we go is exactly Olken's dedup — an address both in the
-        // global timeline and earlier in this chunk is counted once, by the
+        debug_assert_eq!(partial.last_order.len(), partial.unresolved.len());
+        // Resolve the chunk's first accesses against the global order: the
+        // distance of a cross-chunk reuse is (distinct addresses earlier in
+        // the chunk) + (older-chunk addresses whose entry still sits after
+        // the previous access) + 1. Removing each resolved address's entry
+        // as we go is exactly Olken's dedup — an address both in the global
+        // order and earlier in this chunk is counted once, by the
         // chunk-local term.
+        let end = self.slots.len();
+        let mut ids = Vec::with_capacity(partial.unresolved.len());
         for &(addr, distinct_before) in &partial.unresolved {
-            match self.timeline.remove(addr) {
-                Some(prev) => {
-                    let between = self.timeline.markers_after(prev);
-                    let d = usize::try_from(distinct_before + between).expect("distance fits") + 1;
-                    self.histogram.record_finite(d, 1);
-                }
-                None => self.histogram.record_cold(1),
+            let id = self.intern(addr);
+            let slot = self.slot_of[id as usize];
+            if slot == NO_SLOT {
+                self.histogram.record_cold(1);
+            } else {
+                let live_after = (end - slot - 1) as u64 - self.dead.range_sum(slot + 1, end);
+                let d = usize::try_from(distinct_before + live_after).expect("distance fits") + 1;
+                self.histogram.record_finite(d, 1);
+                self.dead.add(slot, 1);
+                self.slot_of[id as usize] = NO_SLOT;
             }
+            ids.push(id);
         }
         self.histogram.merge(&partial.histogram);
-        // Extend the global timeline with the chunk's last accesses, in
-        // their within-chunk order.
-        for &addr in &partial.last_order {
-            self.timeline.append(addr);
+        // Append the chunk's last accesses, in their within-chunk order.
+        for &index in &partial.last_order {
+            self.append(ids[index as usize]);
         }
+    }
+
+    /// Interns `addr`, growing `slot_of` alongside the id space (a new id
+    /// has no slot yet).
+    fn intern(&mut self, addr: u64) -> u32 {
+        let id = self.interner.intern(addr);
+        if id as usize == self.slot_of.len() {
+            self.slot_of.push(NO_SLOT);
+        }
+        id
+    }
+
+    /// Appends `id` (which must have no live slot) as the newest entry.
+    fn append(&mut self, id: u32) {
+        if self.slots.len() == self.dead.len() {
+            self.repack();
+        }
+        self.slot_of[id as usize] = self.slots.len();
+        self.slots.push(id);
+    }
+
+    /// Moves the live slots to the front, in order, and resets the dead
+    /// tree to twice their number: amortized `O(1)` per append, since at
+    /// least that many appends fill the slots again.
+    fn repack(&mut self) {
+        let mut live = 0usize;
+        for slot in 0..self.slots.len() {
+            let id = self.slots[slot];
+            if self.slot_of[id as usize] == slot {
+                self.slots[live] = id;
+                self.slot_of[id as usize] = live;
+                live += 1;
+            }
+        }
+        self.slots.truncate(live);
+        self.dead.reset((live * 2).max(MIN_TIMELINE_CAPACITY));
+    }
+
+    /// The absorbed addresses in last-access order.
+    fn ordered_addresses(&self) -> Vec<u64> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(slot, &id)| self.slot_of[id as usize] == slot)
+            .map(|(_, &id)| self.interner.address(id))
+            .collect()
     }
 
     /// The global histogram so far.
@@ -1731,7 +1772,7 @@ impl MergeState {
     /// Distinct addresses absorbed so far.
     #[must_use]
     pub fn footprint(&self) -> usize {
-        self.timeline.live()
+        self.interner.len()
     }
 
     /// Writes the state's checkpoint fields: the cold count, the
@@ -1745,7 +1786,7 @@ impl MergeState {
             let _ = write!(out, "{sep}[{d}, {c}]");
         }
         out.push_str("],\n  \"timeline\": [");
-        for (i, addr) in self.timeline.ordered_addresses().iter().enumerate() {
+        for (i, addr) in self.ordered_addresses().iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}{addr}");
         }
@@ -1756,37 +1797,46 @@ impl MergeState {
     ///
     /// # Errors
     ///
-    /// Rejects a missing or malformed field, a timeline address that
-    /// appears twice, and a cold count that differs from the timeline
-    /// length (every distinct address is one first touch and one live
-    /// marker) — either would otherwise resume to a wrong curve.
+    /// Rejects a missing or malformed field, a cold count that differs
+    /// from the timeline length (every distinct address is one first touch
+    /// and one timeline entry), a histogram distance above the cold count
+    /// (no reuse distance exceeds the footprint), and a timeline address
+    /// that appears twice — each would otherwise resume to a wrong curve.
+    /// The counts are checked before anything is allocated for them, so a
+    /// hostile document costs memory in proportion to its own length.
     fn restore(doc: &JsonValue) -> Result<Self, String> {
         let cold = doc
             .get("cold")
             .and_then(JsonValue::as_u64)
             .ok_or("missing cold")?;
-        let mut state = MergeState::new();
-        state.histogram.record_cold(cold);
-        for (d, c) in histogram_bins(doc.get("histogram"))? {
-            let c = c.as_u64().ok_or("bad histogram count")?;
-            state.histogram.record_finite(d, c);
-        }
         let timeline = doc
             .get("timeline")
             .and_then(JsonValue::as_array)
             .ok_or("missing timeline")?;
-        for addr in timeline {
-            let addr = addr.as_u64().ok_or("bad timeline address")?;
-            if state.timeline.is_live(addr) {
-                return Err(format!("timeline address {addr} appears twice"));
-            }
-            state.timeline.append(addr);
-        }
         if cold != timeline.len() as u64 {
             return Err(format!(
                 "cold count {cold} differs from the {} timeline addresses",
                 timeline.len()
             ));
+        }
+        let mut state = MergeState::new();
+        state.histogram.record_cold(cold);
+        for (d, c) in histogram_bins(doc.get("histogram"))? {
+            if d as u64 > cold {
+                return Err(format!(
+                    "histogram distance {d} exceeds the cold count {cold}"
+                ));
+            }
+            let c = c.as_u64().ok_or("bad histogram count")?;
+            state.histogram.record_finite(d, c);
+        }
+        for addr in timeline {
+            let addr = addr.as_u64().ok_or("bad timeline address")?;
+            let id = state.intern(addr);
+            if state.slot_of[id as usize] != NO_SLOT {
+                return Err(format!("timeline address {addr} appears twice"));
+            }
+            state.append(id);
         }
         Ok(state)
     }
@@ -3234,6 +3284,57 @@ mod tests {
         ] {
             assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
         }
+    }
+
+    #[test]
+    fn restore_rejects_distances_above_the_cold_count() {
+        // No reuse distance exceeds the footprint, which the cold count
+        // is, so a larger one is hostile — and must fail before the dense
+        // histogram grows to hold it (10^12 distances would be 8 TB).
+        let source = gen("gen:cyclic:8:4");
+        let mut job = FusedIngest::planned(&source, TracePlan::exact(2), 1).unwrap();
+        job.run_pending(&source, Some(1));
+        let good = job.to_json();
+        assert!(good.contains("\"histogram\": [[8, 8]]"), "{good}");
+        for (bins, distance) in [
+            ("[[9, 8]]", 9u64),
+            ("[[7, 7], [1000000000000, 1]]", 1_000_000_000_000),
+        ] {
+            let hostile = good.replace("[[8, 8]]", bins);
+            let err = FusedIngest::from_json(&hostile, 1).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "histogram distance {distance} exceeds the cold count 8"
+                )),
+                "{err}"
+            );
+        }
+        // A hostile cold count is caught by the timeline length first.
+        let err =
+            FusedIngest::from_json(&good.replace("\"cold\": 8", "\"cold\": 1000000000000"), 1)
+                .unwrap_err();
+        assert!(
+            err.contains("differs from the 8 timeline addresses"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn merge_state_repacks_between_one_access_absorbs() {
+        // One-access chunks over a cyclic trace: every absorb kills one
+        // slot and appends one. 400 appends into at most 64 slots means
+        // the slots filled and were repacked again and again — and the
+        // result is still the sequential engine's.
+        let trace = cyclic_trace(10, 40);
+        let expected = engine_over(&trace);
+        let mut state = MergeState::new();
+        for a in trace.iter() {
+            state.absorb(&chunk_partial([a.value() as u64]));
+        }
+        assert!(state.dead.len() <= MIN_TIMELINE_CAPACITY.max(2 * 10));
+        assert!(state.slots.len() <= state.dead.len());
+        assert_eq!(state.histogram(), expected.histogram());
+        assert_eq!(state.footprint(), 10);
     }
 
     #[test]

@@ -151,21 +151,33 @@ proptest! {
     #[test]
     fn sharded_merge_matches_sequential_on_every_pattern(
         seed in any::<u64>(),
-        chunks in 1usize..9,
+        pick in any::<usize>(),
     ) {
         for (name, trace) in all_generator_patterns(seed) {
             let expected = online_engine(&trace);
             let addrs: Vec<u64> = trace.iter().map(|a| a.value() as u64).collect();
-            let mut state = MergeState::new();
-            for span in symloc_par::split_indices(addrs.len(), chunks) {
-                state.absorb(&chunk_partial(addrs[span.start..span.end].iter().copied()));
+            // Any chunk count up to the trace length, and always one access
+            // per chunk too: hundreds of absorbs, so the merge state's
+            // slots fill and are repacked between them.
+            let len = addrs.len().max(1);
+            for chunks in [1 + pick % len, len] {
+                let mut state = MergeState::new();
+                for span in symloc_par::split_indices(addrs.len(), chunks) {
+                    state.absorb(&chunk_partial(addrs[span.start..span.end].iter().copied()));
+                }
+                prop_assert_eq!(
+                    state.histogram(),
+                    expected.histogram(),
+                    "{} seed {} chunks {}",
+                    name, seed, chunks
+                );
+                prop_assert_eq!(
+                    state.footprint(),
+                    expected.footprint(),
+                    "{} seed {} chunks {}",
+                    name, seed, chunks
+                );
             }
-            prop_assert_eq!(
-                state.histogram(),
-                expected.histogram(),
-                "{} seed {} chunks {}",
-                name, seed, chunks
-            );
         }
     }
 
@@ -482,8 +494,8 @@ proptest! {
     }
 }
 
-/// A histogram distance: small, straddling the dense/spill boundary at
-/// 2^16, anywhere below 70k, or far past every evaluated size.
+/// A histogram distance: small, straddling 2^16, anywhere below 70k, or
+/// far past every evaluated size.
 fn histogram_distance() -> impl Strategy<Value = usize> {
     (0usize..4, 1usize..=70_000).prop_map(|(band, d)| match band {
         0 => d % 64 + 1,
@@ -493,8 +505,8 @@ fn histogram_distance() -> impl Strategy<Value = usize> {
     })
 }
 
-/// An evaluation grid: unsorted, with zeros, sizes around the 2^16
-/// boundary, and a repeated size.
+/// An evaluation grid: unsorted, with zeros, sizes around 2^16, and a
+/// repeated size.
 fn curve_sizes() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(
         (0usize..4, 0usize..=70_000).prop_map(|(band, c)| match band {
@@ -562,9 +574,10 @@ proptest! {
         h.record_cold(cold);
         let points = h.mrc_points(&sizes);
         prop_assert_eq!(points.len(), sizes.len());
+        let total = h.accesses() as f64;
         for (point, &c) in points.iter().zip(&sizes) {
             prop_assert_eq!(point.cache_size, c);
-            let want = reference_miss_ratio(h.hits_up_to(c) as f64, h.accesses() as f64);
+            let want = reference_miss_ratio(h.hits_up_to(c) as f64, total);
             prop_assert_eq!(point.miss_ratio.to_bits(), want.to_bits(), "size {}", c);
         }
     }

@@ -31,6 +31,7 @@
 //! (`read_sltr(write_sltr(t)) == read_trace_from_str(write_trace_to_string(t))`).
 
 use crate::io::TraceIoError;
+use crate::stream::BLOCK_LEN;
 use crate::trace::{Addr, Trace};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -926,16 +927,17 @@ pub fn read_sltr<P: AsRef<Path>>(path: P) -> Result<Trace, SltrError> {
     read_sltr_from_reader(File::open(path)?)
 }
 
-/// Counts the accesses of a `.sltr` file without materializing them.
+/// Counts the accesses of a `.sltr` file without materializing them, by
+/// draining [`SltrReader::decode_block`] into one reused buffer — the same
+/// count, and the same first error, as draining the per-access iterator.
 ///
 /// # Errors
 ///
 /// Returns the first decode or I/O error.
 pub fn count_sltr_accesses<P: AsRef<Path>>(path: P) -> Result<u64, SltrError> {
     let mut reader = SltrReader::new(File::open(path)?)?;
-    for item in reader.by_ref() {
-        item?;
-    }
+    let mut block = Vec::with_capacity(BLOCK_LEN);
+    while reader.decode_block(&mut block, BLOCK_LEN)? > 0 {}
     Ok(reader.decoded())
 }
 
@@ -1212,6 +1214,86 @@ mod tests {
         let err = reader.decode_block(&mut block, 1024).unwrap_err();
         assert!(matches!(err, SltrError::Overflow { access: 1 }));
         assert_eq!(reader.decode_block(&mut block, 1024).unwrap(), 0);
+    }
+
+    /// A length scan's outcome in comparable form: the count, or the error
+    /// variant with its access index.
+    fn scan_outcome(result: Result<u64, SltrError>) -> Result<u64, String> {
+        result.map_err(|e| match e {
+            SltrError::TruncatedVarint { access } => format!("truncated at access {access}"),
+            SltrError::Overflow { access } => format!("overflow at access {access}"),
+            SltrError::Io(e) => format!("I/O {:?}", e.kind()),
+            other => other.to_string(),
+        })
+    }
+
+    /// The reference length scan: drains the per-access iterator.
+    fn iterator_count(path: &Path) -> Result<u64, SltrError> {
+        let mut count = 0;
+        for item in SltrReader::new(File::open(path)?)? {
+            item?;
+            count += 1;
+        }
+        Ok(count)
+    }
+
+    #[test]
+    fn block_count_matches_the_iterator_on_damaged_files() {
+        let path =
+            std::env::temp_dir().join(format!("symloc_binio_count_{}.sltr", std::process::id()));
+        // One-, two- and three-byte varints; the long file's payload crosses
+        // the reader's 8 KiB buffer, so damage near that boundary lands in
+        // a varint the block decoder finishes byte by byte after a refill.
+        let file = |accesses: u64| {
+            let mut bytes = SLTR_MAGIC.to_vec();
+            bytes.push(SLTR_VERSION);
+            for i in 0..accesses {
+                push_varint(&mut bytes, i * i * 37 % 100_000);
+            }
+            bytes
+        };
+        let (short, long) = (file(60), file(4000));
+        assert!(long.len() > 8192 + 64);
+        // Ten 0xff bytes and a 0x03: 66 significant bits.
+        let mut run = vec![0xff; 10];
+        run.push(0x03);
+        let mut inputs: Vec<Vec<u8>> = (0..=short.len()).map(|n| short[..n].to_vec()).collect();
+        for (good, offsets) in [(&short, 5..short.len()), (&long, 8192 - 16..8192 + 16)] {
+            for offset in offsets {
+                let mut continued = good.clone();
+                continued[offset] = 0x80;
+                inputs.push(continued);
+                let mut overflow = good.clone();
+                for (i, &byte) in run.iter().enumerate() {
+                    match overflow.get_mut(offset + i) {
+                        Some(slot) => *slot = byte,
+                        None => overflow.push(byte),
+                    }
+                }
+                inputs.push(overflow);
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for bytes in &inputs {
+            std::fs::write(&path, bytes).unwrap();
+            let want = scan_outcome(iterator_count(&path));
+            assert_eq!(
+                scan_outcome(count_sltr_accesses(&path)),
+                want,
+                "{} bytes",
+                bytes.len()
+            );
+            seen.insert(match want {
+                Ok(_) => "ok".to_string(),
+                Err(e) => e.split(" at ").next().unwrap().to_string(),
+            });
+        }
+        std::fs::remove_file(&path).ok();
+        // Every outcome shape occurred: clean counts, header errors,
+        // truncations and overflows.
+        for shape in ["ok", "I/O UnexpectedEof", "truncated", "overflow"] {
+            assert!(seen.contains(shape), "{shape} never occurred: {seen:?}");
+        }
     }
 
     #[test]

@@ -404,9 +404,10 @@ impl TraceReport {
 /// `symloc trace mrc <file|gen:...>` — streams the trace once and reports
 /// its miss-ratio curves: the exact curve, the SHARDS-sampled curve in
 /// `O(s_max)` memory, or — with `--exact --sample S` — both from one
-/// pass. Every run goes through the resumable trace job except those of
-/// [`TraceMrcOptions::streams`] — one curve from one engine, without a
-/// checkpoint — which stream the trace once through that engine.
+/// pass. Every run goes through the resumable trace job except the ones
+/// that ask for one curve from one engine without a checkpoint (the exact
+/// curve alone on one thread, or the sampled curve alone at one hash
+/// shard), which stream the trace once through that engine.
 ///
 /// # Errors
 ///

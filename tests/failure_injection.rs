@@ -874,6 +874,66 @@ fn retired_trace_checkpoints_fail_loudly_and_stay_untouched() {
 }
 
 #[test]
+fn hostile_histogram_distances_fail_loudly_and_leave_the_checkpoint_untouched() {
+    use symmetric_locality::cli;
+
+    // A trace checkpoint whose histogram claims a reuse distance of 10^12
+    // over a footprint of a few dozen addresses: no trace produces that,
+    // and a dense histogram grown to hold it would be 8 TB. Resuming it,
+    // through `trace mrc --checkpoint` or `job resume`, must fail naming
+    // the bin, allocate nothing for it, and leave the file byte for byte
+    // as it was rather than overwrite it with a fresh job.
+    let ck = std::env::temp_dir().join(format!(
+        "symloc_failinj_hostile_bin_{}.json",
+        std::process::id()
+    ));
+    let ck_str = ck.to_str().unwrap().to_string();
+    std::fs::remove_file(&ck).ok();
+    let run = |args: &[&str]| {
+        cli::run(
+            &args
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<String>>(),
+        )
+    };
+    let trace_mrc = [
+        "trace",
+        "mrc",
+        "gen:zipf:50:500:0.9:1",
+        "--exact",
+        "--shards",
+        "3",
+        "--threads",
+        "2",
+        "--checkpoint",
+        &ck_str,
+    ];
+    let mut partial = trace_mrc.to_vec();
+    partial.extend(["--max-chunks", "1"]);
+    run(&partial).expect("one chunk checkpoints");
+    let good = std::fs::read_to_string(&ck).unwrap();
+    let histogram = good
+        .lines()
+        .find(|l| l.starts_with("  \"histogram\": "))
+        .expect("the exact half writes its histogram");
+    let hostile = good.replace(histogram, "  \"histogram\": [[1000000000000, 1]],");
+    assert_ne!(hostile, good);
+    std::fs::write(&ck, &hostile).unwrap();
+    for args in [trace_mrc.to_vec(), vec!["job", "resume", &ck_str]] {
+        let err = run(&args).expect_err("a hostile checkpoint must not resume");
+        assert!(
+            err.0
+                .contains("histogram distance 1000000000000 exceeds the cold count"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(std::fs::read_to_string(&ck).unwrap(), hostile, "{args:?}");
+    }
+    std::fs::remove_file(&ck).ok();
+    std::fs::remove_file(format!("{ck_str}.hb")).ok();
+}
+
+#[test]
 fn concurrent_atomic_saves_to_one_path_never_tear() {
     use std::sync::{Arc, Barrier};
     use symmetric_locality::core::jsonio::{parse, save_atomic};
