@@ -1,6 +1,7 @@
 //! Bench: the exhaustive Figure-1 sweep (hit vector of every permutation of
 //! S_m grouped by inversion number), single-threaded vs parallel, and the
-//! batched scratch engine vs the per-permutation allocating baseline.
+//! engine (which sums lexicographic blocks for this spec) vs the
+//! per-permutation allocating baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use symloc_core::engine::SweepEngine;
@@ -20,10 +21,9 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline comparison: the batched `SweepEngine` (per-worker scratch,
-/// streaming iteration, zero per-permutation allocation) against the
-/// original per-permutation allocating path, both single-threaded so the
-/// kernel difference is isolated from parallel speedup.
+/// The headline comparison: the `SweepEngine` (block sums from `S_r`
+/// tables, no permutation walked) against the original per-permutation
+/// allocating path, both single-threaded.
 fn bench_engine_vs_reference(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1_engine_vs_reference");
     group.sample_size(10);

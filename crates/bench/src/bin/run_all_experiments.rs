@@ -13,8 +13,9 @@
 //! `BENCH_sweep.json`.
 //!
 //! Pass `--sweep12 <checkpoint.json>` to run *only* the exhaustive
-//! `m = 12` Figure-1 sweep — 479 001 600 permutations — sharded and
-//! checkpointed: a killed run resumes from the checkpoint on the next
+//! `m = 12` Figure-1 sweep — all 479 001 600 permutations, summed from
+//! lexicographic blocks in milliseconds — sharded and checkpointed like
+//! any long sweep: a killed run resumes from the checkpoint on the next
 //! invocation instead of starting over (experiments and the bench JSON
 //! are skipped in this mode). `--sweep12-max <n>` bounds the number of
 //! shards processed per invocation.
@@ -46,8 +47,9 @@ const EXPERIMENTS: &[&str] = &[
     "exp15_trace_pipeline",
 ];
 
-/// Shards the `m = 12` checkpointed sweep is split into: small enough
-/// that a preempted run loses under a minute of work per kill.
+/// Shards the `m = 12` checkpointed sweep is split into. On the Figure-1
+/// block path each shard takes microseconds and the run is its 64 saves;
+/// the count is kept so existing checkpoints still resume.
 const SWEEP12_SHARDS: usize = 64;
 
 /// Directory containing the currently running binary (where the sibling

@@ -103,10 +103,12 @@ fn exact_factorial(m: usize) -> u64 {
     (1..=m as u64).product()
 }
 
-/// Runs the whole measurement suite: the batched engine vs the allocating
-/// reference (single-threaded, isolating the kernel difference), the
-/// all-thread exhaustive and stratified sweeps, and the generalized
-/// engine under a non-default statistic and a set-associative model.
+/// Runs the whole measurement suite: the engine vs the allocating
+/// reference (single-threaded; the engine's Figure-1 sweep sums
+/// lexicographic blocks, so its rows count permutations it never walks),
+/// the all-thread exhaustive and stratified sweeps, and the
+/// per-permutation engine under a non-default statistic and a
+/// set-associative model.
 ///
 /// `runs` is the number of timed repetitions per configuration (the
 /// committed baseline uses 5 for the small ones; the CI gate uses fewer).

@@ -1,28 +1,46 @@
-//! The batched sweep engine: streaming, allocation-free aggregation of
-//! Algorithm-1 analyses over ranges of `S_m`.
+//! The sweep engine: exact aggregation of Algorithm-1 hit vectors over
+//! ranges of `S_m`, keyed by a permutation statistic.
 //!
 //! The Figure-1 family of experiments evaluates the hit vector of *every*
 //! permutation of `S_m` (or a stratified sample at larger degrees) and
-//! aggregates by inversion number. Done naively that is one `Permutation`,
-//! one Fenwick tree, one histogram and one hit vector allocated per
-//! permutation — millions of allocations per sweep. The [`SweepEngine`]
-//! batches the sweep per worker instead:
+//! aggregates by a level statistic. The [`SweepEngine`] has two exhaustive
+//! paths.
 //!
-//! 1. the rank space `0 .. m!` is split into contiguous chunks
+//! **Figure-1 blocks.** For levels by inversion number under the LRU stack
+//! model (the paper's own experiment) no permutation is evaluated at all.
+//! Algorithm 1's distance `rd(a) = (m−1−a) + (i+1) − |{j<i : σ(j) > a}|`
+//! (see [`crate::hits`]) splits along a fixed prefix `π` of length `p`:
+//! let `τ ∈ S_r`, `r = m − p`, be the suffix with every value replaced by
+//! its rank among the values left after `π`. Then
+//!
+//! * the distance at suffix position `p + t` is `p` plus `τ`'s own
+//!   Algorithm-1 distance at `t`, and
+//! * `ℓ(σ) = L0(π) + ℓ(τ)`, where `L0` sums `π`'s Lehmer digits.
+//!
+//! So the lexicographic block of a prefix — the aligned rank interval
+//! `[q·r!, (q+1)·r!)` holding all `r!` completions — adds to level
+//! `L0 + k` exactly `N_k` permutations with hit sums `N_k·Hp[c] + A_k[c−p]`
+//! and squared hit sums `N_k·Hp[c]² + 2·Hp[c]·A_k[c−p] + B_k[c−p]`, where
+//! `Hp` is the prefix's own hit vector and `(N_k, A_k, B_k)` is level `k`
+//! of the Figure-1 sweep of `S_r` (`A` and `B` count as zero for `c ≤ p`).
+//! Those tables come from the same identity with `p = 1`: the first value
+//! `v` of a `τ ∈ S_r` has distance `r − v` and adds `v` inversions. A rank
+//! range cuts greedily into `O(m²)` aligned blocks, so any range of `S_12`
+//! — shard edges included — costs microseconds, serially, in exact `u64`
+//! arithmetic (nothing exceeds `m²·m!` for `m ≤ 12`).
+//!
+//! **Per permutation.** Every other statistic and model walks the range:
+//!
+//! 1. the rank range is split into contiguous chunks
 //!    ([`symloc_par::parallel_reduce_chunked`]),
 //! 2. each worker positions one [`RankRangeStream`] by unranking the chunk
 //!    start, then walks the chunk with in-place `next_permutation` steps,
-//! 3. each permutation's distances and inversion number come from one
-//!    [`AnalysisScratch`] Fenwick pass (the inversion count is a free
-//!    by-product of the same tree queries), and
-//! 4. aggregation happens into per-worker dense distance counters that are
-//!    merged once, when the workers join — no locks, no per-permutation
-//!    `Vec`s, no intermediate collections.
+//! 3. each permutation's level and hit vector come from one reusable
+//!    [`ModelScratch`] (no allocation per permutation), and
+//! 4. each worker aggregates into its own [`SweepLevel`]s, merged once when
+//!    the workers join.
 //!
-//! The per-level *distance counts* are aggregated rather than per-level hit
-//! vectors: since every hit vector is the prefix sum of its distance counts,
-//! summing counts first and prefix-summing once per level at the end computes
-//! the same [`LevelAggregate`]s with `m` fewer additions per permutation.
+//! That walk also serves as the oracle the block path is tested against.
 //!
 //! ```
 //! use symloc_core::engine::SweepEngine;
@@ -40,7 +58,7 @@ use rand::SeedableRng;
 use symloc_par::{default_threads, parallel_map_chunked, parallel_reduce_chunked};
 use symloc_perm::inversions::max_inversions;
 use symloc_perm::iter::RankRangeStream;
-use symloc_perm::rank::{factorial, RankRange};
+use symloc_perm::rank::{factorial, unrank_into, RankRange};
 use symloc_perm::sample::{InversionSampler, LevelSampler, LevelSamplerScratch};
 use symloc_perm::statistics::Statistic;
 
@@ -215,66 +233,49 @@ fn merge_sweep_levels(mut a: Vec<SweepLevel>, b: Vec<SweepLevel>) -> Vec<SweepLe
     a
 }
 
-/// Per-worker (and merged) sweep state: for every inversion level, the
-/// number of permutations seen and their dense reuse-distance counts.
+/// One sampled level's accumulator: the permutations seen and their dense
+/// reuse-distance counts. Every hit vector is the prefix sum of its
+/// distance counts, so summing counts and prefix-summing once at the end
+/// computes the level's hit sums with `m` fewer additions per permutation.
 #[derive(Debug, Clone)]
 struct LevelCounts {
-    /// Permutations aggregated per level.
-    perms: Vec<u64>,
-    /// `dist_counts[level][d]` = occurrences of reuse distance `d` (`1..=m`)
-    /// across the level's permutations. Index 0 is unused.
-    dist_counts: Vec<Vec<u64>>,
+    /// Permutations aggregated.
+    perms: u64,
+    /// `dist_counts[d]` = occurrences of reuse distance `d` (`1..=m`) across
+    /// the level's permutations. Index 0 is unused.
+    dist_counts: Vec<u64>,
 }
 
 impl LevelCounts {
-    fn empty(max_inv: usize, m: usize) -> Self {
+    fn empty(m: usize) -> Self {
         LevelCounts {
-            perms: vec![0; max_inv + 1],
-            dist_counts: vec![vec![0; m + 1]; max_inv + 1],
+            perms: 0,
+            dist_counts: vec![0; m + 1],
         }
     }
 
-    fn absorb_distances(&mut self, level: usize, distances: &[usize]) {
-        self.perms[level] += 1;
-        let counts = &mut self.dist_counts[level];
+    fn absorb_distances(&mut self, distances: &[usize]) {
+        self.perms += 1;
         for &d in distances {
-            counts[d] += 1;
+            self.dist_counts[d] += 1;
         }
     }
 
-    fn merge(mut self, other: LevelCounts) -> LevelCounts {
-        for (a, b) in self.perms.iter_mut().zip(other.perms) {
-            *a += b;
-        }
-        for (row_a, row_b) in self.dist_counts.iter_mut().zip(other.dist_counts) {
-            for (a, b) in row_a.iter_mut().zip(row_b) {
-                *a += b;
-            }
-        }
-        self
-    }
-
-    /// Converts to [`LevelAggregate`]s: the hit vector of a level is the
-    /// prefix sum of its distance counts.
-    fn into_level_aggregates(self, m: usize) -> Vec<LevelAggregate> {
-        self.perms
-            .into_iter()
-            .zip(self.dist_counts)
-            .enumerate()
-            .map(|(level, (count, counts))| {
-                let mut hit_sums = Vec::with_capacity(m);
-                let mut acc = 0u64;
-                for &count in &counts[1..] {
-                    acc += count;
-                    hit_sums.push(acc);
-                }
-                LevelAggregate {
-                    inversions: level,
-                    count,
-                    hit_sums,
-                }
+    /// The [`LevelAggregate`] of `level`: the hit sums are the prefix sums
+    /// of the distance counts.
+    fn into_level_aggregate(self, level: usize) -> LevelAggregate {
+        let hit_sums = self.dist_counts[1..]
+            .iter()
+            .scan(0u64, |acc, &count| {
+                *acc += count;
+                Some(*acc)
             })
-            .collect()
+            .collect();
+        LevelAggregate {
+            inversions: level,
+            count: self.perms,
+            hit_sums,
+        }
     }
 }
 
@@ -321,42 +322,19 @@ impl SweepEngine {
 
     /// Exhaustively sweeps all of `S_m`, grouping hit vectors by inversion
     /// number. Returns one [`LevelAggregate`] per inversion count
-    /// `0 ..= m(m-1)/2` — the data behind Figure 1 of the paper.
+    /// `0 ..= m(m-1)/2` — the data behind Figure 1 of the paper. This is
+    /// [`SweepEngine::sweep_levels`] for the Figure-1 spec without the
+    /// second moments, so it runs on the block path.
     ///
     /// # Panics
     ///
     /// Panics if `m > 12` (the factorial sweep would be prohibitive).
     #[must_use]
     pub fn exhaustive_levels(&self) -> Vec<LevelAggregate> {
-        let m = self.m;
-        assert!(
-            m <= 12,
-            "exhaustive_levels: degree {m} too large for a factorial sweep"
-        );
-        let total = factorial(m).expect("m <= 12") as usize;
-        let max_inv = max_inversions(m);
-        let merged = parallel_reduce_chunked(
-            total,
-            self.threads,
-            || LevelCounts::empty(max_inv, m),
-            |mut acc, chunk| {
-                let mut scratch = AnalysisScratch::new(m);
-                let mut stream = RankRangeStream::new(
-                    m,
-                    RankRange {
-                        start: chunk.start as u128,
-                        end: chunk.end as u128,
-                    },
-                );
-                while let Some(images) = stream.next_images() {
-                    let level = scratch.pass_images(images);
-                    acc.absorb_distances(level, scratch.distances());
-                }
-                acc
-            },
-            LevelCounts::merge,
-        );
-        merged.into_level_aggregates(m)
+        self.sweep_levels(Statistic::Inversions, CacheModel::LruStack)
+            .iter()
+            .map(SweepLevel::to_level_aggregate)
+            .collect()
     }
 
     /// Stratified-sampling sweep for degrees where `m!` is out of reach:
@@ -380,19 +358,14 @@ impl SweepEngine {
                     .expect("level <= max_inversions by construction");
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ (level as u64).wrapping_mul(0x9E37_79B9));
-                let mut counts = LevelCounts::empty(0, m);
+                let mut counts = LevelCounts::empty(m);
                 for _ in 0..samples_per_level {
                     sampler.sample_images_into(&mut rng, &mut images, &mut code, &mut available);
                     let drawn_level = scratch.pass_images(&images);
                     debug_assert_eq!(drawn_level, level, "sampler must hit its level");
-                    counts.absorb_distances(0, scratch.distances());
+                    counts.absorb_distances(scratch.distances());
                 }
-                let mut aggregate = counts
-                    .into_level_aggregates(m)
-                    .pop()
-                    .expect("one aggregate per LevelCounts");
-                aggregate.inversions = level;
-                out.push(aggregate);
+                out.push(counts.into_level_aggregate(level));
             }
             out
         })
@@ -406,10 +379,9 @@ impl SweepEngine {
     /// Returns one [`SweepLevel`] per statistic value `0 ..= max_value(m)`,
     /// with second moments for error estimation.
     ///
-    /// For `statistic = Inversions`, `model = LruStack` the counts and hit
-    /// sums agree with [`SweepEngine::exhaustive_levels`] (which remains
-    /// the specialized fast path: it aggregates distance *counts* and
-    /// prefix-sums once per level, which a second moment cannot use).
+    /// For `statistic = Inversions`, `model = LruStack` (the Figure-1 spec)
+    /// the levels are summed from lexicographic blocks (see the
+    /// [module docs](self)); every other spec walks all `m!` permutations.
     ///
     /// # Panics
     ///
@@ -428,10 +400,12 @@ impl SweepEngine {
     }
 
     /// The sharded building block of [`SweepEngine::sweep_levels`]: sweeps
-    /// only the permutations whose lexicographic ranks lie in `range`,
-    /// still parallel over the engine's workers. Aggregates from disjoint
-    /// ranges [`SweepLevel::merge`] into exactly the full-space result —
-    /// which is what makes rank-range checkpointing
+    /// only the permutations whose lexicographic ranks lie in `range`.
+    /// The Figure-1 spec sums the range's aligned lexicographic blocks
+    /// serially in microseconds; every other spec walks the range per
+    /// permutation, parallel over the engine's workers. Aggregates from
+    /// disjoint ranges [`SweepLevel::merge`] into exactly the full-space
+    /// result — which is what makes rank-range checkpointing
     /// ([`crate::shard::ShardedSweep`]) exact.
     ///
     /// # Panics
@@ -452,6 +426,9 @@ impl SweepEngine {
             range.start,
             range.end
         );
+        if (statistic, model) == (Statistic::Inversions, CacheModel::LruStack) {
+            return figure1_rank_range(m, range);
+        }
         let len = range.len() as usize;
         parallel_reduce_chunked(
             len,
@@ -649,6 +626,93 @@ pub fn weighted_sample_counts(m: usize, budget: usize, min_per_level: usize) -> 
     weighted_sample_counts_for(Statistic::Inversions, m, budget, min_per_level)
 }
 
+/// The Figure-1 levels of the permutations of `S_m` whose ranks lie in
+/// `range`, summed block by block: the range is cut greedily into the
+/// largest aligned lexicographic blocks `[q·r!, (q+1)·r!)` — a fixed prefix
+/// followed by every arrangement of the other `r` values — and each block
+/// is added from the `S_r` table in one step.
+fn figure1_rank_range(m: usize, range: RankRange) -> Vec<SweepLevel> {
+    let tables = figure1_tables(m);
+    let sizes: Vec<u128> = (0..=m).map(factorial_for_sweep).collect();
+    let mut scratch = AnalysisScratch::new(m);
+    let (mut images, mut unused) = (Vec::new(), Vec::new());
+    let mut levels = empty_sweep_levels(Statistic::Inversions, m);
+    let mut first = range.start;
+    while first < range.end {
+        // r = 0 (one permutation) always fits, so the search cannot fail.
+        let r = (0..=m)
+            .rev()
+            .find(|&r| first.is_multiple_of(sizes[r]) && first + sizes[r] <= range.end)
+            .expect("a single rank is a block");
+        // The prefix is the first p images of the block's first
+        // permutation; its distances and inversions (pairs whose left
+        // element it holds) do not depend on the rest.
+        let p = m - r;
+        unrank_into(m, first, &mut images, &mut unused).expect("first < m!");
+        scratch.pass_images(&images);
+        let mut prefix_hits = vec![0u64; m];
+        for &d in &scratch.distances()[..p] {
+            for h in &mut prefix_hits[d - 1..] {
+                *h += 1;
+            }
+        }
+        let prefix_inversions = (0..p)
+            .map(|i| images[i + 1..].iter().filter(|&&v| v < images[i]).count())
+            .sum();
+        add_block(&mut levels, &prefix_hits, prefix_inversions, &tables[r]);
+        first += sizes[r];
+    }
+    levels
+}
+
+/// The Figure-1 levels of all of `S_r` for every `r = 0 ..= m`. `S_r` is
+/// the union of the blocks of its first value `v`: a prefix with distance
+/// `r − v` and `v` inversions, completed by all of `S_{r−1}`.
+fn figure1_tables(m: usize) -> Vec<Vec<SweepLevel>> {
+    let mut tables = vec![vec![SweepLevel {
+        count: 1,
+        ..SweepLevel::empty(0, 0)
+    }]];
+    for r in 1..=m {
+        let mut levels = empty_sweep_levels(Statistic::Inversions, r);
+        for v in 0..r {
+            let first_hits: Vec<u64> = (1..=r).map(|c| u64::from(c >= r - v)).collect();
+            add_block(&mut levels, &first_hits, v, &tables[r - 1]);
+        }
+        tables.push(levels);
+    }
+    tables
+}
+
+/// Adds one lexicographic block to `levels` (of `S_m`): a prefix of length
+/// `p = m − r` with hit vector `prefix_hits` and `prefix_inversions`
+/// inversions, completed by every `τ ∈ S_r`, whose Figure-1 levels are
+/// `suffix`. The suffix's distances are shifted by `p`, so its hit sums
+/// enter at cache size `p + 1`.
+fn add_block(
+    levels: &mut [SweepLevel],
+    prefix_hits: &[u64],
+    prefix_inversions: usize,
+    suffix: &[SweepLevel],
+) {
+    let m = prefix_hits.len();
+    for k in suffix {
+        let p = m - k.hit_sums.len();
+        let n = k.count;
+        let level = &mut levels[prefix_inversions + k.level];
+        level.count += n;
+        for (c, &hp) in prefix_hits.iter().enumerate() {
+            let (a, b) = if c < p {
+                (0, 0)
+            } else {
+                (k.hit_sums[c - p], k.hit_sq_sums[c - p])
+            };
+            level.hit_sums[c] += n * hp + a;
+            level.hit_sq_sums[c] += n * hp * hp + 2 * hp * a + b;
+        }
+    }
+}
+
 /// `m!` for an exhaustive sweep, with the shared degree guard.
 ///
 /// # Panics
@@ -666,6 +730,7 @@ fn factorial_for_sweep(m: usize) -> u128 {
 mod tests {
     use super::*;
     use crate::sweep::exhaustive_levels_reference;
+    use rand::Rng;
     use symloc_perm::mahonian::mahonian_row;
 
     #[test]
@@ -736,17 +801,60 @@ mod tests {
         let _ = SweepEngine::new(13).sweep_levels(Statistic::Inversions, CacheModel::LruStack);
     }
 
+    /// The per-permutation oracle of the block path: one serial walk of
+    /// `range` through the Algorithm-1 kernel, independent of the engine.
+    fn walk_figure1(m: usize, range: RankRange) -> Vec<SweepLevel> {
+        let mut levels = empty_sweep_levels(Statistic::Inversions, m);
+        let mut scratch = ModelScratch::new(CacheModel::LruStack, m);
+        let mut stream = RankRangeStream::new(m, range);
+        while let Some(images) = stream.next_images() {
+            let (level, hits) = scratch.eval(Statistic::Inversions, images);
+            levels[level].absorb(hits);
+        }
+        levels
+    }
+
+    fn assert_blocks_match_walk(engine: &SweepEngine, start: u128, end: u128) {
+        let m = engine.degree();
+        let range = RankRange { start, end };
+        assert_eq!(
+            engine.sweep_rank_range(Statistic::Inversions, CacheModel::LruStack, range),
+            walk_figure1(m, range),
+            "m={m} ranks {start}..{end}"
+        );
+    }
+
     #[test]
     fn generalized_sweep_matches_fast_path_on_figure1() {
-        for m in 0..=6usize {
-            for threads in [1, 3] {
-                let engine = SweepEngine::with_threads(m, threads);
-                let fast = engine.exhaustive_levels();
-                let general = engine.sweep_levels(Statistic::Inversions, CacheModel::LruStack);
-                assert_eq!(general.len(), fast.len(), "m={m}");
-                for (g, f) in general.iter().zip(&fast) {
-                    assert_eq!(g.to_level_aggregate(), *f, "m={m} threads={threads}");
+        // Every range of every small S_m, empty ranges included.
+        for m in 0..=5usize {
+            let engine = SweepEngine::with_threads(m, 2);
+            let total = factorial(m).unwrap();
+            for start in 0..=total {
+                for end in start..=total {
+                    assert_blocks_match_walk(&engine, start, end);
                 }
+            }
+        }
+        // All of S_m and random ranges of it.
+        let mut rng = StdRng::seed_from_u64(0xF161);
+        for (m, ranges) in [(6usize, 24), (7, 16), (8, 8), (9, 3)] {
+            let engine = SweepEngine::with_threads(m, 3);
+            let total = factorial(m).unwrap();
+            assert_blocks_match_walk(&engine, 0, total);
+            for _ in 0..ranges {
+                let (a, b) = (rng.gen_range(0..=total), rng.gen_range(0..=total));
+                assert_blocks_match_walk(&engine, a.min(b), a.max(b));
+            }
+        }
+        // Windows of at most 2·10^5 ranks anywhere in the largest degrees.
+        for m in 10..=12usize {
+            let engine = SweepEngine::with_threads(m, 2);
+            let total = factorial(m).unwrap();
+            for _ in 0..2 {
+                let len = rng.gen_range(0..=200_000u128);
+                let start = rng.gen_range(0..=total - len);
+                assert_blocks_match_walk(&engine, start, start + len);
             }
         }
     }

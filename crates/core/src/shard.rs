@@ -1,11 +1,14 @@
 //! Sharded, checkpointable execution of exhaustive and sampled sweeps.
 //!
-//! An exhaustive `m = 12` sweep walks 479 001 600 permutations — long
-//! enough that a interrupted run (preempted CI job, killed laptop session)
-//! should not start over. [`ShardedSweep`] splits the rank space `0 .. m!`
-//! into contiguous shards; [`SampledSweep`] shards the *level space* of a
-//! weighted sampled sweep. Both are [`crate::job::Job`] implementations:
-//! the whole execution lifecycle — parallel unit scheduling, per-batch
+//! An exhaustive `m = 12` sweep under any spec but Figure 1's walks
+//! 479 001 600 permutations — minutes of work that an interrupted run
+//! (preempted CI job, killed laptop session) should not redo. (The
+//! Figure-1 spec sums lexicographic blocks instead and finishes a shard in
+//! microseconds; it shards and checkpoints the same way.)
+//! [`ShardedSweep`] splits the rank space `0 .. m!` into contiguous
+//! shards; [`SampledSweep`] shards the *level space* of a weighted sampled
+//! sweep. Both are [`crate::job::Job`] implementations: the whole
+//! execution lifecycle — parallel unit scheduling, per-batch
 //! atomic checkpoints, resume — lives in [`crate::job::JobRunner`], and
 //! this module only contributes the unit plans, the per-unit execution and
 //! the checkpoint bodies (hand-rolled JSON, as everywhere in this offline
@@ -250,7 +253,10 @@ impl ShardedSweep {
     ///
     /// Returns a description of the first structural problem (wrong kind
     /// or version — cross-kind documents name both kinds — unknown
-    /// statistic/model, malformed shards).
+    /// statistic/model, malformed shards), or of a completed shard no
+    /// sweep can produce: level counts that do not sum to the shard's rank
+    /// count, or hit sums above `m` (squared sums above `m²`) per
+    /// permutation.
     pub fn from_json(text: &str, threads: usize) -> Result<ShardedSweep, String> {
         let doc = job::parse_checkpoint(text, JobKind::ShardedSweep)?;
         let m = doc
@@ -339,12 +345,22 @@ impl ShardedSweep {
                     .ok_or("level entry missing hit_sums")?;
                 let hit_sq_sums = parse_u64_array(level_entry.get("hit_sq_sums"), m)
                     .ok_or("level entry missing hit_sq_sums")?;
-                levels.push(SweepLevel {
+                let level = SweepLevel {
                     level,
                     count,
                     hit_sums,
                     hit_sq_sums,
-                });
+                };
+                check_level_sums(&level, m).map_err(|e| format!("shard {i}: {e}"))?;
+                levels.push(level);
+            }
+            let aggregated: u128 = levels.iter().map(|l| u128::from(l.count)).sum();
+            if aggregated != end - start {
+                return Err(format!(
+                    "shard {i} aggregates {aggregated} permutations, but ranks \
+                     {start}..{end} hold {}",
+                    end - start
+                ));
             }
             sweep.partials[i] = Some(levels);
         }
@@ -429,8 +445,8 @@ impl Job for ShardedSweep {
         1
     }
 
-    /// Checkpoint after every shard — a shard of an `m = 12` sweep is
-    /// minutes of work, the natural loss bound per kill.
+    /// Checkpoint after every shard — off the Figure-1 spec a shard of an
+    /// `m = 12` sweep is minutes of work, the natural loss bound per kill.
     fn units_per_checkpoint(&self, _threads: usize) -> usize {
         1
     }
@@ -660,7 +676,9 @@ impl SampledSweep {
     /// Returns a description of the first structural problem (wrong kind
     /// or version — cross-kind documents name both kinds — unknown
     /// statistic/model, a draw plan that does not match the deterministic
-    /// one, malformed levels).
+    /// one, malformed levels), or of a completed level no sampling can
+    /// produce: a count other than its planned draws, or hit sums above
+    /// `m` (squared sums above `m²`) per draw.
     pub fn from_json(text: &str, threads: usize) -> Result<SampledSweep, String> {
         let doc = job::parse_checkpoint(text, JobKind::SampledSweep)?;
         let m = doc
@@ -743,12 +761,19 @@ impl SampledSweep {
                 parse_u64_array(entry.get("hit_sums"), m).ok_or("level entry missing hit_sums")?;
             let hit_sq_sums = parse_u64_array(entry.get("hit_sq_sums"), m)
                 .ok_or("level entry missing hit_sq_sums")?;
-            sweep.partials[i] = Some(SweepLevel {
+            if count != draws as u64 {
+                return Err(format!(
+                    "level {i} aggregates {count} draws, but its plan has {draws}"
+                ));
+            }
+            let level = SweepLevel {
                 level,
                 count,
                 hit_sums,
                 hit_sq_sums,
-            });
+            };
+            check_level_sums(&level, m)?;
+            sweep.partials[i] = Some(level);
         }
         Ok(sweep)
     }
@@ -850,6 +875,28 @@ impl Job for SampledSweep {
 
     fn to_json(&self) -> String {
         SampledSweep::to_json(self)
+    }
+}
+
+/// Rejects level sums that no `count` re-traversals of `S_m` can produce:
+/// the first pass is all cold misses, so each permutation scores at most
+/// `m` hits at any cache size, under every model. Decoded partials that
+/// pass this check (and whose counts are exact) merge without overflow.
+fn check_level_sums(level: &SweepLevel, m: usize) -> Result<(), String> {
+    let most = m as u128 * u128::from(level.count);
+    match level
+        .hit_sums
+        .iter()
+        .zip(&level.hit_sq_sums)
+        .position(|(&h, &sq)| u128::from(h) > most || u128::from(sq) > m as u128 * most)
+    {
+        Some(c) => Err(format!(
+            "level {} sums at cache size {} exceed what {} permutations of degree {m} can score",
+            level.level,
+            c + 1,
+            level.count
+        )),
+        None => Ok(()),
     }
 }
 
@@ -1005,6 +1052,45 @@ mod tests {
         assert!(
             ShardedSweep::from_json(&good.replace("\"start\": 12", "\"start\": 13"), 1).is_err()
         );
+        // Partials no sweep of ranks 0..12 can produce: counts that do not
+        // sum to the shard's length (one would overflow the merge), and hit
+        // sums above m (or m² squared) per permutation.
+        let level0 = "{\"level\": 0, \"count\": 1, \"hit_sums\": [0, 0, 0, 4], \"hit_sq_sums\": [0, 0, 0, 16]}";
+        let level5 = "{\"level\": 5, \"count\": 0,";
+        assert!(good.contains(level0) && good.contains(level5));
+        for (bad, reason) in [
+            (
+                good.replace(
+                    "\"level\": 0, \"count\": 1,",
+                    "\"level\": 0, \"count\": 18446744073709551615,",
+                ),
+                "aggregates 18446744073709551626 permutations",
+            ),
+            (
+                good.replace(level5, "{\"level\": 5, \"count\": 1,"),
+                "aggregates 13 permutations, but ranks 0..12 hold 12",
+            ),
+            (
+                good.replace("\"level\": 0, \"count\": 1,", "\"level\": 0, \"count\": 0,")
+                    .replace(level5, "{\"level\": 5, \"count\": 1,"),
+                "level 0 sums at cache size 4 exceed what 0 permutations",
+            ),
+            (
+                good.replace(level0, &level0.replace("0, 4]", "0, 5]")),
+                "level 0 sums at cache size 4",
+            ),
+            (
+                good.replace(level0, &level0.replace("0, 16]", "0, 17]")),
+                "level 0 sums at cache size 4",
+            ),
+        ] {
+            assert_ne!(bad, good);
+            let err = ShardedSweep::from_json(&bad, 1).unwrap_err();
+            assert!(err.starts_with("shard 0"), "{err}");
+            assert!(err.contains(reason), "{err}");
+        }
+        // The bounds are tight: one re-traversal scores at most m hits.
+        assert!(ShardedSweep::from_json(&good, 1).is_ok());
     }
 
     #[test]
@@ -1142,6 +1228,35 @@ mod tests {
         );
         // A tampered draw plan no longer matches the deterministic one.
         assert!(SampledSweep::from_json(&good.replace("\"draws\": 2", "\"draws\": 3"), 1).is_err());
+        // A done level must hold exactly its planned draws, and no more
+        // than m hits (m² squared) per draw at any cache size.
+        let level0 =
+            "\"count\": 2, \"hit_sums\": [0, 0, 0, 0, 10], \"hit_sq_sums\": [0, 0, 0, 0, 50]";
+        assert!(good.contains(level0));
+        for (bad, reason) in [
+            (
+                good.replace(level0, &level0.replace("\"count\": 2", "\"count\": 3")),
+                "level 0 aggregates 3 draws, but its plan has 2",
+            ),
+            (
+                good.replace(
+                    level0,
+                    &level0.replace("\"count\": 2", "\"count\": 18446744073709551615"),
+                ),
+                "level 0 aggregates 18446744073709551615 draws",
+            ),
+            (
+                good.replace(level0, &level0.replace("0, 10]", "0, 11]")),
+                "level 0 sums at cache size 5 exceed what 2 permutations",
+            ),
+            (
+                good.replace(level0, &level0.replace("0, 50]", "0, 51]")),
+                "level 0 sums at cache size 5",
+            ),
+        ] {
+            let err = SampledSweep::from_json(&bad, 1).unwrap_err();
+            assert!(err.contains(reason), "{err}");
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! number) and its extensions to larger degrees where exhaustive enumeration
 //! is replaced by stratified sampling.
 //!
-//! The sweeps themselves run on [`crate::engine::SweepEngine`], which
-//! streams permutations through per-worker [`crate::hits::AnalysisScratch`]
-//! workspaces instead of allocating per permutation. This module keeps the
-//! level aggregates and what is derived from them, plus the original
-//! per-permutation path as [`exhaustive_levels_reference`] for
+//! The sweeps themselves run on [`crate::engine::SweepEngine`], which sums
+//! the exhaustive Figure-1 sweep from lexicographic blocks and streams
+//! every other sweep through reusable per-worker workspaces. This module
+//! keeps the level aggregates and what is derived from them, plus the
+//! original per-permutation path as [`exhaustive_levels_reference`] for
 //! cross-checks and speedup measurement.
 
 use crate::engine::SweepEngine;
@@ -91,9 +91,9 @@ impl LevelAggregate {
 /// allocates a fresh `Permutation`, Fenwick tree, histogram and hit vector
 /// for every σ.
 ///
-/// Kept as the reference the engine is cross-checked against in tests, and
-/// as the baseline the `bench_fig1_sweep` bench and `BENCH_sweep.json`
-/// measure the batched engine's speedup over.
+/// Kept as the oracle the engine's block path is cross-checked against in
+/// tests, and as the baseline the `bench_fig1_sweep` bench and
+/// `BENCH_sweep.json` measure the engine's speedup over.
 ///
 /// # Panics
 ///

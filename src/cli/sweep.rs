@@ -481,6 +481,20 @@ mod tests {
     }
 
     #[test]
+    fn sweep_json_levels_of_s11_match_the_recorded_fixture() {
+        // The recorded lines came from the per-permutation walk; the
+        // Figure-1 block path must print them byte for byte.
+        let recorded = include_str!("../../crates/core/tests/data/fig1_s11_levels.json");
+        let report = sweep(&sargs("11 --json")).unwrap();
+        let levels: String = report
+            .lines()
+            .filter(|l| l.starts_with("    {\"level\": "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(levels == recorded, "sweep 11 --json levels changed");
+    }
+
+    #[test]
     fn sweep_checkpoint_flow_resumes_and_completes() {
         let path = std::env::temp_dir().join("symloc_cli_sweep_checkpoint.json");
         let path_str = path.to_string_lossy().to_string();

@@ -47,7 +47,7 @@
 //! ```
 //! use symmetric_locality::core::engine::SweepEngine;
 //!
-//! // The Figure-1 aggregation for S_6, batched across all cores.
+//! // The Figure-1 aggregation for S_6, summed from lexicographic blocks.
 //! let levels = SweepEngine::new(6).exhaustive_levels();
 //! assert_eq!(levels.iter().map(|l| l.count).sum::<u64>(), 720);
 //! ```

@@ -934,6 +934,58 @@ fn hostile_histogram_distances_fail_loudly_and_leave_the_checkpoint_untouched() 
 }
 
 #[test]
+fn impossible_sweep_partials_fail_loudly_and_leave_the_checkpoint_untouched() {
+    use symmetric_locality::cli;
+
+    // A complete `sweep 3 --shards 2` checkpoint with one level count per
+    // shard set to u64::MAX. Merged as they stand, the counts wrap to a
+    // total of 3 permutations. Resuming it, through `sweep --checkpoint`
+    // or `job resume`, must fail naming the shard and leave the file byte
+    // for byte as it was.
+    let ck = std::env::temp_dir().join(format!(
+        "symloc_failinj_sweep_partials_{}.json",
+        std::process::id()
+    ));
+    let ck_str = ck.to_str().unwrap().to_string();
+    std::fs::remove_file(&ck).ok();
+    let run = |args: &[&str]| {
+        cli::run(
+            &args
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<String>>(),
+        )
+    };
+    let sweep = ["sweep", "3", "--shards", "2", "--checkpoint", &ck_str];
+    run(&sweep).expect("a fresh sweep checkpoints");
+    let good = std::fs::read_to_string(&ck).unwrap();
+    // Shard 0 (ranks 0..3) holds two permutations at level 1, shard 1
+    // (ranks 3..6) two at level 2.
+    let hostile = good
+        .replace(
+            "{\"level\": 1, \"count\": 2,",
+            "{\"level\": 1, \"count\": 18446744073709551615,",
+        )
+        .replace(
+            "{\"level\": 2, \"count\": 2,",
+            "{\"level\": 2, \"count\": 18446744073709551615,",
+        );
+    assert_eq!(hostile.matches("18446744073709551615").count(), 2);
+    std::fs::write(&ck, &hostile).unwrap();
+    for args in [sweep.to_vec(), vec!["job", "resume", &ck_str]] {
+        let err = run(&args).expect_err("impossible partials must not resume");
+        assert!(
+            err.0
+                .contains("shard 0 aggregates 18446744073709551616 permutations"),
+            "{args:?}: {err}"
+        );
+        assert!(err.0.contains("ranks 0..3 hold 3"), "{args:?}: {err}");
+        assert_eq!(std::fs::read_to_string(&ck).unwrap(), hostile, "{args:?}");
+    }
+    std::fs::remove_file(&ck).ok();
+}
+
+#[test]
 fn concurrent_atomic_saves_to_one_path_never_tear() {
     use std::sync::{Arc, Barrier};
     use symmetric_locality::core::jsonio::{parse, save_atomic};
