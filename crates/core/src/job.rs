@@ -10,16 +10,16 @@
 //! is that lifecycle, written once:
 //!
 //! * [`Job`] — the contract a pipeline implements: deterministic unit
-//!   enumeration ([`Job::unit_count`] / [`Job::pending_units`]), per-unit
-//!   execution producing a mergeable partial ([`Job::run_span`]),
-//!   in-order absorption ([`Job::absorb`]), a checkpoint codec built on
-//!   [`crate::jsonio`] ([`Job::to_json`] + the shared
-//!   [`write_checkpoint_header`] / [`parse_checkpoint`] pair), and a
-//!   [`Job::fingerprint`] identity embedded in every checkpoint.
-//! * [`JobRunner`] — the generic runner that owns parallel unit
-//!   scheduling over [`symloc_par::parallel_reduce_chunked`]
-//!   (`std::thread::scope` underneath), bounded in-flight checkpointing
-//!   with atomic saves ([`crate::jsonio::save_atomic`]), progress
+//!   enumeration ([`Job::unit_count`] / [`Job::pending_units`]), a
+//!   read-only unit plan ([`Job::units`]) its workers run units from
+//!   ([`Job::run_unit`]), in-order absorption ([`Job::absorb`]), a
+//!   streaming checkpoint codec built on [`crate::jsonio`]
+//!   ([`Job::write_json`] + the shared [`write_checkpoint_header`] /
+//!   [`parse_checkpoint`] pair), and a [`Job::fingerprint`] identity
+//!   embedded in every checkpoint.
+//! * [`JobRunner`] — the generic runner that owns the windowed unit
+//!   scheduling (`std::thread::scope` underneath), checkpointing with
+//!   streamed atomic saves ([`crate::jsonio::save_atomic_with`]), progress
 //!   callbacks, and the deterministic unit-order merge. Every
 //!   `run_pending` / `run_with_checkpoint` across the pipelines is a thin
 //!   delegation into this runner.
@@ -33,20 +33,33 @@
 //! # Execution model
 //!
 //! A job is a fixed, deterministically planned sequence of **units**
-//! (rank shards, sample levels, trace chunks, hash shards). The runner
-//! repeatedly takes a prefix of the pending units, fans a contiguous span
-//! of them out to each worker ([`Job::run_span`] — so a worker can hold
-//! per-span state such as a single streaming pass over a trace), then
-//! absorbs the resulting `(unit, partial)` pairs strictly in unit order.
-//! Two knobs let each pipeline keep its historical scheduling shape:
+//! (rank shards, sample levels, trace chunks). Before a run the job hands
+//! out its read-only unit plan ([`Job::units`]); worker threads claim the
+//! pending units strictly in unit order and run each one from that plan
+//! ([`Job::run_unit`]), while the caller thread — the only one that
+//! mutates the job — absorbs each partial as soon as every earlier unit
+//! has been absorbed, holding the few partials that arrive early in a
+//! small reorder buffer. A unit counts against a **window** from its claim
+//! until its absorb returns, so the workers fold the next units while the
+//! caller absorbs and saves. Two knobs let each pipeline keep its
+//! scheduling shape:
 //!
-//! * [`Job::units_per_pass`] — how many units one parallel pass may
-//!   schedule. Jobs whose single unit is *internally* parallel (the
-//!   exhaustive sweep shard) return 1 so the runner feeds them one unit
-//!   at a time on the caller thread; jobs whose merge state advances
-//!   between passes (the trace job) return the thread count.
-//! * [`Job::units_per_checkpoint`] — how many units complete between
-//!   checkpoint saves in [`JobRunner::run_with_checkpoint`].
+//! * [`Job::units_per_pass`] — the window, clamped to `1..=threads`: at
+//!   most that many units are claimed and not yet absorbed, which bounds
+//!   the partials alive at once. Jobs whose single unit is *internally*
+//!   parallel (the exhaustive sweep shard) return 1, and a window of 1
+//!   runs every unit inline on the caller thread.
+//! * [`Job::units_per_checkpoint`] — how many absorbed units, counted from
+//!   the run's start, separate the checkpoint saves of
+//!   [`JobRunner::run_with_checkpoint`] (which also saves after the last
+//!   unit). A save streams the document to disk on the caller thread while
+//!   the workers keep folding, so only then does one thread more than the
+//!   job's `threads` work.
+//!
+//! A panicking unit halts further claims and its panic propagates out of
+//! the runner; a failed save halts claims, joins the workers and returns
+//! the I/O error with the previous checkpoint untouched. Nothing waits on
+//! a window that can no longer drain.
 //!
 //! Because units are deterministic and absorption is ordered, resuming a
 //! killed job from its checkpoint reproduces the uninterrupted run
@@ -55,9 +68,9 @@
 
 use crate::jsonio::{self, JsonValue};
 use crate::obs::{MetricsRegistry, Span};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
-use symloc_par::parallel_reduce_chunked;
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 
 /// The closed set of resumable-job kinds the workspace knows, keyed by the
 /// `"kind"` tag embedded in every checkpoint document.
@@ -182,9 +195,13 @@ impl std::fmt::Display for JobKind {
 /// exposes enough of both for [`JobRunner`] to drive the whole lifecycle.
 /// See the [module docs](self) for the execution model and the two
 /// scheduling knobs.
-pub trait Job: Sync {
+pub trait Job {
     /// The mergeable result of one completed unit.
     type Partial: Send;
+
+    /// The read-only plan workers run units from ([`Job::run_unit`]) while
+    /// the caller thread mutates the job's absorbed state.
+    type Units: Sync;
 
     /// The kind tag of this job's checkpoints.
     fn kind(&self) -> JobKind;
@@ -207,34 +224,51 @@ pub trait Job: Sync {
     /// absorbed. The runner always takes a prefix of this list.
     fn pending_units(&self) -> Vec<usize>;
 
-    /// Maximum units one parallel pass may schedule. Return 1 when a
-    /// single unit is internally parallel (so passes stay sequential over
-    /// units), the thread count when absorbed state must advance between
-    /// passes, or `usize::MAX` to let one pass cover everything pending.
+    /// The window: most units claimed and not yet absorbed at once
+    /// (clamped to `1..=threads`). Return 1 when a single unit is
+    /// internally parallel (so units run one at a time, inline), or
+    /// `usize::MAX` (the default) for one unit per worker.
     fn units_per_pass(&self, threads: usize) -> usize {
         let _ = threads;
         usize::MAX
     }
 
-    /// Units between checkpoint saves in
+    /// Absorbed units between checkpoint saves in
     /// [`JobRunner::run_with_checkpoint`].
     fn units_per_checkpoint(&self, threads: usize) -> usize {
         threads
     }
 
-    /// Executes a contiguous span of pending `units` on one worker,
-    /// appending `(unit, partial)` pairs **in unit order**. Must be
-    /// deterministic in the unit indices alone (never in which worker ran
-    /// the span), so results are thread- and batching-invariant.
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, Self::Partial)>);
+    /// The read-only unit plan of the next run, handed out before any
+    /// unit runs.
+    fn units(&self) -> Self::Units;
+
+    /// Runs one pending unit from the plan. Must be deterministic in the
+    /// unit index alone (never in which worker ran it, or which units ran
+    /// before it on that worker), so results are thread- and
+    /// window-invariant.
+    fn run_unit(units: &Self::Units, unit: usize) -> Self::Partial;
 
     /// Absorbs one completed unit's partial. The runner calls this in
     /// strict unit order, once per unit.
     fn absorb(&mut self, unit: usize, partial: Self::Partial);
 
-    /// Serializes the job — plan, progress, completed state — as a JSON
-    /// checkpoint document (header via [`write_checkpoint_header`]).
-    fn to_json(&self) -> String;
+    /// Writes the job — plan, progress, completed state — as a JSON
+    /// checkpoint document (header via [`write_checkpoint_header`]) to
+    /// `out`, which [`JobRunner::save`] streams to disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result;
+
+    /// The checkpoint document [`Job::write_json`] writes, as a `String`.
+    fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out)
+            .expect("a checkpoint document formats into a String");
+        out
+    }
 
     /// An optional kind-specific progress counter for heartbeats — e.g.
     /// `("accesses", streamed)` for the trace job. `None` (the
@@ -244,17 +278,12 @@ pub trait Job: Sync {
     }
 }
 
-/// The generic driver of every [`Job`]: parallel unit scheduling,
-/// bounded checkpointing with atomic saves, progress callbacks, and the
+/// The generic runner of every [`Job`]: windowed unit scheduling,
+/// checkpointing with streamed atomic saves, progress callbacks, and the
 /// deterministic unit-order merge. Stateless — all state lives in the
 /// job itself, which is what makes the checkpoints self-contained.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobRunner;
-
-/// Accumulator shape of one metered parallel pass: the unit-ordered
-/// `(unit index, partial)` results, plus each worker span's
-/// `(elapsed nanos, units in span)` timing (empty when unmetered).
-type PassResults<P> = (Vec<(usize, P)>, Vec<(u64, usize)>);
 
 impl JobRunner {
     /// True when every unit of `job` has been absorbed.
@@ -263,103 +292,42 @@ impl JobRunner {
         job.completed_count() >= job.unit_count()
     }
 
-    /// Runs up to `limit` pending units (all of them when `None`) in
-    /// parallel passes of at most [`Job::units_per_pass`] units, absorbing
-    /// partials in unit order after each pass. Returns how many units were
-    /// processed.
+    /// Runs up to `limit` pending units (all of them when `None`) through
+    /// the window ([`Job::units_per_pass`]), absorbing partials in unit
+    /// order. Returns how many units were processed.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the panic of a unit (or of an absorb).
     pub fn run_pending<J: Job + ?Sized>(job: &mut J, limit: Option<usize>) -> usize {
         Self::run_pending_metered(job, limit, None)
     }
 
     /// [`JobRunner::run_pending`] with optional instrumentation: when
-    /// `metrics` is supplied, each worker span's wall time rides back with
-    /// its results (shard-per-worker, merged like the partials themselves)
-    /// and is folded into the registry after the pass — `job.unit_nanos`
-    /// (each unit's share of its worker span), `job.absorb_nanos` (the
-    /// sequential merge), and the `job.units` / `job.passes` counters.
+    /// `metrics` is supplied, each unit's wall time on its worker lands in
+    /// `job.unit_nanos` and each absorb's in `job.absorb_nanos`, and the
+    /// `job.units` / `job.passes` counters record the units run and the
+    /// window-sized passes they fill (so `job.units / job.passes` is the
+    /// window whenever the units fill whole windows).
     ///
     /// Metering is result-invariant: the scheduling, the unit order and
     /// every absorbed partial are identical with and without a registry —
     /// the registry only receives copies of timings and counts.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the panic of a unit (or of an absorb).
     pub fn run_pending_metered<J: Job + ?Sized>(
         job: &mut J,
         limit: Option<usize>,
-        mut metrics: Option<&mut MetricsRegistry>,
+        metrics: Option<&mut MetricsRegistry>,
     ) -> usize {
-        let threads = job.threads().max(1);
-        let mut ran = 0usize;
-        loop {
-            if limit.is_some_and(|l| ran >= l) {
-                break;
-            }
-            let pending = job.pending_units();
-            if pending.is_empty() {
-                break;
-            }
-            let cap = limit.map_or(usize::MAX, |l| l - ran);
-            let pass = pending
-                .len()
-                .min(cap)
-                .min(job.units_per_pass(threads).max(1));
-            let units = &pending[..pass];
-            // One parallel pass: contiguous spans of the unit prefix go to
-            // the workers; concatenating the per-span vectors preserves
-            // unit order, so absorption below is deterministic. Worker
-            // span timings (metered runs only) ride along in the same
-            // accumulator.
-            let shared: &J = job;
-            let metered = metrics.is_some();
-            let (results, span_times): PassResults<J::Partial> = parallel_reduce_chunked(
-                units.len(),
-                threads,
-                || (Vec::new(), Vec::new()),
-                |mut acc, chunk| {
-                    if !chunk.is_empty() {
-                        let span = metered.then(Span::start);
-                        shared.run_span(&units[chunk.start..chunk.end], &mut acc.0);
-                        if let Some(span) = span {
-                            acc.1.push((span.elapsed_nanos(), chunk.end - chunk.start));
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    a.0.extend(b.0);
-                    a.1.extend(b.1);
-                    a
-                },
-            );
-            debug_assert!(
-                results.windows(2).all(|w| w[0].0 < w[1].0),
-                "span results must arrive in unit order"
-            );
-            if let Some(reg) = metrics.as_deref_mut() {
-                for &(nanos, units_in_span) in &span_times {
-                    let share = nanos / units_in_span.max(1) as u64;
-                    for _ in 0..units_in_span {
-                        reg.observe("job.unit_nanos", share);
-                    }
-                }
-                reg.add("job.passes", 1);
-                reg.add("job.units", pass as u64);
-                for (unit, partial) in results {
-                    let span = Span::start();
-                    job.absorb(unit, partial);
-                    span.record(reg, "job.absorb_nanos");
-                }
-            } else {
-                for (unit, partial) in results {
-                    job.absorb(unit, partial);
-                }
-            }
-            ran += pass;
-        }
-        ran
+        Self::run(job, limit, metrics, None).expect("a run without a checkpoint saves nothing")
     }
 
     /// Runs pending units — all of them, or up to `limit` — saving the
-    /// checkpoint to `path` atomically after every batch of (at most)
-    /// [`Job::units_per_checkpoint`] units, so a kill loses at most one
+    /// checkpoint to `path` atomically after every [`Job::units_per_checkpoint`]
+    /// absorbed units and after the last one, so a kill loses at most one
     /// batch (and a kill mid-save leaves the previous checkpoint intact).
     /// `on_batch(completed, total)` fires after every save. The
     /// checkpoint is (re)written even when nothing was pending, so a
@@ -367,7 +335,12 @@ impl JobRunner {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns the I/O error if a checkpoint cannot be written; no unit is
+    /// claimed after it, and the previous checkpoint stays as it was.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the panic of a unit (or of an absorb).
     pub fn run_with_checkpoint<J: Job + ?Sized>(
         job: &mut J,
         path: &Path,
@@ -378,49 +351,38 @@ impl JobRunner {
     }
 
     /// [`JobRunner::run_with_checkpoint`] with optional instrumentation:
-    /// units run through [`JobRunner::run_pending_metered`], every save's
-    /// latency lands in the `job.save_nanos` histogram, and the heartbeat's
-    /// throughput/ETA figures are mirrored as gauges. Like the plain
-    /// checkpoint loop this variant writes the [`Heartbeat`] sidecar after
-    /// every batch; metering never changes the checkpoint bytes.
+    /// units are metered as in [`JobRunner::run_pending_metered`], every
+    /// save's latency lands in the `job.save_nanos` histogram, and the
+    /// heartbeat's throughput/ETA figures are mirrored as gauges. Like the
+    /// plain checkpoint loop this variant writes the [`Heartbeat`] sidecar
+    /// after every save; metering never changes the checkpoint bytes.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if a checkpoint cannot be written (heartbeat
     /// sidecar writes are best-effort and never fail the run).
+    ///
+    /// # Panics
+    ///
+    /// Propagates the panic of a unit (or of an absorb).
     pub fn run_with_checkpoint_metered<J: Job + ?Sized>(
         job: &mut J,
         path: &Path,
         limit: Option<usize>,
-        mut metrics: Option<&mut MetricsRegistry>,
+        metrics: Option<&mut MetricsRegistry>,
         mut on_batch: impl FnMut(usize, usize),
     ) -> std::io::Result<usize> {
-        let threads = job.threads().max(1);
-        let run_span = Span::start();
-        let started_at = job.completed_count();
-        let mut batches = 0u64;
-        let mut ran = 0usize;
-        while !Self::is_complete(job) && limit.is_none_or(|l| ran < l) {
-            let batch = job
-                .units_per_checkpoint(threads)
-                .max(1)
-                .min(limit.map_or(usize::MAX, |l| l - ran));
-            let batch_span = Span::start();
-            let before = job.completed_count();
-            ran += Self::run_pending_metered(job, Some(batch), metrics.as_deref_mut());
-            let save_span = Span::start();
-            Self::save(job, path)?;
-            let save_nanos = save_span.elapsed_nanos();
-            batches += 1;
-            let heartbeat = Heartbeat::of(job, &run_span, &batch_span, started_at, before, batches);
-            heartbeat.write_sidecar(path);
-            if let Some(reg) = metrics.as_deref_mut() {
-                reg.observe("job.save_nanos", save_nanos);
-                reg.add("job.batches", 1);
-                heartbeat.record_gauges(reg);
-            }
-            on_batch(job.completed_count(), job.unit_count());
-        }
+        let saves = Saves {
+            path,
+            every: job.units_per_checkpoint(job.threads().max(1)).max(1),
+            on_batch: &mut on_batch,
+            run_span: Span::start(),
+            batch_span: Span::start(),
+            started_at: job.completed_count(),
+            batch_before: job.completed_count(),
+            batches: 0,
+        };
+        let ran = Self::run(job, limit, metrics, Some(saves))?;
         if ran == 0 {
             Self::save(job, path)?;
         }
@@ -433,16 +395,295 @@ impl JobRunner {
         Ok(ran)
     }
 
-    /// Writes the job's checkpoint to `path` atomically (temp file +
-    /// rename, via [`crate::jsonio::save_atomic`]) — the single save path
-    /// every checkpointing pipeline goes through.
+    /// Streams the job's checkpoint to `path` atomically (temp file +
+    /// rename, via [`crate::jsonio::save_atomic_with`]) — the single save
+    /// path every checkpointing pipeline goes through. The document is
+    /// never held in memory whole.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error.
+    /// Returns the underlying I/O error; the previous file at `path` is
+    /// then left as it was.
     pub fn save<J: Job + ?Sized>(job: &J, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &job.to_json())
+        jsonio::save_atomic_with(path, |out| job.write_json(out))
     }
+
+    /// The one scheduling loop: runs the first `limit` pending units
+    /// through the window, absorbing on the calling thread and saving
+    /// when `saves` asks for it. Returns how many units ran.
+    fn run<'a, J: Job + ?Sized>(
+        job: &'a mut J,
+        limit: Option<usize>,
+        metrics: Option<&'a mut MetricsRegistry>,
+        saves: Option<Saves<'a>>,
+    ) -> std::io::Result<usize> {
+        let threads = job.threads().max(1);
+        let window = job.units_per_pass(threads).clamp(1, threads);
+        let mut todo = job.pending_units();
+        todo.truncate(limit.unwrap_or(usize::MAX));
+        if todo.is_empty() {
+            return Ok(0);
+        }
+        let units = job.units();
+        let mut caller = Caller {
+            job,
+            metrics,
+            saves,
+            absorbed: 0,
+            total: todo.len(),
+        };
+        if window == 1 {
+            for &unit in &todo {
+                let span = Span::start();
+                let partial = J::run_unit(&units, unit);
+                caller.absorb(unit, partial, span.elapsed_nanos());
+                caller.save_if_due()?;
+            }
+        } else {
+            run_windowed::<J>(&mut caller, &units, &todo, window)?;
+        }
+        if let Some(reg) = caller.metrics {
+            reg.add("job.units", todo.len() as u64);
+            reg.add("job.passes", todo.len().div_ceil(window) as u64);
+        }
+        Ok(todo.len())
+    }
+}
+
+/// The checkpoint side of a run: where and how often to save, and the
+/// spans and counts its heartbeats report.
+struct Saves<'a> {
+    path: &'a Path,
+    every: usize,
+    on_batch: &'a mut dyn FnMut(usize, usize),
+    run_span: Span,
+    batch_span: Span,
+    started_at: usize,
+    batch_before: usize,
+    batches: u64,
+}
+
+/// What the caller thread of a run owns: the job it absorbs into, the
+/// registry, and the saves.
+struct Caller<'a, J: Job + ?Sized> {
+    job: &'a mut J,
+    metrics: Option<&'a mut MetricsRegistry>,
+    saves: Option<Saves<'a>>,
+    absorbed: usize,
+    total: usize,
+}
+
+impl<J: Job + ?Sized> Caller<'_, J> {
+    /// Absorbs the next unit in order, metering it and the unit's worker
+    /// time `unit_nanos`.
+    fn absorb(&mut self, unit: usize, partial: J::Partial, unit_nanos: u64) {
+        match self.metrics.as_deref_mut() {
+            Some(reg) => {
+                reg.observe("job.unit_nanos", unit_nanos);
+                let span = Span::start();
+                self.job.absorb(unit, partial);
+                span.record(reg, "job.absorb_nanos");
+            }
+            None => self.job.absorb(unit, partial),
+        }
+        self.absorbed += 1;
+    }
+
+    /// Saves, writes the heartbeat and reports the batch when the units
+    /// absorbed so far close one (or the run's last unit was absorbed).
+    fn save_if_due(&mut self) -> std::io::Result<()> {
+        let Some(saves) = self.saves.as_mut() else {
+            return Ok(());
+        };
+        if !self.absorbed.is_multiple_of(saves.every) && self.absorbed < self.total {
+            return Ok(());
+        }
+        let save_span = Span::start();
+        JobRunner::save(&*self.job, saves.path)?;
+        let save_nanos = save_span.elapsed_nanos();
+        saves.batches += 1;
+        let heartbeat = Heartbeat::of(
+            &*self.job,
+            &saves.run_span,
+            &saves.batch_span,
+            saves.started_at,
+            saves.batch_before,
+            saves.batches,
+        );
+        heartbeat.write_sidecar(saves.path);
+        if let Some(reg) = self.metrics.as_deref_mut() {
+            reg.observe("job.save_nanos", save_nanos);
+            reg.add("job.batches", 1);
+            heartbeat.record_gauges(reg);
+        }
+        (saves.on_batch)(self.job.completed_count(), self.job.unit_count());
+        saves.batch_span = Span::start();
+        saves.batch_before = self.job.completed_count();
+        Ok(())
+    }
+}
+
+/// The claim side of a windowed run: positions in the run's unit list are
+/// handed out strictly in order, and only while fewer than `window` units
+/// are claimed and not yet absorbed.
+///
+/// Its lock is taken past a poisoning: no code panics while holding it,
+/// and each update is a single field write that leaves the state valid,
+/// so a halt must still reach the workers after any thread panicked.
+struct Claims {
+    state: Mutex<ClaimState>,
+    room: Condvar,
+    window: usize,
+    total: usize,
+}
+
+struct ClaimState {
+    next: usize,
+    open: usize,
+    halted: bool,
+}
+
+impl Claims {
+    fn new(window: usize, total: usize) -> Self {
+        Claims {
+            state: Mutex::new(ClaimState {
+                next: 0,
+                open: 0,
+                halted: false,
+            }),
+            room: Condvar::new(),
+            window,
+            total,
+        }
+    }
+
+    /// The next position to run once the window has room, or `None` when
+    /// every unit is claimed or the run halted.
+    fn claim(&self) -> Option<usize> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if state.halted || state.next >= self.total {
+                return None;
+            }
+            if state.open < self.window {
+                state.open += 1;
+                state.next += 1;
+                return Some(state.next - 1);
+            }
+            state = self
+                .room
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Frees the window slot of a unit whose absorb returned.
+    fn release(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .open -= 1;
+        self.room.notify_one();
+    }
+
+    /// Stops all further claims and wakes every waiting worker.
+    fn halt(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .halted = true;
+        self.room.notify_all();
+    }
+}
+
+/// Halts the claims when dropped: on every exit of the caller's loop (a
+/// finished run, a failed save, a panicking absorb) and of a worker (a
+/// panicking unit among them), so no thread waits on a window that can no
+/// longer drain.
+struct HaltOnDrop<'a>(&'a Claims);
+
+impl Drop for HaltOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.halt();
+    }
+}
+
+/// Why the caller's loop of a windowed run stopped before its last unit.
+enum Stopped {
+    Save(std::io::Error),
+    WorkersGone,
+}
+
+/// Runs `todo` on `window` scoped workers, absorbing (and saving) on the
+/// calling thread in unit order; see the [module docs](self).
+fn run_windowed<J: Job + ?Sized>(
+    caller: &mut Caller<'_, J>,
+    units: &J::Units,
+    todo: &[usize],
+    window: usize,
+) -> std::io::Result<()> {
+    let claims = Claims::new(window, todo.len());
+    let (done_tx, done_rx) = mpsc::channel::<(usize, J::Partial, u64)>();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..window.min(todo.len()))
+            .map(|_| {
+                let done_tx = done_tx.clone();
+                let claims = &claims;
+                scope.spawn(move || {
+                    let _halt = HaltOnDrop(claims);
+                    while let Some(pos) = claims.claim() {
+                        let span = Span::start();
+                        let partial = J::run_unit(units, todo[pos]);
+                        if done_tx.send((pos, partial, span.elapsed_nanos())).is_err() {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(done_tx);
+        let outcome = {
+            let _halt = HaltOnDrop(&claims);
+            absorb_in_order(caller, &claims, &done_rx, todo, window)
+        };
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        match outcome {
+            Ok(()) => Ok(()),
+            Err(Stopped::Save(error)) => Err(error),
+            Err(Stopped::WorkersGone) => unreachable!("job workers exited with units unrun"),
+        }
+    })
+}
+
+/// The caller's loop of a windowed run: takes each partial in unit order
+/// (parking the ones that arrive early), absorbs it, frees its window slot
+/// and saves when a batch closes.
+fn absorb_in_order<J: Job + ?Sized>(
+    caller: &mut Caller<'_, J>,
+    claims: &Claims,
+    done: &mpsc::Receiver<(usize, J::Partial, u64)>,
+    todo: &[usize],
+    window: usize,
+) -> Result<(), Stopped> {
+    // Positions in the window are distinct modulo its size.
+    let mut early: Vec<Option<(J::Partial, u64)>> = (0..window).map(|_| None).collect();
+    for (pos, &unit) in todo.iter().enumerate() {
+        let (partial, nanos) = loop {
+            if let Some(ready) = early[pos % window].take() {
+                break ready;
+            }
+            let (at, partial, nanos) = done.recv().map_err(|_| Stopped::WorkersGone)?;
+            early[at % window] = Some((partial, nanos));
+        };
+        caller.absorb(unit, partial, nanos);
+        claims.release();
+        caller.save_if_due().map_err(Stopped::Save)?;
+    }
+    Ok(())
 }
 
 /// The `"kind"` tag of a heartbeat sidecar document.
@@ -716,15 +957,23 @@ impl Heartbeat {
 /// Writes the shared checkpoint header — opening brace, kind, version,
 /// fingerprint — in the exact byte layout every pipeline has always used,
 /// so checkpoints stay byte-compatible across the port onto [`Job`].
-pub fn write_checkpoint_header(out: &mut String, kind: JobKind, fingerprint: &str) {
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"kind\": \"{}\",", kind.kind_str());
-    let _ = writeln!(out, "  \"version\": {},", kind.version());
-    let _ = writeln!(
+///
+/// # Errors
+///
+/// Returns the writer's error.
+pub fn write_checkpoint_header(
+    out: &mut dyn fmt::Write,
+    kind: JobKind,
+    fingerprint: &str,
+) -> fmt::Result {
+    out.write_str("{\n")?;
+    writeln!(out, "  \"kind\": \"{}\",", kind.kind_str())?;
+    writeln!(out, "  \"version\": {},", kind.version())?;
+    writeln!(
         out,
         "  \"fingerprint\": \"{}\",",
         jsonio::escape(fingerprint)
-    );
+    )
 }
 
 /// Parses a checkpoint document and validates its header against the
@@ -967,6 +1216,9 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn kind_registry_round_trips() {
@@ -983,7 +1235,7 @@ mod tests {
     #[test]
     fn header_writer_and_parser_agree() {
         let mut out = String::new();
-        write_checkpoint_header(&mut out, JobKind::ShardedSweep, "m=5;x");
+        write_checkpoint_header(&mut out, JobKind::ShardedSweep, "m=5;x").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
         let doc = parse_checkpoint(&out, JobKind::ShardedSweep).unwrap();
         assert_eq!(
@@ -996,7 +1248,7 @@ mod tests {
     #[test]
     fn cross_kind_parse_names_both_kinds() {
         let mut out = String::new();
-        write_checkpoint_header(&mut out, JobKind::SampledSweep, "fp");
+        write_checkpoint_header(&mut out, JobKind::SampledSweep, "fp").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
         let err = parse_checkpoint(&out, JobKind::ShardedSweep).unwrap_err();
         assert!(err.contains("kind mismatch"), "{err}");
@@ -1013,7 +1265,7 @@ mod tests {
             parse_checkpoint("{\"kind\": \"something_else\"}", JobKind::FusedIngest).unwrap_err();
         assert!(err.contains("something_else"), "{err}");
         let mut out = String::new();
-        write_checkpoint_header(&mut out, JobKind::FusedIngest, "fp");
+        write_checkpoint_header(&mut out, JobKind::FusedIngest, "fp").unwrap();
         out.push_str("  \"x\": 1\n}\n");
         let bumped = out.replace("\"version\": 1", "\"version\": 9");
         assert!(parse_checkpoint(&bumped, JobKind::FusedIngest)
@@ -1048,15 +1300,33 @@ mod tests {
         assert!(err.contains("mystery_format"), "{err}");
     }
 
+    /// What a [`ToyJob`]'s units and its absorbs share: the units started
+    /// and not yet absorbed, and the most there ever were at once.
+    #[derive(Debug, Default)]
+    struct Probe {
+        open: AtomicUsize,
+        high_water: AtomicUsize,
+    }
+
     /// A miniature job: unit `i` contributes `i + 1`; state is the running
     /// sum plus the completion bitmap. Exercises the runner's scheduling,
-    /// ordering and checkpoint loop without the heavyweight pipelines.
+    /// ordering and checkpoint loop without the heavyweight pipelines. Its
+    /// variants sleep in every unit (so units overlap), panic in one unit,
+    /// or fail to write their checkpoint once enough units completed.
     struct ToyJob {
         done: Vec<bool>,
         sum: u64,
         threads: usize,
         per_pass: usize,
         per_checkpoint: usize,
+        /// Units in the order they were absorbed.
+        order: Vec<usize>,
+        probe: Arc<Probe>,
+        work: Duration,
+        panic_at: Option<usize>,
+        /// The checkpoint writer fails (after the header) from this many
+        /// completed units on.
+        fail_writes_from: Option<usize>,
     }
 
     impl ToyJob {
@@ -1067,12 +1337,29 @@ mod tests {
                 threads,
                 per_pass: usize::MAX,
                 per_checkpoint: threads.max(1),
+                order: Vec::new(),
+                probe: Arc::default(),
+                work: Duration::ZERO,
+                panic_at: None,
+                fail_writes_from: None,
             }
         }
+
+        fn window(&self) -> usize {
+            self.per_pass.clamp(1, self.threads.max(1))
+        }
+    }
+
+    /// The read-only plan of a [`ToyJob`] run.
+    struct ToyUnits {
+        probe: Arc<Probe>,
+        work: Duration,
+        panic_at: Option<usize>,
     }
 
     impl Job for ToyJob {
         type Partial = u64;
+        type Units = ToyUnits;
         fn kind(&self) -> JobKind {
             JobKind::ShardedSweep
         }
@@ -1097,22 +1384,72 @@ mod tests {
         fn units_per_checkpoint(&self, _threads: usize) -> usize {
             self.per_checkpoint
         }
-        fn run_span(&self, units: &[usize], out: &mut Vec<(usize, u64)>) {
-            for &u in units {
-                out.push((u, u as u64 + 1));
+        fn units(&self) -> ToyUnits {
+            ToyUnits {
+                probe: Arc::clone(&self.probe),
+                work: self.work,
+                panic_at: self.panic_at,
             }
+        }
+        fn run_unit(units: &ToyUnits, unit: usize) -> u64 {
+            let open = units.probe.open.fetch_add(1, Ordering::SeqCst) + 1;
+            units.probe.high_water.fetch_max(open, Ordering::SeqCst);
+            assert!(units.panic_at != Some(unit), "toy unit {unit} panics");
+            std::thread::sleep(units.work);
+            unit as u64 + 1
         }
         fn absorb(&mut self, unit: usize, partial: u64) {
             assert!(!self.done[unit], "unit {unit} absorbed twice");
             self.done[unit] = true;
             self.sum += partial;
+            self.order.push(unit);
+            self.probe.open.fetch_sub(1, Ordering::SeqCst);
         }
-        fn to_json(&self) -> String {
-            let mut out = String::new();
-            write_checkpoint_header(&mut out, self.kind(), &self.fingerprint());
-            let _ = writeln!(out, "  \"sum\": {}\n}}", self.sum);
-            out
+        fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+            write_checkpoint_header(out, self.kind(), &self.fingerprint())?;
+            if self
+                .fail_writes_from
+                .is_some_and(|from| self.completed_count() >= from)
+            {
+                return Err(fmt::Error);
+            }
+            writeln!(out, "  \"sum\": {}\n}}", self.sum)
         }
+    }
+
+    /// Runs `run` on its own thread and returns its result, or the message
+    /// of its panic; fails the test when it takes more than a minute, so a
+    /// runner that hangs fails instead of stalling the suite.
+    fn within_a_minute<T: Send + 'static>(
+        what: &str,
+        run: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, String> {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            let _ = tx.send(outcome.map_err(|panic| {
+                panic
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| panic.downcast_ref::<&str>().map(ToString::to_string))
+                    .unwrap_or_default()
+            }));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}: the job runner hung"));
+        thread
+            .join()
+            .expect("the watchdog thread catches every panic");
+        outcome
+    }
+
+    /// A fresh, empty directory under the temp dir for one test case.
+    fn toy_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("symloc_job_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -1131,11 +1468,144 @@ mod tests {
     fn runner_respects_limits_and_pass_bounds() {
         let mut job = ToyJob::new(10, 3);
         job.per_pass = 2;
+        job.work = Duration::from_millis(1);
         assert_eq!(JobRunner::run_pending(&mut job, Some(5)), 5);
         assert_eq!(job.completed_count(), 5);
         assert_eq!(JobRunner::run_pending(&mut job, Some(0)), 0);
         assert_eq!(JobRunner::run_pending(&mut job, None), 5);
         assert!(JobRunner::is_complete(&job));
+        assert_eq!(job.order, (0..10).collect::<Vec<_>>());
+        assert!(job.probe.high_water.load(Ordering::SeqCst) <= 2);
+    }
+
+    #[test]
+    fn the_window_bounds_open_units_and_absorbs_come_in_unit_order() {
+        for threads in 1..=4 {
+            for per_pass in [1, 2, usize::MAX] {
+                for checkpointed in [false, true] {
+                    let mut job = ToyJob::new(12, threads);
+                    job.per_pass = per_pass;
+                    job.work = Duration::from_millis(2);
+                    let window = job.window();
+                    let mut reg = MetricsRegistry::new();
+                    let ran = if checkpointed {
+                        let dir = toy_dir(&format!("window_{threads}_{per_pass}"));
+                        let ran = JobRunner::run_with_checkpoint_metered(
+                            &mut job,
+                            &dir.join("ck.json"),
+                            None,
+                            Some(&mut reg),
+                            |_, _| {},
+                        )
+                        .unwrap();
+                        std::fs::remove_dir_all(&dir).ok();
+                        ran
+                    } else {
+                        JobRunner::run_pending_metered(&mut job, None, Some(&mut reg))
+                    };
+                    let at = format!("threads {threads} per_pass {per_pass} saves {checkpointed}");
+                    assert_eq!(ran, 12, "{at}");
+                    assert_eq!(job.order, (0..12).collect::<Vec<_>>(), "{at}");
+                    let high_water = job.probe.high_water.load(Ordering::SeqCst);
+                    assert!((1..=window).contains(&high_water), "{at}: {high_water}");
+                    let units = reg.counter("job.units").unwrap();
+                    let passes = reg.counter("job.passes").unwrap();
+                    assert_eq!(units, 12, "{at}");
+                    assert_eq!(units / passes, window as u64, "{at}");
+                    assert_eq!(reg.histogram("job.unit_nanos").unwrap().count(), 12);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_propagates_its_panic_instead_of_hanging() {
+        for threads in 1..=4 {
+            for panic_at in [0, 5, 11] {
+                for checkpointed in [false, true] {
+                    let at = format!("threads {threads} panic_at {panic_at} saves {checkpointed}");
+                    let dir = toy_dir(&format!("panic_{threads}_{panic_at}"));
+                    let path = dir.join("ck.json");
+                    let outcome = within_a_minute(&at, move || {
+                        let mut job = ToyJob::new(12, threads);
+                        job.panic_at = Some(panic_at);
+                        job.per_checkpoint = 2;
+                        job.work = Duration::from_millis(1);
+                        if checkpointed {
+                            JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {})
+                                .unwrap()
+                        } else {
+                            JobRunner::run_pending(&mut job, None)
+                        }
+                    });
+                    let message = outcome.expect_err(&at);
+                    assert!(
+                        message.contains(&format!("toy unit {panic_at} panics")),
+                        "{at}: {message}"
+                    );
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_save_stops_claims_joins_the_workers_and_returns_the_error() {
+        for threads in 1..=4 {
+            // The checkpoint's directory disappears after the first save,
+            // so the second one cannot be written.
+            let at = format!("threads {threads}");
+            let dir = toy_dir(&format!("lost_dir_{threads}"));
+            let path = dir.join("ck.json");
+            let (completed, error) = within_a_minute(&at, move || {
+                let mut job = ToyJob::new(12, threads);
+                job.per_checkpoint = 2;
+                job.work = Duration::from_millis(1);
+                let error = JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {
+                    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+                })
+                .unwrap_err();
+                (job.completed_count(), error)
+            })
+            .unwrap();
+            assert_eq!(error.kind(), std::io::ErrorKind::NotFound, "{at}: {error}");
+            assert_eq!(completed, 4, "{at}: absorbs stop at the failed save");
+            assert!(!dir.exists(), "{at}");
+
+            // A document that fails to write leaves the previous
+            // checkpoint byte for byte and no temp file.
+            let dir = toy_dir(&format!("bad_doc_{threads}"));
+            let path = dir.join("ck.json");
+            let (first, completed, error) = within_a_minute(&at, {
+                let path = path.clone();
+                move || {
+                    let mut job = ToyJob::new(12, threads);
+                    job.per_checkpoint = 2;
+                    job.work = Duration::from_millis(1);
+                    job.fail_writes_from = Some(4);
+                    let mut first = None;
+                    let error = JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {
+                        first.get_or_insert_with(|| std::fs::read(&path).unwrap());
+                    })
+                    .unwrap_err();
+                    (first.unwrap(), job.completed_count(), error)
+                }
+            })
+            .unwrap();
+            assert!(
+                error.to_string().contains("failed to format"),
+                "{at}: {error}"
+            );
+            assert_eq!(completed, 4, "{at}");
+            assert_eq!(std::fs::read(&path).unwrap(), first, "{at}");
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            assert_eq!(names, ["ck.json", "ck.json.hb"], "{at}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1145,17 +1615,21 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
+        for threads in 1..=4 {
+            let mut job = ToyJob::new(6, threads);
+            job.per_checkpoint = 2;
+            let mut progress = Vec::new();
+            let ran = JobRunner::run_with_checkpoint(&mut job, &path, None, |done, total| {
+                progress.push((done, total));
+            })
+            .unwrap();
+            assert_eq!(ran, 6);
+            assert_eq!(progress, vec![(2, 6), (4, 6), (6, 6)], "threads {threads}");
+            let saved = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(saved, job.to_json());
+        }
         let mut job = ToyJob::new(6, 1);
-        job.per_checkpoint = 2;
-        let mut progress = Vec::new();
-        let ran = JobRunner::run_with_checkpoint(&mut job, &path, None, |done, total| {
-            progress.push((done, total));
-        })
-        .unwrap();
-        assert_eq!(ran, 6);
-        assert_eq!(progress, vec![(2, 6), (4, 6), (6, 6)]);
-        let saved = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(saved, job.to_json());
+        JobRunner::run_pending(&mut job, None);
         // Complete job: nothing runs, checkpoint still rewritten, no
         // progress callback.
         let ran = JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {
@@ -1320,7 +1794,7 @@ mod tests {
 
         // Right kind, matching plan: resumed.
         let mut doc = String::new();
-        write_checkpoint_header(&mut doc, JobKind::ShardedSweep, "fp");
+        write_checkpoint_header(&mut doc, JobKind::ShardedSweep, "fp").unwrap();
         doc.push_str("  \"x\": 1\n}\n");
         std::fs::write(&path, &doc).unwrap();
         let (value, resumed) = resume_or_new_with(

@@ -101,17 +101,38 @@ impl JsonValue {
 /// sibling temp file first and are renamed over the target, so a kill
 /// mid-save leaves the previous checkpoint intact. The single save path
 /// every checkpointing runner (`ShardedSweep`, `SampledSweep`, the trace
-/// job `FusedIngest`, the serve state) goes through.
-///
-/// Every call writes its own temp file, `<file>.<pid>.<n>.tmp`, so two
-/// writers to one path never write into each other's bytes: the target
-/// always holds one whole document. The temp file is removed when the
-/// write or the rename fails.
+/// job `FusedIngest`, the serve state) goes through; a call to
+/// [`save_atomic_with`] for a document already in memory.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
 pub fn save_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
+    save_atomic_with(path, |out| out.write_str(contents))
+}
+
+/// Bytes [`save_atomic_with`] buffers between writes to the temp file.
+const SAVE_BUFFER: usize = 64 * 1024;
+
+/// Streams a checkpoint document to `path` atomically: `write` formats it
+/// through a buffered writer straight into a sibling temp file, which is
+/// renamed over the target only once the write and the final flush
+/// succeeded. A document of tens of megabytes is never held in memory.
+///
+/// Every call writes its own temp file, `<file>.<pid>.<n>.tmp`, so two
+/// writers to one path never write into each other's bytes: the target
+/// always holds one whole document. On any failure the temp file is
+/// removed and the target is left as it was.
+///
+/// # Errors
+///
+/// Returns the first I/O error (creating, writing, flushing or renaming),
+/// or an error saying the document failed to format when `write` fails
+/// without one.
+pub fn save_atomic_with(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut dyn std::fmt::Write) -> std::fmt::Result,
+) -> std::io::Result<()> {
     static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
     let Some(name) = path.file_name() else {
         return Err(std::io::Error::new(
@@ -126,11 +147,64 @@ pub fn save_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()
         NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
     ));
     let temp = path.with_file_name(temp);
-    let saved = std::fs::write(&temp, contents).and_then(|()| std::fs::rename(&temp, path));
+    let saved = write_file(&temp, write).and_then(|()| std::fs::rename(&temp, path));
     if saved.is_err() {
         let _ = std::fs::remove_file(&temp);
     }
     saved
+}
+
+/// Creates `path` and streams `write`'s document into it.
+fn write_file(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut dyn std::fmt::Write) -> std::fmt::Result,
+) -> std::io::Result<()> {
+    let file = std::fs::File::create(path)?;
+    let mut out = FmtWriter::new(std::io::BufWriter::with_capacity(SAVE_BUFFER, file));
+    let written = write(&mut out);
+    out.finish(written)?
+        .into_inner()
+        .map_err(std::io::IntoInnerError::into_error)?;
+    Ok(())
+}
+
+/// A [`std::fmt::Write`] over an [`std::io::Write`] that keeps the first
+/// I/O error, which `fmt::Error` cannot carry: a formatter sees only that
+/// the write failed, and [`FmtWriter::finish`] hands back what failed.
+struct FmtWriter<W> {
+    inner: W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> FmtWriter<W> {
+    fn new(inner: W) -> Self {
+        FmtWriter { inner, error: None }
+    }
+
+    /// The writer back when the document was written whole; otherwise the
+    /// first I/O error, or — when `written` failed without one — an error
+    /// saying the document failed to format.
+    fn finish(self, written: std::fmt::Result) -> std::io::Result<W> {
+        match (self.error, written) {
+            (Some(error), _) => Err(error),
+            (None, Err(std::fmt::Error)) => Err(std::io::Error::other(
+                "the checkpoint document failed to format",
+            )),
+            (None, Ok(())) => Ok(self.inner),
+        }
+    }
+}
+
+impl<W: std::io::Write> std::fmt::Write for FmtWriter<W> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        if self.error.is_some() {
+            return Err(std::fmt::Error);
+        }
+        self.inner.write_all(s.as_bytes()).map_err(|error| {
+            self.error = Some(error);
+            std::fmt::Error
+        })
+    }
 }
 
 /// Removes the temp files of [`save_atomic`] calls to `path` that a kill
@@ -471,6 +545,108 @@ mod tests {
         let mut want = kept.map(String::from).to_vec();
         want.sort();
         assert_eq!(names, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An `io::Write` that accepts `left` bytes and then fails.
+    #[derive(Debug)]
+    struct FailAfter {
+        left: usize,
+        taken: Vec<u8>,
+    }
+
+    impl std::io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::StorageFull,
+                    "disk full",
+                ));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn fmt_writer_returns_the_first_io_error() {
+        for left in [0usize, 1, 7, 100, 4095] {
+            let mut out = FmtWriter::new(FailAfter {
+                left,
+                taken: Vec::new(),
+            });
+            let mut written = Ok(());
+            for i in 0..2000u32 {
+                written = write!(out, "{i}, ");
+                if written.is_err() {
+                    break;
+                }
+            }
+            assert!(written.is_err(), "left {left}");
+            // Later writes fail too, and never reach the writer again.
+            assert!(out.write_str("more").is_err());
+            let taken = out.inner.taken.len();
+            let err = out.finish(written).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "left {left}");
+            assert_eq!(err.to_string(), "disk full");
+            assert_eq!(taken, left);
+        }
+        // Through a buffer, the error surfaces when the buffer drains.
+        let mut out = FmtWriter::new(std::io::BufWriter::with_capacity(
+            16,
+            FailAfter {
+                left: 40,
+                taken: Vec::new(),
+            },
+        ));
+        let written = (0..100).try_for_each(|i| write!(out, "{i},"));
+        assert_eq!(
+            out.finish(written).unwrap_err().kind(),
+            std::io::ErrorKind::StorageFull
+        );
+        // A formatter that fails on its own is an error too.
+        let out = FmtWriter::new(Vec::new());
+        let err = out.finish(Err(std::fmt::Error)).unwrap_err();
+        assert!(err.to_string().contains("failed to format"), "{err}");
+        let mut out = FmtWriter::new(Vec::new());
+        out.write_str("whole").unwrap();
+        assert_eq!(out.finish(Ok(())).unwrap(), b"whole");
+    }
+
+    #[test]
+    fn streamed_saves_replace_the_target_only_when_whole() {
+        let dir = std::env::temp_dir().join(format!("symloc-jsonio-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.json");
+        // Larger than the buffer, so it reaches the file in several writes.
+        let doc: String = (0..40_000).map(|i| format!("{i},")).collect();
+        save_atomic_with(&path, |out| {
+            (0..40_000).try_for_each(|i| write!(out, "{i},"))
+        })
+        .unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc);
+        // A document that fails half way leaves the target and no temp
+        // file behind.
+        let err = save_atomic_with(&path, |out| {
+            out.write_str("{\"partial")?;
+            Err(std::fmt::Error)
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("failed to format"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["ck.json"]);
+        // A directory that does not exist is an error, not a panic.
+        assert!(save_atomic(&dir.join("missing").join("ck.json"), "{}").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

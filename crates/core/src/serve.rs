@@ -422,7 +422,7 @@ impl ServeState {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::ServeState, &self.fingerprint());
+        let _ = job::write_checkpoint_header(&mut out, JobKind::ServeState, &self.fingerprint());
         let _ = writeln!(out, "  \"budget\": {},", self.budget);
         let _ = writeln!(out, "  \"max_tenants\": {},", self.max_tenants);
         let _ = writeln!(out, "  \"rejected\": {},", self.rejected);
@@ -439,7 +439,7 @@ impl ServeState {
                 jsonio::escape(&tenant.name),
                 tenant.accesses,
             );
-            tenant.estimator.write_state(&mut out);
+            let _ = tenant.estimator.write_state(&mut out);
             let sep = if i + 1 < self.tenants.len() { "," } else { "" };
             let _ = writeln!(out, "}}{sep}");
         }

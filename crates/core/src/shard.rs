@@ -36,7 +36,7 @@ use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
 use crate::job::{self, Job, JobKind, JobRunner};
 use crate::jsonio::JsonValue;
 use crate::model::CacheModel;
-use std::fmt::Write as _;
+use std::fmt;
 use std::path::Path;
 use symloc_perm::rank::{factorial, RankRange};
 use symloc_perm::statistics::Statistic;
@@ -205,46 +205,7 @@ impl ShardedSweep {
     /// JSON checkpoint document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::ShardedSweep, &self.spec.fingerprint());
-        let _ = writeln!(out, "  \"m\": {},", self.spec.m);
-        let _ = writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic);
-        let _ = writeln!(out, "  \"model\": \"{}\",", self.spec.model);
-        let _ = writeln!(out, "  \"shard_count\": {},", self.shards.len());
-        out.push_str("  \"shards\": [\n");
-        for (i, (shard, partial)) in self.shards.iter().zip(&self.partials).enumerate() {
-            let sep = if i + 1 < self.shards.len() { "," } else { "" };
-            match partial {
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"start\": {}, \"end\": {}, \"done\": false}}{sep}",
-                        shard.start, shard.end
-                    );
-                }
-                Some(levels) => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"start\": {}, \"end\": {}, \"done\": true, \"levels\": [",
-                        shard.start, shard.end
-                    );
-                    for (j, level) in levels.iter().enumerate() {
-                        let lsep = if j + 1 < levels.len() { "," } else { "" };
-                        let _ = writeln!(
-                            out,
-                            "      {{\"level\": {}, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{lsep}",
-                            level.level,
-                            level.count,
-                            u64_array(&level.hit_sums),
-                            u64_array(&level.hit_sq_sums),
-                        );
-                    }
-                    let _ = writeln!(out, "    ]}}{sep}");
-                }
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Job::to_json(self)
     }
 
     /// Rebuilds a sweep from a checkpoint document.
@@ -408,6 +369,7 @@ impl ShardedSweep {
 
 impl Job for ShardedSweep {
     type Partial = Vec<SweepLevel>;
+    type Units = ShardUnits;
 
     fn kind(&self) -> JobKind {
         JobKind::ShardedSweep
@@ -451,23 +413,71 @@ impl Job for ShardedSweep {
         1
     }
 
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, Vec<SweepLevel>)>) {
-        let engine = SweepEngine::with_threads(self.spec.m, self.threads);
-        for &unit in units {
-            out.push((
-                unit,
-                engine.sweep_rank_range(self.spec.statistic, self.spec.model, self.shards[unit]),
-            ));
+    fn units(&self) -> ShardUnits {
+        ShardUnits {
+            engine: SweepEngine::with_threads(self.spec.m, self.threads),
+            spec: self.spec,
+            shards: self.shards.clone(),
         }
+    }
+
+    fn run_unit(units: &ShardUnits, unit: usize) -> Vec<SweepLevel> {
+        units
+            .engine
+            .sweep_rank_range(units.spec.statistic, units.spec.model, units.shards[unit])
     }
 
     fn absorb(&mut self, unit: usize, partial: Vec<SweepLevel>) {
         self.partials[unit] = Some(partial);
     }
 
-    fn to_json(&self) -> String {
-        ShardedSweep::to_json(self)
+    fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        job::write_checkpoint_header(out, JobKind::ShardedSweep, &self.spec.fingerprint())?;
+        writeln!(out, "  \"m\": {},", self.spec.m)?;
+        writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic)?;
+        writeln!(out, "  \"model\": \"{}\",", self.spec.model)?;
+        writeln!(out, "  \"shard_count\": {},", self.shards.len())?;
+        out.write_str("  \"shards\": [\n")?;
+        for (i, (shard, partial)) in self.shards.iter().zip(&self.partials).enumerate() {
+            let sep = if i + 1 < self.shards.len() { "," } else { "" };
+            match partial {
+                None => writeln!(
+                    out,
+                    "    {{\"start\": {}, \"end\": {}, \"done\": false}}{sep}",
+                    shard.start, shard.end
+                )?,
+                Some(levels) => {
+                    writeln!(
+                        out,
+                        "    {{\"start\": {}, \"end\": {}, \"done\": true, \"levels\": [",
+                        shard.start, shard.end
+                    )?;
+                    for (j, level) in levels.iter().enumerate() {
+                        let lsep = if j + 1 < levels.len() { "," } else { "" };
+                        writeln!(
+                            out,
+                            "      {{\"level\": {}, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{lsep}",
+                            level.level,
+                            level.count,
+                            u64_array(&level.hit_sums),
+                            u64_array(&level.hit_sq_sums),
+                        )?;
+                    }
+                    writeln!(out, "    ]}}{sep}")?;
+                }
+            }
+        }
+        out.write_str("  ]\n}\n")
     }
+}
+
+/// The read-only unit plan of a [`ShardedSweep`] run: the spec, the engine
+/// and the shards' rank ranges.
+#[derive(Debug)]
+pub struct ShardUnits {
+    engine: SweepEngine,
+    spec: SweepSpec,
+    shards: Vec<RankRange>,
 }
 
 /// A per-level-sharded, checkpointable *sampled* sweep — the stratified
@@ -478,7 +488,7 @@ impl Job for ShardedSweep {
 /// deterministic in `(spec, level, draws, seed)` alone — levels are the
 /// natural shard. [`SampledSweep`] materializes the per-level draw plan
 /// ([`crate::engine::weighted_sample_counts_for`]); the runner executes
-/// pending levels in parallel batches and checkpoints completed levels as
+/// pending levels on its workers and checkpoints completed levels as
 /// hand-rolled JSON: a killed sampled sweep resumes to aggregates
 /// *byte-identical* to the uninterrupted run (the same guarantee, by the
 /// same test strategy, as the exhaustive sharded sweep).
@@ -569,8 +579,8 @@ impl SampledSweep {
         self.partials.iter().all(Option::is_some)
     }
 
-    /// Runs up to `limit` pending levels (all of them when `None`) in
-    /// one parallel pass, returning how many were processed.
+    /// Runs up to `limit` pending levels (all of them when `None`), one
+    /// level per worker, returning how many were processed.
     pub fn run_pending(&mut self, limit: Option<usize>) -> usize {
         JobRunner::run_pending(self, limit)
     }
@@ -635,38 +645,7 @@ impl SampledSweep {
     /// JSON checkpoint document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::SampledSweep, &self.spec.fingerprint());
-        let _ = writeln!(out, "  \"m\": {},", self.spec.m);
-        let _ = writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic);
-        let _ = writeln!(out, "  \"model\": \"{}\",", self.spec.model);
-        let _ = writeln!(out, "  \"budget\": {},", self.budget);
-        let _ = writeln!(out, "  \"min_per_level\": {},", self.min_per_level);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"level_count\": {},", self.partials.len());
-        out.push_str("  \"levels\": [\n");
-        for (i, (draws, partial)) in self.draws.iter().zip(&self.partials).enumerate() {
-            let sep = if i + 1 < self.partials.len() { "," } else { "" };
-            match partial {
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"level\": {i}, \"draws\": {draws}, \"done\": false}}{sep}"
-                    );
-                }
-                Some(level) => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"level\": {i}, \"draws\": {draws}, \"done\": true, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{sep}",
-                        level.count,
-                        u64_array(&level.hit_sums),
-                        u64_array(&level.hit_sq_sums),
-                    );
-                }
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Job::to_json(self)
     }
 
     /// Rebuilds a sampled sweep from a checkpoint document.
@@ -823,6 +802,7 @@ impl SampledSweep {
 
 impl Job for SampledSweep {
     type Partial = SweepLevel;
+    type Units = LevelUnits;
 
     fn kind(&self) -> JobKind {
         JobKind::SampledSweep
@@ -853,29 +833,67 @@ impl Job for SampledSweep {
             .collect()
     }
 
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, SweepLevel)>) {
-        let engine = SweepEngine::with_threads(self.spec.m, self.threads);
-        for &unit in units {
-            out.push((
-                unit,
-                engine.sampled_level(
-                    self.spec.statistic,
-                    self.spec.model,
-                    unit,
-                    self.draws[unit],
-                    self.seed,
-                ),
-            ));
+    fn units(&self) -> LevelUnits {
+        LevelUnits {
+            engine: SweepEngine::with_threads(self.spec.m, self.threads),
+            spec: self.spec,
+            draws: self.draws.clone(),
+            seed: self.seed,
         }
+    }
+
+    fn run_unit(units: &LevelUnits, unit: usize) -> SweepLevel {
+        units.engine.sampled_level(
+            units.spec.statistic,
+            units.spec.model,
+            unit,
+            units.draws[unit],
+            units.seed,
+        )
     }
 
     fn absorb(&mut self, unit: usize, partial: SweepLevel) {
         self.partials[unit] = Some(partial);
     }
 
-    fn to_json(&self) -> String {
-        SampledSweep::to_json(self)
+    fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        job::write_checkpoint_header(out, JobKind::SampledSweep, &self.spec.fingerprint())?;
+        writeln!(out, "  \"m\": {},", self.spec.m)?;
+        writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic)?;
+        writeln!(out, "  \"model\": \"{}\",", self.spec.model)?;
+        writeln!(out, "  \"budget\": {},", self.budget)?;
+        writeln!(out, "  \"min_per_level\": {},", self.min_per_level)?;
+        writeln!(out, "  \"seed\": {},", self.seed)?;
+        writeln!(out, "  \"level_count\": {},", self.partials.len())?;
+        out.write_str("  \"levels\": [\n")?;
+        for (i, (draws, partial)) in self.draws.iter().zip(&self.partials).enumerate() {
+            let sep = if i + 1 < self.partials.len() { "," } else { "" };
+            match partial {
+                None => writeln!(
+                    out,
+                    "    {{\"level\": {i}, \"draws\": {draws}, \"done\": false}}{sep}"
+                )?,
+                Some(level) => writeln!(
+                    out,
+                    "    {{\"level\": {i}, \"draws\": {draws}, \"done\": true, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{sep}",
+                    level.count,
+                    u64_array(&level.hit_sums),
+                    u64_array(&level.hit_sq_sums),
+                )?,
+            }
+        }
+        out.write_str("  ]\n}\n")
     }
+}
+
+/// The read-only unit plan of a [`SampledSweep`] run: the spec, the
+/// engine, the per-level draw plan and the seed.
+#[derive(Debug)]
+pub struct LevelUnits {
+    engine: SweepEngine,
+    spec: SweepSpec,
+    draws: Vec<usize>,
+    seed: u64,
 }
 
 /// Rejects level sums that no `count` re-traversals of `S_m` can produce:

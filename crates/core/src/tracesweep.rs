@@ -9,10 +9,12 @@
 //!
 //! * [`OnlineReuseEngine`] — the exact single-pass engine: an address
 //!   interner (u64 → dense u32 ids, array-indexed last-access state) plus a
-//!   [`Fenwick`] tree over **compressed timestamps**. Only live markers
-//!   (one per distinct address) survive compaction, so the tree is
-//!   `O(footprint)` instead of `O(trace length)`; each access costs
-//!   `O(log footprint)` with no hash-map probe on the hot path.
+//!   [`SlotCounter`] of live markers over **compressed timestamps** (one bit
+//!   per slot and a `u32` Fenwick tree over 512-slot blocks, so it stays in
+//!   cache). Only live markers (one per distinct address) survive
+//!   compaction, so the counter is `O(footprint)` instead of `O(trace
+//!   length)`; each access costs `O(log footprint)` with no hash-map probe
+//!   on the hot path.
 //! * [`ShardsEstimator`] — a bounded-memory sampled estimator in the style
 //!   of SHARDS (hash-based spatial sampling): addresses are sampled by a
 //!   fixed hash condition, the tracked set is capped at `s_max` by evicting
@@ -27,7 +29,7 @@
 //!   merge left-to-right into exactly the sequential result. This is the
 //!   PARDA decomposition of the stack distance problem. The serial merge
 //!   costs what each chunk adds, not the global footprint: one hash per
-//!   distinct chunk address, and a Fenwick tree that counts only the
+//!   distinct chunk address, and a [`SlotCounter`] that marks only the
 //!   entries chunks have removed from the global last-access order.
 //! * [`StreamHistogram`] — the exact histogram, one dense `u64` array
 //!   indexed by distance (a distance never exceeds the footprint).
@@ -56,14 +58,13 @@
 use crate::job::{self, Job, JobKind, JobRunner};
 use crate::jsonio::JsonValue;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 use symloc_par::split_indices;
-use symloc_perm::fenwick::Fenwick;
+use symloc_perm::fenwick::{Fenwick, SlotCounter};
 use symloc_trace::stream::{AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource};
 
-/// Smallest Fenwick capacity a timeline starts with (kept low so the
+/// Smallest slot capacity a timeline starts with (kept low so the
 /// compaction path is exercised constantly, not only at scale).
 const MIN_TIMELINE_CAPACITY: usize = 64;
 
@@ -576,11 +577,16 @@ impl AddrInterner {
 // The compressed timeline
 // ---------------------------------------------------------------------------
 
-/// The core of the exact engines: a Fenwick tree over *compressed
-/// timestamps* plus per-address last-access state. Each distinct address
-/// owns exactly one marker; timestamps are dense slot indices that are
-/// periodically compacted (live markers re-packed in order), so the tree's
-/// size tracks the number of live addresses, not the number of accesses.
+/// The core of the exact engines: a [`SlotCounter`] of live markers over
+/// *compressed timestamps* plus per-address last-access state. Each
+/// distinct address owns exactly one marker; timestamps are dense slot
+/// indices that are periodically compacted (live markers re-packed in
+/// order), so the counter's size tracks the number of live addresses, not
+/// the number of accesses. The counter keeps one bit per slot and a `u32`
+/// Fenwick tree over 512-slot blocks, so a distance query walks a tree 512
+/// times smaller than a `u64` node per slot and popcounts at most one cache
+/// line — it stays in cache where a per-slot tree of a million-address
+/// footprint does not.
 ///
 /// Addresses are interned to dense `u32` ids, so the per-access state is
 /// two flat-array lookups (`slot_of`, `id_of_slot`) instead of a hash-map
@@ -591,16 +597,17 @@ impl AddrInterner {
 /// because an interner would defeat its `O(s_max)` eviction guarantee.
 #[derive(Debug, Clone)]
 struct Timeline {
-    tree: Fenwick,
+    /// The live markers; its length is the slot capacity. Nothing is
+    /// marked at or past `next_slot`.
+    marks: SlotCounter,
     interner: AddrInterner,
     /// `id → slot of its live marker` (`NO_SLOT` = the address is not live).
     slot_of: Vec<usize>,
-    /// `slot → id of the marker occupying it`. Valid iff `slot_of` points
-    /// back at the slot; moves and removals leave stale entries behind
-    /// rather than erasing them. Always `tree.len()` long.
+    /// `slot → id of the marker occupying it`. Valid iff the slot is
+    /// marked (then `slot_of` points back at it); moves and removals leave
+    /// stale entries behind rather than erasing them. Always `marks.len()`
+    /// long.
     id_of_slot: Vec<u32>,
-    /// Live (tracked) addresses.
-    live: usize,
     next_slot: usize,
     /// Slot-compaction passes performed (observability only — never read
     /// back into the computation).
@@ -613,11 +620,10 @@ const NO_SLOT: usize = usize::MAX;
 impl Timeline {
     fn new() -> Self {
         Timeline {
-            tree: Fenwick::new(MIN_TIMELINE_CAPACITY),
+            marks: SlotCounter::new(MIN_TIMELINE_CAPACITY),
             interner: AddrInterner::new(),
             slot_of: Vec::new(),
             id_of_slot: vec![0; MIN_TIMELINE_CAPACITY],
-            live: 0,
             next_slot: 0,
             compactions: 0,
         }
@@ -625,12 +631,12 @@ impl Timeline {
 
     /// Number of live (tracked) addresses.
     fn live(&self) -> usize {
-        self.live
+        self.marks.count()
     }
 
-    /// Current tree capacity (for memory-bound assertions).
+    /// Current slot capacity (for memory-bound assertions).
     fn capacity(&self) -> usize {
-        self.tree.len()
+        self.marks.len()
     }
 
     /// Compaction passes performed so far.
@@ -649,8 +655,8 @@ impl Timeline {
     }
 
     /// Re-packs the live markers into slots `0..live` (preserving order)
-    /// and resizes the tree to twice the live count. Called when the slot
-    /// counter reaches the capacity; amortized `O(log)` per access.
+    /// and resizes the counter to twice the live count. Called when the
+    /// slot counter reaches the capacity; amortized `O(1)` per access.
     ///
     /// Walking the slots in ascending order visits live markers exactly in
     /// the order the old implementation obtained by sorting `(slot, addr)`
@@ -659,25 +665,25 @@ impl Timeline {
     fn compact(&mut self) {
         let mut new_slot = 0usize;
         for slot in 0..self.next_slot {
-            let id = self.id_of_slot[slot];
-            if self.slot_of[id as usize] == slot {
+            if self.marks.is_set(slot) {
+                let id = self.id_of_slot[slot];
                 self.id_of_slot[new_slot] = id;
                 self.slot_of[id as usize] = new_slot;
                 new_slot += 1;
             }
         }
-        debug_assert_eq!(new_slot, self.live, "live count drifted");
-        let capacity = (self.live * 2).max(MIN_TIMELINE_CAPACITY);
-        // Repacked markers occupy exactly the slots 0..live, so the tree is
-        // rebuilt in one O(capacity) pass instead of live × O(log) adds.
-        self.tree.reset_ones_prefix(capacity, new_slot);
+        debug_assert_eq!(new_slot, self.live(), "live count drifted");
+        let capacity = (new_slot * 2).max(MIN_TIMELINE_CAPACITY);
+        // Repacked markers occupy exactly the slots 0..live, so the counter
+        // is rebuilt in one pass instead of live separate marks.
+        self.marks.reset_ones_prefix(capacity, new_slot);
         self.id_of_slot.resize(capacity, 0);
         self.next_slot = new_slot;
         self.compactions += 1;
     }
 
     fn ensure_slot(&mut self) {
-        if self.next_slot >= self.tree.len() {
+        if self.next_slot >= self.marks.len() {
             self.compact();
         }
     }
@@ -685,20 +691,21 @@ impl Timeline {
     /// Records one access: returns `Some(reuse distance)` when the address
     /// was live, `None` on a first touch. Either way the address's marker
     /// ends up at the newest slot.
+    ///
+    /// Nothing is marked past the newest slot, so the markers at or after
+    /// `prev` — the address itself and every distinct address touched since
+    /// — number `live − count_below(prev)`: that is the reuse distance.
     #[inline]
     fn observe(&mut self, addr: u64) -> Option<usize> {
         self.ensure_slot();
         let id = self.intern(addr);
         let prev = self.slot_of[id];
-        let distance = if prev == NO_SLOT {
-            self.live += 1;
-            None
-        } else {
-            let between = self.tree.range_sum(prev + 1, self.next_slot);
-            self.tree.sub(prev, 1);
-            Some(usize::try_from(between).expect("distance fits usize") + 1)
-        };
-        self.tree.add(self.next_slot, 1);
+        let distance = (prev != NO_SLOT).then(|| {
+            let distance = self.marks.count() - self.marks.count_below(prev);
+            self.marks.clear(prev);
+            distance
+        });
+        self.marks.set(self.next_slot);
         self.slot_of[id] = self.next_slot;
         #[allow(clippy::cast_possible_truncation)]
         {
@@ -712,14 +719,10 @@ impl Timeline {
     /// first-touch ranks, so this is the order as indices into the list
     /// of first touches.
     fn ordered_ids(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.live);
-        for slot in 0..self.next_slot {
-            let id = self.id_of_slot[slot];
-            if self.slot_of[id as usize] == slot {
-                out.push(id);
-            }
-        }
-        out
+        (0..self.next_slot)
+            .filter(|&slot| self.marks.is_set(slot))
+            .map(|slot| self.id_of_slot[slot])
+            .collect()
     }
 }
 
@@ -906,8 +909,8 @@ impl OnlineReuseEngine {
         self.timeline.live()
     }
 
-    /// Current Fenwick capacity — bounded by twice the footprint (plus a
-    /// small constant floor), never by the trace length.
+    /// Current timeline slot capacity — bounded by twice the footprint
+    /// (plus a small constant floor), never by the trace length.
     #[must_use]
     pub fn timeline_capacity(&self) -> usize {
         self.timeline.capacity()
@@ -1079,8 +1082,8 @@ impl ShardsEstimator {
     /// last-access order) — the entry shape trace-job and serve
     /// checkpoints share. Weights print as shortest round-trip decimals,
     /// so restoring and re-writing is byte-identical.
-    pub(crate) fn write_state(&self, out: &mut String) {
-        let _ = write!(
+    pub(crate) fn write_state(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        write!(
             out,
             "\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
             self.threshold,
@@ -1088,17 +1091,17 @@ impl ShardsEstimator {
             self.sampled_accesses,
             self.evictions,
             self.histogram.cold_weight(),
-        );
+        )?;
         for (j, (d, w)) in self.histogram.iter().enumerate() {
             let comma = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{comma}[{d}, {w}]");
+            write!(out, "{comma}[{d}, {w}]")?;
         }
-        out.push_str("], \"tracked\": [");
+        out.write_str("], \"tracked\": [")?;
         for (j, addr) in self.timeline.ordered_addresses().iter().enumerate() {
             let comma = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{comma}{addr}");
+            write!(out, "{comma}{addr}")?;
         }
-        out.push(']');
+        out.write_char(']')
     }
 
     /// Rebuilds the estimator of one hash shard from an entry written by
@@ -1645,23 +1648,26 @@ pub fn chunk_partial(accesses: impl IntoIterator<Item = u64>) -> ChunkPartial {
 /// The order is a list of slots holding global address ids. Absorbing a
 /// chunk only *removes* entries (an address the chunk touches again) and
 /// *appends* them at the end, so a removal leaves a dead slot behind and
-/// the Fenwick tree counts dead slots alone: the live entries after a
-/// slot are the later slots minus the dead ones among them. Appends touch
-/// no tree. When the slots run out, the live ones are repacked to the
-/// front and the tree is reset, the way the engine's timeline compacts,
+/// a [`SlotCounter`] marks dead slots alone: the live entries after a slot
+/// are the later slots minus the dead ones among them. Appends touch no
+/// counter. When the slots run out, the live ones are repacked to the
+/// front and the counter is reset, the way the engine's timeline compacts,
 /// so an absorb costs `O(k log footprint)` amortized for a chunk of `k`
-/// distinct addresses, never a pass over the whole footprint.
+/// distinct addresses, never a pass over the whole footprint — and the
+/// counter's bits and block tree stay in cache where a `u64` Fenwick node
+/// per slot would not.
 #[derive(Debug, Clone)]
 pub struct MergeState {
     interner: AddrInterner,
-    /// Global ids in last-access order. A slot is live iff `slot_of`
-    /// points back at it.
+    /// Global ids in last-access order. A slot is live iff `dead` does
+    /// not mark it (then `slot_of` points back at it).
     slots: Vec<u32>,
     /// `id → slot` of its live entry (`NO_SLOT` between its removal and
     /// its re-append within one absorb).
     slot_of: Vec<usize>,
-    /// Counts the dead slots; its length is the slot capacity.
-    dead: Fenwick,
+    /// Marks the dead slots; its length is the slot capacity. Nothing is
+    /// marked at or past `slots.len()`.
+    dead: SlotCounter,
     histogram: StreamHistogram,
 }
 
@@ -1671,7 +1677,7 @@ impl Default for MergeState {
             interner: AddrInterner::new(),
             slots: Vec::new(),
             slot_of: Vec::new(),
-            dead: Fenwick::new(MIN_TIMELINE_CAPACITY),
+            dead: SlotCounter::new(MIN_TIMELINE_CAPACITY),
             histogram: StreamHistogram::new(),
         }
     }
@@ -1702,10 +1708,11 @@ impl MergeState {
             if slot == NO_SLOT {
                 self.histogram.record_cold(1);
             } else {
-                let live_after = (end - slot - 1) as u64 - self.dead.range_sum(slot + 1, end);
+                let dead_after = self.dead.count() - self.dead.count_below(slot + 1);
+                let live_after = (end - slot - 1 - dead_after) as u64;
                 let d = usize::try_from(distinct_before + live_after).expect("distance fits") + 1;
                 self.histogram.record_finite(d, 1);
-                self.dead.add(slot, 1);
+                self.dead.set(slot);
                 self.slot_of[id as usize] = NO_SLOT;
             }
             ids.push(id);
@@ -1737,29 +1744,30 @@ impl MergeState {
     }
 
     /// Moves the live slots to the front, in order, and resets the dead
-    /// tree to twice their number: amortized `O(1)` per append, since at
+    /// counter to twice their number: amortized `O(1)` per append, since at
     /// least that many appends fill the slots again.
     fn repack(&mut self) {
         let mut live = 0usize;
         for slot in 0..self.slots.len() {
-            let id = self.slots[slot];
-            if self.slot_of[id as usize] == slot {
+            if !self.dead.is_set(slot) {
+                let id = self.slots[slot];
                 self.slots[live] = id;
                 self.slot_of[id as usize] = live;
                 live += 1;
             }
         }
         self.slots.truncate(live);
-        self.dead.reset((live * 2).max(MIN_TIMELINE_CAPACITY));
+        self.dead
+            .reset_ones_prefix((live * 2).max(MIN_TIMELINE_CAPACITY), 0);
     }
 
-    /// The absorbed addresses in last-access order.
+    /// The absorbed addresses in last-access order. Gathered in one tight
+    /// loop, so the random `address(id)` reads overlap each other instead
+    /// of waiting behind the formatting of every address.
     fn ordered_addresses(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|&(slot, &id)| self.slot_of[id as usize] == slot)
-            .map(|(_, &id)| self.interner.address(id))
+        (0..self.slots.len())
+            .filter(|&slot| !self.dead.is_set(slot))
+            .map(|slot| self.interner.address(self.slots[slot]))
             .collect()
     }
 
@@ -1778,19 +1786,19 @@ impl MergeState {
     /// Writes the state's checkpoint fields: the cold count, the
     /// `[[distance, count], ...]` histogram and the timeline (every
     /// absorbed address, in last-access order).
-    fn write_json(&self, out: &mut String) {
-        let _ = writeln!(out, "  \"cold\": {},", self.histogram.cold_count());
-        out.push_str("  \"histogram\": [");
+    fn write_json(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        writeln!(out, "  \"cold\": {},", self.histogram.cold_count())?;
+        out.write_str("  \"histogram\": [")?;
         for (i, (d, c)) in self.histogram.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}[{d}, {c}]");
+            write!(out, "{sep}[{d}, {c}]")?;
         }
-        out.push_str("],\n  \"timeline\": [");
+        out.write_str("],\n  \"timeline\": [")?;
         for (i, addr) in self.ordered_addresses().iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{addr}");
+            write!(out, "{sep}{addr}")?;
         }
-        out.push_str("],\n");
+        out.write_str("],\n")
     }
 
     /// Rebuilds a state from the fields [`MergeState::write_json`] wrote.
@@ -2065,11 +2073,13 @@ fn scan_length(source: &TraceSource) -> Result<u64, String> {
 /// yields the exact reuse-distance histogram, the hash-sharded sampled
 /// estimate, or both (see [`TracePlan`]).
 ///
-/// Each worker folds its chunks through one block-decode pass that feeds
-/// the exact [`ChunkPartial`] fold and routes every access to its owning
-/// hash shard's buffer ([`fused_chunk_partial`]). Absorbing the partials
-/// in chunk order advances the exact [`MergeState`] and replays each
-/// shard's slice through its live [`ShardsEstimator`], so:
+/// Each worker folds the chunks it claims through one block-decode pass
+/// that feeds the exact [`ChunkPartial`] fold and routes every access to
+/// its owning hash shard's buffer ([`fused_chunk_partial`]). The calling
+/// thread absorbs the partials in chunk order — advancing the exact
+/// [`MergeState`] and replaying each shard's slice through its live
+/// [`ShardsEstimator`] — and saves checkpoints while the workers fold the
+/// next chunks ([`JobRunner`]), so:
 ///
 /// * the exact half is byte-identical to the sequential
 ///   [`OnlineReuseEngine`], whatever the chunk and thread counts;
@@ -2297,18 +2307,16 @@ impl FusedIngest {
             self.fingerprint,
             "trace job resumed against a different trace source"
         );
-        let bounds = self.chunk_bounds();
         FusedIngestJob {
             ingest: self,
             source,
-            bounds,
-            readers: (!source.seeks()).then(|| Mutex::new(Vec::new())),
         }
     }
 
-    /// Runs up to `limit` pending chunks (all of them when `None`) in
-    /// parallel batches of the configured thread count, absorbing partials
-    /// in chunk order. Returns how many chunks were processed.
+    /// Runs up to `limit` pending chunks (all of them when `None`): up to
+    /// the configured thread count of workers fold chunks while the
+    /// calling thread absorbs the partials in chunk order. Returns how many
+    /// chunks were processed.
     ///
     /// # Panics
     ///
@@ -2335,7 +2343,8 @@ impl FusedIngest {
     }
 
     /// Runs pending chunks — all, or up to `limit` — saving the checkpoint
-    /// after every absorbed batch, so a kill loses at most one batch.
+    /// after every absorbed batch, so a kill loses at most one batch; the
+    /// workers fold the next chunks while a save streams to disk.
     /// `on_batch(completed, total)` fires after every save. The checkpoint
     /// is (re)written even when nothing was pending. The loop is
     /// [`JobRunner::run_with_checkpoint`].
@@ -2385,35 +2394,47 @@ impl FusedIngest {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::FusedIngest, &self.fingerprint);
-        let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
-        let _ = writeln!(out, "  \"chunk_count\": {},", self.plan.chunks);
-        let _ = writeln!(out, "  \"shard_count\": {},", self.plan.shards);
-        let _ = writeln!(
+        self.write_json(&mut out)
+            .expect("a checkpoint document formats into a String");
+        out
+    }
+
+    /// Writes the checkpoint document [`FusedIngest::to_json`] returns to
+    /// `out` — the streaming form checkpoint saves use, so a document of
+    /// tens of megabytes is never held in memory whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error.
+    pub(crate) fn write_json(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        job::write_checkpoint_header(out, JobKind::FusedIngest, &self.fingerprint)?;
+        writeln!(out, "  \"total_accesses\": {},", self.total)?;
+        writeln!(out, "  \"chunk_count\": {},", self.plan.chunks)?;
+        writeln!(out, "  \"shard_count\": {},", self.plan.shards)?;
+        writeln!(
             out,
             "  \"budget_per_shard\": {},",
             self.plan.budget_per_shard
-        );
-        let _ = writeln!(out, "  \"threshold\": {},", self.threshold);
-        let _ = writeln!(out, "  \"next_chunk\": {},", self.next_chunk);
-        let _ = writeln!(out, "  \"streamed\": {},", self.streamed);
+        )?;
+        writeln!(out, "  \"threshold\": {},", self.threshold)?;
+        writeln!(out, "  \"next_chunk\": {},", self.next_chunk)?;
+        writeln!(out, "  \"streamed\": {},", self.streamed)?;
         if self.plan.exact {
-            self.state.write_json(&mut out);
+            self.state.write_json(out)?;
         } else {
-            out.push_str("  \"exact\": false,\n");
+            out.write_str("  \"exact\": false,\n")?;
         }
-        out.push_str("  \"shards\": [\n");
+        out.write_str("  \"shards\": [\n")?;
         for (i, est) in self.estimators.iter().enumerate() {
-            out.push_str("    {");
-            est.write_state(&mut out);
-            out.push_str(if i + 1 < self.estimators.len() {
+            out.write_str("    {")?;
+            est.write_state(out)?;
+            out.write_str(if i + 1 < self.estimators.len() {
                 "},\n"
             } else {
                 "}\n"
-            });
+            })?;
         }
-        out.push_str("  ]\n}\n");
-        out
+        out.write_str("  ]\n}\n")
     }
 
     /// Rebuilds a job from a checkpoint document.
@@ -2560,15 +2581,23 @@ impl FusedIngest {
     }
 }
 
-/// A [`FusedIngest`] bound to its trace source and materialized chunk
-/// plan: the [`Job`] the generic runner drives. One unit is one contiguous
-/// trace chunk, streamed **once** through [`fold_chunk`]; absorption
-/// advances the exact merge and replays the routed slices through the live
-/// estimators, both strictly in chunk order.
+/// A [`FusedIngest`] bound to its trace source: the [`Job`] the generic
+/// runner drives. One unit is one contiguous trace chunk, streamed
+/// **once** through [`fold_chunk`] on a worker ([`ChunkUnits`]);
+/// absorption advances the exact merge and replays the routed slices
+/// through the live estimators, both strictly in chunk order, on the
+/// calling thread.
 struct FusedIngestJob<'a> {
     ingest: &'a mut FusedIngest,
     source: &'a TraceSource,
+}
+
+/// The read-only unit plan of a trace job run: the chunk bounds, the
+/// halves, the source, and the pool of parked readers.
+struct ChunkUnits<'a> {
     bounds: Vec<(u64, u64)>,
+    plan: TracePlan,
+    source: &'a TraceSource,
     /// For a source that does not seek ([`TraceSource::seeks`]): open
     /// readers parked where their last chunk ended, so a chunk continues
     /// the furthest one not past its start instead of decoding the trace
@@ -2576,11 +2605,11 @@ struct FusedIngestJob<'a> {
     readers: Option<Mutex<Vec<BlockCursor>>>,
 }
 
-impl FusedIngestJob<'_> {
+impl ChunkUnits<'_> {
     /// Folds the accesses `start..end` — from a seek, or from the furthest
     /// parked reader not past `start` (a new one when none is).
     fn fold_range(&self, start: u64, end: u64, sink: &mut dyn AccessSink) -> FusedChunkPartial {
-        let plan = self.ingest.plan;
+        let plan = self.plan;
         let Some(readers) = &self.readers else {
             let mut blocks = self
                 .source
@@ -2605,8 +2634,9 @@ impl FusedIngestJob<'_> {
     }
 }
 
-impl Job for FusedIngestJob<'_> {
+impl<'a> Job for FusedIngestJob<'a> {
     type Partial = FusedChunkPartial;
+    type Units = ChunkUnits<'a>;
 
     fn kind(&self) -> JobKind {
         JobKind::FusedIngest
@@ -2634,10 +2664,19 @@ impl Job for FusedIngestJob<'_> {
         (self.ingest.next_chunk..self.ingest.plan.chunks).collect()
     }
 
-    /// Both absorbed states must advance before the next pass is planned,
-    /// so one pass takes at most one chunk per worker.
+    /// One chunk per worker: at most `threads` chunk partials (each up to
+    /// a chunk's routed accesses) are alive at once.
     fn units_per_pass(&self, threads: usize) -> usize {
         threads
+    }
+
+    fn units(&self) -> ChunkUnits<'a> {
+        ChunkUnits {
+            bounds: self.ingest.chunk_bounds(),
+            plan: self.ingest.plan,
+            source: self.source,
+            readers: (!self.source.seeks()).then(|| Mutex::new(Vec::new())),
+        }
     }
 
     /// Workers decode and fold chunks in parallel over the block-streaming
@@ -2646,18 +2685,16 @@ impl Job for FusedIngestJob<'_> {
     /// cross-checks the single-pass counter), while
     /// [`FusedIngestJob::absorb`] keeps both merges sequential and in
     /// chunk order.
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, FusedChunkPartial)>) {
-        for &unit in units {
-            let (start, end) = self.bounds[unit];
-            let mut tap = CountingSink::new();
-            let partial = self.fold_range(start, end, &mut tap);
-            debug_assert_eq!(
-                tap.accesses(),
-                partial.streamed,
-                "the broadcast tap observes every access exactly once"
-            );
-            out.push((unit, partial));
-        }
+    fn run_unit(units: &ChunkUnits<'a>, unit: usize) -> FusedChunkPartial {
+        let (start, end) = units.bounds[unit];
+        let mut tap = CountingSink::new();
+        let partial = units.fold_range(start, end, &mut tap);
+        debug_assert_eq!(
+            tap.accesses(),
+            partial.streamed,
+            "the broadcast tap observes every access exactly once"
+        );
+        partial
     }
 
     fn absorb(&mut self, unit: usize, partial: FusedChunkPartial) {
@@ -2674,8 +2711,8 @@ impl Job for FusedIngestJob<'_> {
         self.ingest.next_chunk += 1;
     }
 
-    fn to_json(&self) -> String {
-        self.ingest.to_json()
+    fn write_json(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        self.ingest.write_json(out)
     }
 
     fn progress_items(&self) -> Option<(&'static str, u64)> {

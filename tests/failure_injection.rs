@@ -1165,3 +1165,50 @@ fn a_failed_background_checkpoint_write_is_reported_by_save_and_fails_shutdown()
     assert_eq!(std::fs::read_to_string(&blocker).unwrap(), "keep");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_unwritable_trace_checkpoint_fails_the_job_instead_of_hanging() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_trace_ck_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The checkpoint's parent is a regular file, so the first save fails
+    // while the workers still hold chunks of the window.
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, "keep").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args([
+            "trace",
+            "mrc",
+            "gen:zipf:5000:200000:0.8:9",
+            "--shards",
+            "6",
+            "--threads",
+            "2",
+            "--checkpoint",
+        ])
+        .arg(blocker.join("ck.json"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn symloc trace mrc");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while child.try_wait().expect("poll symloc").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("trace mrc with an unwritable checkpoint hung");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("trace mrc exits");
+    assert!(
+        !output.status.success(),
+        "a failed checkpoint write exited 0"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot write checkpoint"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&blocker).unwrap(), "keep");
+    std::fs::remove_dir_all(&dir).ok();
+}
