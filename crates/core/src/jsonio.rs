@@ -6,7 +6,9 @@
 //! JSON subset those documents use — objects, arrays, strings with the
 //! escapes [`escape`] emits, integers, floats, booleans and null — and is
 //! *not* a general-purpose validator (it is permissive about things like
-//! duplicate keys).
+//! duplicate keys). Checkpoints holding millions of integers write them
+//! through `StagingWriter`, a local buffer filled from a digit-pair
+//! table, instead of one `write!` per integer.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,6 +240,138 @@ pub fn remove_stale_temps(path: &std::path::Path) {
         if stale {
             let _ = std::fs::remove_file(entry.path());
         }
+    }
+}
+
+/// `"00"`, `"01"`, …, `"99"`: the two decimal digits of every number below
+/// 100, so [`push_u64`] writes two digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The two digits of `n < 100`.
+#[inline]
+fn digit_pair(n: usize) -> &'static [u8] {
+    &DIGIT_PAIRS[2 * n..2 * n + 2]
+}
+
+/// Appends `n` in decimal to `out`: the bytes `format!("{n}")` gives,
+/// without going through the formatting machinery. Four digits per
+/// division, two per table read.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
+    let mut digits = [0u8; 20];
+    let mut pos = digits.len();
+    let mut rest = n;
+    while rest >= 10_000 {
+        let four = (rest % 10_000) as usize;
+        rest /= 10_000;
+        pos -= 4;
+        digits[pos..pos + 2].copy_from_slice(digit_pair(four / 100));
+        digits[pos + 2..pos + 4].copy_from_slice(digit_pair(four % 100));
+    }
+    let mut rest = rest as usize;
+    if rest >= 100 {
+        pos -= 2;
+        digits[pos..pos + 2].copy_from_slice(digit_pair(rest % 100));
+        rest /= 100;
+    }
+    if rest >= 10 {
+        pos -= 2;
+        digits[pos..pos + 2].copy_from_slice(digit_pair(rest));
+    } else {
+        pos -= 1;
+        digits[pos] = b'0' + rest as u8;
+    }
+    out.extend_from_slice(&digits[pos..]);
+}
+
+/// Bytes a [`StagingWriter`] gathers before handing them on.
+const STAGING_BUFFER: usize = 64 * 1024;
+
+/// A 64 KiB staging buffer in front of a [`std::fmt::Write`], for
+/// documents of millions of integers: pieces and integers append to a
+/// local byte buffer ([`push_u64`] for the integers), which reaches the
+/// writer in one `write_str` per 64 KiB instead of one dynamic `write!`
+/// per element. Anything `Display` still formats through its
+/// [`std::fmt::Write`] impl.
+///
+/// Errors are kept rather than returned: once the writer fails, later
+/// pieces are dropped, and [`StagingWriter::finish`] — which must end
+/// every document — reports the failure.
+pub(crate) struct StagingWriter<'a> {
+    out: &'a mut dyn std::fmt::Write,
+    buf: Vec<u8>,
+    failed: bool,
+}
+
+impl<'a> StagingWriter<'a> {
+    /// An empty buffer in front of `out`.
+    pub fn new(out: &'a mut dyn std::fmt::Write) -> Self {
+        StagingWriter {
+            out,
+            buf: Vec::with_capacity(STAGING_BUFFER),
+            failed: false,
+        }
+    }
+
+    /// Appends a piece of the document.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.make_room(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends `n` in decimal.
+    #[inline]
+    pub fn u64(&mut self, n: u64) {
+        self.make_room(20);
+        push_u64(&mut self.buf, n);
+    }
+
+    /// Hands everything staged to the writer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first write to the writer that failed.
+    pub fn finish(mut self) -> std::fmt::Result {
+        self.flush();
+        if self.failed {
+            Err(std::fmt::Error)
+        } else {
+            Ok(())
+        }
+    }
+
+    #[inline]
+    fn make_room(&mut self, len: usize) {
+        if self.buf.len() + len > STAGING_BUFFER {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.failed && !self.buf.is_empty() {
+            let text = std::str::from_utf8(&self.buf).expect("only whole str pieces are staged");
+            self.failed = self.out.write_str(text).is_err();
+        }
+        self.buf.clear();
+    }
+}
+
+/// Never fails itself; a failure of the writer behind it is reported by
+/// [`StagingWriter::finish`].
+impl std::fmt::Write for StagingWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.str(s);
+        Ok(())
     }
 }
 
@@ -514,6 +648,88 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn digit_pairs_print_what_display_prints() {
+        use rand::{Rng, SeedableRng};
+        let mut inputs = vec![0u64, u64::MAX];
+        let mut power = 1u64;
+        for _ in 1..=19 {
+            power *= 10;
+            inputs.extend([power - 1, power]);
+        }
+        // Random values, shifted so every digit count is covered.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        for _ in 0..10_000 {
+            let shift = rng.gen_range(0..64u32);
+            inputs.push(rng.gen::<u64>() >> shift);
+        }
+        let mut out = Vec::new();
+        for n in inputs {
+            out.clear();
+            push_u64(&mut out, n);
+            assert_eq!(std::str::from_utf8(&out).unwrap(), format!("{n}"));
+        }
+    }
+
+    /// A `fmt::Write` that records each write and can be made to fail.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<String>,
+        fail: bool,
+    }
+
+    impl std::fmt::Write for Recorder {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            if self.fail {
+                return Err(std::fmt::Error);
+            }
+            self.writes.push(s.to_string());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn staging_writer_hands_on_whole_buffers_and_keeps_errors() {
+        let mut recorder = Recorder::default();
+        let mut w = StagingWriter::new(&mut recorder);
+        let mut expected = String::new();
+        for i in 0..30_000u64 {
+            w.str(if i == 0 { "[" } else { ", " });
+            w.u64(i * 1_000_003);
+            write!(w, " {}", 0.5 + i as f64).unwrap();
+            let _ = write!(
+                expected,
+                "{}{} {}",
+                if i == 0 { "[" } else { ", " },
+                i * 1_000_003,
+                0.5 + i as f64
+            );
+        }
+        w.finish().unwrap();
+        assert_eq!(recorder.writes.concat(), expected);
+        // A few writes of at most 64 KiB each, not one per element.
+        assert!(recorder.writes.len() > 1);
+        assert!(recorder.writes.iter().all(|s| s.len() <= STAGING_BUFFER));
+        assert!(recorder.writes.len() <= expected.len() / (STAGING_BUFFER / 2) + 1);
+
+        let mut failing = Recorder {
+            fail: true,
+            ..Recorder::default()
+        };
+        let mut w = StagingWriter::new(&mut failing);
+        for i in 0..100_000 {
+            w.u64(i);
+        }
+        assert!(w.finish().is_err());
+        let mut failing = Recorder {
+            fail: true,
+            ..Recorder::default()
+        };
+        let mut w = StagingWriter::new(&mut failing);
+        w.str("short");
+        assert!(w.finish().is_err(), "the last flush reports too");
     }
 
     #[test]

@@ -523,6 +523,14 @@ impl ServeState {
                 .ok_or("tenant missing accesses")?;
             let estimator = ShardsEstimator::restore_state(entry, budget, SHARDS_MODULUS, 0, 1)
                 .map_err(|e| format!("tenant {name:?}: {e}"))?;
+            // The tenant's one estimator sees every access it streams.
+            if accesses != estimator.raw_accesses() {
+                return Err(format!(
+                    "tenant {name:?}: accesses {accesses} differ from its estimator's raw \
+                     count {}",
+                    estimator.raw_accesses()
+                ));
+            }
             state.tenants.push(TenantState {
                 name: name.to_string(),
                 accesses,
@@ -682,6 +690,26 @@ mod tests {
         assert!(ServeState::from_json(&bad_threshold)
             .unwrap_err()
             .contains("threshold"));
+        // Counts no run produces: a tenant's accesses off its estimator's
+        // raw count, and more sampled accesses than raw ones.
+        let alpha = "\"name\": \"alpha\", \"accesses\": 8, \"threshold\": 16777216, \"raw\": 8, \"sampled\": 8,";
+        assert!(good.contains(alpha), "{good}");
+        for (bad, why) in [
+            (
+                "\"accesses\": 8,",
+                "accesses 9 differ from its estimator's raw count 8",
+            ),
+            (
+                "\"raw\": 8,",
+                "accesses 8 differ from its estimator's raw count 9",
+            ),
+            ("\"sampled\": 8,", "sampled count 9 exceeds its raw count 8"),
+        ] {
+            let mangled = good.replace(alpha, &alpha.replace(bad, &bad.replace('8', "9")));
+            let err = ServeState::from_json(&mangled).unwrap_err();
+            assert!(err.contains("tenant \"alpha\""), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

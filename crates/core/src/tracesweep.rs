@@ -14,7 +14,14 @@
 //!   cache). Only live markers (one per distinct address) survive
 //!   compaction, so the counter is `O(footprint)` instead of `O(trace
 //!   length)`; each access costs `O(log footprint)` with no hash-map probe
-//!   on the hot path.
+//!   on the hot path. Blocks of accesses take a staged path: the whole
+//!   block is interned first, with each address's table slot prefetched a
+//!   few accesses ahead, because interning depends on nothing the timeline
+//!   does; the ids are then observed in order with `slot_of` prefetched,
+//!   and the histogram increments are added after the block, because they
+//!   commute. The misses of neighbouring accesses overlap instead of
+//!   forming one chain per access, and the distances are the per-access
+//!   path's.
 //! * [`ShardsEstimator`] — a bounded-memory sampled estimator in the style
 //!   of SHARDS (hash-based spatial sampling): addresses are sampled by a
 //!   fixed hash condition, the tracked set is capped at `s_max` by evicting
@@ -56,17 +63,40 @@
 //! ```
 
 use crate::job::{self, Job, JobKind, JobRunner};
-use crate::jsonio::JsonValue;
+use crate::jsonio::{JsonValue, StagingWriter};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
-use symloc_par::split_indices;
 use symloc_perm::fenwick::{Fenwick, SlotCounter};
-use symloc_trace::stream::{AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource};
+use symloc_trace::stream::{
+    AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource, BLOCK_LEN,
+};
 
 /// Smallest slot capacity a timeline starts with (kept low so the
 /// compaction path is exercised constantly, not only at scale).
 const MIN_TIMELINE_CAPACITY: usize = 64;
+
+/// How many accesses ahead of the one being processed the block paths
+/// prefetch the state it will need.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Asks the CPU to start loading the cache line holding `value`, so a
+/// later read finds it in cache. A hint only: nothing is read or changed,
+/// and it compiles to nothing off `x86_64`.
+#[inline(always)]
+fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` only hints the cache hierarchy; it never
+    // faults or touches memory architecturally, and the pointer comes from
+    // a live reference in any case. SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(value).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
 
 // ---------------------------------------------------------------------------
 // Histograms
@@ -125,6 +155,13 @@ impl StreamHistogram {
     fn grow(&mut self, d: usize) {
         self.counts
             .resize(d.next_power_of_two().max(MIN_TIMELINE_CAPACITY), 0);
+    }
+
+    /// Records one access at each finite distance of `distances`.
+    fn record_each(&mut self, distances: &[usize]) {
+        for &d in distances {
+            self.record_finite(d, 1);
+        }
     }
 
     /// Records `count` cold (infinite-distance) accesses.
@@ -490,6 +527,38 @@ impl AddrInterner {
         }
     }
 
+    /// Interns every address of `addrs`, in order, pushing the ids to
+    /// `ids`; the ids are those one [`AddrInterner::intern`] call per
+    /// address gives. While it interns an address it prefetches the lookup
+    /// slot of the address `PREFETCH_AHEAD` places later, so the table
+    /// misses of a block overlap instead of queueing behind each other.
+    #[inline]
+    fn intern_all<I>(&mut self, addrs: I, ids: &mut Vec<u32>)
+    where
+        I: Iterator<Item = u64> + Clone,
+    {
+        let mut ahead = addrs.clone().skip(PREFETCH_AHEAD);
+        for addr in addrs {
+            if let Some(later) = ahead.next() {
+                self.prefetch_slot(later);
+            }
+            ids.push(self.intern(addr));
+        }
+    }
+
+    /// Prefetches the lookup slot `addr` probes first. A slot that moves
+    /// before the lookup (the table grew) costs only the wasted hint.
+    #[inline]
+    fn prefetch_slot(&self, addr: u64) {
+        if addr < SMALL_ADDR_LIMIT {
+            if let Some(slot) = self.small.get(addr as usize) {
+                prefetch(slot);
+            }
+        } else if !self.table.is_empty() {
+            prefetch(&self.table[splitmix64(addr) as usize & (self.table.len() - 1)]);
+        }
+    }
+
     /// Returns `addr`'s id if it has been interned, without interning it.
     #[must_use]
     #[inline]
@@ -595,6 +664,19 @@ impl AddrInterner {
 /// exactly the exact path's `O(footprint)` budget; the bounded-memory
 /// sampled estimator keeps its own hash-based [`SampledTimeline`] instead,
 /// because an interner would defeat its `O(s_max)` eviction guarantee.
+///
+/// Over a footprint of a million addresses each access is a chain of
+/// dependent cache misses: the interner's table slot, the address it
+/// names, `slot_of[id]`, and the histogram count of the distance. The
+/// block path ([`Timeline::observe_block`]) breaks the chain in two
+/// stages. It first interns the whole block, prefetching each address's
+/// table slot a few accesses ahead; interning depends on nothing the
+/// timeline does, so this reorders no result. It then observes the ids in
+/// order — the order distances depend on — prefetching `slot_of` a few ids
+/// ahead, and hands back the finite distances instead of counting them:
+/// histogram increments commute, so the owner adds them after the block,
+/// where they are independent of each other. [`Timeline::observe`] is the
+/// same distance code one access at a time.
 #[derive(Debug, Clone)]
 struct Timeline {
     /// The live markers; its length is the slot capacity. Nothing is
@@ -612,6 +694,9 @@ struct Timeline {
     /// Slot-compaction passes performed (observability only — never read
     /// back into the computation).
     compactions: u64,
+    /// The block path's ids and finite distances, reused across blocks.
+    ids: Vec<u32>,
+    distances: Vec<usize>,
 }
 
 /// Sentinel slot meaning "this id has no live marker".
@@ -626,6 +711,8 @@ impl Timeline {
             id_of_slot: vec![0; MIN_TIMELINE_CAPACITY],
             next_slot: 0,
             compactions: 0,
+            ids: Vec::new(),
+            distances: Vec::new(),
         }
     }
 
@@ -642,16 +729,6 @@ impl Timeline {
     /// Compaction passes performed so far.
     fn compactions(&self) -> u64 {
         self.compactions
-    }
-
-    /// Interns `addr`, growing the id-indexed state alongside the id space.
-    #[inline]
-    fn intern(&mut self, addr: u64) -> usize {
-        let id = self.interner.intern(addr) as usize;
-        if id == self.slot_of.len() {
-            self.slot_of.push(NO_SLOT);
-        }
-        id
     }
 
     /// Re-packs the live markers into slots `0..live` (preserving order)
@@ -682,35 +759,59 @@ impl Timeline {
         self.compactions += 1;
     }
 
-    fn ensure_slot(&mut self) {
-        if self.next_slot >= self.marks.len() {
-            self.compact();
-        }
+    /// Records one access: returns `Some(reuse distance)` when the address
+    /// was live, `None` on a first touch.
+    #[inline]
+    fn observe(&mut self, addr: u64) -> Option<usize> {
+        let id = self.interner.intern(addr);
+        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.observe_id(id)
     }
 
-    /// Records one access: returns `Some(reuse distance)` when the address
-    /// was live, `None` on a first touch. Either way the address's marker
-    /// ends up at the newest slot.
+    /// Records every access of `block`, in order, through the two stages
+    /// the type documents. Returns the number of first touches and the
+    /// finite reuse distances in access order — the distances
+    /// [`Timeline::observe`] would return one access at a time.
+    fn observe_block(&mut self, block: &[u64]) -> (u64, &[usize]) {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        self.interner.intern_all(block.iter().copied(), &mut ids);
+        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.distances.clear();
+        let mut first_touches = 0u64;
+        for (i, &id) in ids.iter().enumerate() {
+            if let Some(&later) = ids.get(i + PREFETCH_AHEAD) {
+                prefetch(&self.slot_of[later as usize]);
+            }
+            match self.observe_id(id) {
+                Some(d) => self.distances.push(d),
+                None => first_touches += 1,
+            }
+        }
+        self.ids = ids;
+        (first_touches, &self.distances)
+    }
+
+    /// Records one access of the interned address `id`; its marker ends up
+    /// at the newest slot.
     ///
     /// Nothing is marked past the newest slot, so the markers at or after
     /// `prev` — the address itself and every distinct address touched since
     /// — number `live − count_below(prev)`: that is the reuse distance.
     #[inline]
-    fn observe(&mut self, addr: u64) -> Option<usize> {
-        self.ensure_slot();
-        let id = self.intern(addr);
-        let prev = self.slot_of[id];
+    fn observe_id(&mut self, id: u32) -> Option<usize> {
+        if self.next_slot >= self.marks.len() {
+            self.compact();
+        }
+        let prev = self.slot_of[id as usize];
         let distance = (prev != NO_SLOT).then(|| {
             let distance = self.marks.count() - self.marks.count_below(prev);
             self.marks.clear(prev);
             distance
         });
         self.marks.set(self.next_slot);
-        self.slot_of[id] = self.next_slot;
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            self.id_of_slot[self.next_slot] = id as u32;
-        }
+        self.slot_of[id as usize] = self.next_slot;
+        self.id_of_slot[self.next_slot] = id;
         self.next_slot += 1;
         distance
     }
@@ -877,11 +978,40 @@ impl OnlineReuseEngine {
 
     /// Records every access of a decoded block — the slice counterpart of
     /// [`OnlineReuseEngine::record_all`] used by the block-streaming ingest
-    /// path, which hands the engine whole decoded chunks instead of one
-    /// virtual-dispatch iterator call per access.
+    /// path. Each run of up to [`BLOCK_LEN`] accesses is interned ahead of
+    /// the timeline and its histogram increments are added after it (see
+    /// `Timeline`), so the cache misses of neighbouring accesses overlap;
+    /// the histogram is the one per-access [`OnlineReuseEngine::record`]
+    /// calls build.
     pub fn record_block(&mut self, block: &[u64]) {
-        for &addr in block {
-            self.record(addr);
+        for run in block.chunks(BLOCK_LEN) {
+            let (first_touches, distances) = self.timeline.observe_block(run);
+            self.histogram.record_cold(first_touches);
+            self.histogram.record_each(distances);
+        }
+    }
+
+    /// The engine's accesses as the [`ChunkPartial`] of one chunk. The
+    /// exact timeline never forgets an address, so its ids are the chunk's
+    /// first touches in order, and `id` distinct addresses precede the
+    /// first touch of `id`; the first touches leave the histogram, to be
+    /// resolved by [`MergeState::absorb`].
+    fn into_chunk_partial(self) -> ChunkPartial {
+        let mut histogram = self.histogram;
+        let accesses = histogram.accesses();
+        histogram.cold = 0;
+        ChunkPartial {
+            histogram,
+            unresolved: self
+                .timeline
+                .interner
+                .addrs
+                .iter()
+                .copied()
+                .zip(0..)
+                .collect(),
+            last_order: self.timeline.ordered_ids(),
+            accesses,
         }
     }
 
@@ -1083,25 +1213,40 @@ impl ShardsEstimator {
     /// checkpoints share. Weights print as shortest round-trip decimals,
     /// so restoring and re-writing is byte-identical.
     pub(crate) fn write_state(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        let mut w = StagingWriter::new(out);
+        for (i, (key, value)) in [
+            ("threshold", self.threshold),
+            ("raw", self.raw_accesses),
+            ("sampled", self.sampled_accesses),
+            ("evictions", self.evictions),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            w.str(if i == 0 { "\"" } else { ", \"" });
+            w.str(key);
+            w.str("\": ");
+            w.u64(value);
+        }
         write!(
-            out,
-            "\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
-            self.threshold,
-            self.raw_accesses,
-            self.sampled_accesses,
-            self.evictions,
-            self.histogram.cold_weight(),
+            w,
+            ", \"cold\": {}, \"histogram\": [",
+            self.histogram.cold_weight()
         )?;
-        for (j, (d, w)) in self.histogram.iter().enumerate() {
-            let comma = if j == 0 { "" } else { ", " };
-            write!(out, "{comma}[{d}, {w}]")?;
+        for (j, (d, weight)) in self.histogram.iter().enumerate() {
+            w.str(if j == 0 { "[" } else { ", [" });
+            w.u64(d as u64);
+            write!(w, ", {weight}]")?;
         }
-        out.write_str("], \"tracked\": [")?;
-        for (j, addr) in self.timeline.ordered_addresses().iter().enumerate() {
-            let comma = if j == 0 { "" } else { ", " };
-            write!(out, "{comma}{addr}")?;
+        w.str("], \"tracked\": [");
+        for (j, &addr) in self.timeline.ordered_addresses().iter().enumerate() {
+            if j > 0 {
+                w.str(", ");
+            }
+            w.u64(addr);
         }
-        out.write_char(']')
+        w.str("]");
+        w.finish()
     }
 
     /// Rebuilds the estimator of one hash shard from an entry written by
@@ -1189,6 +1334,12 @@ impl ShardsEstimator {
         est.histogram = histogram;
         est.raw_accesses = number("raw")?;
         est.sampled_accesses = number("sampled")?;
+        if est.sampled_accesses > est.raw_accesses {
+            return Err(format!(
+                "estimator sampled count {} exceeds its raw count {}",
+                est.sampled_accesses, est.raw_accesses
+            ));
+        }
         est.evictions = number("evictions")?;
         Ok(est)
     }
@@ -1595,49 +1746,16 @@ pub struct ChunkPartial {
     pub accesses: u64,
 }
 
-/// The in-progress fold of one chunk, shared by the iterator- and
-/// block-shaped entry points below.
-#[derive(Default)]
-struct ChunkFolder {
-    timeline: Timeline,
-    histogram: StreamHistogram,
-    unresolved: Vec<(u64, u64)>,
-    count: u64,
-}
-
-impl ChunkFolder {
-    #[inline]
-    fn push(&mut self, addr: u64) {
-        self.count += 1;
-        match self.timeline.observe(addr) {
-            Some(d) => self.histogram.record_finite(d, 1),
-            None => self
-                .unresolved
-                .push((addr, (self.timeline.live() - 1) as u64)),
-        }
-    }
-
-    /// The timeline interns addresses in first-touch order, so its ids are
-    /// exactly the `unresolved` indices `last_order` is given in.
-    fn finish(self) -> ChunkPartial {
-        ChunkPartial {
-            histogram: self.histogram,
-            unresolved: self.unresolved,
-            last_order: self.timeline.ordered_ids(),
-            accesses: self.count,
-        }
-    }
-}
-
-/// Folds one contiguous chunk of accesses into a [`ChunkPartial`].
-/// Embarrassingly parallel across chunks; `O(chunk footprint)` memory.
+/// Folds one contiguous chunk of accesses into a [`ChunkPartial`], one
+/// access at a time ([`OnlineReuseEngine::record`]); the trace job folds
+/// its chunks a block at a time instead ([`fused_chunk_partial`]), with
+/// the same result. Embarrassingly parallel across chunks;
+/// `O(chunk footprint)` memory.
 #[must_use]
 pub fn chunk_partial(accesses: impl IntoIterator<Item = u64>) -> ChunkPartial {
-    let mut folder = ChunkFolder::default();
-    for addr in accesses {
-        folder.push(addr);
-    }
-    folder.finish()
+    let mut engine = OnlineReuseEngine::new();
+    engine.record_all(accesses);
+    engine.into_chunk_partial()
 }
 
 /// The left-to-right merge state of sharded ingestion: every absorbed
@@ -1669,6 +1787,10 @@ pub struct MergeState {
     /// marked at or past `slots.len()`.
     dead: SlotCounter,
     histogram: StreamHistogram,
+    /// [`MergeState::absorb`]'s ids of the chunk's first accesses and its
+    /// finite distances, reused across absorbs.
+    ids: Vec<u32>,
+    distances: Vec<usize>,
 }
 
 impl Default for MergeState {
@@ -1679,6 +1801,8 @@ impl Default for MergeState {
             slot_of: Vec::new(),
             dead: SlotCounter::new(MIN_TIMELINE_CAPACITY),
             histogram: StreamHistogram::new(),
+            ids: Vec::new(),
+            distances: Vec::new(),
         }
     }
 }
@@ -1691,8 +1815,18 @@ impl MergeState {
     }
 
     /// Absorbs the next chunk's partial. Must be called in chunk order.
+    ///
+    /// Staged like the engine's block path (see `Timeline`): every first
+    /// access is interned before any is resolved — they are distinct
+    /// addresses, so no id depends on the order — and the finite distances
+    /// reach the histogram a block at a time, after their resolution.
     pub fn absorb(&mut self, partial: &ChunkPartial) {
         debug_assert_eq!(partial.last_order.len(), partial.unresolved.len());
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        self.interner
+            .intern_all(partial.unresolved.iter().map(|&(addr, _)| addr), &mut ids);
+        self.slot_of.resize(self.interner.len(), NO_SLOT);
         // Resolve the chunk's first accesses against the global order: the
         // distance of a cross-chunk reuse is (distinct addresses earlier in
         // the chunk) + (older-chunk addresses whose entry still sits after
@@ -1701,36 +1835,43 @@ impl MergeState {
         // order and earlier in this chunk is counted once, by the
         // chunk-local term.
         let end = self.slots.len();
-        let mut ids = Vec::with_capacity(partial.unresolved.len());
-        for &(addr, distinct_before) in &partial.unresolved {
-            let id = self.intern(addr);
+        let mut distances = std::mem::take(&mut self.distances);
+        distances.clear();
+        for (i, (&id, &(_, distinct_before))) in ids.iter().zip(&partial.unresolved).enumerate() {
+            if let Some(&later) = ids.get(i + PREFETCH_AHEAD) {
+                prefetch(&self.slot_of[later as usize]);
+            }
             let slot = self.slot_of[id as usize];
             if slot == NO_SLOT {
                 self.histogram.record_cold(1);
-            } else {
-                let dead_after = self.dead.count() - self.dead.count_below(slot + 1);
-                let live_after = (end - slot - 1 - dead_after) as u64;
-                let d = usize::try_from(distinct_before + live_after).expect("distance fits") + 1;
-                self.histogram.record_finite(d, 1);
-                self.dead.set(slot);
-                self.slot_of[id as usize] = NO_SLOT;
+                continue;
             }
-            ids.push(id);
+            let dead_after = self.dead.count() - self.dead.count_below(slot + 1);
+            let live_after = (end - slot - 1 - dead_after) as u64;
+            distances
+                .push(usize::try_from(distinct_before + live_after).expect("distance fits") + 1);
+            self.dead.set(slot);
+            self.slot_of[id as usize] = NO_SLOT;
+            if distances.len() == BLOCK_LEN {
+                self.histogram.record_each(&distances);
+                distances.clear();
+            }
         }
+        self.histogram.record_each(&distances);
         self.histogram.merge(&partial.histogram);
         // Append the chunk's last accesses, in their within-chunk order.
         for &index in &partial.last_order {
             self.append(ids[index as usize]);
         }
+        self.ids = ids;
+        self.distances = distances;
     }
 
     /// Interns `addr`, growing `slot_of` alongside the id space (a new id
     /// has no slot yet).
     fn intern(&mut self, addr: u64) -> u32 {
         let id = self.interner.intern(addr);
-        if id as usize == self.slot_of.len() {
-            self.slot_of.push(NO_SLOT);
-        }
+        self.slot_of.resize(self.interner.len(), NO_SLOT);
         id
     }
 
@@ -1785,20 +1926,30 @@ impl MergeState {
 
     /// Writes the state's checkpoint fields: the cold count, the
     /// `[[distance, count], ...]` histogram and the timeline (every
-    /// absorbed address, in last-access order).
+    /// absorbed address, in last-access order). The integers go through
+    /// [`StagingWriter`]: a timeline of a million addresses is a million
+    /// of them.
     fn write_json(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
-        writeln!(out, "  \"cold\": {},", self.histogram.cold_count())?;
-        out.write_str("  \"histogram\": [")?;
+        let mut w = StagingWriter::new(out);
+        w.str("  \"cold\": ");
+        w.u64(self.histogram.cold_count());
+        w.str(",\n  \"histogram\": [");
         for (i, (d, c)) in self.histogram.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(out, "{sep}[{d}, {c}]")?;
+            w.str(if i == 0 { "[" } else { ", [" });
+            w.u64(d as u64);
+            w.str(", ");
+            w.u64(c);
+            w.str("]");
         }
-        out.write_str("],\n  \"timeline\": [")?;
-        for (i, addr) in self.ordered_addresses().iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(out, "{sep}{addr}")?;
+        w.str("],\n  \"timeline\": [");
+        for (i, &addr) in self.ordered_addresses().iter().enumerate() {
+            if i > 0 {
+                w.str(", ");
+            }
+            w.u64(addr);
         }
-        out.write_str("],\n")
+        w.str("],\n");
+        w.finish()
     }
 
     /// Rebuilds a state from the fields [`MergeState::write_json`] wrote.
@@ -1992,7 +2143,7 @@ pub struct FusedChunkPartial {
 
 /// Folds one contiguous chunk of block-streamed accesses into a
 /// [`FusedChunkPartial`] with both halves on, broadcasting every decoded
-/// block to the exact chunk folder, the per-shard routing buffers *and*
+/// block to the exact engine's block path, the per-shard routing buffers *and*
 /// `sink` — the single decode pass of the trace job. `sink` is the
 /// extension seam for further per-access consumers; pass a
 /// [`CountingSink`] to prove the pass touches each access exactly once.
@@ -2012,16 +2163,16 @@ pub fn fused_chunk_partial(
 }
 
 /// [`fused_chunk_partial`] for any combination of halves: `exact` folds
-/// the exact partial, `shard_count > 0` routes to that many hash shards.
-/// Each combination has its own loop, so a half that is off costs nothing
-/// per access.
+/// the exact partial through [`OnlineReuseEngine::record_block`],
+/// `shard_count > 0` routes to that many hash shards; a half that is off
+/// costs nothing per access.
 fn fold_chunk(
     blocks: &mut dyn BlockRead,
     exact: bool,
     shard_count: usize,
     sink: &mut dyn AccessSink,
 ) -> FusedChunkPartial {
-    let mut folder = exact.then(ChunkFolder::default);
+    let mut engine = exact.then(OnlineReuseEngine::new);
     let mut routed = vec![Vec::new(); shard_count];
     let count = shard_count as u64;
     let mut streamed = 0u64;
@@ -2029,27 +2180,17 @@ fn fold_chunk(
     while blocks.next_block(&mut buf) > 0 {
         sink.on_block(&buf);
         streamed += buf.len() as u64;
-        match folder.as_mut() {
-            Some(folder) if count > 0 => {
-                for &addr in &buf {
-                    folder.push(addr);
-                    route(&mut routed, count, addr);
-                }
-            }
-            Some(folder) => {
-                for &addr in &buf {
-                    folder.push(addr);
-                }
-            }
-            None => {
-                for &addr in &buf {
-                    route(&mut routed, count, addr);
-                }
+        if let Some(engine) = engine.as_mut() {
+            engine.record_block(&buf);
+        }
+        if count > 0 {
+            for &addr in &buf {
+                route(&mut routed, count, addr);
             }
         }
     }
     FusedChunkPartial {
-        exact: folder.map_or_else(ChunkPartial::default, ChunkFolder::finish),
+        exact: engine.map_or_else(ChunkPartial::default, OnlineReuseEngine::into_chunk_partial),
         routed,
         streamed,
     }
@@ -2060,6 +2201,20 @@ fn fold_chunk(
 fn route(routed: &mut [Vec<u64>], count: u64, addr: u64) {
     let shard = splitmix64(addr) % SHARDS_MODULUS % count;
     routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
+}
+
+/// Accesses in the first `done` of the `chunks` contiguous chunks of a
+/// `total`-access trace, split as [`symloc_par::split_indices`] splits
+/// them: the first `total % chunks` chunks hold one access more than the
+/// rest. Computed, not listed, so a checkpoint's claims are checked
+/// without allocating for them.
+fn chunk_prefix_len(total: u64, chunks: usize, done: usize) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let chunks = (chunks as u64).clamp(1, total);
+    let done = (done as u64).min(chunks);
+    done * (total / chunks) + done.min(total % chunks)
 }
 
 /// The source's length, validating the source on the way.
@@ -2286,13 +2441,10 @@ impl FusedIngest {
 
     /// The deterministic chunk plan (contiguous access ranges).
     fn chunk_bounds(&self) -> Vec<(u64, u64)> {
-        split_indices(
-            usize::try_from(self.total).expect("trace length fits usize"),
-            self.plan.chunks,
-        )
-        .into_iter()
-        .map(|c| (c.start as u64, c.end as u64))
-        .collect()
+        let end = |done| chunk_prefix_len(self.total, self.plan.chunks, done);
+        (0..self.plan.chunks)
+            .map(|k| (end(k), end(k + 1)))
+            .collect()
     }
 
     /// Binds the job to its (fingerprint-checked) source so the generic
@@ -2492,12 +2644,35 @@ impl FusedIngest {
                 plan.chunks
             ));
         }
+        // Every count below is checked against the accesses the absorbed
+        // chunks hold: a count no run produces would resume to a wrong
+        // curve.
         let streamed = number("streamed")?;
+        let absorbed = chunk_prefix_len(total, plan.chunks, next_chunk);
+        if streamed != absorbed {
+            return Err(format!(
+                "streamed {streamed} differs from the {absorbed} accesses of the first \
+                 {next_chunk} chunks"
+            ));
+        }
         let state = if exact {
             MergeState::restore(&doc)?
         } else {
             MergeState::new()
         };
+        let recorded = u128::from(state.histogram.cold)
+            + state
+                .histogram
+                .counts
+                .iter()
+                .map(|&c| u128::from(c))
+                .sum::<u128>();
+        if exact && recorded != u128::from(streamed) {
+            return Err(format!(
+                "cold plus histogram counts add up to {recorded} accesses, not the {streamed} \
+                 streamed"
+            ));
+        }
         let entries = doc
             .get("shards")
             .and_then(JsonValue::as_array)
@@ -2521,7 +2696,13 @@ impl FusedIngest {
                     plan.shards as u64,
                 )
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
+        let raw: u128 = estimators.iter().map(|e| u128::from(e.raw_accesses)).sum();
+        if plan.shards > 0 && raw != u128::from(streamed) {
+            return Err(format!(
+                "the shards' raw counts add up to {raw} accesses, not the {streamed} streamed"
+            ));
+        }
         Ok(FusedIngest {
             fingerprint,
             total,
@@ -2751,6 +2932,7 @@ fn replay(estimators: &mut [ShardsEstimator], routed: &[Vec<u64>], threads: usiz
 mod tests {
     use super::*;
     use symloc_cache::reuse::reuse_distances;
+    use symloc_par::split_indices;
     use symloc_trace::generators::{cyclic_trace, sawtooth_trace, zipfian_trace};
     use symloc_trace::stream::GenSpec;
     use symloc_trace::Trace;
@@ -3090,6 +3272,49 @@ mod tests {
         ] {
             assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
         }
+        for (mangled, why) in counts_no_run_produces(&job, &good) {
+            let err = FusedIngest::from_json(&mangled, 1).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+    }
+
+    /// Mangled copies of `good`, the checkpoint of `job`, whose counts no
+    /// run produces, each with the words of the error that must reject
+    /// it: `streamed` off the chunk plan, and with the sampled half on, a
+    /// shard's raw count off the sum and a sampled count above a raw one.
+    fn counts_no_run_produces(job: &FusedIngest, good: &str) -> Vec<(String, &'static str)> {
+        let streamed = job.streamed_accesses();
+        let mut out = vec![(
+            good.replace(
+                &format!("\"streamed\": {streamed},"),
+                &format!("\"streamed\": {},", streamed + 1),
+            ),
+            "differs from the",
+        )];
+        if let Some(shard) = job.sampled_shard_results().first() {
+            let (raw, sampled) = (shard.raw_accesses, shard.sampled_accesses);
+            let counts = format!("\"raw\": {raw}, \"sampled\": {sampled},");
+            out.push((
+                good.replacen(
+                    &counts,
+                    &format!("\"raw\": {}, \"sampled\": {sampled},", raw + 1),
+                    1,
+                ),
+                "raw counts add up to",
+            ));
+            out.push((
+                good.replacen(
+                    &counts,
+                    &format!("\"raw\": {raw}, \"sampled\": {},", raw + 1),
+                    1,
+                ),
+                "exceeds its raw count",
+            ));
+        }
+        for (mangled, _) in &out {
+            assert_ne!(mangled, good);
+        }
+        out
     }
 
     #[test]
@@ -3320,6 +3545,36 @@ mod tests {
             good.replace("  \"cold\"", "  \"exact\": false,\n  \"cold\""),
         ] {
             assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        }
+        let mut rows = counts_no_run_produces(&job, &good);
+        // 16 accesses absorbed: 8 cold and 8 at distance 8.
+        assert!(good.contains("\"histogram\": [[8, 8]]"), "{good}");
+        rows.push((
+            good.replace("[[8, 8]]", "[[8, 9]]"),
+            "cold plus histogram counts add up to 17 accesses, not the 16 streamed",
+        ));
+        for (mangled, why) in rows {
+            let err = FusedIngest::from_json(&mangled, 1).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+    }
+
+    #[test]
+    fn chunk_prefixes_follow_the_split_of_the_plan() {
+        for total in [0u64, 1, 2, 7, 64, 1000, 4_000_001] {
+            for chunks in [1usize, 2, 3, 4, 7, 64, 1000] {
+                let chunks = chunks.min(total.max(1) as usize);
+                let spans = split_indices(total as usize, chunks);
+                assert_eq!(chunk_prefix_len(total, chunks, 0), 0);
+                for (k, span) in spans.iter().enumerate() {
+                    assert_eq!(
+                        chunk_prefix_len(total, chunks, k + 1),
+                        span.end as u64,
+                        "total {total} chunks {chunks} done {}",
+                        k + 1
+                    );
+                }
+            }
         }
     }
 
@@ -3638,6 +3893,20 @@ mod tests {
             ),
         ] {
             assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        }
+        let mut rows = counts_no_run_produces(&fused, &good);
+        let (d, count) = fused.state.histogram().iter().next().unwrap();
+        rows.push((
+            good.replacen(
+                &format!("[{d}, {count}]"),
+                &format!("[{d}, {}]", count + 5000),
+                1,
+            ),
+            "cold plus histogram counts add up to",
+        ));
+        for (mangled, why) in rows {
+            let err = FusedIngest::from_json(&mangled, 1).unwrap_err();
+            assert!(err.contains(why), "{err}");
         }
     }
 

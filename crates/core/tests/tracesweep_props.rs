@@ -4,9 +4,14 @@
 //!
 //! 1. [`OnlineReuseEngine`] against a literal `O(n²)` stack-distance
 //!    definition (scan back to the previous occurrence, count distinct
-//!    addresses in between) that shares no code with the Fenwick path.
+//!    addresses in between) that shares no code with the Fenwick path, and
+//!    its block path (`record_block`, any block split) against its
+//!    per-access path.
 //! 2. The chunk-sharded merge ([`chunk_partial`] + [`MergeState`]) against
-//!    the sequential engine, for arbitrary chunkings.
+//!    the sequential engine, for arbitrary chunkings, and the trace job's
+//!    block-at-a-time chunk fold ([`fused_chunk_partial`]) against
+//!    [`chunk_partial`]. Both pins also run every pattern with its
+//!    addresses scattered above 2^21, through the interner's hash table.
 //! 3. The SHARDS sampled estimator against the exact engine: *equal* when
 //!    the budget covers the footprint at full rate, and within a stated
 //!    error bound when the budget binds.
@@ -21,16 +26,19 @@
 //!    list, in any order, with duplicates and zeros.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use symloc_core::tracesweep::{
-    chunk_partial, log_spaced_sizes, FusedIngest, MergeState, OnlineReuseEngine, SampledIngest,
-    ShardsEstimator, StreamHistogram, TracePlan, WeightedHistogram,
+    chunk_partial, fused_chunk_partial, log_spaced_sizes, FusedIngest, MergeState,
+    OnlineReuseEngine, SampledIngest, ShardsEstimator, StreamHistogram, TracePlan,
+    WeightedHistogram,
 };
 use symloc_trace::generators::{
     cyclic_trace, interleaved_trace, move_to_front_trace, multi_epoch_trace, random_trace,
     retraversal_trace, sawtooth_trace, stack_discipline_trace, stream_kernel_trace, strided_trace,
     tiled_trace, zipfian_trace, EpochOrder, StreamKernel,
 };
-use symloc_trace::stream::TraceSource;
+use symloc_trace::stream::{BlockRead, CountingSink, TraceSource};
 use symloc_trace::Trace;
 
 /// The literal textbook definition, deliberately quadratic and deliberately
@@ -85,8 +93,6 @@ fn job_over(source: &TraceSource, plan: TracePlan, threads: usize) -> FusedInges
 /// One instance of every generator pattern the trace crate provides,
 /// parameterized by a seed so the property tests sweep many shapes.
 fn all_generator_patterns(seed: u64) -> Vec<(&'static str, Trace)> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
     let m = 4 + (seed as usize % 13);
     let epochs = 2 + (seed as usize % 3);
@@ -129,12 +135,79 @@ fn all_generator_patterns(seed: u64) -> Vec<(&'static str, Trace)> {
     ]
 }
 
+/// Maps an address below 2^32 to one at or above 2^63, injectively (the
+/// low half is the address itself; the high half scatters it). Real
+/// traces' addresses miss the interner's direct array, which stops at
+/// 2^21, and take its hash table; these do too.
+fn scatter(addr: u64) -> u64 {
+    assert!(addr < 1 << 32, "address {addr} does not fit the scatter");
+    1 << 63 | (addr.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF) << 32 | addr
+}
+
+/// Every pattern of [`all_generator_patterns`], then every one again with
+/// its addresses scattered above 2^21 ([`scatter`]).
+fn patterns_on_both_interner_paths(seed: u64) -> Vec<(String, Trace)> {
+    let patterns = all_generator_patterns(seed);
+    let scattered: Vec<(String, Trace)> = patterns
+        .iter()
+        .map(|(name, trace)| {
+            let far = trace
+                .iter()
+                .map(|a| scatter(a.value() as u64) as usize)
+                .collect();
+            (format!("{name} (scattered)"), far)
+        })
+        .collect();
+    patterns
+        .into_iter()
+        .map(|(name, trace)| (name.to_string(), trace))
+        .chain(scattered)
+        .collect()
+}
+
+/// A block reader over `addrs` whose blocks have random lengths: 1 to 97
+/// accesses, so runs start and end anywhere — inside a timeline
+/// compaction's interval and across it — or, one time in eight, all that
+/// is left at once.
+struct RandomBlocks<'a> {
+    addrs: &'a [u64],
+    rng: StdRng,
+}
+
+impl<'a> RandomBlocks<'a> {
+    fn new(addrs: &'a [u64], seed: u64) -> Self {
+        RandomBlocks {
+            addrs,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl BlockRead for RandomBlocks<'_> {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        let len = if self.rng.gen_range(0..8u32) == 0 {
+            self.addrs.len()
+        } else {
+            self.rng.gen_range(1..98usize).min(self.addrs.len())
+        };
+        let (block, rest) = self.addrs.split_at(len);
+        buf.clear();
+        buf.extend_from_slice(block);
+        self.addrs = rest;
+        len
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn online_engine_matches_naive_definition_on_every_pattern(seed in any::<u64>()) {
-        for (name, trace) in all_generator_patterns(seed) {
+    fn online_engine_matches_naive_definition_on_every_pattern(
+        seed in any::<u64>(),
+        splits in any::<u64>(),
+    ) {
+        let mut compactions = 0;
+        for (name, trace) in patterns_on_both_interner_paths(seed) {
             let naive = stack_distances_naive(&trace);
             // Per-access distances agree with the literal definition.
             let mut engine = OnlineReuseEngine::new();
@@ -145,7 +218,23 @@ proptest! {
             // And so does the aggregated histogram.
             prop_assert_eq!(engine.histogram(), &histogram_of(&naive), "{}", name);
             prop_assert_eq!(engine.footprint(), trace.distinct_count(), "{}", name);
+            // The block path, over any split of the trace into blocks, is
+            // the per-access path: same histogram, same compactions.
+            let addrs: Vec<u64> = trace.iter().map(|a| a.value() as u64).collect();
+            let mut blocks = RandomBlocks::new(&addrs, splits);
+            let mut blocked = OnlineReuseEngine::new();
+            let mut buf = Vec::new();
+            while blocks.next_block(&mut buf) > 0 {
+                blocked.record_block(&buf);
+            }
+            prop_assert_eq!(blocked.histogram(), engine.histogram(), "{} splits {}", name, splits);
+            prop_assert_eq!(blocked.footprint(), engine.footprint(), "{}", name);
+            prop_assert_eq!(blocked.compactions(), engine.compactions(), "{}", name);
+            compactions += engine.compactions();
         }
+        // The random, zipfian and stack patterns outgrow the first
+        // timeline, so some blocks straddle a compaction.
+        prop_assert!(compactions > 0, "seed {}", seed);
     }
 
     #[test]
@@ -153,7 +242,7 @@ proptest! {
         seed in any::<u64>(),
         pick in any::<usize>(),
     ) {
-        for (name, trace) in all_generator_patterns(seed) {
+        for (name, trace) in patterns_on_both_interner_paths(seed) {
             let expected = online_engine(&trace);
             let addrs: Vec<u64> = trace.iter().map(|a| a.value() as u64).collect();
             // Any chunk count up to the trace length, and always one access
@@ -162,11 +251,26 @@ proptest! {
             let len = addrs.len().max(1);
             for chunks in [1 + pick % len, len] {
                 let mut state = MergeState::new();
-                for span in symloc_par::split_indices(addrs.len(), chunks) {
-                    state.absorb(&chunk_partial(addrs[span.start..span.end].iter().copied()));
+                let mut fused_state = MergeState::new();
+                for (k, span) in symloc_par::split_indices(addrs.len(), chunks).iter().enumerate() {
+                    let chunk = &addrs[span.start..span.end];
+                    let partial = chunk_partial(chunk.iter().copied());
+                    // The trace job folds its chunks a random block at a
+                    // time; the partial is the per-access fold's.
+                    let mut blocks = RandomBlocks::new(chunk, seed ^ k as u64);
+                    let fused = fused_chunk_partial(&mut blocks, 1 + pick % 5, &mut CountingSink::new());
+                    prop_assert_eq!(&fused.exact, &partial, "{} seed {} chunk {}", name, seed, k);
+                    state.absorb(&partial);
+                    fused_state.absorb(&fused.exact);
                 }
                 prop_assert_eq!(
                     state.histogram(),
+                    expected.histogram(),
+                    "{} seed {} chunks {}",
+                    name, seed, chunks
+                );
+                prop_assert_eq!(
+                    fused_state.histogram(),
                     expected.histogram(),
                     "{} seed {} chunks {}",
                     name, seed, chunks
@@ -356,8 +460,6 @@ proptest! {
         // inside the stated bound. (Spatial sampling keeps/drops whole
         // addresses, so the bound is dominated by hot-address hash luck;
         // the trace mixes a seeded zipf body to vary the shape.)
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = zipfian_trace(2000, 20_000, 0.6, &mut rng);
         let exact = online_engine(&trace);

@@ -934,6 +934,110 @@ fn hostile_histogram_distances_fail_loudly_and_leave_the_checkpoint_untouched() 
 }
 
 #[test]
+fn impossible_trace_counts_fail_loudly_and_leave_the_checkpoint_untouched() {
+    use symmetric_locality::cli;
+
+    // A both-halves trace checkpoint after 2 of 4 chunks (10 000 of 20 000
+    // accesses). Each mangled copy carries counts no run produces: the
+    // first one used to resume silently to "20 777 streamed" and a miss
+    // ratio of 0.787 at size 1, where the trace's is 0.984. Resuming any of
+    // them, through `trace mrc --checkpoint` or `job resume`, must fail
+    // naming the count and leave the file byte for byte as it was.
+    let ck = std::env::temp_dir().join(format!(
+        "symloc_failinj_trace_counts_{}.json",
+        std::process::id()
+    ));
+    let ck_str = ck.to_str().unwrap().to_string();
+    std::fs::remove_file(&ck).ok();
+    let run = |args: &[&str]| {
+        cli::run(
+            &args
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<String>>(),
+        )
+    };
+    let trace_mrc = [
+        "trace",
+        "mrc",
+        "gen:zipf:1000:20000:0.9:3",
+        "--exact",
+        "--sample",
+        "64",
+        "--shards",
+        "4",
+        "--threads",
+        "2",
+        "--checkpoint",
+        &ck_str,
+    ];
+    let mut partial = trace_mrc.to_vec();
+    partial.extend(["--max-chunks", "2"]);
+    run(&partial).expect("two chunks checkpoint");
+    let good = std::fs::read_to_string(&ck).unwrap();
+    assert!(good.contains("\"streamed\": 10000,"), "{good}");
+    let first_bin = |doc: &str| -> (u64, u64) {
+        let start = doc.find("\"histogram\": [[").unwrap() + "\"histogram\": [[".len();
+        let (d, rest) = doc[start..].split_once(", ").unwrap();
+        let count = rest.split(']').next().unwrap();
+        (d.parse().unwrap(), count.parse().unwrap())
+    };
+    let (d, count) = first_bin(&good);
+    let more_reuses = good.replacen(
+        &format!("[[{d}, {count}]"),
+        &format!("[[{d}, {}]", count + 5000),
+        1,
+    );
+    // The first shard's counters, `"raw": R, "sampled": S,`.
+    let number_after = |key: &str| -> u64 {
+        let at = good.find(key).unwrap() + key.len();
+        good[at..].split(',').next().unwrap().parse().unwrap()
+    };
+    let (raw, sampled) = (number_after("\"raw\": "), number_after("\"sampled\": "));
+    let counters = format!("\"raw\": {raw}, \"sampled\": {sampled},");
+    assert!(good.contains(&counters), "{good}");
+    for (hostile, why) in [
+        (
+            more_reuses.replace("\"streamed\": 10000,", "\"streamed\": 10777,"),
+            "streamed 10777 differs from the 10000 accesses of the first 2 chunks",
+        ),
+        (
+            more_reuses,
+            "cold plus histogram counts add up to 15000 accesses, not the 10000 streamed",
+        ),
+        (
+            good.replacen(
+                &counters,
+                &format!("\"raw\": {}, \"sampled\": {sampled},", raw + 1),
+                1,
+            ),
+            "the shards' raw counts add up to 10001 accesses, not the 10000 streamed",
+        ),
+        (
+            good.replacen(
+                &counters,
+                &format!("\"raw\": {raw}, \"sampled\": {},", raw + 1),
+                1,
+            ),
+            &*format!(
+                "estimator sampled count {} exceeds its raw count {raw}",
+                raw + 1
+            ),
+        ),
+    ] {
+        assert_ne!(hostile, good);
+        std::fs::write(&ck, &hostile).unwrap();
+        for args in [trace_mrc.to_vec(), vec!["job", "resume", &ck_str]] {
+            let err = run(&args).expect_err("impossible counts must not resume");
+            assert!(err.0.contains(why), "{args:?}: {err}");
+            assert_eq!(std::fs::read_to_string(&ck).unwrap(), hostile, "{args:?}");
+        }
+    }
+    std::fs::remove_file(&ck).ok();
+    std::fs::remove_file(format!("{ck_str}.hb")).ok();
+}
+
+#[test]
 fn impossible_sweep_partials_fail_loudly_and_leave_the_checkpoint_untouched() {
     use symmetric_locality::cli;
 
