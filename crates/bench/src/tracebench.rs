@@ -201,17 +201,19 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         runs,
         || {
             let mut engine = OnlineReuseEngine::new();
-            engine.record_all(addrs.iter().copied());
+            for block in addrs.chunks(4096) {
+                engine.record_block(block);
+            }
         },
     ));
     // The metering-overhead pair: the same exact engine fed the same
-    // accesses, bare (above) vs wrapped in a `MeteredSink` that splits
-    // decode from compute time. Delivery is block-wise in both cases
-    // (`record_all` and `record_block` run the identical per-access loop),
-    // so the throughput ratio isolates the per-block `Instant` pair — the
-    // observability tax. `bench_gate` enforces an absolute floor on it
-    // (metering must stay within a few percent of free) on every host,
-    // since the pair is single-threaded and host-symmetric.
+    // 4096-access blocks through `record_block` (the path every block
+    // consumer takes), bare (above) vs wrapped in a `MeteredSink` that
+    // splits decode from compute time, so the throughput ratio isolates
+    // the per-block `Instant` pair — the observability tax. `bench_gate`
+    // enforces an absolute floor on it (metering must stay within a few
+    // percent of free) on every host, since the pair is single-threaded
+    // and host-symmetric.
     measurements.push(measure_trace(
         "trace_exact_metered_single_thread",
         accesses,

@@ -68,6 +68,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
+use symloc_par::{split_indices, split_prefix_len};
 use symloc_perm::fenwick::{Fenwick, SlotCounter};
 use symloc_trace::stream::{
     AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource, BLOCK_LEN,
@@ -1214,24 +1215,14 @@ impl ShardsEstimator {
     /// so restoring and re-writing is byte-identical.
     pub(crate) fn write_state(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
         let mut w = StagingWriter::new(out);
-        for (i, (key, value)) in [
-            ("threshold", self.threshold),
-            ("raw", self.raw_accesses),
-            ("sampled", self.sampled_accesses),
-            ("evictions", self.evictions),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            w.str(if i == 0 { "\"" } else { ", \"" });
-            w.str(key);
-            w.str("\": ");
-            w.u64(value);
-        }
         write!(
             w,
-            ", \"cold\": {}, \"histogram\": [",
-            self.histogram.cold_weight()
+            "\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
+            self.threshold,
+            self.raw_accesses,
+            self.sampled_accesses,
+            self.evictions,
+            self.histogram.cold_weight(),
         )?;
         for (j, (d, weight)) in self.histogram.iter().enumerate() {
             w.str(if j == 0 { "[" } else { ", [" });
@@ -2203,20 +2194,6 @@ fn route(routed: &mut [Vec<u64>], count: u64, addr: u64) {
     routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
 }
 
-/// Accesses in the first `done` of the `chunks` contiguous chunks of a
-/// `total`-access trace, split as [`symloc_par::split_indices`] splits
-/// them: the first `total % chunks` chunks hold one access more than the
-/// rest. Computed, not listed, so a checkpoint's claims are checked
-/// without allocating for them.
-fn chunk_prefix_len(total: u64, chunks: usize, done: usize) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let chunks = (chunks as u64).clamp(1, total);
-    let done = (done as u64).min(chunks);
-    done * (total / chunks) + done.min(total % chunks)
-}
-
 /// The source's length, validating the source on the way.
 fn scan_length(source: &TraceSource) -> Result<u64, String> {
     source
@@ -2441,10 +2418,13 @@ impl FusedIngest {
 
     /// The deterministic chunk plan (contiguous access ranges).
     fn chunk_bounds(&self) -> Vec<(u64, u64)> {
-        let end = |done| chunk_prefix_len(self.total, self.plan.chunks, done);
-        (0..self.plan.chunks)
-            .map(|k| (end(k), end(k + 1)))
-            .collect()
+        split_indices(
+            usize::try_from(self.total).expect("trace length fits usize"),
+            self.plan.chunks,
+        )
+        .into_iter()
+        .map(|c| (c.start as u64, c.end as u64))
+        .collect()
     }
 
     /// Binds the job to its (fingerprint-checked) source so the generic
@@ -2648,7 +2628,11 @@ impl FusedIngest {
         // chunks hold: a count no run produces would resume to a wrong
         // curve.
         let streamed = number("streamed")?;
-        let absorbed = chunk_prefix_len(total, plan.chunks, next_chunk);
+        let absorbed = split_prefix_len(
+            usize::try_from(total).map_err(|_| format!("total_accesses {total} exceeds usize"))?,
+            plan.chunks,
+            next_chunk,
+        ) as u64;
         if streamed != absorbed {
             return Err(format!(
                 "streamed {streamed} differs from the {absorbed} accesses of the first \
@@ -2932,7 +2916,6 @@ fn replay(estimators: &mut [ShardsEstimator], routed: &[Vec<u64>], threads: usiz
 mod tests {
     use super::*;
     use symloc_cache::reuse::reuse_distances;
-    use symloc_par::split_indices;
     use symloc_trace::generators::{cyclic_trace, sawtooth_trace, zipfian_trace};
     use symloc_trace::stream::GenSpec;
     use symloc_trace::Trace;
@@ -3556,25 +3539,6 @@ mod tests {
         for (mangled, why) in rows {
             let err = FusedIngest::from_json(&mangled, 1).unwrap_err();
             assert!(err.contains(why), "{err}");
-        }
-    }
-
-    #[test]
-    fn chunk_prefixes_follow_the_split_of_the_plan() {
-        for total in [0u64, 1, 2, 7, 64, 1000, 4_000_001] {
-            for chunks in [1usize, 2, 3, 4, 7, 64, 1000] {
-                let chunks = chunks.min(total.max(1) as usize);
-                let spans = split_indices(total as usize, chunks);
-                assert_eq!(chunk_prefix_len(total, chunks, 0), 0);
-                for (k, span) in spans.iter().enumerate() {
-                    assert_eq!(
-                        chunk_prefix_len(total, chunks, k + 1),
-                        span.end as u64,
-                        "total {total} chunks {chunks} done {}",
-                        k + 1
-                    );
-                }
-            }
         }
     }
 

@@ -63,23 +63,27 @@ pub fn default_threads() -> usize {
 /// for `total == 0`.
 #[must_use]
 pub fn split_indices(total: usize, chunks: usize) -> Vec<IndexChunk> {
+    let chunks = chunks.clamp(1, total.max(1));
+    (0..chunks)
+        .map(|i| IndexChunk {
+            start: split_prefix_len(total, chunks, i),
+            end: split_prefix_len(total, chunks, i + 1),
+        })
+        .collect()
+}
+
+/// The number of indices in the first `done` chunks of
+/// [`split_indices`]`(total, chunks)`: the first `total % chunks` chunks
+/// hold one index more than the rest. Computed, not listed, so a caller can
+/// check a count against the split without allocating it.
+#[must_use]
+pub fn split_prefix_len(total: usize, chunks: usize, done: usize) -> usize {
     if total == 0 {
-        return vec![IndexChunk { start: 0, end: 0 }];
+        return 0;
     }
     let chunks = chunks.clamp(1, total);
-    let base = total / chunks;
-    let extra = total % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(IndexChunk {
-            start,
-            end: start + size,
-        });
-        start += size;
-    }
-    out
+    let done = done.min(chunks);
+    done * (total / chunks) + done.min(total % chunks)
 }
 
 /// Maps `f` over `items` using up to `threads` worker threads, returning the
@@ -230,6 +234,11 @@ mod tests {
         assert_eq!(split_indices(3, 10).len(), 3);
         assert_eq!(split_indices(5, 0).len(), 1);
         assert_eq!(split_indices(5, 1)[0].len(), 5);
+        assert_eq!(split_prefix_len(0, 4, 3), 0);
+        assert_eq!(split_prefix_len(10, 3, 0), 0);
+        assert_eq!(split_prefix_len(10, 3, 1), 4);
+        assert_eq!(split_prefix_len(10, 3, 7), 10);
+        assert_eq!(split_prefix_len(3, 10, 2), 2);
     }
 
     #[test]
