@@ -34,10 +34,11 @@ use symloc_par::default_threads;
 /// Floor on the metering-overhead throughput ratio
 /// (`trace_exact_metered_single_thread` / `trace_exact_single_thread`):
 /// wrapping the exact engine in a `MeteredSink` must cost at most ~3%.
-/// The pair is single-threaded and measured back-to-back on the same
-/// host, so unlike the committed speedup ratios this is gated *everywhere*
-/// — it compares the code against itself, not against another machine.
-/// Override with `BENCH_GATE_OVERHEAD_FLOOR`.
+/// The pair is single-threaded and its halves alternate run by run on the
+/// same host (at least 9 timed runs each), so unlike the committed
+/// speedup ratios this is gated *everywhere* — it compares the code
+/// against itself, not against another machine. Override with
+/// `BENCH_GATE_OVERHEAD_FLOOR`.
 const METERED_OVERHEAD_FLOOR: f64 = 0.97;
 
 /// One suite row of the closing verdict table: Pass/Info/Fail counts plus

@@ -48,8 +48,9 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 /// Shards the `m = 12` checkpointed sweep is split into. On the Figure-1
-/// block path each shard takes microseconds and the run is its 64 saves;
-/// the count is kept so existing checkpoints still resume.
+/// block path each shard takes microseconds and a run saves once, after
+/// its last shard (or at `--sweep12-max`); the count is kept so existing
+/// checkpoints still resume.
 const SWEEP12_SHARDS: usize = 64;
 
 /// Directory containing the currently running binary (where the sibling
@@ -97,7 +98,7 @@ fn run_sweep12(checkpoint: &Path, max_shards: Option<usize>) -> Result<(), Strin
     }
     sweep
         .run_with_checkpoint(checkpoint, max_shards, |done, total| {
-            println!("shard {done} / {total} done (checkpoint saved)");
+            println!("{done} / {total} shards done (checkpoint saved)");
         })
         .map_err(|e| format!("cannot write checkpoint: {e}"))?;
     match sweep.merged_levels() {

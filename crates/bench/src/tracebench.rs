@@ -141,18 +141,62 @@ pub fn measure_trace(
 ) -> TraceMeasurement {
     ingest();
     let mut registry = MetricsRegistry::new();
-    let mut nanos: Vec<u64> = (0..runs.max(1))
-        .map(|_| {
-            let span = Span::start();
-            ingest();
-            span.record(&mut registry, "bench.run_nanos")
-        })
+    let nanos: Vec<u64> = (0..runs.max(1))
+        .map(|_| time_run(&mut registry, &mut ingest))
         .collect();
+    summarize(name, accesses, threads, nanos, &registry)
+}
+
+/// Both halves of a comparison pair, measured alternately: one warmup call
+/// of each, then `runs` (at least [`PAIR_RUNS`]) timed calls of each, the
+/// two in turn, so drift of the host between runs moves both medians
+/// alike instead of their ratio. Single-threaded; each half is summarized
+/// as [`measure_trace`] does.
+fn measure_trace_pair(
+    names: [&str; 2],
+    accesses: u64,
+    runs: usize,
+    mut first: impl FnMut(),
+    mut second: impl FnMut(),
+) -> [TraceMeasurement; 2] {
+    first();
+    second();
+    let mut registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+    let mut nanos = [Vec::new(), Vec::new()];
+    for _ in 0..runs.max(PAIR_RUNS) {
+        nanos[0].push(time_run(&mut registries[0], &mut first));
+        nanos[1].push(time_run(&mut registries[1], &mut second));
+    }
+    let [first_nanos, second_nanos] = nanos;
+    [
+        summarize(names[0], accesses, 1, first_nanos, &registries[0]),
+        summarize(names[1], accesses, 1, second_nanos, &registries[1]),
+    ]
+}
+
+/// Timed runs per half of a [`measure_trace_pair`].
+const PAIR_RUNS: usize = 9;
+
+/// One timed call of `ingest`, recorded into `registry`'s run histogram.
+fn time_run(registry: &mut MetricsRegistry, ingest: &mut impl FnMut()) -> u64 {
+    let span = Span::start();
+    ingest();
+    span.record(registry, "bench.run_nanos")
+}
+
+/// The median throughput of timed runs, printed with their spread.
+fn summarize(
+    name: &str,
+    accesses: u64,
+    threads: usize,
+    mut nanos: Vec<u64>,
+    registry: &MetricsRegistry,
+) -> TraceMeasurement {
     nanos.sort_unstable();
     let median_nanos = nanos[nanos.len() / 2].max(1);
     #[allow(clippy::cast_precision_loss)]
     let accesses_per_sec = accesses as f64 * 1e9 / median_nanos as f64;
-    let spread = run_spread_percent(&registry);
+    let spread = run_spread_percent(registry);
     println!(
         "{name:<44} n={accesses:<9} threads={threads:<3} {accesses_per_sec:>14.0} accesses/sec \
          (spread {spread:.1}%)"
@@ -193,11 +237,21 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
 
     let source = TraceSource::Memory(trace);
     let chunks = (threads * 4).max(8);
-    let mut measurements = Vec::new();
-    measurements.push(measure_trace(
-        "trace_exact_single_thread",
+    // The metering-overhead pair: the same exact engine fed the same
+    // 4096-access blocks through `record_block` (the path every block
+    // consumer takes), bare vs wrapped in a `MeteredSink` that splits
+    // decode from compute time, so the throughput ratio isolates the
+    // per-block `Instant` pair — the observability tax. `bench_gate`
+    // enforces an absolute floor on it (metering must stay within a few
+    // percent of free) on every host, since the pair is single-threaded
+    // and host-symmetric; its halves alternate run by run, so the ratio
+    // compares runs made under the same load.
+    let mut measurements = Vec::from(measure_trace_pair(
+        [
+            "trace_exact_single_thread",
+            "trace_exact_metered_single_thread",
+        ],
         accesses,
-        1,
         runs,
         || {
             let mut engine = OnlineReuseEngine::new();
@@ -205,20 +259,6 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
                 engine.record_block(block);
             }
         },
-    ));
-    // The metering-overhead pair: the same exact engine fed the same
-    // 4096-access blocks through `record_block` (the path every block
-    // consumer takes), bare (above) vs wrapped in a `MeteredSink` that
-    // splits decode from compute time, so the throughput ratio isolates
-    // the per-block `Instant` pair — the observability tax. `bench_gate`
-    // enforces an absolute floor on it (metering must stay within a few
-    // percent of free) on every host, since the pair is single-threaded
-    // and host-symmetric.
-    measurements.push(measure_trace(
-        "trace_exact_metered_single_thread",
-        accesses,
-        1,
-        runs,
         || {
             let mut sink = MeteredSink::new(OnlineReuseEngine::new());
             for block in addrs.chunks(4096) {
@@ -877,6 +917,22 @@ mod tests {
         assert!(matches!(results[0].verdict, GateVerdict::Ok { .. }));
         assert!(matches!(results[1].verdict, GateVerdict::Regressed { .. }));
         assert_eq!(results[2].verdict, GateVerdict::Missing);
+    }
+
+    #[test]
+    fn a_measured_pair_alternates_its_halves_after_one_warmup_each() {
+        let calls = std::cell::RefCell::new(String::new());
+        let [bare, metered] = measure_trace_pair(
+            ["bare", "metered"],
+            1000,
+            3,
+            || calls.borrow_mut().push('b'),
+            || calls.borrow_mut().push('m'),
+        );
+        assert_eq!(calls.into_inner(), "bm".repeat(1 + PAIR_RUNS));
+        assert_eq!((bare.name.as_str(), bare.threads), ("bare", 1));
+        assert_eq!(metered.name, "metered");
+        assert!(bare.accesses_per_sec > 0.0 && metered.accesses_per_sec > 0.0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! paths.
 //!
 //! **Figure-1 blocks.** For levels by inversion number under the LRU stack
-//! model (the paper's own experiment) no permutation is evaluated at all.
+//! model (the paper's own experiment, [`SweepSpec::sums_figure1_blocks`])
+//! no permutation is evaluated at all.
 //! Algorithm 1's distance `rd(a) = (m−1−a) + (i+1) − |{j<i : σ(j) > a}|`
 //! (see [`crate::hits`]) splits along a fixed prefix `π` of length `p`:
 //! let `τ ∈ S_r`, `r = m − p`, be the suffix with every value replaced by
@@ -55,6 +56,7 @@ use crate::model::{CacheModel, ModelScratch};
 use crate::sweep::LevelAggregate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 use symloc_par::{default_threads, parallel_map_chunked, parallel_reduce_chunked};
 use symloc_perm::inversions::max_inversions;
 use symloc_perm::iter::RankRangeStream;
@@ -89,6 +91,15 @@ impl SweepSpec {
             statistic: Statistic::Inversions,
             model: CacheModel::LruStack,
         }
+    }
+
+    /// True when sweeps of this spec sum Figure-1 lexicographic blocks
+    /// instead of walking every permutation: levels by inversion number
+    /// under the LRU stack model (see the [module docs](self)). Any rank
+    /// range of such a spec, up to all of `S_12`, costs microseconds.
+    #[must_use]
+    pub fn sums_figure1_blocks(&self) -> bool {
+        (self.statistic, self.model) == (Statistic::Inversions, CacheModel::LruStack)
     }
 
     /// A stable one-line fingerprint of the spec, embedded in checkpoints.
@@ -282,13 +293,18 @@ impl LevelCounts {
 /// A parallel sweep evaluator over `S_m` with per-worker scratch.
 ///
 /// See the [module docs](self) for the batching strategy. The engine is
-/// cheap to construct (it owns no buffers itself; workers build their
-/// scratch when a sweep starts) and deterministic: results are independent
-/// of the thread count.
+/// cheap to construct (it builds nothing up front; workers build their
+/// scratch when a sweep starts, and the first block-summed sweep builds
+/// the Figure-1 tables of `S_0 ..= S_m`, which every later one reuses) and
+/// deterministic: results are independent of the thread count.
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     m: usize,
     threads: usize,
+    /// The Figure-1 levels of `S_r` for `r = 0 ..= m` ([`figure1_tables`]),
+    /// built once per engine: a sharded sweep sums one rank range per
+    /// shard from the same tables.
+    figure1_tables: OnceLock<Vec<Vec<SweepLevel>>>,
 }
 
 impl SweepEngine {
@@ -305,6 +321,7 @@ impl SweepEngine {
         SweepEngine {
             m,
             threads: threads.max(1),
+            figure1_tables: OnceLock::new(),
         }
     }
 
@@ -401,12 +418,14 @@ impl SweepEngine {
 
     /// The sharded building block of [`SweepEngine::sweep_levels`]: sweeps
     /// only the permutations whose lexicographic ranks lie in `range`.
-    /// The Figure-1 spec sums the range's aligned lexicographic blocks
-    /// serially in microseconds; every other spec walks the range per
-    /// permutation, parallel over the engine's workers. Aggregates from
-    /// disjoint ranges [`SweepLevel::merge`] into exactly the full-space
-    /// result — which is what makes rank-range checkpointing
-    /// ([`crate::shard::ShardedSweep`]) exact.
+    /// A spec that [sums Figure-1 blocks](SweepSpec::sums_figure1_blocks)
+    /// sums the range's aligned lexicographic blocks serially in
+    /// microseconds, from tables the engine builds on its first such
+    /// sweep; every other spec walks the range per permutation, parallel
+    /// over the engine's workers. Aggregates from disjoint ranges
+    /// [`SweepLevel::merge`] into exactly the full-space result — which is
+    /// what makes rank-range checkpointing ([`crate::shard::ShardedSweep`])
+    /// exact.
     ///
     /// # Panics
     ///
@@ -426,8 +445,15 @@ impl SweepEngine {
             range.start,
             range.end
         );
-        if (statistic, model) == (Statistic::Inversions, CacheModel::LruStack) {
-            return figure1_rank_range(m, range);
+        if (SweepSpec {
+            m,
+            statistic,
+            model,
+        })
+        .sums_figure1_blocks()
+        {
+            let tables = self.figure1_tables.get_or_init(|| figure1_tables(m));
+            return figure1_rank_range(m, range, tables);
         }
         let len = range.len() as usize;
         parallel_reduce_chunked(
@@ -630,9 +656,9 @@ pub fn weighted_sample_counts(m: usize, budget: usize, min_per_level: usize) -> 
 /// `range`, summed block by block: the range is cut greedily into the
 /// largest aligned lexicographic blocks `[q·r!, (q+1)·r!)` — a fixed prefix
 /// followed by every arrangement of the other `r` values — and each block
-/// is added from the `S_r` table in one step.
-fn figure1_rank_range(m: usize, range: RankRange) -> Vec<SweepLevel> {
-    let tables = figure1_tables(m);
+/// is added from the `S_r` table (`tables[r]`, see [`figure1_tables`]) in
+/// one step.
+fn figure1_rank_range(m: usize, range: RankRange, tables: &[Vec<SweepLevel>]) -> Vec<SweepLevel> {
     let sizes: Vec<u128> = (0..=m).map(factorial_for_sweep).collect();
     let mut scratch = AnalysisScratch::new(m);
     let (mut images, mut unused) = (Vec::new(), Vec::new());
@@ -856,6 +882,42 @@ mod tests {
                 let start = rng.gen_range(0..=total - len);
                 assert_blocks_match_walk(&engine, start, start + len);
             }
+        }
+    }
+
+    #[test]
+    fn the_block_path_builds_its_tables_once_per_engine() {
+        assert!(SweepSpec::figure1(8).sums_figure1_blocks());
+        let major = SweepSpec {
+            statistic: Statistic::MajorIndex,
+            ..SweepSpec::figure1(8)
+        };
+        let assoc = SweepSpec {
+            model: CacheModel::parse("assoc:8:lru").unwrap(),
+            ..SweepSpec::figure1(8)
+        };
+        assert!(!major.sums_figure1_blocks() && !assoc.sums_figure1_blocks());
+        let engine = SweepEngine::with_threads(8, 2);
+        let _ = engine.sweep_levels(Statistic::Descents, CacheModel::LruStack);
+        assert!(
+            engine.figure1_tables.get().is_none(),
+            "walks need no tables"
+        );
+        // Every later range reuses the tables the first one built; the
+        // sums themselves are pinned against the walk above.
+        let mut built = None;
+        for (start, end) in [(0, 20_000), (20_000, 40_320)] {
+            let _ = engine.sweep_rank_range(
+                Statistic::Inversions,
+                CacheModel::LruStack,
+                RankRange { start, end },
+            );
+            let tables = engine
+                .figure1_tables
+                .get()
+                .expect("built by the first range");
+            assert_eq!(tables.len(), 9, "S_0 ..= S_8");
+            assert_eq!(*built.get_or_insert(tables.as_ptr()), tables.as_ptr());
         }
     }
 

@@ -6,9 +6,9 @@
 //! JSON subset those documents use — objects, arrays, strings with the
 //! escapes [`escape`] emits, integers, floats, booleans and null — and is
 //! *not* a general-purpose validator (it is permissive about things like
-//! duplicate keys). Checkpoints holding millions of integers write them
-//! through `StagingWriter`, a local buffer filled from a digit-pair
-//! table, instead of one `write!` per integer.
+//! duplicate keys). Checkpoints write their integers through
+//! `StagingWriter`, a local buffer filled from a digit-pair table, instead
+//! of one `write!` per integer.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,9 +2,10 @@
 //!
 //! An exhaustive `m = 12` sweep under any spec but Figure 1's walks
 //! 479 001 600 permutations — minutes of work that an interrupted run
-//! (preempted CI job, killed laptop session) should not redo. (The
-//! Figure-1 spec sums lexicographic blocks instead and finishes a shard in
-//! microseconds; it shards and checkpoints the same way.)
+//! (preempted CI job, killed laptop session) should not redo, so every
+//! shard is saved as it completes. (The Figure-1 spec sums lexicographic
+//! blocks instead and finishes a shard in microseconds; it shards the same
+//! way but saves once per run, see [`ShardedSweep::run_with_checkpoint`].)
 //! [`ShardedSweep`] splits the rank space `0 .. m!` into contiguous
 //! shards; [`SampledSweep`] shards the *level space* of a weighted sampled
 //! sweep. Both are [`crate::job::Job`] implementations: the whole
@@ -34,9 +35,9 @@
 
 use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
 use crate::job::{self, Job, JobKind, JobRunner};
-use crate::jsonio::JsonValue;
+use crate::jsonio::{JsonValue, StagingWriter};
 use crate::model::CacheModel;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use symloc_perm::rank::{factorial, RankRange};
 use symloc_perm::statistics::Statistic;
@@ -142,10 +143,13 @@ impl ShardedSweep {
     }
 
     /// Runs pending shards — all of them, or up to `limit` — saving the
-    /// checkpoint to `path` after *each* shard completes, so a kill
-    /// mid-invocation loses at most the shard in flight (and a kill
-    /// mid-save leaves the previous checkpoint intact: saves are atomic).
-    /// `on_shard(completed, total)` fires after every saved shard, for
+    /// checkpoint to `path` after every [`Job::units_per_checkpoint`]
+    /// shards and after the run's last one, so a kill mid-invocation loses
+    /// at most the shards since the last save (and a kill mid-save leaves
+    /// the previous checkpoint intact: saves are atomic). A spec that
+    /// [sums Figure-1 blocks](SweepSpec::sums_figure1_blocks) saves once,
+    /// after the run's last shard; every other spec saves after each
+    /// shard. `on_shard(completed, total)` fires after every save, for
     /// progress reporting. Returns how many shards were processed; the
     /// checkpoint is (re)written even when nothing was pending, so a
     /// fresh plan always lands on disk.
@@ -407,10 +411,18 @@ impl Job for ShardedSweep {
         1
     }
 
-    /// Checkpoint after every shard — off the Figure-1 spec a shard of an
-    /// `m = 12` sweep is minutes of work, the natural loss bound per kill.
+    /// One off the Figure-1 blocks: a shard of an `m = 12` walk is minutes
+    /// of work, the natural loss bound per kill. A spec that [sums
+    /// Figure-1 blocks](SweepSpec::sums_figure1_blocks) returns the unit
+    /// count, so the runner saves once, after the run's last shard (or at
+    /// its `limit`): such a shard takes well under a millisecond, and one
+    /// save of the plan more than a whole run of them.
     fn units_per_checkpoint(&self, _threads: usize) -> usize {
-        1
+        if self.spec.sums_figure1_blocks() {
+            self.shards.len()
+        } else {
+            1
+        }
     }
 
     fn units(&self) -> ShardUnits {
@@ -432,42 +444,43 @@ impl Job for ShardedSweep {
     }
 
     fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        job::write_checkpoint_header(out, JobKind::ShardedSweep, &self.spec.fingerprint())?;
-        writeln!(out, "  \"m\": {},", self.spec.m)?;
-        writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic)?;
-        writeln!(out, "  \"model\": \"{}\",", self.spec.model)?;
-        writeln!(out, "  \"shard_count\": {},", self.shards.len())?;
-        out.write_str("  \"shards\": [\n")?;
+        // Staged, integers from the digit table: a done shard of `S_12`
+        // holds 67 levels of 24 integers each.
+        let mut w = StagingWriter::new(out);
+        job::write_checkpoint_header(&mut w, JobKind::ShardedSweep, &self.spec.fingerprint())?;
+        writeln!(w, "  \"m\": {},", self.spec.m)?;
+        writeln!(w, "  \"statistic\": \"{}\",", self.spec.statistic)?;
+        writeln!(w, "  \"model\": \"{}\",", self.spec.model)?;
+        writeln!(w, "  \"shard_count\": {},", self.shards.len())?;
+        w.str("  \"shards\": [\n");
         for (i, (shard, partial)) in self.shards.iter().zip(&self.partials).enumerate() {
-            let sep = if i + 1 < self.shards.len() { "," } else { "" };
+            write!(
+                w,
+                "    {{\"start\": {}, \"end\": {}, \"done\": ",
+                shard.start, shard.end
+            )?;
             match partial {
-                None => writeln!(
-                    out,
-                    "    {{\"start\": {}, \"end\": {}, \"done\": false}}{sep}",
-                    shard.start, shard.end
-                )?,
+                None => w.str("false}"),
                 Some(levels) => {
-                    writeln!(
-                        out,
-                        "    {{\"start\": {}, \"end\": {}, \"done\": true, \"levels\": [",
-                        shard.start, shard.end
-                    )?;
+                    w.str("true, \"levels\": [\n");
                     for (j, level) in levels.iter().enumerate() {
-                        let lsep = if j + 1 < levels.len() { "," } else { "" };
-                        writeln!(
-                            out,
-                            "      {{\"level\": {}, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{lsep}",
-                            level.level,
-                            level.count,
-                            u64_array(&level.hit_sums),
-                            u64_array(&level.hit_sq_sums),
-                        )?;
+                        w.str("      {\"level\": ");
+                        w.u64(level.level as u64);
+                        w.str(", ");
+                        write_count_and_sums(&mut w, level);
+                        w.str(if j + 1 < levels.len() { "},\n" } else { "}\n" });
                     }
-                    writeln!(out, "    ]}}{sep}")?;
+                    w.str("    ]}");
                 }
             }
+            w.str(if i + 1 < self.shards.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
-        out.write_str("  ]\n}\n")
+        w.str("  ]\n}\n");
+        w.finish()
     }
 }
 
@@ -857,32 +870,37 @@ impl Job for SampledSweep {
     }
 
     fn write_json(&self, out: &mut dyn fmt::Write) -> fmt::Result {
-        job::write_checkpoint_header(out, JobKind::SampledSweep, &self.spec.fingerprint())?;
-        writeln!(out, "  \"m\": {},", self.spec.m)?;
-        writeln!(out, "  \"statistic\": \"{}\",", self.spec.statistic)?;
-        writeln!(out, "  \"model\": \"{}\",", self.spec.model)?;
-        writeln!(out, "  \"budget\": {},", self.budget)?;
-        writeln!(out, "  \"min_per_level\": {},", self.min_per_level)?;
-        writeln!(out, "  \"seed\": {},", self.seed)?;
-        writeln!(out, "  \"level_count\": {},", self.partials.len())?;
-        out.write_str("  \"levels\": [\n")?;
-        for (i, (draws, partial)) in self.draws.iter().zip(&self.partials).enumerate() {
-            let sep = if i + 1 < self.partials.len() { "," } else { "" };
+        let mut w = StagingWriter::new(out);
+        job::write_checkpoint_header(&mut w, JobKind::SampledSweep, &self.spec.fingerprint())?;
+        writeln!(w, "  \"m\": {},", self.spec.m)?;
+        writeln!(w, "  \"statistic\": \"{}\",", self.spec.statistic)?;
+        writeln!(w, "  \"model\": \"{}\",", self.spec.model)?;
+        writeln!(w, "  \"budget\": {},", self.budget)?;
+        writeln!(w, "  \"min_per_level\": {},", self.min_per_level)?;
+        writeln!(w, "  \"seed\": {},", self.seed)?;
+        writeln!(w, "  \"level_count\": {},", self.partials.len())?;
+        w.str("  \"levels\": [\n");
+        for (i, (&draws, partial)) in self.draws.iter().zip(&self.partials).enumerate() {
+            w.str("    {\"level\": ");
+            w.u64(i as u64);
+            w.str(", \"draws\": ");
+            w.u64(draws as u64);
             match partial {
-                None => writeln!(
-                    out,
-                    "    {{\"level\": {i}, \"draws\": {draws}, \"done\": false}}{sep}"
-                )?,
-                Some(level) => writeln!(
-                    out,
-                    "    {{\"level\": {i}, \"draws\": {draws}, \"done\": true, \"count\": {}, \"hit_sums\": {}, \"hit_sq_sums\": {}}}{sep}",
-                    level.count,
-                    u64_array(&level.hit_sums),
-                    u64_array(&level.hit_sq_sums),
-                )?,
+                None => w.str(", \"done\": false}"),
+                Some(level) => {
+                    w.str(", \"done\": true, ");
+                    write_count_and_sums(&mut w, level);
+                    w.str("}");
+                }
             }
+            w.str(if i + 1 < self.partials.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
-        out.write_str("  ]\n}\n")
+        w.str("  ]\n}\n");
+        w.finish()
     }
 }
 
@@ -918,9 +936,27 @@ fn check_level_sums(level: &SweepLevel, m: usize) -> Result<(), String> {
     }
 }
 
-fn u64_array(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
+/// Writes `"count": C, "hit_sums": [...], "hit_sq_sums": [...]` of one
+/// level aggregate, as both sweep checkpoints hold it.
+fn write_count_and_sums(w: &mut StagingWriter<'_>, level: &SweepLevel) {
+    w.str("\"count\": ");
+    w.u64(level.count);
+    w.str(", \"hit_sums\": ");
+    write_u64_array(w, &level.hit_sums);
+    w.str(", \"hit_sq_sums\": ");
+    write_u64_array(w, &level.hit_sq_sums);
+}
+
+/// Writes `[a, b, ...]`, the integers through the digit table.
+fn write_u64_array(w: &mut StagingWriter<'_>, values: &[u64]) {
+    w.str("[");
+    for (i, &value) in values.iter().enumerate() {
+        if i > 0 {
+            w.str(", ");
+        }
+        w.u64(value);
+    }
+    w.str("]");
 }
 
 fn parse_u64_array(value: Option<&JsonValue>, expected_len: usize) -> Option<Vec<u64>> {
@@ -1049,6 +1085,89 @@ mod tests {
         // Nothing pending: still rewrites the checkpoint, runs nothing.
         assert_eq!(done.run_with_checkpoint(&path, None, |_, _| {}).unwrap(), 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs `sweep` through the checkpoint loop into a fresh file and
+    /// returns the `on_batch` calls and the final file.
+    fn checkpointed_run(name: &str, mut sweep: ShardedSweep) -> (Vec<(usize, usize)>, String) {
+        let path = std::env::temp_dir().join(format!(
+            "symloc_shard_cadence_{name}_{}.json",
+            std::process::id()
+        ));
+        let mut batches = Vec::new();
+        let ran = sweep
+            .run_with_checkpoint(&path, None, |done, total| batches.push((done, total)))
+            .unwrap();
+        assert_eq!(ran, sweep.shard_count());
+        let file = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (batches, file)
+    }
+
+    #[test]
+    fn a_block_summed_sweep_saves_once_per_run_and_a_walk_after_every_shard() {
+        // The Figure-1 spec sums blocks: one save, after the last shard.
+        let figure1 = figure1_sweep(8, 8);
+        let mut uncheckpointed = figure1.clone();
+        uncheckpointed.run_pending(None);
+        let (batches, file) = checkpointed_run("figure1", figure1);
+        assert_eq!(batches, vec![(8, 8)]);
+        assert_eq!(file, uncheckpointed.to_json());
+
+        // Per-permutation specs still save after every shard.
+        for (name, spec) in [
+            (
+                "major",
+                SweepSpec {
+                    statistic: Statistic::MajorIndex,
+                    ..SweepSpec::figure1(6)
+                },
+            ),
+            (
+                "assoc",
+                SweepSpec {
+                    model: CacheModel::parse("assoc:6:lru").unwrap(),
+                    ..SweepSpec::figure1(6)
+                },
+            ),
+        ] {
+            let walk = ShardedSweep::new(spec, 8, 2);
+            let mut uncheckpointed = walk.clone();
+            uncheckpointed.run_pending(None);
+            let (batches, file) = checkpointed_run(name, walk);
+            assert_eq!(batches, (1..=8).map(|done| (done, 8)).collect::<Vec<_>>());
+            assert_eq!(file, uncheckpointed.to_json(), "{name}");
+        }
+    }
+
+    /// Checkpoints the earlier writer left, with done and undone entries:
+    /// `sweep 7 --shards 5 --max-shards 3` and `sweep 7 --samples 200
+    /// --seed 3 --max-shards 5`. A round trip through the current reader
+    /// and writer alone would miss a format drift they share.
+    const EARLIER_SWEEP_CHECKPOINT: &str =
+        include_str!("../tests/data/sweep_checkpoint_s7_3_of_5.json");
+    const EARLIER_SAMPLED_CHECKPOINT: &str =
+        include_str!("../tests/data/sampled_sweep_checkpoint_s7_5_of_22.json");
+
+    #[test]
+    fn earlier_sweep_checkpoints_are_rewritten_byte_for_byte() {
+        let sharded = ShardedSweep::from_json(EARLIER_SWEEP_CHECKPOINT, 2).unwrap();
+        assert_eq!((sharded.completed_count(), sharded.shard_count()), (3, 5));
+        assert_eq!(sharded.to_json(), EARLIER_SWEEP_CHECKPOINT);
+        let mut resumed = sharded;
+        resumed.run_pending(None);
+        let mut uninterrupted = figure1_sweep(7, 5);
+        uninterrupted.run_pending(None);
+        assert_eq!(resumed.to_json(), uninterrupted.to_json());
+
+        let sampled = SampledSweep::from_json(EARLIER_SAMPLED_CHECKPOINT, 2).unwrap();
+        assert_eq!((sampled.completed_count(), sampled.level_count()), (5, 22));
+        assert_eq!(sampled.to_json(), EARLIER_SAMPLED_CHECKPOINT);
+        let mut resumed = sampled;
+        resumed.run_pending(None);
+        let mut uninterrupted = SampledSweep::new(SweepSpec::figure1(7), 200, 2, 3, 1);
+        uninterrupted.run_pending(None);
+        assert_eq!(resumed.to_json(), uninterrupted.to_json());
     }
 
     #[test]

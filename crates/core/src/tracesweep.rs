@@ -993,25 +993,19 @@ impl OnlineReuseEngine {
     }
 
     /// The engine's accesses as the [`ChunkPartial`] of one chunk. The
-    /// exact timeline never forgets an address, so its ids are the chunk's
-    /// first touches in order, and `id` distinct addresses precede the
-    /// first touch of `id`; the first touches leave the histogram, to be
-    /// resolved by [`MergeState::absorb`].
+    /// exact timeline never forgets an address, so the interner's address
+    /// list is the chunk's first touches in order, and its ids index it;
+    /// the first touches leave the histogram, to be resolved by
+    /// [`MergeState::absorb`].
     fn into_chunk_partial(self) -> ChunkPartial {
         let mut histogram = self.histogram;
         let accesses = histogram.accesses();
         histogram.cold = 0;
+        let last_order = self.timeline.ordered_ids();
         ChunkPartial {
             histogram,
-            unresolved: self
-                .timeline
-                .interner
-                .addrs
-                .iter()
-                .copied()
-                .zip(0..)
-                .collect(),
-            last_order: self.timeline.ordered_ids(),
+            unresolved: self.timeline.interner.addrs,
+            last_order,
             accesses,
         }
     }
@@ -1716,8 +1710,8 @@ impl SampledIngest {
 /// The mergeable partial result of one contiguous trace chunk.
 ///
 /// Within-chunk reuses are fully resolved into `histogram`; each address's
-/// *first* chunk access is recorded in `unresolved` together with the
-/// number of distinct addresses the chunk touched before it (its exact
+/// *first* chunk access is recorded in `unresolved`, at the index `i` that
+/// counts the distinct addresses the chunk touched before it (its exact
 /// within-chunk distance contribution); `last_order` lists the chunk's
 /// distinct addresses by last access, which is all later chunks ever need
 /// to know about this one. Merging partials left-to-right through
@@ -1726,9 +1720,9 @@ impl SampledIngest {
 pub struct ChunkPartial {
     /// Resolved within-chunk distances.
     pub histogram: StreamHistogram,
-    /// `(addr, distinct addresses seen earlier in the chunk)` for every
-    /// first-in-chunk access, in access order.
-    pub unresolved: Vec<(u64, u64)>,
+    /// The chunk's distinct addresses in first-access order: `i` distinct
+    /// addresses precede the first access of `unresolved[i]`.
+    pub unresolved: Vec<u64>,
     /// The chunk's distinct addresses ordered by their last access, each
     /// given as its index into `unresolved` (a permutation of
     /// `0..unresolved.len()`).
@@ -1816,19 +1810,19 @@ impl MergeState {
         let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         self.interner
-            .intern_all(partial.unresolved.iter().map(|&(addr, _)| addr), &mut ids);
+            .intern_all(partial.unresolved.iter().copied(), &mut ids);
         self.slot_of.resize(self.interner.len(), NO_SLOT);
         // Resolve the chunk's first accesses against the global order: the
         // distance of a cross-chunk reuse is (distinct addresses earlier in
-        // the chunk) + (older-chunk addresses whose entry still sits after
-        // the previous access) + 1. Removing each resolved address's entry
-        // as we go is exactly Olken's dedup — an address both in the global
-        // order and earlier in this chunk is counted once, by the
-        // chunk-local term.
+        // the chunk, the access's index `i`) + (older-chunk addresses whose
+        // entry still sits after the previous access) + 1. Removing each
+        // resolved address's entry as we go is exactly Olken's dedup — an
+        // address both in the global order and earlier in this chunk is
+        // counted once, by the chunk-local term.
         let end = self.slots.len();
         let mut distances = std::mem::take(&mut self.distances);
         distances.clear();
-        for (i, (&id, &(_, distinct_before))) in ids.iter().zip(&partial.unresolved).enumerate() {
+        for (i, &id) in ids.iter().enumerate() {
             if let Some(&later) = ids.get(i + PREFETCH_AHEAD) {
                 prefetch(&self.slot_of[later as usize]);
             }
@@ -1838,9 +1832,8 @@ impl MergeState {
                 continue;
             }
             let dead_after = self.dead.count() - self.dead.count_below(slot + 1);
-            let live_after = (end - slot - 1 - dead_after) as u64;
-            distances
-                .push(usize::try_from(distinct_before + live_after).expect("distance fits") + 1);
+            let live_after = end - slot - 1 - dead_after;
+            distances.push(i + live_after + 1);
             self.dead.set(slot);
             self.slot_of[id as usize] = NO_SLOT;
             if distances.len() == BLOCK_LEN {

@@ -33,8 +33,14 @@ const SAMPLES: FlagSpec = FlagSpec::value(
 const SHARDS: FlagSpec = FlagSpec::value(
     "--shards",
     "K",
-    "rank shards for checkpointed exhaustive sweeps (default 8)",
+    "rank shards for checkpointed exhaustive sweeps (default 8, at most 4096)",
 );
+/// The most rank shards `--shards` accepts. A plan holds a rank range and
+/// a partial per shard and its checkpoint a line per level of every done
+/// shard (~15.5 KB for a shard of `S_12`), so 4096 shards already make an
+/// `m = 12` checkpoint of ~63 MB; CI and `run_all_experiments --sweep12`
+/// use 7 and 64.
+const SHARD_LIMIT: usize = 4096;
 const MAX_SHARDS: FlagSpec = FlagSpec::value(
     "--max-shards",
     "N",
@@ -112,6 +118,13 @@ pub fn parse_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
     }
     if options.shards == 0 {
         return Err(CliError("--shards must be positive".into()));
+    }
+    if options.shards > SHARD_LIMIT {
+        return Err(CliError(format!(
+            "--shards {} is above the limit of {SHARD_LIMIT} (every shard adds to \
+             the plan and to each checkpoint)",
+            options.shards
+        )));
     }
     if options.max_shards.is_some() && options.checkpoint.is_none() {
         return Err(CliError(
@@ -431,6 +444,16 @@ mod tests {
         assert!(parse_sweep_options(&sargs("5 --stat bogus")).is_err());
         assert!(parse_sweep_options(&sargs("5 --model bogus")).is_err());
         assert!(parse_sweep_options(&sargs("5 --shards 0")).is_err());
+        // The shard count is capped before anything is planned.
+        assert_eq!(
+            parse_sweep_options(&sargs("12 --shards 4096"))
+                .unwrap()
+                .shards,
+            SHARD_LIMIT
+        );
+        let err = parse_sweep_options(&sargs("12 --shards 4097")).unwrap_err();
+        assert!(err.0.contains("limit of 4096"), "{err}");
+        assert!(SWEEP.help().contains(&format!("at most {SHARD_LIMIT}")));
         assert!(parse_sweep_options(&sargs("5 --frobnicate 1")).is_err());
         assert!(parse_sweep_options(&sargs("5 --stat")).is_err());
         assert!(parse_sweep_options(&sargs("5 --samples 100 --stat descents")).is_ok());

@@ -1316,3 +1316,40 @@ fn an_unwritable_trace_checkpoint_fails_the_job_instead_of_hanging() {
     assert_eq!(std::fs::read_to_string(&blocker).unwrap(), "keep");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_oversized_sweep_shard_count_is_rejected_before_planning() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    // Four billion shards of S_12 would plan ~26 GB of rank ranges and
+    // partial slots before the first shard ran; the flag is capped where
+    // it is parsed, so the command fails at once and writes nothing.
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_shards_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("s12.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args(["sweep", "12", "--shards", "4000000000", "--max-shards", "1"])
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn symloc sweep");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll symloc").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("sweep --shards 4000000000 was still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("sweep exits");
+    assert!(!output.status.success(), "an oversized --shards exited 0");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("limit of 4096"), "{stderr}");
+    assert!(!checkpoint.exists(), "a rejected sweep wrote a checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
