@@ -57,9 +57,10 @@
 //!   job's `threads` work.
 //!
 //! A panicking unit halts further claims and its panic propagates out of
-//! the runner; a failed save halts claims, joins the workers and returns
-//! the I/O error with the previous checkpoint untouched. Nothing waits on
-//! a window that can no longer drain.
+//! the runner. A unit that fails, and a save that fails, both halt claims,
+//! join the workers and return the error ([`JobError`]) with the previous
+//! checkpoint untouched: no unit at or after a failed one is absorbed.
+//! Nothing waits on a window that can no longer drain.
 //!
 //! Because units are deterministic and absorption is ordered, resuming a
 //! killed job from its checkpoint reproduces the uninterrupted run
@@ -247,7 +248,13 @@ pub trait Job {
     /// unit index alone (never in which worker ran it, or which units ran
     /// before it on that worker), so results are thread- and
     /// window-invariant.
-    fn run_unit(units: &Self::Units, unit: usize) -> Self::Partial;
+    ///
+    /// # Errors
+    ///
+    /// A unit that cannot run (the trace job's chunk that cannot be read,
+    /// or does not match the trace's sidecar index) returns why; the
+    /// runner then stops the run ([`JobError::Unit`]).
+    fn run_unit(units: &Self::Units, unit: usize) -> Result<Self::Partial, String>;
 
     /// Absorbs one completed unit's partial. The runner calls this in
     /// strict unit order, once per unit.
@@ -278,6 +285,36 @@ pub trait Job {
     }
 }
 
+/// Why a run of a [`Job`] stopped before its last unit. Either way the
+/// runner claimed no unit after the failure, joined its workers, absorbed
+/// nothing at or after the failed unit, and left the last checkpoint it
+/// saved as it was.
+#[derive(Debug)]
+pub enum JobError {
+    /// A unit failed, with its message ([`Job::run_unit`]).
+    Unit(String),
+    /// A checkpoint could not be written.
+    Save(std::io::Error),
+}
+
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::Unit(message) => f.write_str(message),
+            JobError::Save(error) => write!(f, "{error}"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            JobError::Unit(_) => None,
+            JobError::Save(error) => Some(error),
+        }
+    }
+}
+
 /// The generic runner of every [`Job`]: windowed unit scheduling,
 /// checkpointing with streamed atomic saves, progress callbacks, and the
 /// deterministic unit-order merge. Stateless — all state lives in the
@@ -298,9 +335,11 @@ impl JobRunner {
     ///
     /// # Panics
     ///
-    /// Propagates the panic of a unit (or of an absorb).
+    /// Propagates the panic of a unit (or of an absorb), and panics with
+    /// the error of a unit that fails; [`JobRunner::run_pending_metered`]
+    /// returns that error instead.
     pub fn run_pending<J: Job + ?Sized>(job: &mut J, limit: Option<usize>) -> usize {
-        Self::run_pending_metered(job, limit, None)
+        Self::run_pending_metered(job, limit, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`JobRunner::run_pending`] with optional instrumentation: when
@@ -314,6 +353,11 @@ impl JobRunner {
     /// every absorbed partial are identical with and without a registry —
     /// the registry only receives copies of timings and counts.
     ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Unit`] when a unit fails; no unit is claimed
+    /// after it, and the units before it are absorbed.
+    ///
     /// # Panics
     ///
     /// Propagates the panic of a unit (or of an absorb).
@@ -321,8 +365,8 @@ impl JobRunner {
         job: &mut J,
         limit: Option<usize>,
         metrics: Option<&mut MetricsRegistry>,
-    ) -> usize {
-        Self::run(job, limit, metrics, None).expect("a run without a checkpoint saves nothing")
+    ) -> Result<usize, JobError> {
+        Self::run(job, limit, metrics, None)
     }
 
     /// Runs pending units — all of them, or up to `limit` — saving the
@@ -335,8 +379,9 @@ impl JobRunner {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written; no unit is
-    /// claimed after it, and the previous checkpoint stays as it was.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written and
+    /// [`JobError::Unit`] if a unit fails; no unit is claimed after either,
+    /// and the previous checkpoint stays as it was.
     ///
     /// # Panics
     ///
@@ -346,7 +391,7 @@ impl JobRunner {
         path: &Path,
         limit: Option<usize>,
         on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         Self::run_with_checkpoint_metered(job, path, limit, None, on_batch)
     }
 
@@ -359,8 +404,8 @@ impl JobRunner {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written (heartbeat
-    /// sidecar writes are best-effort and never fail the run).
+    /// As [`JobRunner::run_with_checkpoint`] (heartbeat sidecar writes are
+    /// best-effort and never fail the run).
     ///
     /// # Panics
     ///
@@ -371,7 +416,7 @@ impl JobRunner {
         limit: Option<usize>,
         metrics: Option<&mut MetricsRegistry>,
         mut on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         let saves = Saves {
             path,
             every: job.units_per_checkpoint(job.threads().max(1)).max(1),
@@ -384,7 +429,7 @@ impl JobRunner {
         };
         let ran = Self::run(job, limit, metrics, Some(saves))?;
         if ran == 0 {
-            Self::save(job, path)?;
+            Self::save(job, path).map_err(JobError::Save)?;
         }
         if Self::is_complete(job) {
             // The sidecar is live in-flight state; a completed run cleans
@@ -416,7 +461,7 @@ impl JobRunner {
         limit: Option<usize>,
         metrics: Option<&'a mut MetricsRegistry>,
         saves: Option<Saves<'a>>,
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         let threads = job.threads().max(1);
         let window = job.units_per_pass(threads).clamp(1, threads);
         let mut todo = job.pending_units();
@@ -435,9 +480,9 @@ impl JobRunner {
         if window == 1 {
             for &unit in &todo {
                 let span = Span::start();
-                let partial = J::run_unit(&units, unit);
+                let partial = J::run_unit(&units, unit).map_err(JobError::Unit)?;
                 caller.absorb(unit, partial, span.elapsed_nanos());
-                caller.save_if_due()?;
+                caller.save_if_due().map_err(JobError::Save)?;
             }
         } else {
             run_windowed::<J>(&mut caller, &units, &todo, window)?;
@@ -610,9 +655,13 @@ impl Drop for HaltOnDrop<'_> {
 
 /// Why the caller's loop of a windowed run stopped before its last unit.
 enum Stopped {
-    Save(std::io::Error),
+    Failed(JobError),
     WorkersGone,
 }
+
+/// What a worker hands the caller: the unit's position in the run, its
+/// partial or error, and its wall time.
+type Done<P> = (usize, Result<P, String>, u64);
 
 /// Runs `todo` on `window` scoped workers, absorbing (and saving) on the
 /// calling thread in unit order; see the [module docs](self).
@@ -621,20 +670,23 @@ fn run_windowed<J: Job + ?Sized>(
     units: &J::Units,
     todo: &[usize],
     window: usize,
-) -> std::io::Result<()> {
+) -> Result<(), JobError> {
     let claims = Claims::new(window, todo.len());
-    let (done_tx, done_rx) = mpsc::channel::<(usize, J::Partial, u64)>();
+    let (done_tx, done_rx) = mpsc::channel::<Done<J::Partial>>();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..window.min(todo.len()))
             .map(|_| {
                 let done_tx = done_tx.clone();
                 let claims = &claims;
                 scope.spawn(move || {
+                    // A failed unit ends its worker, which halts the claims:
+                    // no unit after it starts.
                     let _halt = HaltOnDrop(claims);
                     while let Some(pos) = claims.claim() {
                         let span = Span::start();
                         let partial = J::run_unit(units, todo[pos]);
-                        if done_tx.send((pos, partial, span.elapsed_nanos())).is_err() {
+                        let failed = partial.is_err();
+                        if done_tx.send((pos, partial, span.elapsed_nanos())).is_err() || failed {
                             break;
                         }
                     }
@@ -653,7 +705,7 @@ fn run_windowed<J: Job + ?Sized>(
         }
         match outcome {
             Ok(()) => Ok(()),
-            Err(Stopped::Save(error)) => Err(error),
+            Err(Stopped::Failed(error)) => Err(error),
             Err(Stopped::WorkersGone) => unreachable!("job workers exited with units unrun"),
         }
     })
@@ -661,16 +713,18 @@ fn run_windowed<J: Job + ?Sized>(
 
 /// The caller's loop of a windowed run: takes each partial in unit order
 /// (parking the ones that arrive early), absorbs it, frees its window slot
-/// and saves when a batch closes.
+/// and saves when a batch closes; stops at the first unit, in unit order,
+/// that failed.
 fn absorb_in_order<J: Job + ?Sized>(
     caller: &mut Caller<'_, J>,
     claims: &Claims,
-    done: &mpsc::Receiver<(usize, J::Partial, u64)>,
+    done: &mpsc::Receiver<Done<J::Partial>>,
     todo: &[usize],
     window: usize,
 ) -> Result<(), Stopped> {
     // Positions in the window are distinct modulo its size.
-    let mut early: Vec<Option<(J::Partial, u64)>> = (0..window).map(|_| None).collect();
+    type Ready<P> = Option<(Result<P, String>, u64)>;
+    let mut early: Vec<Ready<J::Partial>> = (0..window).map(|_| None).collect();
     for (pos, &unit) in todo.iter().enumerate() {
         let (partial, nanos) = loop {
             if let Some(ready) = early[pos % window].take() {
@@ -679,9 +733,12 @@ fn absorb_in_order<J: Job + ?Sized>(
             let (at, partial, nanos) = done.recv().map_err(|_| Stopped::WorkersGone)?;
             early[at % window] = Some((partial, nanos));
         };
+        let partial = partial.map_err(|e| Stopped::Failed(JobError::Unit(e)))?;
         caller.absorb(unit, partial, nanos);
         claims.release();
-        caller.save_if_due().map_err(Stopped::Save)?;
+        caller
+            .save_if_due()
+            .map_err(|e| Stopped::Failed(JobError::Save(e)))?;
     }
     Ok(())
 }
@@ -1306,13 +1363,16 @@ mod tests {
     struct Probe {
         open: AtomicUsize,
         high_water: AtomicUsize,
+        /// One past the highest unit started.
+        furthest: AtomicUsize,
     }
 
     /// A miniature job: unit `i` contributes `i + 1`; state is the running
     /// sum plus the completion bitmap. Exercises the runner's scheduling,
     /// ordering and checkpoint loop without the heavyweight pipelines. Its
-    /// variants sleep in every unit (so units overlap), panic in one unit,
-    /// or fail to write their checkpoint once enough units completed.
+    /// variants sleep in every unit (so units overlap), panic or fail in
+    /// one unit, or fail to write their checkpoint once enough units
+    /// completed.
     struct ToyJob {
         done: Vec<bool>,
         sum: u64,
@@ -1324,6 +1384,7 @@ mod tests {
         probe: Arc<Probe>,
         work: Duration,
         panic_at: Option<usize>,
+        fail_at: Option<usize>,
         /// The checkpoint writer fails (after the header) from this many
         /// completed units on.
         fail_writes_from: Option<usize>,
@@ -1341,6 +1402,7 @@ mod tests {
                 probe: Arc::default(),
                 work: Duration::ZERO,
                 panic_at: None,
+                fail_at: None,
                 fail_writes_from: None,
             }
         }
@@ -1355,6 +1417,7 @@ mod tests {
         probe: Arc<Probe>,
         work: Duration,
         panic_at: Option<usize>,
+        fail_at: Option<usize>,
     }
 
     impl Job for ToyJob {
@@ -1389,14 +1452,19 @@ mod tests {
                 probe: Arc::clone(&self.probe),
                 work: self.work,
                 panic_at: self.panic_at,
+                fail_at: self.fail_at,
             }
         }
-        fn run_unit(units: &ToyUnits, unit: usize) -> u64 {
+        fn run_unit(units: &ToyUnits, unit: usize) -> Result<u64, String> {
             let open = units.probe.open.fetch_add(1, Ordering::SeqCst) + 1;
             units.probe.high_water.fetch_max(open, Ordering::SeqCst);
+            units.probe.furthest.fetch_max(unit + 1, Ordering::SeqCst);
             assert!(units.panic_at != Some(unit), "toy unit {unit} panics");
             std::thread::sleep(units.work);
-            unit as u64 + 1
+            if units.fail_at == Some(unit) {
+                return Err(format!("toy unit {unit} fails"));
+            }
+            Ok(unit as u64 + 1)
         }
         fn absorb(&mut self, unit: usize, partial: u64) {
             assert!(!self.done[unit], "unit {unit} absorbed twice");
@@ -1442,6 +1510,24 @@ mod tests {
             .join()
             .expect("the watchdog thread catches every panic");
         outcome
+    }
+
+    /// The I/O error of a run stopped by a failed save.
+    fn save_error(error: JobError) -> std::io::Error {
+        match error {
+            JobError::Save(error) => error,
+            JobError::Unit(message) => panic!("a unit failed: {message}"),
+        }
+    }
+
+    /// The file names in `dir`, sorted.
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     /// A fresh, empty directory under the temp dir for one test case.
@@ -1501,7 +1587,7 @@ mod tests {
                         std::fs::remove_dir_all(&dir).ok();
                         ran
                     } else {
-                        JobRunner::run_pending_metered(&mut job, None, Some(&mut reg))
+                        JobRunner::run_pending_metered(&mut job, None, Some(&mut reg)).unwrap()
                     };
                     let at = format!("threads {threads} per_pass {per_pass} saves {checkpointed}");
                     assert_eq!(ran, 12, "{at}");
@@ -1565,7 +1651,7 @@ mod tests {
                     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
                 })
                 .unwrap_err();
-                (job.completed_count(), error)
+                (job.completed_count(), save_error(error))
             })
             .unwrap();
             assert_eq!(error.kind(), std::io::ErrorKind::NotFound, "{at}: {error}");
@@ -1588,7 +1674,7 @@ mod tests {
                         first.get_or_insert_with(|| std::fs::read(&path).unwrap());
                     })
                     .unwrap_err();
-                    (first.unwrap(), job.completed_count(), error)
+                    (first.unwrap(), job.completed_count(), save_error(error))
                 }
             })
             .unwrap();
@@ -1598,13 +1684,84 @@ mod tests {
             );
             assert_eq!(completed, 4, "{at}");
             assert_eq!(std::fs::read(&path).unwrap(), first, "{at}");
-            let mut names: Vec<String> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-                .collect();
-            names.sort();
-            assert_eq!(names, ["ck.json", "ck.json.hb"], "{at}");
+            assert_eq!(names_in(&dir), ["ck.json", "ck.json.hb"], "{at}");
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_unit_stops_claims_joins_the_workers_and_returns_the_error() {
+        for threads in 1..=4 {
+            for per_pass in [1, usize::MAX] {
+                for fail_at in [0, 5, 11] {
+                    let at = format!("threads {threads} per_pass {per_pass} fail_at {fail_at}");
+                    let toy = move || {
+                        let mut job = ToyJob::new(12, threads);
+                        job.per_pass = per_pass;
+                        job.per_checkpoint = 2;
+                        job.work = Duration::from_millis(1);
+                        job.fail_at = Some(fail_at);
+                        job
+                    };
+                    let message = format!("toy unit {fail_at} fails");
+                    let window = toy().window();
+                    let stopped = |job: &ToyJob, error: JobError| {
+                        assert!(
+                            matches!(&error, JobError::Unit(m) if *m == message),
+                            "{at}: {error}"
+                        );
+                        assert_eq!(
+                            job.completed_count(),
+                            fail_at,
+                            "{at}: absorbs stop before it"
+                        );
+                        let furthest = job.probe.furthest.load(Ordering::SeqCst);
+                        assert!(
+                            furthest <= fail_at + window,
+                            "{at}: unit {} started past the window",
+                            furthest - 1
+                        );
+                    };
+
+                    // Without a checkpoint: the run returns the error.
+                    let (job, error) = within_a_minute(&at, move || {
+                        let mut job = toy();
+                        let error =
+                            JobRunner::run_pending_metered(&mut job, None, None).unwrap_err();
+                        (job, error)
+                    })
+                    .unwrap();
+                    stopped(&job, error);
+
+                    // With one: the last save stays byte for byte, and no
+                    // temp file is left.
+                    let dir = toy_dir(&format!("failed_unit_{threads}_{per_pass}_{fail_at}"));
+                    let path = dir.join("ck.json");
+                    let (job, error, saved) = within_a_minute(&at, {
+                        let path = path.clone();
+                        move || {
+                            let mut job = toy();
+                            let mut saved = None;
+                            let error =
+                                JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {
+                                    saved = Some(std::fs::read(&path).unwrap());
+                                })
+                                .unwrap_err();
+                            (job, error, saved)
+                        }
+                    })
+                    .unwrap();
+                    stopped(&job, error);
+                    match saved {
+                        Some(saved) => {
+                            assert_eq!(std::fs::read(&path).unwrap(), saved, "{at}");
+                            assert_eq!(names_in(&dir), ["ck.json", "ck.json.hb"], "{at}");
+                        }
+                        None => assert!(names_in(&dir).is_empty(), "{at}"),
+                    }
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+            }
         }
     }
 
@@ -1647,7 +1804,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         assert_eq!(JobRunner::run_pending(&mut plain, None), 9);
         assert_eq!(
-            JobRunner::run_pending_metered(&mut metered, None, Some(&mut reg)),
+            JobRunner::run_pending_metered(&mut metered, None, Some(&mut reg)).unwrap(),
             9
         );
         assert_eq!(plain.to_json(), metered.to_json());

@@ -34,7 +34,7 @@
 //! ```
 
 use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
-use crate::job::{self, Job, JobKind, JobRunner};
+use crate::job::{self, Job, JobError, JobKind, JobRunner};
 use crate::jsonio::{JsonValue, StagingWriter};
 use crate::model::CacheModel;
 use std::fmt::{self, Write as _};
@@ -134,11 +134,15 @@ impl ShardedSweep {
 
     /// [`Self::run_pending`] with optional instrumentation — identical
     /// execution and results; the registry only observes.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: sweep units do not fail ([`JobError`]).
     pub fn run_pending_metered(
         &mut self,
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
+    ) -> Result<usize, JobError> {
         JobRunner::run_pending_metered(self, limit, metrics)
     }
 
@@ -160,13 +164,13 @@ impl ShardedSweep {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written.
     pub fn run_with_checkpoint(
         &mut self,
         path: &Path,
         limit: Option<usize>,
         on_shard: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint(self, path, limit, on_shard)
     }
 
@@ -176,14 +180,14 @@ impl ShardedSweep {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written.
     pub fn run_with_checkpoint_metered(
         &mut self,
         path: &Path,
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
         on_shard: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint_metered(self, path, limit, metrics, on_shard)
     }
 
@@ -433,10 +437,12 @@ impl Job for ShardedSweep {
         }
     }
 
-    fn run_unit(units: &ShardUnits, unit: usize) -> Vec<SweepLevel> {
-        units
-            .engine
-            .sweep_rank_range(units.spec.statistic, units.spec.model, units.shards[unit])
+    fn run_unit(units: &ShardUnits, unit: usize) -> Result<Vec<SweepLevel>, String> {
+        Ok(units.engine.sweep_rank_range(
+            units.spec.statistic,
+            units.spec.model,
+            units.shards[unit],
+        ))
     }
 
     fn absorb(&mut self, unit: usize, partial: Vec<SweepLevel>) {
@@ -600,11 +606,15 @@ impl SampledSweep {
 
     /// [`Self::run_pending`] with optional instrumentation — identical
     /// execution and results; the registry only observes.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: sweep units do not fail ([`JobError`]).
     pub fn run_pending_metered(
         &mut self,
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
+    ) -> Result<usize, JobError> {
         JobRunner::run_pending_metered(self, limit, metrics)
     }
 
@@ -616,13 +626,13 @@ impl SampledSweep {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written.
     pub fn run_with_checkpoint(
         &mut self,
         path: &Path,
         limit: Option<usize>,
         on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint(self, path, limit, on_batch)
     }
 
@@ -632,14 +642,14 @@ impl SampledSweep {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written.
     pub fn run_with_checkpoint_metered(
         &mut self,
         path: &Path,
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
         on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint_metered(self, path, limit, metrics, on_batch)
     }
 
@@ -855,14 +865,14 @@ impl Job for SampledSweep {
         }
     }
 
-    fn run_unit(units: &LevelUnits, unit: usize) -> SweepLevel {
-        units.engine.sampled_level(
+    fn run_unit(units: &LevelUnits, unit: usize) -> Result<SweepLevel, String> {
+        Ok(units.engine.sampled_level(
             units.spec.statistic,
             units.spec.model,
             unit,
             units.draws[unit],
             units.seed,
-        )
+        ))
     }
 
     fn absorb(&mut self, unit: usize, partial: SweepLevel) {

@@ -62,7 +62,7 @@
 //! assert_eq!(engine.histogram().count_at(3), 3);
 //! ```
 
-use crate::job::{self, Job, JobKind, JobRunner};
+use crate::job::{self, Job, JobError, JobKind, JobRunner};
 use crate::jsonio::{JsonValue, StagingWriter};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::Write as _;
@@ -70,8 +70,9 @@ use std::path::Path;
 use std::sync::Mutex;
 use symloc_par::{split_indices, split_prefix_len};
 use symloc_perm::fenwick::{Fenwick, SlotCounter};
+use symloc_trace::io::TraceIoError;
 use symloc_trace::stream::{
-    AccessSink, BlockCursor, BlockRead, CountingSink, TraceSource, BLOCK_LEN,
+    AccessSink, BlockCursor, BlockRead, CountingSink, ReadPlan, TraceSource, BLOCK_LEN,
 };
 
 /// Smallest slot capacity a timeline starts with (kept low so the
@@ -2134,8 +2135,9 @@ pub struct FusedChunkPartial {
 ///
 /// # Panics
 ///
-/// Panics if `shard_count == 0`, or on the block reader's deferred I/O
-/// errors (callers validate sources with `total_accesses` first).
+/// Panics if `shard_count == 0`, or with the error the block reader
+/// returns ([`BlockRead::try_next_block`]); the trace job's own chunk
+/// units return it instead.
 #[must_use]
 pub fn fused_chunk_partial(
     blocks: &mut dyn BlockRead,
@@ -2143,25 +2145,29 @@ pub fn fused_chunk_partial(
     sink: &mut dyn AccessSink,
 ) -> FusedChunkPartial {
     assert!(shard_count > 0, "at least one hash shard is required");
-    fold_chunk(blocks, true, shard_count, sink)
+    fold_chunk(blocks, true, shard_count, sink).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`fused_chunk_partial`] for any combination of halves: `exact` folds
 /// the exact partial through [`OnlineReuseEngine::record_block`],
 /// `shard_count > 0` routes to that many hash shards; a half that is off
 /// costs nothing per access.
+///
+/// # Errors
+///
+/// Returns the block reader's error.
 fn fold_chunk(
     blocks: &mut dyn BlockRead,
     exact: bool,
     shard_count: usize,
     sink: &mut dyn AccessSink,
-) -> FusedChunkPartial {
+) -> Result<FusedChunkPartial, TraceIoError> {
     let mut engine = exact.then(OnlineReuseEngine::new);
     let mut routed = vec![Vec::new(); shard_count];
     let count = shard_count as u64;
     let mut streamed = 0u64;
     let mut buf = Vec::new();
-    while blocks.next_block(&mut buf) > 0 {
+    while blocks.try_next_block(&mut buf)? > 0 {
         sink.on_block(&buf);
         streamed += buf.len() as u64;
         if let Some(engine) = engine.as_mut() {
@@ -2173,11 +2179,11 @@ fn fold_chunk(
             }
         }
     }
-    FusedChunkPartial {
+    Ok(FusedChunkPartial {
         exact: engine.map_or_else(ChunkPartial::default, OnlineReuseEngine::into_chunk_partial),
         routed,
         streamed,
-    }
+    })
 }
 
 /// Appends `addr` to the buffer of the hash shard that owns it.
@@ -2187,11 +2193,12 @@ fn route(routed: &mut [Vec<u64>], count: u64, addr: u64) {
     routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
 }
 
-/// The source's length, validating the source on the way.
-fn scan_length(source: &TraceSource) -> Result<u64, String> {
+/// The access count a job of `source` plans with
+/// ([`TraceSource::planned_accesses`]).
+fn planned_length(source: &TraceSource) -> Result<u64, String> {
     source
-        .total_accesses()
-        .map_err(|e| format!("cannot scan {source}: {e}"))
+        .planned_accesses()
+        .map_err(|e| format!("cannot read {source}: {e}"))
 }
 
 /// The trace job: one chunk-sharded streaming pass over a source that
@@ -2260,8 +2267,10 @@ impl FusedIngest {
         )
     }
 
-    /// Plans a job of `source` computing what `plan` asks for. Scans the
-    /// source once to learn (and validate) its length.
+    /// Plans a job of `source` computing what `plan` asks for, at the
+    /// access count [`TraceSource::planned_accesses`] gives: an indexed
+    /// file's is its sidecar's, read without decoding the file, and the
+    /// job's chunks check the file against it as they decode.
     ///
     /// # Errors
     ///
@@ -2272,7 +2281,7 @@ impl FusedIngest {
     /// Panics if the plan has no chunks, no half switched on, or a sampled
     /// half with a zero budget.
     pub fn planned(source: &TraceSource, plan: TracePlan, threads: usize) -> Result<Self, String> {
-        let total = scan_length(source)?;
+        let total = planned_length(source)?;
         let plan = plan.for_length(total).unwrap_or_else(|e| panic!("{e}"));
         Ok(Self::fresh(source.fingerprint(), total, plan, threads))
     }
@@ -2445,8 +2454,9 @@ impl FusedIngest {
     ///
     /// # Panics
     ///
-    /// Panics if the source no longer matches the job's fingerprint, or if
-    /// it fails to stream (sources are validated on construction).
+    /// Panics if the source no longer matches the job's fingerprint, or
+    /// with the error of a chunk that cannot be read or does not match the
+    /// source's sidecar; [`Self::run_pending_metered`] returns that error.
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
         JobRunner::run_pending(&mut self.bind(source), limit)
     }
@@ -2454,16 +2464,21 @@ impl FusedIngest {
     /// [`Self::run_pending`] with optional instrumentation — identical
     /// execution and results; the registry only observes.
     ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Unit`] with the error of a chunk that cannot be
+    /// read or does not match the source's sidecar; the chunks before it
+    /// are absorbed, and none after it.
+    ///
     /// # Panics
     ///
-    /// Panics if the source no longer matches the job's fingerprint, or if
-    /// it fails to stream (sources are validated on construction).
+    /// Panics if the source no longer matches the job's fingerprint.
     pub fn run_pending_metered(
         &mut self,
         source: &TraceSource,
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
+    ) -> Result<usize, JobError> {
         JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
     }
 
@@ -2476,14 +2491,17 @@ impl FusedIngest {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// Returns [`JobError::Save`] if a checkpoint cannot be written, and
+    /// [`JobError::Unit`] with the error of a chunk that cannot be read or
+    /// does not match the source's sidecar; either way the previous
+    /// checkpoint stays as it was.
     pub fn run_with_checkpoint(
         &mut self,
         source: &TraceSource,
         path: &Path,
         limit: Option<usize>,
         on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
     }
 
@@ -2493,7 +2511,7 @@ impl FusedIngest {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if a checkpoint cannot be written.
+    /// As [`FusedIngest::run_with_checkpoint`].
     pub fn run_with_checkpoint_metered(
         &mut self,
         source: &TraceSource,
@@ -2501,7 +2519,7 @@ impl FusedIngest {
         limit: Option<usize>,
         metrics: Option<&mut crate::obs::MetricsRegistry>,
         on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    ) -> Result<usize, JobError> {
         JobRunner::run_with_checkpoint_metered(
             &mut self.bind(source),
             path,
@@ -2698,16 +2716,22 @@ impl FusedIngest {
     /// are part of the plan). Returns the job and whether progress was
     /// actually resumed.
     ///
-    /// The source is always re-scanned: a checkpoint only resumes when its
-    /// fingerprint, its plan *and* its recorded access count all match the
-    /// source as it exists now. File fingerprints are path-based, so the
-    /// length check is what catches a file that was truncated, appended to
-    /// or replaced between runs (an equal-length content swap is not
-    /// detectable without hashing every resume).
+    /// The source's access count is always read again
+    /// ([`TraceSource::planned_accesses`]): a checkpoint only resumes when
+    /// its fingerprint, its plan *and* its recorded access count all match
+    /// the source as it exists now. File fingerprints are path-based, so
+    /// the count is what catches a file that was truncated, appended to or
+    /// replaced between runs; an indexed file's count is its sidecar's, and
+    /// the chunks then check the file against the sidecar as they decode
+    /// (an equal-length content swap is not detectable without hashing
+    /// every resume). Before a fresh plan replaces a checkpoint of the same
+    /// source that recorded another count, the source is scanned in full
+    /// ([`TraceSource::total_accesses`]), so a sidecar whose count is wrong
+    /// fails the run instead of discarding the progress.
     ///
     /// # Errors
     ///
-    /// Returns the source scan error, or a loud error when the file holds
+    /// Returns the source's read error, or a loud error when the file holds
     /// a checkpoint of a *different* or retired job kind (see
     /// [`crate::job::resume_or_new_with`]).
     ///
@@ -2720,14 +2744,16 @@ impl FusedIngest {
         threads: usize,
         path: &Path,
     ) -> Result<(FusedIngest, bool), String> {
-        let total = scan_length(source)?;
+        let total = planned_length(source)?;
         let plan = plan.for_length(total).unwrap_or_else(|e| panic!("{e}"));
         let fingerprint = source.fingerprint();
-        job::resume_or_new_with(
+        let other_count = std::cell::Cell::new(false);
+        let (job, resumed) = job::resume_or_new_with(
             path,
             JobKind::FusedIngest,
             |text| FusedIngest::from_json(text, threads),
             |ingest| {
+                other_count.set(ingest.fingerprint == fingerprint && ingest.total != total);
                 ingest.fingerprint == fingerprint
                     && ingest.total == total
                     && ingest.plan == plan
@@ -2735,7 +2761,17 @@ impl FusedIngest {
             },
             FusedIngest::completed_count,
             || Self::fresh(fingerprint.clone(), total, plan, threads),
-        )
+        )?;
+        // A fresh plan is about to replace a checkpoint of this source that
+        // recorded another count. An indexed file's count is its sidecar's
+        // alone, so confirm it by a full scan first, which fails while the
+        // sidecar does not describe the file, before the progress goes.
+        if other_count.get() {
+            source
+                .total_accesses()
+                .map_err(|e| format!("cannot read {source}: {e}"))?;
+        }
+        Ok((job, resumed))
     }
 }
 
@@ -2751,14 +2787,19 @@ struct FusedIngestJob<'a> {
 }
 
 /// The read-only unit plan of a trace job run: the chunk bounds, the
-/// halves, the source, and the pool of parked readers.
+/// halves, the source and how the run reads it, and the pool of parked
+/// readers.
 struct ChunkUnits<'a> {
     bounds: Vec<(u64, u64)>,
     plan: TracePlan,
     source: &'a TraceSource,
-    /// For a source that does not seek ([`TraceSource::seeks`]): open
-    /// readers parked where their last chunk ended, so a chunk continues
-    /// the furthest one not past its start instead of decoding the trace
+    /// The run's read plan: the job's access count and the source's
+    /// sidecar, read once for the run. Every chunk reader checks what it
+    /// decodes against it.
+    reads: ReadPlan,
+    /// For a source that does not seek ([`ReadPlan::seeks`]): open readers
+    /// parked where their last chunk ended, so a chunk continues the
+    /// furthest one not past its start instead of decoding the trace
     /// prefix again. Each worker then decodes the trace about once.
     readers: Option<Mutex<Vec<BlockCursor>>>,
 }
@@ -2766,13 +2807,20 @@ struct ChunkUnits<'a> {
 impl ChunkUnits<'_> {
     /// Folds the accesses `start..end` — from a seek, or from the furthest
     /// parked reader not past `start` (a new one when none is).
-    fn fold_range(&self, start: u64, end: u64, sink: &mut dyn AccessSink) -> FusedChunkPartial {
+    ///
+    /// # Errors
+    ///
+    /// Returns the reader's error: the chunk could not be read, or does not
+    /// match the run's read plan.
+    fn fold_range(
+        &self,
+        start: u64,
+        end: u64,
+        sink: &mut dyn AccessSink,
+    ) -> Result<FusedChunkPartial, TraceIoError> {
         let plan = self.plan;
         let Some(readers) = &self.readers else {
-            let mut blocks = self
-                .source
-                .stream_blocks_range(start, end)
-                .expect("validated source streams");
+            let mut blocks = self.source.read_blocks(&self.reads, start, end)?;
             return fold_chunk(blocks.as_mut(), plan.exact, plan.shards, sink);
         };
         let parked = {
@@ -2782,13 +2830,17 @@ impl ChunkUnits<'_> {
                 .max_by_key(|&i| parked[i].position());
             best.map(|i| parked.swap_remove(i))
         };
-        let mut cursor = parked.unwrap_or_else(|| {
-            BlockCursor::open(self.source, start).expect("validated source streams")
-        });
-        cursor.skip_to(start);
-        let partial = fold_chunk(&mut cursor.take(end - start), plan.exact, plan.shards, sink);
+        let mut cursor = match parked {
+            Some(cursor) => cursor,
+            None => {
+                let to_end = self.reads.total().unwrap_or(u64::MAX);
+                BlockCursor::new(self.source.read_blocks(&self.reads, start, to_end)?, start)
+            }
+        };
+        cursor.skip_to(start)?;
+        let partial = fold_chunk(&mut cursor.take(end - start), plan.exact, plan.shards, sink)?;
         readers.lock().expect("reader pool lock").push(cursor);
-        partial
+        Ok(partial)
     }
 }
 
@@ -2829,30 +2881,35 @@ impl<'a> Job for FusedIngestJob<'a> {
     }
 
     fn units(&self) -> ChunkUnits<'a> {
+        let reads = ReadPlan::planned(self.source, self.ingest.total);
         ChunkUnits {
             bounds: self.ingest.chunk_bounds(),
             plan: self.ingest.plan,
             source: self.source,
-            readers: (!self.source.seeks()).then(|| Mutex::new(Vec::new())),
+            readers: (!reads.seeks()).then(|| Mutex::new(Vec::new())),
+            reads,
         }
     }
 
     /// Workers decode and fold chunks in parallel over the block-streaming
-    /// path — `.sltr` sources seek via the SLIX sidecar — each chunk
-    /// streamed exactly once (a [`CountingSink`] rides along and
+    /// path — indexed files seek via the SLIX sidecar, and check it — each
+    /// chunk streamed exactly once (a [`CountingSink`] rides along and
     /// cross-checks the single-pass counter), while
     /// [`FusedIngestJob::absorb`] keeps both merges sequential and in
-    /// chunk order.
-    fn run_unit(units: &ChunkUnits<'a>, unit: usize) -> FusedChunkPartial {
+    /// chunk order. A chunk that fails its reader's checks returns the
+    /// error instead of a partial, so it is never absorbed.
+    fn run_unit(units: &ChunkUnits<'a>, unit: usize) -> Result<FusedChunkPartial, String> {
         let (start, end) = units.bounds[unit];
         let mut tap = CountingSink::new();
-        let partial = units.fold_range(start, end, &mut tap);
+        let partial = units
+            .fold_range(start, end, &mut tap)
+            .map_err(|e| e.to_string())?;
         debug_assert_eq!(
             tap.accesses(),
             partial.streamed,
             "the broadcast tap observes every access exactly once"
         );
-        partial
+        Ok(partial)
     }
 
     fn absorb(&mut self, unit: usize, partial: FusedChunkPartial) {
@@ -3379,7 +3436,8 @@ mod tests {
         let spec = "gen:zipf:150:2500:0.9:13";
         let source = gen(spec);
         let memory = TraceSource::Memory(GenSpec::parse(spec).unwrap().materialize());
-        assert!(!source.seeks() && memory.seeks());
+        let seeks = |source: &TraceSource| ReadPlan::whole(source).unwrap().seeks();
+        assert!(!seeks(&source) && seeks(&memory));
         for plan in [
             TracePlan::exact(7),
             TracePlan::sampled(7, 3, 16),
@@ -3649,11 +3707,11 @@ mod tests {
         assert_eq!(partial.routed, replayed);
         // A half that is off leaves its side of the partial empty.
         let mut blocks = source.stream_blocks_range(0, addrs.len() as u64).unwrap();
-        let routed_only = fold_chunk(blocks.as_mut(), false, 3, &mut CountingSink::new());
+        let routed_only = fold_chunk(blocks.as_mut(), false, 3, &mut CountingSink::new()).unwrap();
         assert_eq!(routed_only.exact, ChunkPartial::default());
         assert_eq!(routed_only.routed, replayed);
         let mut blocks = source.stream_blocks_range(0, addrs.len() as u64).unwrap();
-        let exact_only = fold_chunk(blocks.as_mut(), true, 0, &mut CountingSink::new());
+        let exact_only = fold_chunk(blocks.as_mut(), true, 0, &mut CountingSink::new()).unwrap();
         assert_eq!(exact_only.exact, partial.exact);
         assert!(exact_only.routed.is_empty());
     }

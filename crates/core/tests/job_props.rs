@@ -67,7 +67,9 @@ fn metered_trace_job_is_byte_identical(
 
     let mut metered = FusedIngest::planned(&source, plan, threads).unwrap();
     let mut registry = MetricsRegistry::new();
-    metered.run_pending_metered(&source, None, Some(&mut registry));
+    metered
+        .run_pending_metered(&source, None, Some(&mut registry))
+        .unwrap();
     prop_assert_eq!(&metered.to_json(), &reference_json);
     assert_metering_observed(&registry, total as u64);
 
@@ -76,11 +78,15 @@ fn metered_trace_job_is_byte_identical(
     plain.run_pending(&source, Some(kill_at));
     let mut interrupted = FusedIngest::planned(&source, plan, threads).unwrap();
     let mut registry = MetricsRegistry::new();
-    interrupted.run_pending_metered(&source, Some(kill_at), Some(&mut registry));
+    interrupted
+        .run_pending_metered(&source, Some(kill_at), Some(&mut registry))
+        .unwrap();
     let checkpoint = interrupted.to_json();
     prop_assert_eq!(&checkpoint, &plain.to_json());
     let mut resumed = FusedIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
-    resumed.run_pending_metered(&source, None, Some(&mut MetricsRegistry::new()));
+    resumed
+        .run_pending_metered(&source, None, Some(&mut MetricsRegistry::new()))
+        .unwrap();
     prop_assert_eq!(&resumed.to_json(), &reference_json);
     Ok(())
 }
@@ -242,7 +248,7 @@ proptest! {
 
         let mut metered = ShardedSweep::new(spec, shards, threads);
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(None, Some(&mut registry));
+        metered.run_pending_metered(None, Some(&mut registry)).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, reference.shard_count() as u64);
 
@@ -251,12 +257,12 @@ proptest! {
             plain.run_pending(Some(kill_at));
             let mut interrupted = ShardedSweep::new(spec, shards, threads);
             let mut registry = MetricsRegistry::new();
-            interrupted.run_pending_metered(Some(kill_at), Some(&mut registry));
+            interrupted.run_pending_metered(Some(kill_at), Some(&mut registry)).unwrap();
             let checkpoint = interrupted.to_json();
             prop_assert_eq!(&checkpoint, &plain.to_json(), "kill at shard {}", kill_at);
             let mut resumed = ShardedSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
             let mut resume_registry = MetricsRegistry::new();
-            resumed.run_pending_metered(None, Some(&mut resume_registry));
+            resumed.run_pending_metered(None, Some(&mut resume_registry)).unwrap();
             prop_assert_eq!(&resumed.to_json(), &reference_json, "kill at shard {}", kill_at);
             assert_metering_observed(
                 &resume_registry,
@@ -284,7 +290,7 @@ proptest! {
 
         let mut metered = SampledSweep::new(spec, budget, 2, seed, threads);
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(None, Some(&mut registry));
+        metered.run_pending_metered(None, Some(&mut registry)).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, levels as u64);
 
@@ -293,11 +299,11 @@ proptest! {
         plain.run_pending(Some(kill_at));
         let mut interrupted = SampledSweep::new(spec, budget, 2, seed, threads);
         let mut registry = MetricsRegistry::new();
-        interrupted.run_pending_metered(Some(kill_at), Some(&mut registry));
+        interrupted.run_pending_metered(Some(kill_at), Some(&mut registry)).unwrap();
         let checkpoint = interrupted.to_json();
         prop_assert_eq!(&checkpoint, &plain.to_json());
         let mut resumed = SampledSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
-        resumed.run_pending_metered(None, Some(&mut MetricsRegistry::new()));
+        resumed.run_pending_metered(None, Some(&mut MetricsRegistry::new())).unwrap();
         prop_assert_eq!(&resumed.to_json(), &reference_json);
     }
 

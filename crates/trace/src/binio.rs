@@ -24,8 +24,10 @@
 //! decoding `k` varints; the optional **sidecar chunk index**
 //! ([`SltrIndex`], stored at [`sltr_index_path`]) records the payload byte
 //! offset of every `interval`-th access so range reads *seek* to within
-//! `interval` accesses of their start instead. The `.sltr` file itself is
-//! unchanged — version-1 readers ignore the sidecar entirely.
+//! `interval` accesses of their start instead; the block readers check
+//! every offset they pass against the bytes they decode
+//! ([`crate::stream::ReadPlan`]). The `.sltr` file itself is unchanged —
+//! version-1 readers ignore the sidecar entirely.
 //!
 //! Round-tripping through [`crate::io`]'s text format is pinned by tests
 //! (`read_sltr(write_sltr(t)) == read_trace_from_str(write_trace_to_string(t))`).
@@ -435,9 +437,10 @@ impl SltrIndex {
         Ok(())
     }
 
-    /// The cheap applicability check at streaming time: the payload byte
-    /// length alone (counting accesses would cost the full decode the index
-    /// exists to avoid).
+    /// The check a job plans by: the payload byte length alone (counting
+    /// accesses would cost the full decode the index exists to avoid). The
+    /// readers then check every offset they pass and the access count
+    /// during their one decode pass.
     ///
     /// # Errors
     ///
@@ -446,12 +449,25 @@ impl SltrIndex {
         if self.payload_len != payload_len {
             return Err(SltrError::IndexStale {
                 reason: format!(
-                    "index describes a {}-byte payload, file has {} bytes",
+                    "index describes a {}-byte payload, file has {} bytes \
+                     (re-run `symloc trace convert` or `symloc trace index` to refresh it)",
                     self.payload_len, payload_len
                 ),
             });
         }
         Ok(())
+    }
+
+    /// The payload byte offset the index records for access `point`, when
+    /// `point` is a positive multiple of the interval it holds an entry
+    /// for.
+    #[must_use]
+    pub fn offset_of(&self, point: u64) -> Option<u64> {
+        if point == 0 || !point.is_multiple_of(self.interval) {
+            return None;
+        }
+        let entry = usize::try_from(point / self.interval - 1).ok()?;
+        self.offsets.get(entry).copied()
     }
 }
 
@@ -621,6 +637,27 @@ impl<W: Write> SltrWriter<W> {
     }
 }
 
+/// Reads the 5-byte `.sltr` header from `input` and checks its magic and
+/// version.
+///
+/// # Errors
+///
+/// Returns [`SltrError::BadMagic`] / [`SltrError::BadVersion`] on a
+/// foreign or future file, or the underlying I/O error.
+pub(crate) fn read_sltr_header<R: Read>(input: &mut R) -> Result<(), SltrError> {
+    let mut magic = [0u8; 4];
+    input.read_exact(&mut magic)?;
+    if magic != SLTR_MAGIC {
+        return Err(SltrError::BadMagic { found: magic });
+    }
+    let mut version = [0u8; 1];
+    input.read_exact(&mut version)?;
+    if version[0] != SLTR_VERSION {
+        return Err(SltrError::BadVersion { found: version[0] });
+    }
+    Ok(())
+}
+
 /// A streaming `.sltr` reader over any [`Read`]: an iterator of addresses.
 ///
 /// The header is validated on construction; each `next` decodes one varint.
@@ -648,16 +685,7 @@ impl<R: Read> SltrReader<R> {
     /// foreign or future file, or the underlying I/O error.
     pub fn new(inner: R) -> Result<Self, SltrError> {
         let mut input = BufReader::new(inner);
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if magic != SLTR_MAGIC {
-            return Err(SltrError::BadMagic { found: magic });
-        }
-        let mut version = [0u8; 1];
-        input.read_exact(&mut version)?;
-        if version[0] != SLTR_VERSION {
-            return Err(SltrError::BadVersion { found: version[0] });
-        }
+        read_sltr_header(&mut input)?;
         Ok(SltrReader {
             input,
             decoded: 0,
@@ -733,24 +761,41 @@ impl<R: Read> SltrReader<R> {
     /// iterator, any error is terminal: later calls return `Ok(0)`.
     pub fn decode_block(&mut self, out: &mut Vec<u64>, max: usize) -> Result<usize, SltrError> {
         out.clear();
+        self.decode_onto(out, max)
+    }
+
+    /// [`SltrReader::decode_block`] without clearing `out`: appends up to
+    /// `max` accesses and returns how many it appended, with the same
+    /// deferral of an error that follows appended accesses.
+    ///
+    /// # Errors
+    ///
+    /// As [`SltrReader::decode_block`].
+    pub(crate) fn decode_onto(
+        &mut self,
+        out: &mut Vec<u64>,
+        max: usize,
+    ) -> Result<usize, SltrError> {
         if let Some(e) = self.pending.take() {
             return Err(e);
         }
         if self.failed {
             return Ok(0);
         }
-        while out.len() < max {
+        let first = out.len();
+        let end = first.saturating_add(max);
+        while out.len() < end {
             let buf = match self.input.fill_buf() {
                 Ok(buf) => buf,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return self.block_error(out, SltrError::Io(e)),
+                Err(e) => return self.block_error(out.len() - first, SltrError::Io(e)),
             };
             if buf.is_empty() {
                 break; // clean end of payload at an access boundary
             }
             let mut pos = 0usize;
             let mut overflow = false;
-            while out.len() < max {
+            while out.len() < end {
                 match step_varint(&buf[pos..]) {
                     VarintStep::Done { value, len } => {
                         pos += len;
@@ -768,7 +813,7 @@ impl<R: Read> SltrReader<R> {
             self.input.consume(pos);
             if overflow {
                 let access = self.decoded;
-                return self.block_error(out, SltrError::Overflow { access });
+                return self.block_error(out.len() - first, SltrError::Overflow { access });
             }
             if pos == 0 {
                 // The buffered bytes end inside a varint: either it spans
@@ -777,22 +822,22 @@ impl<R: Read> SltrReader<R> {
                 match self.next_varint() {
                     Ok(Some(value)) => out.push(value),
                     Ok(None) => break,
-                    Err(e) => return self.block_error(out, e),
+                    Err(e) => return self.block_error(out.len() - first, e),
                 }
             }
         }
-        Ok(out.len())
+        Ok(out.len() - first)
     }
 
     /// Marks the reader failed and routes a mid-block error: reported now
-    /// if the block is empty, deferred to the next call otherwise.
-    fn block_error(&mut self, out: &[u64], err: SltrError) -> Result<usize, SltrError> {
+    /// if the call appended nothing, deferred to the next call otherwise.
+    fn block_error(&mut self, appended: usize, err: SltrError) -> Result<usize, SltrError> {
         self.failed = true;
-        if out.is_empty() {
+        if appended == 0 {
             Err(err)
         } else {
             self.pending = Some(err);
-            Ok(out.len())
+            Ok(appended)
         }
     }
 

@@ -27,8 +27,19 @@
 //! seeded random generators (random, zipf) replay and discard the prefix,
 //! which costs RNG draws but no memory. Either way a generator stream is
 //! `O(m)` state (the Zipfian CDF) regardless of trace length.
+//!
+//! Files are read in one of two ways. The iterator streams assume content
+//! that [`TraceSource::total_accesses`] has scanned in full, and panic on
+//! bytes that do not decode. The block readers ([`TraceSource::read_blocks`]
+//! under a [`ReadPlan`]) return every read, decode and sidecar-check error
+//! instead, so their one decode pass is also the validation: a job plans an
+//! indexed file at the access count its sidecar records
+//! ([`TraceSource::planned_accesses`]), and each chunk checks the bytes it
+//! decodes against that sidecar.
 
-use crate::binio::{count_sltr_accesses, sltr_index_path, SltrIndex, SltrReader};
+use crate::binio::{
+    count_sltr_accesses, read_sltr_header, sltr_index_path, SltrError, SltrIndex, SltrReader,
+};
 use crate::io::TraceIoError;
 use crate::trace::Trace;
 use rand::rngs::StdRng;
@@ -36,6 +47,7 @@ use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A parsed synthetic-generator spec (see the [module docs](self) for the
 /// `gen:` grammar). Produces the same access *sequences* as the batch
@@ -409,10 +421,21 @@ pub trait BlockRead: Send {
     ///
     /// # Panics
     ///
-    /// May panic on I/O or decode errors past construction — like the
-    /// iterator streams, callers validate sources with
-    /// [`TraceSource::total_accesses`] first.
+    /// File readers panic on the errors [`BlockRead::try_next_block`]
+    /// returns instead.
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize;
+
+    /// [`BlockRead::next_block`], returning a read, decode or sidecar-check
+    /// error instead of panicking. Readers that cannot fail keep this
+    /// default, which delivers [`BlockRead::next_block`].
+    ///
+    /// # Errors
+    ///
+    /// The reader's first I/O, decode or check error. File readers keep
+    /// it and return it again from every later call.
+    fn try_next_block(&mut self, buf: &mut Vec<u64>) -> Result<usize, TraceIoError> {
+        Ok(self.next_block(buf))
+    }
 }
 
 /// A boxed block reader (see [`TraceSource::stream_blocks_range`]).
@@ -579,26 +602,344 @@ impl BlockRead for IterBlocks {
     }
 }
 
-/// Zero-copy block decoding over a (possibly seek-positioned) `.sltr`
-/// payload, bounded to `remaining` accesses.
+/// How one run reads a source: the access count it planned with, and the
+/// sidecar chunk index its file readers seek by and check against — read
+/// and parsed once per run, so its chunk readers share one copy instead of
+/// each reading the sidecar again.
+///
+/// A file block reader opened under a plan ([`TraceSource::read_blocks`])
+/// starts decoding one index point before the point it would seek to, and
+/// checks while it decodes that
+///
+/// * it decodes every access of its range up to the planned count (a
+///   payload that ends early is an error);
+/// * at every index point it passes, the access starts at the byte offset
+///   the sidecar records (for text, the offset of that access's line);
+/// * reaching the planned count, the payload ends (for text, no further
+///   access line follows).
+///
+/// So a read either fails or delivers exactly the accesses a plain decode
+/// of the file from its first byte yields: a sidecar can speed a read up or
+/// make it fail, never change what is read.
+#[derive(Debug, Clone, Default)]
+pub struct ReadPlan {
+    /// The planned access count; `None` reads to the end of the source.
+    total: Option<u64>,
+    /// The sidecar chunk index, when one applies.
+    index: Option<Arc<SltrIndex>>,
+    /// Whether range reads start without decoding the accesses before them.
+    seeks: bool,
+}
+
+impl ReadPlan {
+    /// The plan of a job planned at `total` accesses of `source`. A file's
+    /// sidecar is used when it parses, describes the file's length and
+    /// records `total` accesses; when it has gone, or no longer matches,
+    /// since the job was planned, the readers decode-skip. Either way every
+    /// reader checks its accesses against `total`.
+    #[must_use]
+    pub fn planned(source: &TraceSource, total: u64) -> ReadPlan {
+        let index = source
+            .sidecar_index()
+            .ok()
+            .flatten()
+            .filter(|index| index.total_accesses() == total);
+        ReadPlan::new(source, Some(total), index)
+    }
+
+    /// The plan of one read through the whole of `source`: planned at its
+    /// sidecar's access count when it has a sidecar, to the end of the file
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns the corrupt- or stale-sidecar error of
+    /// [`TraceSource::sidecar_index`].
+    pub fn whole(source: &TraceSource) -> Result<ReadPlan, TraceIoError> {
+        let index = source.sidecar_index()?;
+        let total = index.as_ref().map(SltrIndex::total_accesses);
+        Ok(ReadPlan::new(source, total, index))
+    }
+
+    fn new(source: &TraceSource, total: Option<u64>, index: Option<SltrIndex>) -> ReadPlan {
+        let seeks = match source {
+            TraceSource::Text(_) | TraceSource::Binary(_) => index.is_some(),
+            TraceSource::Gen(spec) => {
+                !matches!(spec, GenSpec::Random { .. } | GenSpec::Zipf { .. })
+            }
+            TraceSource::Memory(_) => true,
+        };
+        ReadPlan {
+            total,
+            index: index.map(Arc::new),
+            seeks,
+        }
+    }
+
+    /// The access count the plan reads to, when it has one.
+    #[must_use]
+    pub fn total(&self) -> Option<u64> {
+        self.total
+    }
+
+    /// True when a range read under this plan starts without decoding the
+    /// accesses before it: in-memory traces, the deterministic generator
+    /// patterns, and files with a sidecar chunk index that applies. Seeded
+    /// random generators replay their draws and other files decode every
+    /// earlier access, so chunked readers of those should share a
+    /// [`BlockCursor`].
+    #[must_use]
+    pub fn seeks(&self) -> bool {
+        self.seeks
+    }
+}
+
+/// The first error of a file block reader, kept so every later call
+/// reports it again.
+#[derive(Debug, Default)]
+struct FirstError(Option<TraceIoError>);
+
+impl FirstError {
+    /// A copy of the kept error, if a call failed before.
+    fn again(&self) -> Option<TraceIoError> {
+        Some(match self.0.as_ref()? {
+            TraceIoError::Io(e) => TraceIoError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            TraceIoError::Parse { line, text } => TraceIoError::Parse {
+                line: *line,
+                text: text.clone(),
+            },
+        })
+    }
+
+    /// Passes `result` through, keeping its error if it is the first.
+    fn keep<T>(&mut self, result: Result<T, TraceIoError>) -> Result<T, TraceIoError> {
+        result.map_err(|error| {
+            self.0 = Some(error);
+            self.again().expect("an error was just kept")
+        })
+    }
+}
+
+/// What a file block reader checks while it decodes (see [`ReadPlan`]).
+struct Checks {
+    /// The trace file, for messages naming its sidecar.
+    path: PathBuf,
+    /// The next access the reader decodes, counted from the trace start.
+    position: u64,
+    /// Delivery starts at this access; the ones before it are decoded and
+    /// dropped.
+    start: u64,
+    /// Delivery stops at this access: the range end, clamped to the
+    /// planned count.
+    end: u64,
+    /// The planned count.
+    total: Option<u64>,
+    index: Option<Arc<SltrIndex>>,
+    /// Set once the end of the payload was checked at the planned count.
+    end_checked: bool,
+}
+
+impl Checks {
+    /// The checks of a read of `start..end` under `plan`, and the payload
+    /// offset to seek to: one index point before the last one at or below
+    /// `start`, when there is one.
+    fn new(path: &Path, plan: &ReadPlan, start: u64, end: u64) -> (Checks, u64) {
+        let end = plan.total.map_or(end, |total| end.min(total));
+        let start = start.min(end);
+        let (position, offset) = match &plan.index {
+            Some(index) => {
+                let seek = start / index.interval();
+                let point =
+                    seek.min(index.entry_count() as u64).saturating_sub(1) * index.interval();
+                (point, index.offset_of(point).unwrap_or(0))
+            }
+            None => (0, 0),
+        };
+        let checks = Checks {
+            path: path.to_path_buf(),
+            position,
+            start,
+            end,
+            total: plan.total,
+            index: plan.index.clone(),
+            end_checked: false,
+        };
+        (checks, offset)
+    }
+
+    /// Accesses the reader may decode next: up to `max`, and never past the
+    /// next index point, so it stops on each point to check it.
+    fn step(&self, max: u64) -> u64 {
+        let Some(index) = &self.index else {
+            return max;
+        };
+        let next = (self.position / index.interval() + 1) * index.interval();
+        if next / index.interval() > index.entry_count() as u64 {
+            max
+        } else {
+            max.min(next - self.position)
+        }
+    }
+
+    /// Checks that access `point` starts at payload byte `actual`, when the
+    /// sidecar records an offset for it.
+    fn check_offset(&self, point: u64, actual: u64) -> Result<(), TraceIoError> {
+        match self.index.as_ref().and_then(|index| index.offset_of(point)) {
+            Some(expected) if expected != actual => Err(self.stale(&format!(
+                "access {point} starts at payload byte {actual}, the index records byte {expected}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// The error of a payload that ended at access `self.position`, before
+    /// the planned count; `None` when the read has no planned count.
+    fn ended_early(&self) -> Option<TraceIoError> {
+        let total = self.total.filter(|&total| self.position < total)?;
+        let position = self.position;
+        Some(if self.index.is_some() {
+            self.stale(&format!(
+                "the payload ends after {position} accesses, the index records {total}"
+            ))
+        } else {
+            invalid_data(format!(
+                "the trace ends after {position} accesses, {total} were planned \
+                 (it changed since the job was planned)"
+            ))
+        })
+    }
+
+    /// The error of a payload that goes on past the planned count.
+    fn runs_past(&self) -> TraceIoError {
+        let total = self.position;
+        if self.index.is_some() {
+            self.stale(&format!(
+                "the payload holds more than the {total} accesses the index records"
+            ))
+        } else {
+            invalid_data(format!(
+                "the trace holds more than the {total} accesses planned \
+                 (it changed since the job was planned)"
+            ))
+        }
+    }
+
+    /// True once the read reached the planned count and the end of the
+    /// payload still has to be checked.
+    fn end_due(&self) -> bool {
+        !self.end_checked && self.total == Some(self.position)
+    }
+
+    /// A stale-sidecar error naming the sidecar.
+    fn stale(&self, what: &str) -> TraceIoError {
+        SltrError::IndexStale {
+            reason: format!("{}: {what}", sltr_index_path(&self.path).display()),
+        }
+        .into()
+    }
+}
+
+/// A decode error with `message`.
+fn invalid_data(message: String) -> TraceIoError {
+    TraceIoError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        message,
+    ))
+}
+
+/// Zero-copy block decoding of a `.sltr` payload under a [`ReadPlan`]:
+/// seek-positioned by the sidecar when one applies, checked as it decodes.
 struct SltrBlocks {
     reader: SltrReader<File>,
-    remaining: u64,
+    /// The payload offset the reader started at.
+    base: u64,
+    checks: Checks,
+    failed: FirstError,
+}
+
+impl SltrBlocks {
+    /// Opens a reader of `start..end` under `plan` and decode-skips to
+    /// `start`.
+    fn open(path: &Path, plan: &ReadPlan, start: u64, end: u64) -> Result<Self, TraceIoError> {
+        use std::io::{Seek, SeekFrom};
+        let (checks, base) = Checks::new(path, plan, start, end);
+        let mut file = File::open(path)?;
+        read_sltr_header(&mut file)?;
+        if base > 0 {
+            // The index applies only to a payload longer than `base`.
+            file.seek(SeekFrom::Start(5 + base))?;
+        }
+        let mut blocks = SltrBlocks {
+            reader: SltrReader::resume(file, checks.position),
+            base,
+            checks,
+            failed: FirstError::default(),
+        };
+        let mut scratch = Vec::new();
+        while blocks.checks.position < blocks.checks.start {
+            let skip = blocks.checks.start - blocks.checks.position;
+            scratch.clear();
+            if blocks.decode(&mut scratch, skip.min(BLOCK_LEN as u64))? == 0 {
+                break;
+            }
+        }
+        blocks.check_end()?;
+        Ok(blocks)
+    }
+
+    /// Appends up to `max` decoded accesses to `buf`, stopping on each
+    /// index point on the way to check its offset, and checking the end of
+    /// the payload at the planned count; `0` at the end of an unplanned
+    /// read.
+    fn decode(&mut self, buf: &mut Vec<u64>, max: u64) -> Result<usize, TraceIoError> {
+        let first = buf.len();
+        let mut left = max;
+        while left > 0 {
+            let step = usize::try_from(self.checks.step(left)).unwrap_or(usize::MAX);
+            let n = self.reader.decode_onto(buf, step)?;
+            if n == 0 {
+                if let Some(error) = self.checks.ended_early() {
+                    return Err(error);
+                }
+                break;
+            }
+            self.checks.position += n as u64;
+            left -= n as u64;
+            self.checks.check_offset(
+                self.checks.position,
+                self.base + self.reader.payload_bytes(),
+            )?;
+            self.check_end()?;
+        }
+        Ok(buf.len() - first)
+    }
+
+    /// At the planned count, checks that the payload ends there.
+    fn check_end(&mut self) -> Result<(), TraceIoError> {
+        if !self.checks.end_due() {
+            return Ok(());
+        }
+        self.checks.end_checked = true;
+        if self.reader.decode_block(&mut Vec::new(), 1)? > 0 {
+            return Err(self.checks.runs_past());
+        }
+        Ok(())
+    }
 }
 
 impl BlockRead for SltrBlocks {
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
-        let max = BLOCK_LEN.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
-        if max == 0 {
-            buf.clear();
-            return 0;
+        self.try_next_block(buf).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_next_block(&mut self, buf: &mut Vec<u64>) -> Result<usize, TraceIoError> {
+        buf.clear();
+        if let Some(error) = self.failed.again() {
+            return Err(error);
         }
-        let n = self
-            .reader
-            .decode_block(buf, max)
-            .expect("validated sltr payload");
-        self.remaining -= n as u64;
-        n
+        let want = (self.checks.end - self.checks.position).min(BLOCK_LEN as u64);
+        let decoded = self.decode(buf, want);
+        self.failed.keep(decoded).inspect_err(|_| buf.clear())
     }
 }
 
@@ -670,14 +1011,17 @@ impl TraceSource {
         }
     }
 
-    /// Total number of accesses. Files are scanned (and thereby fully
-    /// validated — later [`TraceSource::stream_range`] calls may assume the
-    /// content decodes); generators and in-memory traces answer in `O(1)`.
+    /// Total number of accesses, by a full scan of a file: every access is
+    /// read and decoded, so the content is validated and later
+    /// [`TraceSource::stream_range`] iterators, which panic on malformed
+    /// content, may assume it decodes. Generators and in-memory traces
+    /// answer in `O(1)`. A job plans with [`TraceSource::planned_accesses`]
+    /// instead, which reads an indexed file's count off its sidecar.
     ///
-    /// A `.sltr` source with a sidecar chunk index also validates the
-    /// index here: a corrupt sidecar, or one describing a different payload
-    /// (the trace was truncated, appended to or replaced after indexing),
-    /// is a loud error rather than a silent mis-seek later.
+    /// A file with a sidecar chunk index also validates the index here: a
+    /// corrupt sidecar, or one describing a different payload (the trace
+    /// was truncated, appended to or replaced after indexing), is a loud
+    /// error rather than a silent mis-seek later.
     ///
     /// # Errors
     ///
@@ -709,6 +1053,50 @@ impl TraceSource {
         }
     }
 
+    /// The access count a job plans with: an indexed file's count as its
+    /// sidecar records it, read without decoding the file, which the job's
+    /// chunk readers then check during their one decode pass (see
+    /// [`ReadPlan`]). A file without a sidecar is counted as
+    /// [`TraceSource::total_accesses`] counts it, since its chunk plan needs
+    /// the count; generators and in-memory traces answer in `O(1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the corrupt- or stale-sidecar error of
+    /// [`TraceSource::sidecar_index`], or the scan's first read or parse
+    /// error for a file without a sidecar.
+    pub fn planned_accesses(&self) -> Result<u64, TraceIoError> {
+        match self.sidecar_index()? {
+            Some(index) => Ok(index.total_accesses()),
+            None => self.total_accesses(),
+        }
+    }
+
+    /// The sidecar chunk index of a file source (at [`sltr_index_path`]):
+    /// `None` for a file without one and for sources that are not files.
+    ///
+    /// # Errors
+    ///
+    /// A sidecar that does not parse ([`SltrError::IndexCorrupt`]), or one
+    /// describing a payload of another length than the file's
+    /// ([`SltrError::IndexStale`]: the trace was truncated, appended to or
+    /// replaced after indexing), is a loud error rather than a silent
+    /// mis-seek later.
+    pub fn sidecar_index(&self) -> Result<Option<SltrIndex>, TraceIoError> {
+        let (path, header) = match self {
+            TraceSource::Text(path) => (path, 0),
+            TraceSource::Binary(path) => (path, 5),
+            TraceSource::Gen(_) | TraceSource::Memory(_) => return Ok(None),
+        };
+        let sidecar = sltr_index_path(path);
+        if !sidecar.exists() {
+            return Ok(None);
+        }
+        let index = SltrIndex::read(&sidecar)?;
+        index.check_matches_payload_only(std::fs::metadata(path)?.len().saturating_sub(header))?;
+        Ok(Some(index))
+    }
+
     /// Streams the whole trace.
     ///
     /// # Errors
@@ -721,14 +1109,21 @@ impl TraceSource {
     }
 
     /// Streams accesses `start..end` (clamped to the trace length). File
-    /// sources open a fresh reader and skip `start` accesses; generator
-    /// sources position natively (see [`GenSpec::stream_range`]).
+    /// sources open a fresh reader and skip `start` accesses, seeking first
+    /// when a valid sidecar applies; generator sources position natively
+    /// (see [`GenSpec::stream_range`]). The iterator assumes validated
+    /// content: decode errors panic, so validate first with
+    /// [`TraceSource::total_accesses`], or read blocks through
+    /// [`TraceSource::read_blocks`], which returns them.
     ///
     /// # Errors
     ///
     /// Returns the error of opening the underlying file, if any.
     pub fn stream_range(&self, start: u64, end: u64) -> Result<AccessIter, TraceIoError> {
         let take = end.saturating_sub(start);
+        // A sidecar that does not apply (missing, corrupt, or describing a
+        // different file length) means the prefix is skipped by decoding.
+        let index = self.sidecar_index().ok().flatten();
         match self {
             TraceSource::Text(path) => {
                 // With a valid line-offset sidecar index the range starts
@@ -736,8 +1131,8 @@ impl TraceSource {
                 // most `interval - 1` lines); without one, fall back to
                 // parse-skipping the whole prefix. Both paths yield
                 // identical accesses.
-                if let Some(iter) = text_seek_range(path, start, take)? {
-                    return Ok(iter);
+                if let Some(index) = index {
+                    return text_seek_range(path, &index, start, take);
                 }
                 let file = File::open(path)?;
                 let iter = BufReader::new(file)
@@ -751,11 +1146,10 @@ impl TraceSource {
             TraceSource::Binary(path) => {
                 // With a valid sidecar chunk index the range starts with a
                 // seek (decode-skipping at most `interval - 1` accesses);
-                // without one — or if the sidecar vanished or stopped
-                // matching since validation — fall back to decode-skipping
-                // the whole prefix. Both paths yield identical accesses.
-                if let Some(iter) = sltr_seek_range(path, start, take)? {
-                    return Ok(iter);
+                // without one, fall back to decode-skipping the whole
+                // prefix. Both paths yield identical accesses.
+                if let Some(index) = index {
+                    return sltr_seek_range(path, &index, start, take);
                 }
                 let reader = SltrReader::new(File::open(path)?).map_err(TraceIoError::from)?;
                 let iter = reader
@@ -784,53 +1178,53 @@ impl TraceSource {
 
     /// Streams accesses `start..end` as decoded blocks instead of one
     /// virtual call per access — the hot-loop shape of
-    /// [`TraceSource::stream_range`], consumed by the exact reuse-distance
-    /// ingest. `.sltr` sources decode LEB128 runs straight into the
-    /// caller's buffer ([`SltrReader::decode_block`]), seek via the sidecar
-    /// chunk index when a valid one applies, and decode-skip the prefix in
-    /// blocks otherwise (identical accesses either way, mirroring the
-    /// iterator path's stale-sidecar fallback). Other source kinds adapt
-    /// their iterator into blocks. Both stream shapes yield identical
-    /// access sequences.
+    /// [`TraceSource::stream_range`]: [`TraceSource::read_blocks`] under the
+    /// plan of a read through the whole source ([`ReadPlan::whole`]), with
+    /// the sidecar read and checked on every call. A sidecar that does not
+    /// apply means decode-skipping the prefix, as on the iterator path, and
+    /// both stream shapes yield identical access sequences.
     ///
     /// # Errors
     ///
     /// Returns the error of opening the underlying file or of decoding the
     /// skipped prefix, if any.
     pub fn stream_blocks_range(&self, start: u64, end: u64) -> Result<AccessBlocks, TraceIoError> {
-        match self {
-            TraceSource::Binary(path) => sltr_blocks_range(path, start, end.saturating_sub(start)),
-            TraceSource::Text(path) => text_blocks_range(path, start, end.saturating_sub(start)),
-            _ => Ok(Box::new(IterBlocks {
-                iter: self.stream_range(start, end)?,
-            })),
-        }
+        self.read_blocks(&ReadPlan::whole(self).unwrap_or_default(), start, end)
     }
 
-    /// True when a range read starts without decoding the accesses before
-    /// it: in-memory traces, the deterministic generator patterns, and
-    /// files with a valid sidecar chunk index. Seeded random generators
-    /// replay their draws and un-indexed files decode every earlier access,
-    /// so chunked readers of those should share a [`BlockCursor`].
-    #[must_use]
-    pub fn seeks(&self) -> bool {
-        let file_len = |path: &Path| std::fs::metadata(path).map_or(0, |m| m.len());
-        match self {
-            TraceSource::Text(path) => matching_index(path, file_len(path)).is_some(),
-            TraceSource::Binary(path) => {
-                matching_index(path, file_len(path).saturating_sub(5)).is_some()
-            }
-            TraceSource::Gen(spec) => {
-                !matches!(spec, GenSpec::Random { .. } | GenSpec::Zipf { .. })
-            }
-            TraceSource::Memory(_) => true,
-        }
+    /// Reads accesses `start..end` (clamped to the plan's count, or to the
+    /// trace length) as decoded blocks under `plan`. `.sltr` sources
+    /// decode LEB128 runs straight into the caller's buffer
+    /// ([`SltrReader::decode_block`]); text sources parse one reused line
+    /// buffer. With the plan's sidecar both seek, one index point before
+    /// the range, and both check what they decode against the plan as
+    /// [`ReadPlan`] describes; without one they decode-skip the prefix.
+    /// Other source kinds adapt their iterator into blocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of opening the underlying file or of decoding and
+    /// checking the skipped prefix, if any; later errors come from
+    /// [`BlockRead::try_next_block`].
+    pub fn read_blocks(
+        &self,
+        plan: &ReadPlan,
+        start: u64,
+        end: u64,
+    ) -> Result<AccessBlocks, TraceIoError> {
+        Ok(match self {
+            TraceSource::Binary(path) => Box::new(SltrBlocks::open(path, plan, start, end)?),
+            TraceSource::Text(path) => Box::new(TextBlocks::open(path, plan, start, end)?),
+            TraceSource::Gen(_) | TraceSource::Memory(_) => Box::new(IterBlocks {
+                iter: self.stream_range(start, end)?,
+            }),
+        })
     }
 }
 
 /// A block reader over a source from some access to its end that hands out
 /// consecutive bounded ranges ([`BlockCursor::take`]), so several chunks of
-/// a source that does not [seek](TraceSource::seeks) are read by continuing
+/// a source that does not [seek](ReadPlan::seeks) are read by continuing
 /// one stream instead of decoding the prefix again for each.
 pub struct BlockCursor {
     blocks: AccessBlocks,
@@ -840,18 +1234,16 @@ pub struct BlockCursor {
 }
 
 impl BlockCursor {
-    /// A cursor at access `start` of `source`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of opening the underlying file, if any.
-    pub fn open(source: &TraceSource, start: u64) -> Result<BlockCursor, TraceIoError> {
-        Ok(BlockCursor {
-            blocks: source.stream_blocks_range(start, u64::MAX)?,
-            position: start,
+    /// A cursor over `blocks`, a block reader whose next access is access
+    /// `position` of its source.
+    #[must_use]
+    pub fn new(blocks: AccessBlocks, position: u64) -> BlockCursor {
+        BlockCursor {
+            blocks,
+            position,
             buf: Vec::new(),
             next: 0,
-        })
+        }
     }
 
     /// The index of the next access the cursor hands out.
@@ -862,22 +1254,30 @@ impl BlockCursor {
 
     /// Up to `limit` decoded accesses at the cursor, advancing past them;
     /// empty at the end of the source.
-    fn advance(&mut self, limit: u64) -> &[u64] {
+    fn advance(&mut self, limit: u64) -> Result<&[u64], TraceIoError> {
+        if limit == 0 {
+            return Ok(&[]);
+        }
         if self.next == self.buf.len() {
             self.next = 0;
-            self.blocks.next_block(&mut self.buf);
+            self.blocks.try_next_block(&mut self.buf)?;
         }
         let n = (self.buf.len() - self.next).min(usize::try_from(limit).unwrap_or(usize::MAX));
         let run = &self.buf[self.next..self.next + n];
         self.next += n;
         self.position += n as u64;
-        run
+        Ok(run)
     }
 
     /// Decodes and drops accesses until the cursor is at `position` (or at
     /// the end of the source); a no-op when it is already there or past it.
-    pub fn skip_to(&mut self, position: u64) {
-        while self.position < position && !self.advance(position - self.position).is_empty() {}
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying reader's error.
+    pub fn skip_to(&mut self, position: u64) -> Result<(), TraceIoError> {
+        while self.position < position && !self.advance(position - self.position)?.is_empty() {}
+        Ok(())
     }
 
     /// A block reader over the next `len` accesses; reading it advances
@@ -898,19 +1298,15 @@ pub struct CursorRange<'a> {
 
 impl BlockRead for CursorRange<'_> {
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
-        buf.clear();
-        buf.extend_from_slice(self.cursor.advance(self.remaining));
-        self.remaining -= buf.len() as u64;
-        buf.len()
+        self.try_next_block(buf).unwrap_or_else(|e| panic!("{e}"))
     }
-}
 
-/// The sidecar chunk index of `path` when one exists and describes a
-/// payload of `payload_len` bytes.
-fn matching_index(path: &Path, payload_len: u64) -> Option<SltrIndex> {
-    let index = SltrIndex::read(sltr_index_path(path)).ok()?;
-    index.check_matches_payload_only(payload_len).ok()?;
-    Some(index)
+    fn try_next_block(&mut self, buf: &mut Vec<u64>) -> Result<usize, TraceIoError> {
+        buf.clear();
+        buf.extend_from_slice(self.cursor.advance(self.remaining)?);
+        self.remaining -= buf.len() as u64;
+        Ok(buf.len())
+    }
 }
 
 impl std::fmt::Display for TraceSource {
@@ -919,20 +1315,20 @@ impl std::fmt::Display for TraceSource {
     }
 }
 
-/// Opens a seek-positioned range over an indexed `.sltr` file, or `None`
-/// when no applicable sidecar index is available (missing, corrupt, or
-/// describing a different payload — [`TraceSource::total_accesses`] already
-/// reported those loudly; by streaming time the fallback is decode-skip).
+/// Opens a seek-positioned range over a `.sltr` file with the applicable
+/// sidecar `index`.
 ///
 /// # Errors
 ///
 /// Returns the error of opening or seeking the trace file itself.
-fn sltr_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
+fn sltr_seek_range(
+    path: &Path,
+    index: &SltrIndex,
+    start: u64,
+    take: u64,
+) -> Result<AccessIter, TraceIoError> {
     use std::io::{Seek, SeekFrom};
     let mut file = File::open(path)?;
-    let Some(index) = matching_index(path, file.metadata()?.len().saturating_sub(5)) else {
-        return Ok(None);
-    };
     let (offset, skip) = index.seek_hint(start);
     file.seek(SeekFrom::Start(5 + offset))?;
     let reader = SltrReader::resume(file, start - skip);
@@ -940,77 +1336,103 @@ fn sltr_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIt
         .map(|item| item.expect("validated sltr payload"))
         .skip(usize::try_from(skip).unwrap_or(usize::MAX))
         .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Some(Box::new(iter)))
+    Ok(Box::new(iter))
 }
 
-/// Opens a block reader over `take` accesses of a `.sltr` file starting at
-/// access `start`. With a valid sidecar chunk index the reader seeks to the
-/// nearest indexed chunk boundary and block-decodes at most `interval - 1`
-/// accesses of skip; without one — or if the sidecar vanished or stopped
-/// matching since validation — it falls back to block-decoding the whole
-/// prefix. Both paths yield identical accesses.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file, or of decoding
-/// the skipped prefix.
-fn sltr_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let seek = std::fs::metadata(path)
-        .ok()
-        .and_then(|meta| matching_index(path, meta.len().saturating_sub(5)))
-        .map(|index| index.seek_hint(start));
-    let (mut reader, mut skip) = match seek {
-        Some((offset, indexed)) => {
-            let mut file = File::open(path)?;
-            file.seek(SeekFrom::Start(5 + offset))?;
-            (SltrReader::resume(file, start - indexed), indexed)
-        }
-        None => (
-            SltrReader::new(File::open(path)?).map_err(TraceIoError::from)?,
-            start,
-        ),
-    };
-    // Fast-skip the unwanted prefix with the block decoder itself.
-    let mut scratch = Vec::new();
-    while skip > 0 {
-        let max = BLOCK_LEN.min(usize::try_from(skip).unwrap_or(usize::MAX));
-        let n = reader
-            .decode_block(&mut scratch, max)
-            .map_err(TraceIoError::from)?;
-        if n == 0 {
-            break; // range starts at or past the end of the trace
-        }
-        skip -= n as u64;
-    }
-    Ok(Box::new(SltrBlocks {
-        reader,
-        remaining: take,
-    }))
-}
-
-/// Block decoding of a (possibly seek-positioned) text trace through one
-/// reused line buffer, bounded to `remaining` accesses.
+/// Block parsing of a text trace under a [`ReadPlan`] through one reused
+/// line buffer: seek-positioned by the sidecar when one applies, checked
+/// as it parses.
 struct TextBlocks {
     reader: BufReader<File>,
     line: String,
-    remaining: u64,
+    /// The byte offset of the next line.
+    offset: u64,
+    /// Lines read so far, when the reader started at the first line.
+    lines: Option<usize>,
+    checks: Checks,
+    failed: FirstError,
 }
 
 impl TextBlocks {
-    /// The next access, or `None` at the end of the file.
-    fn next_access(&mut self) -> Option<u64> {
+    /// Opens a reader of `start..end` under `plan` and parse-skips to
+    /// `start`.
+    fn open(path: &Path, plan: &ReadPlan, start: u64, end: u64) -> Result<Self, TraceIoError> {
+        use std::io::{Seek, SeekFrom};
+        let (checks, offset) = Checks::new(path, plan, start, end);
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        let mut blocks = TextBlocks {
+            reader: BufReader::new(file),
+            line: String::new(),
+            offset,
+            lines: (offset == 0).then_some(0),
+            checks,
+            failed: FirstError::default(),
+        };
+        while blocks.checks.position < blocks.checks.start && blocks.next_access()?.is_some() {}
+        blocks.check_end()?;
+        Ok(blocks)
+    }
+
+    /// The next access, checking the offset of its line at an index point;
+    /// `None` at the end of an unplanned read.
+    fn next_access(&mut self) -> Result<Option<u64>, TraceIoError> {
         loop {
             self.line.clear();
-            let read = self
-                .reader
-                .read_line(&mut self.line)
-                .expect("trace file readable");
+            let line_start = self.offset;
+            let read = self.reader.read_line(&mut self.line)?;
             if read == 0 {
-                return None;
+                return self.checks.ended_early().map_or(Ok(None), Err);
             }
-            if let Some(addr) = text_access_of_line(&self.line) {
-                return Some(addr);
+            self.offset += read as u64;
+            self.lines = self.lines.map(|lines| lines + 1);
+            let Some(parsed) = parse_text_line(&self.line) else {
+                continue;
+            };
+            let position = self.checks.position;
+            self.checks.check_offset(position, line_start)?;
+            let addr = parsed.map_err(|_| {
+                let text = self.line.trim().to_string();
+                match self.lines {
+                    Some(line) => TraceIoError::Parse { line, text },
+                    None => invalid_data(format!(
+                        "trace line {text:?} at byte {line_start} (access #{position}) \
+                         is not an address"
+                    )),
+                }
+            })?;
+            self.checks.position += 1;
+            self.check_end()?;
+            return Ok(Some(addr));
+        }
+    }
+
+    /// Appends up to `max` parsed accesses to `buf`; `0` at the end of an
+    /// unplanned read.
+    fn parse(&mut self, buf: &mut Vec<u64>, max: u64) -> Result<usize, TraceIoError> {
+        let first = buf.len();
+        while ((buf.len() - first) as u64) < max {
+            match self.next_access()? {
+                Some(addr) => buf.push(addr),
+                None => break,
+            }
+        }
+        Ok(buf.len() - first)
+    }
+
+    /// At the planned count, checks that no further access line follows.
+    fn check_end(&mut self) -> Result<(), TraceIoError> {
+        if !self.checks.end_due() {
+            return Ok(());
+        }
+        self.checks.end_checked = true;
+        loop {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
+                return Ok(());
+            }
+            if parse_text_line(&self.line).is_some() {
+                return Err(self.checks.runs_past());
             }
         }
     }
@@ -1018,75 +1440,50 @@ impl TextBlocks {
 
 impl BlockRead for TextBlocks {
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        self.try_next_block(buf).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_next_block(&mut self, buf: &mut Vec<u64>) -> Result<usize, TraceIoError> {
         buf.clear();
-        let max = BLOCK_LEN.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
-        while buf.len() < max {
-            let Some(addr) = self.next_access() else {
-                break;
-            };
-            buf.push(addr);
+        if let Some(error) = self.failed.again() {
+            return Err(error);
         }
-        self.remaining -= buf.len() as u64;
-        buf.len()
+        let want = (self.checks.end - self.checks.position).min(BLOCK_LEN as u64);
+        let parsed = self.parse(buf, want);
+        self.failed.keep(parsed).inspect_err(|_| buf.clear())
     }
 }
 
-/// Opens a block reader over `take` accesses of a text trace starting at
-/// access `start`: seeking to the nearest indexed line with a valid sidecar
-/// index, parse-skipping the whole prefix without one. Both paths yield
-/// identical accesses.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file.
-fn text_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let mut file = File::open(path)?;
-    let (offset, skip) = matching_index(path, file.metadata()?.len())
-        .map_or((0, start), |index| index.seek_hint(start));
-    file.seek(SeekFrom::Start(offset))?;
-    let mut blocks = TextBlocks {
-        reader: BufReader::new(file),
-        line: String::new(),
-        remaining: take,
-    };
-    for _ in 0..skip {
-        if blocks.next_access().is_none() {
-            break;
-        }
-    }
-    Ok(Box::new(blocks))
+/// Parses one line of a text trace: `None` for comments and blank lines,
+/// the access (or why it is malformed) otherwise.
+fn parse_text_line(line: &str) -> Option<Result<u64, std::num::ParseIntError>> {
+    let text = line.trim();
+    (!text.is_empty() && !text.starts_with('#')).then(|| text.parse::<u64>())
 }
 
 /// Parses one line of a text trace into its access, skipping comments and
 /// blank lines. Panics on malformed content — callers validate sources
 /// with [`TraceSource::total_accesses`] before streaming.
 fn text_access_of_line(line: &str) -> Option<u64> {
-    let text = line.trim();
-    if text.is_empty() || text.starts_with('#') {
-        None
-    } else {
-        Some(text.parse::<u64>().expect("validated trace line"))
-    }
+    parse_text_line(line).map(|parsed| parsed.expect("validated trace line"))
 }
 
-/// Opens a seek-positioned range over an indexed text trace, or `None`
-/// when no applicable sidecar index is available (missing, corrupt, or
-/// describing a different file length — [`TraceSource::total_accesses`]
-/// already reported those loudly; by streaming time the fallback is
-/// parse-skip). The text counterpart of [`sltr_seek_range`]: offsets index
-/// the byte position of the *line* starting every `interval`-th access,
-/// with the whole file as the payload.
+/// Opens a seek-positioned range over a text trace with the applicable
+/// sidecar `index`. The text counterpart of [`sltr_seek_range`]: offsets
+/// index the byte position of the *line* starting every `interval`-th
+/// access, with the whole file as the payload.
 ///
 /// # Errors
 ///
 /// Returns the error of opening or seeking the trace file itself.
-fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
+fn text_seek_range(
+    path: &Path,
+    index: &SltrIndex,
+    start: u64,
+    take: u64,
+) -> Result<AccessIter, TraceIoError> {
     use std::io::{Seek, SeekFrom};
     let mut file = File::open(path)?;
-    let Some(index) = matching_index(path, file.metadata()?.len()) else {
-        return Ok(None);
-    };
     let (offset, skip) = index.seek_hint(start);
     file.seek(SeekFrom::Start(offset))?;
     let iter = BufReader::new(file)
@@ -1095,7 +1492,7 @@ fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIt
         .filter_map(|line| text_access_of_line(&line))
         .skip(usize::try_from(skip).unwrap_or(usize::MAX))
         .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Some(Box::new(iter)))
+    Ok(Box::new(iter))
 }
 
 /// Builds a line-offset chunk index over a text trace file: the same
@@ -1477,10 +1874,14 @@ mod tests {
             (TraceSource::Binary(plain.clone()), false),
             (TraceSource::Binary(indexed.clone()), true),
         ] {
-            assert_eq!(source.seeks(), seeks, "{source}");
+            assert_eq!(
+                ReadPlan::whole(&source).is_ok_and(|plan| plan.seeks()),
+                seeks,
+                "{source}"
+            );
             // Consecutive takes, skips inside and across blocks, and a
             // take clamped at the end of the source.
-            let mut cursor = BlockCursor::open(&source, 5).unwrap();
+            let mut cursor = BlockCursor::new(source.stream_blocks_range(5, u64::MAX).unwrap(), 5);
             for (start, end) in [
                 (5u64, 17u64),
                 (17, 17),
@@ -1489,7 +1890,7 @@ mod tests {
                 (4099, 8200),
                 (9000, 50_000),
             ] {
-                cursor.skip_to(start);
+                cursor.skip_to(start).unwrap();
                 assert_eq!(cursor.position(), start, "{source} skip to {start}");
                 let taken = collect_blocks(&mut cursor.take(end - start));
                 let expect: Vec<u64> = source.stream_range(start, end).unwrap().collect();

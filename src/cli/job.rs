@@ -4,12 +4,12 @@
 
 use super::flags::{embed_json, write_metrics, CommandSpec, FlagSpec, JSON, METRICS, THREADS};
 use super::sweep::sweep_report;
-use super::tracecmd::{json_document, TraceReport};
+use super::tracecmd::{json_document, trace_job_error, TraceReport};
 use super::CliError;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobStatus};
+use symloc_core::job::{checkpoint_status, Heartbeat, JobError, JobKind, JobStatus};
 use symloc_core::jsonio::escape;
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
@@ -240,14 +240,16 @@ pub(crate) fn status(args: &[String]) -> Result<String, CliError> {
     })
 }
 
-/// Reconstructs and re-validates the trace source a trace-job checkpoint
-/// was recorded against: the fingerprint must resolve to a readable source
-/// whose access count still matches the checkpoint.
+/// Reconstructs the trace source a trace-job checkpoint was recorded
+/// against: the fingerprint must resolve to a readable source whose access
+/// count ([`TraceSource::planned_accesses`]: an indexed file's sidecar
+/// count, checked by the chunks as they decode) still matches the
+/// checkpoint.
 fn reopen_source(fingerprint: &str, recorded_total: u64) -> Result<TraceSource, CliError> {
     let source = TraceSource::from_fingerprint(fingerprint).map_err(CliError)?;
     let total = source
-        .total_accesses()
-        .map_err(|e| CliError(format!("cannot scan {source}: {e}")))?;
+        .planned_accesses()
+        .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
     if total != recorded_total {
         return Err(CliError(format!(
             "checkpoint was recorded against {source} with {recorded_total} accesses, \
@@ -289,7 +291,8 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 "cannot decode checkpoint {path_str}: not a registered symloc checkpoint"
             ))
         })?;
-    let ckpt_err = |e: std::io::Error| CliError(format!("cannot write checkpoint {path_str}: {e}"));
+    // Sweep units do not fail: a sweep run stops only on a failed save.
+    let ckpt_err = |e: JobError| CliError(format!("cannot write checkpoint {path_str}: {e}"));
     if kind != JobKind::ServeState {
         // Resuming takes the checkpoint over, so what interrupted saves
         // left next to it goes. A serve checkpoint stays its daemon's,
@@ -390,7 +393,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             let source = reopen_source(job.fingerprint(), job.total_accesses())?;
             let ran = job
                 .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
+                .map_err(|e| trace_job_error(e, &source, &path_str))?;
             job.record_gauges(&mut registry);
             let report = TraceReport::of_job(&job, threads);
             if json {

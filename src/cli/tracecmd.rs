@@ -10,6 +10,7 @@ use super::{help_requested, CliError};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use symloc_core::job::JobError;
 use symloc_core::jsonio::escape;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::tracesweep::{
@@ -20,7 +21,7 @@ use symloc_par::default_threads;
 use symloc_trace::binio::{
     build_sltr_index, sltr_index_path, SltrIndex, SltrWriter, DEFAULT_INDEX_INTERVAL,
 };
-use symloc_trace::stream::{build_text_index, AccessSink, MeteredSink, TraceSource};
+use symloc_trace::stream::{build_text_index, AccessSink, MeteredSink, ReadPlan, TraceSource};
 
 const EXACT: FlagSpec = FlagSpec::switch(
     "--exact",
@@ -224,17 +225,14 @@ fn validated_stream(source: &TraceSource) -> Result<symloc_trace::stream::Access
         .map_err(|e| CliError(format!("cannot read {source}: {e}")))
 }
 
-/// Block-streaming counterpart of [`validated_stream`] — the shape the
-/// exact hot loop consumes ([`OnlineReuseEngine::record_block`]).
-fn validated_block_stream(
-    source: &TraceSource,
-) -> Result<symloc_trace::stream::AccessBlocks, CliError> {
-    let total = source
-        .total_accesses()
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
-    source
-        .stream_blocks_range(0, total)
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))
+/// The CLI error of a trace job run that `error` stopped: `cannot read
+/// <source>: …` for a chunk that could not be read or did not match the
+/// source's sidecar, `cannot write checkpoint <path>: …` for a failed save.
+pub(crate) fn trace_job_error(error: JobError, source: &TraceSource, checkpoint: &str) -> CliError {
+    match error {
+        JobError::Unit(message) => CliError(format!("cannot read {source}: {message}")),
+        JobError::Save(error) => CliError(format!("cannot write checkpoint {checkpoint}: {error}")),
+    }
 }
 
 /// Renders the MRC table of a finished (exact or sampled) analysis.
@@ -506,7 +504,10 @@ fn stream_one_pass(
 /// Streams `source` once into `engine` behind a `MeteredSink`, so decode
 /// time (pulling blocks off the source) and compute time (the engine's
 /// work) are split into `trace.*` counters — delivery to the engine is
-/// unchanged, so its result is identical to the unmetered loop.
+/// unchanged, so its result is identical to the unmetered loop. The one
+/// pass is also the validation: an indexed file is read to its sidecar's
+/// access count and checked against the sidecar as it decodes
+/// ([`ReadPlan::whole`]), and the reader's first error is the command's.
 fn stream_into<S: AccessSink>(
     engine: S,
     source: &TraceSource,
@@ -514,11 +515,15 @@ fn stream_into<S: AccessSink>(
 ) -> Result<S, CliError> {
     let span = Span::start();
     let mut sink = MeteredSink::new(engine);
-    let mut blocks = validated_block_stream(source)?;
+    let cannot_read = |e| CliError(format!("cannot read {source}: {e}"));
+    let plan = ReadPlan::whole(source).map_err(cannot_read)?;
+    let mut blocks = source
+        .read_blocks(&plan, 0, u64::MAX)
+        .map_err(cannot_read)?;
     let mut buf = Vec::new();
     loop {
         let decode = Span::start();
-        let n = blocks.next_block(&mut buf);
+        let n = blocks.try_next_block(&mut buf).map_err(cannot_read)?;
         sink.add_decode_nanos(decode.elapsed_nanos());
         if n == 0 {
             break;
@@ -548,7 +553,8 @@ fn run_trace_job(
             let mut job =
                 FusedIngest::planned(source, options.plan(), options.threads).map_err(CliError)?;
             let span = Span::start();
-            job.run_pending(source, None);
+            job.run_pending_metered(source, None, None)
+                .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
             registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
             span.record(registry, "trace.total_nanos");
             job
@@ -602,7 +608,7 @@ fn run_checkpointed_job(
             Some(&mut *registry),
             |_, _| {},
         )
-        .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
+        .map_err(|e| trace_job_error(e, source, checkpoint))?;
     let _ = writeln!(
         out,
         "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",

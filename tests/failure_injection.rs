@@ -1353,3 +1353,200 @@ fn an_oversized_sweep_shard_count_is_rejected_before_planning() {
     assert!(!checkpoint.exists(), "a rejected sweep wrote a checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the `symloc` binary on `args` and returns whether it exited 0 and
+/// its stderr.
+fn run_symloc(args: &[String]) -> (bool, String) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("spawn symloc");
+    (
+        output.status.success(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// Asserts that `symloc args` fails with every one of `needles` in its
+/// stderr and without a panic.
+fn assert_fails_loudly(args: &[String], needles: &[&str]) {
+    let (ok, stderr) = run_symloc(args);
+    assert!(!ok, "`symloc {}` exited 0", args.join(" "));
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{needle:?} not in: {stderr}");
+    }
+}
+
+/// The argument list of `symloc <command>` with `paths` appended in turn
+/// after the words of `command`'s `{}` placeholders.
+fn symloc_args(command: &str, paths: &[&std::path::Path]) -> Vec<String> {
+    let mut paths = paths.iter();
+    command
+        .split_whitespace()
+        .map(|word| match word {
+            "{}" => paths.next().expect("a path per {}").display().to_string(),
+            word => word.to_string(),
+        })
+        .collect()
+}
+
+/// The offsets of a sidecar chunk index, entry by entry.
+fn index_offsets(index: &symmetric_locality::trace::binio::SltrIndex) -> Vec<u64> {
+    (1..=index.entry_count() as u64)
+        .map(|k| index.offset_of(k * index.interval()).unwrap())
+        .collect()
+}
+
+#[test]
+fn a_shifted_sidecar_offset_fails_the_job_the_stream_and_the_resume() {
+    use symmetric_locality::trace::binio::{sltr_index_path, SltrIndex};
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_shift_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.sltr");
+    let sidecar = sltr_index_path(&trace);
+    let (ok, stderr) = run_symloc(&symloc_args(
+        "trace convert gen:zipf:5000:200000:0.8:3 {} --index 1000",
+        &[&trace],
+    ));
+    assert!(ok, "{stderr}");
+    let good = std::fs::read(&sidecar).unwrap();
+    // Entry 49 (access 50 000) one byte late, entry 50 where it was: the
+    // total, the payload length and every other offset are unchanged.
+    let index = SltrIndex::read(&sidecar).unwrap();
+    let mut offsets = index_offsets(&index);
+    offsets[49] += 1;
+    let shifted = SltrIndex::from_parts(
+        index.interval(),
+        index.total_accesses(),
+        index.payload_len(),
+        offsets,
+    )
+    .to_bytes();
+    assert_eq!(shifted.len(), good.len());
+    std::fs::write(&sidecar, &shifted).unwrap();
+
+    let named = ["t.sltr.idx", "access 50000", "cannot read sltr:"];
+    let fresh = dir.join("fresh.json");
+    assert_fails_loudly(
+        &symloc_args(
+            "trace mrc {} --exact --shards 4 --threads 2 --checkpoint {}",
+            &[&trace, &fresh],
+        ),
+        &named,
+    );
+    assert!(
+        !fresh.exists(),
+        "the first chunk fails, so nothing is saved"
+    );
+    assert_fails_loudly(
+        &symloc_args("trace mrc {} --exact --threads 1", &[&trace]),
+        &named,
+    );
+
+    // A checkpoint written with the good sidecar: the resumed run's first
+    // chunk checks the offset it seeks by.
+    std::fs::write(&sidecar, &good).unwrap();
+    let checkpoint = dir.join("ck.json");
+    let (ok, stderr) = run_symloc(&symloc_args(
+        "trace mrc {} --exact --shards 4 --threads 2 --max-chunks 1 --checkpoint {}",
+        &[&trace, &checkpoint],
+    ));
+    assert!(ok, "{stderr}");
+    let saved = std::fs::read(&checkpoint).unwrap();
+    std::fs::write(&sidecar, &shifted).unwrap();
+    assert_fails_loudly(
+        &symloc_args(
+            "trace mrc {} --exact --shards 4 --threads 2 --checkpoint {}",
+            &[&trace, &checkpoint],
+        ),
+        &named,
+    );
+    assert_fails_loudly(&symloc_args("job resume {}", &[&checkpoint]), &named);
+    assert_eq!(std::fs::read(&checkpoint).unwrap(), saved);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cut_overlong_and_overcounted_payloads_fail_every_trace_read_path() {
+    use symmetric_locality::trace::binio::{sltr_index_path, SltrIndex};
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_payload_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.sltr");
+    let sidecar = sltr_index_path(&trace);
+    // 20 500 accesses, so a total one higher keeps the entry count.
+    let (ok, stderr) = run_symloc(&symloc_args(
+        "trace convert gen:zipf:5000:20500:0.8:5 {} --index 1000",
+        &[&trace],
+    ));
+    assert!(ok, "{stderr}");
+    let (good_trace, good_sidecar) = (
+        std::fs::read(&trace).unwrap(),
+        std::fs::read(&sidecar).unwrap(),
+    );
+    let index = SltrIndex::read(&sidecar).unwrap();
+    let rewritten = |total: u64, payload_len: u64| {
+        SltrIndex::from_parts(index.interval(), total, payload_len, index_offsets(&index))
+            .to_bytes()
+    };
+    // A checkpoint with three of the four chunks done, so a resume runs
+    // only the last chunk, which every damage below reaches.
+    let checkpoint = dir.join("ck.json");
+    let (ok, stderr) = run_symloc(&symloc_args(
+        "trace mrc {} --exact --shards 4 --threads 2 --max-chunks 3 --checkpoint {}",
+        &[&trace, &checkpoint],
+    ));
+    assert!(ok, "{stderr}");
+    let saved = std::fs::read(&checkpoint).unwrap();
+
+    let mut overlong = good_trace.clone();
+    let at = overlong.len() - 40;
+    overlong[at..at + 11].copy_from_slice(&[0xff; 11]);
+    let cut = good_trace.len() - 7;
+    for (case, payload, index_bytes) in [
+        (
+            "cut short",
+            good_trace[..cut].to_vec(),
+            rewritten(index.total_accesses(), (cut - 5) as u64),
+        ),
+        ("overlong varint", overlong, good_sidecar.clone()),
+        (
+            "total one too high",
+            good_trace.clone(),
+            rewritten(index.total_accesses() + 1, index.payload_len()),
+        ),
+    ] {
+        std::fs::write(&trace, &payload).unwrap();
+        std::fs::write(&sidecar, &index_bytes).unwrap();
+        let named = ["cannot read sltr:", "t.sltr"];
+        let fresh = dir.join("fresh.json");
+        std::fs::remove_file(&fresh).ok();
+        let job = "trace mrc {} --exact --shards 4 --threads 2 --checkpoint {}";
+        for args in [
+            symloc_args(job, &[&trace, &fresh]),
+            symloc_args(job, &[&trace, &checkpoint]),
+            symloc_args("trace mrc {} --exact --threads 1", &[&trace]),
+        ] {
+            let (ok, stderr) = run_symloc(&args);
+            assert!(!ok, "{case}: `symloc {}` exited 0", args.join(" "));
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+            for needle in named {
+                assert!(
+                    stderr.contains(needle),
+                    "{case}: {needle:?} not in {stderr}"
+                );
+            }
+        }
+        let (ok, stderr) = run_symloc(&symloc_args("job resume {}", &[&checkpoint]));
+        assert!(!ok, "{case}: job resume exited 0");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(stderr.contains("t.sltr"), "{case}: {stderr}");
+        assert_eq!(std::fs::read(&checkpoint).unwrap(), saved, "{case}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
