@@ -26,8 +26,11 @@
 //!   of SHARDS (hash-based spatial sampling): addresses are sampled by a
 //!   fixed hash condition, the tracked set is capped at `s_max` by evicting
 //!   the largest-hash address and lowering the sampling threshold, and
-//!   sampled distances/counts are rescaled by the sampling rate. Memory is
-//!   `O(s_max)` no matter how many distinct addresses the trace touches.
+//!   sampled distances/counts are rescaled by the sampling rate. It runs
+//!   the exact engine's timeline, whose interner forgets each evicted
+//!   address (its id goes to the next first touch) and has no
+//!   small-address tier, so memory is `O(s_max)` no matter how many
+//!   distinct addresses the trace touches or what their values are.
 //! * [`ChunkPartial`] / [`MergeState`] — chunk-sharded parallel ingestion:
 //!   each worker folds a contiguous chunk of the trace into a *mergeable*
 //!   partial (resolved within-chunk distances, the chunk's first accesses
@@ -64,12 +67,12 @@
 
 use crate::job::{self, Job, JobError, JobKind, JobRunner};
 use crate::jsonio::{JsonValue, StagingWriter};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 use symloc_par::{split_indices, split_prefix_len};
-use symloc_perm::fenwick::{Fenwick, SlotCounter};
+use symloc_perm::fenwick::SlotCounter;
 use symloc_trace::io::TraceIoError;
 use symloc_trace::stream::{
     AccessSink, BlockCursor, BlockRead, CountingSink, ReadPlan, TraceSource, BLOCK_LEN,
@@ -431,20 +434,34 @@ const SMALL_ADDR_LIMIT: u64 = 1 << 21;
 /// Two-tier lookup: addresses under `SMALL_ADDR_LIMIT` resolve through a
 /// direct-indexed array (the common case for cache-line traces); larger
 /// ones go through a linear-probing open-addressing table keyed by
-/// `splitmix64`. Ids are handed out in first-touch order and never
-/// recycled, so `id → addr` is a plain `Vec` lookup.
+/// `splitmix64`, and `id → addr` is a plain `Vec` lookup.
+///
+/// An owner may also make the interner forget an address
+/// ([`AddrInterner::forget`]): its table entry is removed by backward-shift
+/// deletion, so no tombstone is left behind, and its id goes on a free
+/// list that the next first touch takes from. An interner that never
+/// forgets hands out its ids in first-touch order, which the chunk
+/// partials rely on. The sampled estimator forgets every address it
+/// evicts, and its interner has no small-address tier
+/// ([`AddrInterner::without_small_tier`]), so its memory follows the
+/// addresses it holds, never their values.
 #[derive(Debug, Clone)]
 pub struct AddrInterner {
+    /// Addresses below this bound intern through `small`:
+    /// `SMALL_ADDR_LIMIT`, or 0 for an interner without the tier.
+    small_limit: u64,
     /// Direct `addr → id` array for small addresses (`NO_ID` = unseen).
     small: Vec<u32>,
     /// Open-addressing `hash slot → id` table for large addresses
     /// (`NO_ID` = empty); keys live in `addrs`. Power-of-two sized,
     /// resized at 1/2 load.
     table: Vec<u32>,
-    /// `id → addr`, in first-touch order.
+    /// `id → addr`; a forgotten id's entry is stale until the id is reused.
     addrs: Vec<u64>,
     /// Ids held by the large-address table (for the load factor).
     large: usize,
+    /// Forgotten ids, the most recently forgotten handed out first.
+    free: Vec<u32>,
     /// Hard ceiling on ids handed out (`NO_ID` by default; lowered only by
     /// tests exercising the exhaustion path).
     max_ids: u32,
@@ -454,6 +471,15 @@ impl Default for AddrInterner {
     fn default() -> Self {
         AddrInterner::new()
     }
+}
+
+/// The table position `addr` probes first. It takes the upper half of the
+/// hash: the sampled estimator's sampling condition and hash-shard route
+/// fix low bits of the hash of every address it holds, which would pile
+/// its entries onto a few home positions.
+#[inline]
+fn home(addr: u64, mask: usize) -> usize {
+    splitmix64(addr).rotate_left(32) as usize & mask
 }
 
 impl AddrInterner {
@@ -470,24 +496,42 @@ impl AddrInterner {
     #[must_use]
     pub fn with_capacity_limit(max_ids: u32) -> Self {
         AddrInterner {
+            small_limit: SMALL_ADDR_LIMIT,
             small: Vec::new(),
-            table: Vec::new(),
+            table: vec![NO_ID; 64],
             addrs: Vec::new(),
             large: 0,
+            free: Vec::new(),
             max_ids,
         }
     }
 
-    /// Distinct addresses interned so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.addrs.len()
+    /// Creates an interner that hashes every address, so its memory is
+    /// `O(addresses held)` whatever their values: the interner of an owner
+    /// that forgets addresses to stay within a budget.
+    pub(crate) fn without_small_tier() -> Self {
+        AddrInterner {
+            small_limit: 0,
+            ..Self::new()
+        }
     }
 
-    /// True when no address has been interned yet.
+    /// Distinct addresses interned and not forgotten.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.addrs.len() - self.free.len()
+    }
+
+    /// True when no address is interned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.len() == 0
+    }
+
+    /// One past the largest id ever handed out: arrays indexed by id need
+    /// this length.
+    fn id_bound(&self) -> usize {
+        self.addrs.len()
     }
 
     /// The address a previously handed-out id stands for.
@@ -501,7 +545,8 @@ impl AddrInterner {
         self.addrs[id as usize]
     }
 
-    /// Returns `addr`'s id, handing out the next dense id on first touch.
+    /// Returns `addr`'s id, handing out an id on first touch: a forgotten
+    /// one if there is any, else the next dense one.
     ///
     /// # Panics
     ///
@@ -510,7 +555,7 @@ impl AddrInterner {
     /// silently alias two addresses, so exhaustion must be loud.
     #[inline]
     pub fn intern(&mut self, addr: u64) -> u32 {
-        if addr < SMALL_ADDR_LIMIT {
+        if addr < self.small_limit {
             let idx = addr as usize;
             if let Some(&id) = self.small.get(idx) {
                 if id != NO_ID {
@@ -552,57 +597,58 @@ impl AddrInterner {
     /// before the lookup (the table grew) costs only the wasted hint.
     #[inline]
     fn prefetch_slot(&self, addr: u64) {
-        if addr < SMALL_ADDR_LIMIT {
+        if addr < self.small_limit {
             if let Some(slot) = self.small.get(addr as usize) {
                 prefetch(slot);
             }
-        } else if !self.table.is_empty() {
-            prefetch(&self.table[splitmix64(addr) as usize & (self.table.len() - 1)]);
+        } else {
+            prefetch(&self.table[home(addr, self.table.len() - 1)]);
         }
     }
 
-    /// Returns `addr`'s id if it has been interned, without interning it.
-    #[must_use]
-    #[inline]
-    pub fn lookup(&self, addr: u64) -> Option<u32> {
-        if addr < SMALL_ADDR_LIMIT {
-            let id = *self.small.get(addr as usize)?;
-            (id != NO_ID).then_some(id)
+    /// Forgets `addr` and returns the id it had, which the next first touch
+    /// of any address takes over; `None` when `addr` is not interned.
+    pub(crate) fn forget(&mut self, addr: u64) -> Option<u32> {
+        let id = if addr < self.small_limit {
+            let entry = self
+                .small
+                .get_mut(addr as usize)
+                .filter(|id| **id != NO_ID)?;
+            std::mem::replace(entry, NO_ID)
         } else {
-            if self.table.is_empty() {
-                return None;
+            let pos = self.probe(addr).ok()?;
+            let id = self.table[pos];
+            self.remove_at(pos);
+            self.large -= 1;
+            id
+        };
+        self.free.push(id);
+        Some(id)
+    }
+
+    /// The table position holding `addr` (`Ok`), or the empty position its
+    /// probe ends at (`Err`).
+    #[inline]
+    fn probe(&self, addr: u64) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut pos = home(addr, mask);
+        loop {
+            let id = self.table[pos];
+            if id == NO_ID {
+                return Err(pos);
             }
-            let mask = self.table.len() - 1;
-            let mut pos = splitmix64(addr) as usize & mask;
-            loop {
-                let id = self.table[pos];
-                if id == NO_ID {
-                    return None;
-                }
-                if self.addrs[id as usize] == addr {
-                    return Some(id);
-                }
-                pos = (pos + 1) & mask;
+            if self.addrs[id as usize] == addr {
+                return Ok(pos);
             }
+            pos = (pos + 1) & mask;
         }
     }
 
     fn intern_large(&mut self, addr: u64) -> u32 {
-        if self.table.is_empty() {
-            self.table = vec![NO_ID; 64];
-        }
-        let mask = self.table.len() - 1;
-        let mut pos = splitmix64(addr) as usize & mask;
-        loop {
-            let id = self.table[pos];
-            if id == NO_ID {
-                break;
-            }
-            if self.addrs[id as usize] == addr {
-                return id;
-            }
-            pos = (pos + 1) & mask;
-        }
+        let pos = match self.probe(addr) {
+            Ok(pos) => return self.table[pos],
+            Err(pos) => pos,
+        };
         let id = self.push_addr(addr);
         self.table[pos] = id;
         self.large += 1;
@@ -612,23 +658,45 @@ impl AddrInterner {
         id
     }
 
-    fn grow_table(&mut self) {
-        let mut table = vec![NO_ID; self.table.len() * 2];
-        let mask = table.len() - 1;
-        for &id in &self.table {
+    /// Empties table position `hole` and moves each later entry of its
+    /// probe run whose probe passes the hole back into it, so every entry
+    /// stays reachable from its home position without tombstones.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.table.len() - 1;
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let id = self.table[pos];
             if id == NO_ID {
-                continue;
+                break;
             }
-            let mut pos = splitmix64(self.addrs[id as usize]) as usize & mask;
-            while table[pos] != NO_ID {
-                pos = (pos + 1) & mask;
+            // The probe of this entry runs from its home to `pos`; it
+            // passes the hole unless its home lies after the hole.
+            let from_home = pos.wrapping_sub(home(self.addrs[id as usize], mask)) & mask;
+            if from_home >= pos.wrapping_sub(hole) & mask {
+                self.table[hole] = id;
+                hole = pos;
             }
-            table[pos] = id;
         }
-        self.table = table;
+        self.table[hole] = NO_ID;
+    }
+
+    fn grow_table(&mut self) {
+        let doubled = vec![NO_ID; self.table.len() * 2];
+        let old = std::mem::replace(&mut self.table, doubled);
+        for id in old.into_iter().filter(|&id| id != NO_ID) {
+            let pos = self
+                .probe(self.addrs[id as usize])
+                .expect_err("the table holds each id once");
+            self.table[pos] = id;
+        }
     }
 
     fn push_addr(&mut self, addr: u64) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.addrs[id as usize] = addr;
+            return id;
+        }
         let next = self.addrs.len();
         assert!(
             next < self.max_ids as usize,
@@ -648,24 +716,25 @@ impl AddrInterner {
 // The compressed timeline
 // ---------------------------------------------------------------------------
 
-/// The core of the exact engines: a [`SlotCounter`] of live markers over
-/// *compressed timestamps* plus per-address last-access state. Each
-/// distinct address owns exactly one marker; timestamps are dense slot
-/// indices that are periodically compacted (live markers re-packed in
-/// order), so the counter's size tracks the number of live addresses, not
-/// the number of accesses. The counter keeps one bit per slot and a `u32`
-/// Fenwick tree over 512-slot blocks, so a distance query walks a tree 512
-/// times smaller than a `u64` node per slot and popcounts at most one cache
-/// line — it stays in cache where a per-slot tree of a million-address
-/// footprint does not.
+/// Olken's algorithm over compressed timestamps, shared by the exact
+/// engine and the sampled estimator: a [`SlotCounter`] of live markers
+/// plus per-address last-access state. Each live address owns exactly one
+/// marker; timestamps are dense slot indices that are periodically
+/// compacted (live markers re-packed in order), so the counter's size
+/// tracks the number of live addresses, not the number of accesses. The
+/// counter keeps one bit per slot and a `u32` Fenwick tree over 512-slot
+/// blocks, so a distance query walks a tree 512 times smaller than a `u64`
+/// node per slot and popcounts at most one cache line — it stays in cache
+/// where a per-slot tree of a million-address footprint does not.
 ///
 /// Addresses are interned to dense `u32` ids, so the per-access state is
 /// two flat-array lookups (`slot_of`, `id_of_slot`) instead of a hash-map
-/// probe — the single biggest cost in the old `HashMap<u64, usize>` inner
-/// loop. The interner grows with distinct-addresses-ever-seen, which is
-/// exactly the exact path's `O(footprint)` budget; the bounded-memory
-/// sampled estimator keeps its own hash-based [`SampledTimeline`] instead,
-/// because an interner would defeat its `O(s_max)` eviction guarantee.
+/// probe. The exact engine's timeline never forgets an address, so its
+/// memory is the `O(footprint)` of distinct addresses ever seen and its
+/// ids are first-touch ranks. The sampled estimator's timeline forgets
+/// each address it evicts ([`Timeline::remove`]), which frees the
+/// address's id for the next first touch, and its interner has no
+/// small-address tier, so its memory stays `O(s_max)`.
 ///
 /// Over a footprint of a million addresses each access is a chain of
 /// dependent cache misses: the interner's table slot, the address it
@@ -684,9 +753,10 @@ struct Timeline {
     /// The live markers; its length is the slot capacity. Nothing is
     /// marked at or past `next_slot`.
     marks: SlotCounter,
+    /// Holds exactly the live addresses.
     interner: AddrInterner,
-    /// `id → slot of its live marker` (`NO_SLOT` = the address is not live).
-    slot_of: Vec<usize>,
+    /// `id → slot of its live marker` (`NO_SLOT` = the id is free).
+    slot_of: Vec<u32>,
     /// `slot → id of the marker occupying it`. Valid iff the slot is
     /// marked (then `slot_of` points back at it); moves and removals leave
     /// stale entries behind rather than erasing them. Always `marks.len()`
@@ -701,14 +771,16 @@ struct Timeline {
     distances: Vec<usize>,
 }
 
-/// Sentinel slot meaning "this id has no live marker".
-const NO_SLOT: usize = usize::MAX;
+/// Sentinel slot meaning "this id has no live entry". Slots are stored as
+/// `u32`: a [`SlotCounter`] holds at most `u32::MAX` slots and panics when
+/// asked for more, so every slot is below this sentinel and none wraps.
+const NO_SLOT: u32 = u32::MAX;
 
 impl Timeline {
-    fn new() -> Self {
+    fn new(interner: AddrInterner) -> Self {
         Timeline {
             marks: SlotCounter::new(MIN_TIMELINE_CAPACITY),
-            interner: AddrInterner::new(),
+            interner,
             slot_of: Vec::new(),
             id_of_slot: vec![0; MIN_TIMELINE_CAPACITY],
             next_slot: 0,
@@ -737,17 +809,16 @@ impl Timeline {
     /// and resizes the counter to twice the live count. Called when the
     /// slot counter reaches the capacity; amortized `O(1)` per access.
     ///
-    /// Walking the slots in ascending order visits live markers exactly in
-    /// the order the old implementation obtained by sorting `(slot, addr)`
-    /// pairs, so the repacked layout is identical — and since `new_slot`
-    /// never overtakes the read cursor, the repack is safely in place.
+    /// Walking the slots in ascending order visits live markers in
+    /// timeline order, and since `new_slot` never overtakes the read
+    /// cursor, the repack is safely in place.
     fn compact(&mut self) {
         let mut new_slot = 0usize;
         for slot in 0..self.next_slot {
             if self.marks.is_set(slot) {
                 let id = self.id_of_slot[slot];
                 self.id_of_slot[new_slot] = id;
-                self.slot_of[id as usize] = new_slot;
+                self.slot_of[id as usize] = new_slot as u32;
                 new_slot += 1;
             }
         }
@@ -766,7 +837,7 @@ impl Timeline {
     #[inline]
     fn observe(&mut self, addr: u64) -> Option<usize> {
         let id = self.interner.intern(addr);
-        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.slot_of.resize(self.interner.id_bound(), NO_SLOT);
         self.observe_id(id)
     }
 
@@ -778,7 +849,7 @@ impl Timeline {
         let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         self.interner.intern_all(block.iter().copied(), &mut ids);
-        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.slot_of.resize(self.interner.id_bound(), NO_SLOT);
         self.distances.clear();
         let mut first_touches = 0u64;
         for (i, &id) in ids.iter().enumerate() {
@@ -807,130 +878,49 @@ impl Timeline {
         }
         let prev = self.slot_of[id as usize];
         let distance = (prev != NO_SLOT).then(|| {
+            let prev = prev as usize;
             let distance = self.marks.count() - self.marks.count_below(prev);
             self.marks.clear(prev);
             distance
         });
         self.marks.set(self.next_slot);
-        self.slot_of[id as usize] = self.next_slot;
+        // Below the capacity, hence below `NO_SLOT`.
+        self.slot_of[id as usize] = self.next_slot as u32;
         self.id_of_slot[self.next_slot] = id;
         self.next_slot += 1;
         distance
     }
 
-    /// The live addresses' ids in timeline (last-access) order. Ids are
-    /// first-touch ranks, so this is the order as indices into the list
-    /// of first touches.
+    /// Forgets `addr`: clears its marker and frees its id for the next
+    /// first touch. Returns whether `addr` was live.
+    fn remove(&mut self, addr: u64) -> bool {
+        let Some(id) = self.interner.forget(addr) else {
+            return false;
+        };
+        let slot = std::mem::replace(&mut self.slot_of[id as usize], NO_SLOT);
+        self.marks.clear(slot as usize);
+        true
+    }
+
+    /// The live addresses' ids in timeline (last-access) order. In a
+    /// timeline that never forgets, ids are first-touch ranks, so this is
+    /// the order as indices into the list of first touches.
     fn ordered_ids(&self) -> Vec<u32> {
         (0..self.next_slot)
             .filter(|&slot| self.marks.is_set(slot))
             .map(|slot| self.id_of_slot[slot])
             .collect()
     }
-}
 
-/// The bounded-memory sibling of [`Timeline`], used by the SHARDS-style
-/// sampled estimator: per-address state lives in a `HashMap` that shrinks
-/// on eviction, so memory stays `O(s_max)` no matter how many distinct
-/// addresses the trace touches. (An interner never forgets an address, so
-/// the dense timeline's footprint is distinct-addresses-ever-seen —
-/// exactly right for the exact path, fatal for the sampled one.)
-#[derive(Debug, Clone)]
-struct SampledTimeline {
-    tree: Fenwick,
-    last_slot: HashMap<u64, usize>,
-    next_slot: usize,
-    /// Slot-compaction passes performed (observability only — never read
-    /// back into the computation).
-    compactions: u64,
-}
-
-impl SampledTimeline {
-    fn new() -> Self {
-        SampledTimeline {
-            tree: Fenwick::new(MIN_TIMELINE_CAPACITY),
-            last_slot: HashMap::new(),
-            next_slot: 0,
-            compactions: 0,
-        }
-    }
-
-    /// Number of live (tracked) addresses.
-    fn live(&self) -> usize {
-        self.last_slot.len()
-    }
-
-    /// Compaction passes performed so far.
-    fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Current tree capacity (for memory-bound assertions).
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Re-packs the live markers into slots `0..live` (preserving order)
-    /// and resizes the tree to twice the live count.
-    fn compact(&mut self) {
-        let mut live: Vec<(usize, u64)> = self
-            .last_slot
-            .iter()
-            .map(|(&addr, &slot)| (slot, addr))
-            .collect();
-        live.sort_unstable();
-        let capacity = (live.len() * 2).max(MIN_TIMELINE_CAPACITY);
-        self.tree.reset_ones_prefix(capacity, live.len());
-        self.last_slot.clear();
-        for (new_slot, &(_, addr)) in live.iter().enumerate() {
-            self.last_slot.insert(addr, new_slot);
-        }
-        self.next_slot = live.len();
-        self.compactions += 1;
-    }
-
-    fn ensure_slot(&mut self) {
-        if self.next_slot >= self.tree.len() {
-            self.compact();
-        }
-    }
-
-    /// Records one access: returns `Some(reuse distance)` when the address
-    /// was live, `None` on a first touch.
-    fn observe(&mut self, addr: u64) -> Option<usize> {
-        self.ensure_slot();
-        let distance = self.last_slot.get(&addr).copied().map(|prev| {
-            let between = self.tree.range_sum(prev + 1, self.next_slot);
-            self.tree.sub(prev, 1);
-            usize::try_from(between).expect("distance fits usize") + 1
-        });
-        self.tree.add(self.next_slot, 1);
-        self.last_slot.insert(addr, self.next_slot);
-        self.next_slot += 1;
-        distance
-    }
-
-    /// Removes an address's marker; returns the slot it occupied.
-    fn remove(&mut self, addr: u64) -> Option<usize> {
-        let slot = self.last_slot.remove(&addr)?;
-        self.tree.sub(slot, 1);
-        Some(slot)
-    }
-
-    /// The live addresses in timeline (last-access) order — the same order
-    /// [`SampledTimeline::compact`] repacks them in, so re-observing the
-    /// list into a fresh timeline reproduces the relative marker order
-    /// (which is all future distances depend on). The canonical
-    /// serialization of the timeline for mid-stream checkpoints.
+    /// The live addresses in timeline (last-access) order. Observing the
+    /// list into a fresh timeline reproduces the relative marker order,
+    /// which is all future distances depend on: the canonical form of the
+    /// timeline in mid-stream checkpoints.
     fn ordered_addresses(&self) -> Vec<u64> {
-        let mut live: Vec<(usize, u64)> = self
-            .last_slot
-            .iter()
-            .map(|(&addr, &slot)| (slot, addr))
-            .collect();
-        live.sort_unstable();
-        live.into_iter().map(|(_, addr)| addr).collect()
+        self.ordered_ids()
+            .into_iter()
+            .map(|id| self.interner.address(id))
+            .collect()
     }
 }
 
@@ -949,7 +939,7 @@ pub struct OnlineReuseEngine {
 
 impl Default for Timeline {
     fn default() -> Self {
-        Timeline::new()
+        Timeline::new(AddrInterner::new())
     }
 }
 
@@ -1106,8 +1096,10 @@ fn splitmix64(mut x: u64) -> u64 {
 /// (so a sampled distance counts only sampled addresses) and are recorded
 /// with distance and weight rescaled by `1/R`. When the tracked set
 /// exceeds the `s_max` budget, the largest-hash address is evicted and `T`
-/// drops to its hash — rate adaptation — keeping memory at `O(s_max)`
-/// forever while the estimate keeps covering the whole address space.
+/// drops to its hash — rate adaptation — while the estimate keeps
+/// covering the whole address space. The timeline forgets each evicted
+/// address and its interner hashes every address, so the estimator holds
+/// `O(s_max)` memory forever, whatever the addresses' values.
 ///
 /// Accuracy caveat: spatial sampling keeps or drops *whole addresses*, so
 /// the estimator's variance is governed by the access share of individual
@@ -1125,7 +1117,8 @@ pub struct ShardsEstimator {
     /// (`0` of `1`) is the whole space — the classic sequential estimator.
     shard_index: u64,
     shard_count: u64,
-    timeline: SampledTimeline,
+    /// Forgets each address it evicts, so it holds at most `s_max + 1`.
+    timeline: Timeline,
     /// Max-heap of `(hash, addr)` over tracked addresses, for eviction.
     by_hash: BinaryHeap<(u64, u64)>,
     histogram: WeightedHistogram,
@@ -1193,7 +1186,7 @@ impl ShardsEstimator {
             threshold,
             shard_index,
             shard_count,
-            timeline: SampledTimeline::new(),
+            timeline: Timeline::new(AddrInterner::without_small_tier()),
             by_hash: BinaryHeap::new(),
             histogram: WeightedHistogram::default(),
             raw_accesses: 0,
@@ -1415,7 +1408,7 @@ impl ShardsEstimator {
                 break;
             }
             self.by_hash.pop();
-            if self.timeline.remove(addr).is_some() {
+            if self.timeline.remove(addr) {
                 self.evictions += 1;
             }
         }
@@ -1768,7 +1761,7 @@ pub struct MergeState {
     slots: Vec<u32>,
     /// `id → slot` of its live entry (`NO_SLOT` between its removal and
     /// its re-append within one absorb).
-    slot_of: Vec<usize>,
+    slot_of: Vec<u32>,
     /// Marks the dead slots; its length is the slot capacity. Nothing is
     /// marked at or past `slots.len()`.
     dead: SlotCounter,
@@ -1812,7 +1805,7 @@ impl MergeState {
         ids.clear();
         self.interner
             .intern_all(partial.unresolved.iter().copied(), &mut ids);
-        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.slot_of.resize(self.interner.id_bound(), NO_SLOT);
         // Resolve the chunk's first accesses against the global order: the
         // distance of a cross-chunk reuse is (distinct addresses earlier in
         // the chunk, the access's index `i`) + (older-chunk addresses whose
@@ -1832,6 +1825,7 @@ impl MergeState {
                 self.histogram.record_cold(1);
                 continue;
             }
+            let slot = slot as usize;
             let dead_after = self.dead.count() - self.dead.count_below(slot + 1);
             let live_after = end - slot - 1 - dead_after;
             distances.push(i + live_after + 1);
@@ -1856,7 +1850,7 @@ impl MergeState {
     /// has no slot yet).
     fn intern(&mut self, addr: u64) -> u32 {
         let id = self.interner.intern(addr);
-        self.slot_of.resize(self.interner.len(), NO_SLOT);
+        self.slot_of.resize(self.interner.id_bound(), NO_SLOT);
         id
     }
 
@@ -1865,7 +1859,8 @@ impl MergeState {
         if self.slots.len() == self.dead.len() {
             self.repack();
         }
-        self.slot_of[id as usize] = self.slots.len();
+        // Below the capacity, hence below `NO_SLOT`.
+        self.slot_of[id as usize] = self.slots.len() as u32;
         self.slots.push(id);
     }
 
@@ -1878,7 +1873,7 @@ impl MergeState {
             if !self.dead.is_set(slot) {
                 let id = self.slots[slot];
                 self.slots[live] = id;
-                self.slot_of[id as usize] = live;
+                self.slot_of[id as usize] = live as u32;
                 live += 1;
             }
         }
@@ -3108,6 +3103,33 @@ mod tests {
         assert!((shards.estimated_footprint() - exact.footprint() as f64).abs() < 1e-9);
     }
 
+    /// Asserts that everything `est` holds per address stays `O(s_max)`:
+    /// no direct-indexed array, and the interner's table and id list, the
+    /// timeline's `slot_of` and its slot capacity each within a small
+    /// constant of the budget.
+    fn assert_budget_bounds_memory(est: &ShardsEstimator) {
+        let held = est.budget() + 1;
+        let timeline = &est.timeline;
+        let interner = &timeline.interner;
+        assert_eq!(interner.small.capacity(), 0, "direct-indexed array");
+        assert!(
+            interner.table.len() <= 4 * held,
+            "table {}",
+            interner.table.len()
+        );
+        assert!(
+            interner.addrs.capacity() <= 2 * held,
+            "ids {}",
+            interner.addrs.capacity()
+        );
+        assert!(
+            timeline.slot_of.capacity() <= 2 * held,
+            "slot_of {}",
+            timeline.slot_of.capacity()
+        );
+        assert!(timeline.capacity() <= 2 * held + MIN_TIMELINE_CAPACITY);
+    }
+
     #[test]
     fn shards_budget_binds_memory_and_still_estimates() {
         use rand::rngs::StdRng;
@@ -3121,7 +3143,13 @@ mod tests {
         assert!(shards.sampling_rate() < 1.0);
         assert!(shards.evictions() > 0);
         assert!(shards.tracked_addresses() <= shards.budget());
-        assert!(shards.timeline.capacity() <= 2 * (shards.budget() + 1) + MIN_TIMELINE_CAPACITY);
+        assert_budget_bounds_memory(&shards);
+        // A million distinct addresses below 2^21, the range an interner
+        // with the small-address tier would give a direct-indexed array.
+        let mut small = ShardsEstimator::new(64);
+        small.record_all(0..1_000_000);
+        assert!(small.evictions() > 500, "{}", small.evictions());
+        assert_budget_bounds_memory(&small);
         // The estimate stays close to the exact curve. Spatial sampling
         // keeps or drops whole addresses, so on a small, highly skewed
         // synthetic address space the hash luck of the few hot addresses
@@ -3133,6 +3161,69 @@ mod tests {
                 .max((shards.histogram().miss_ratio(c) - exact.histogram().miss_ratio(c)).abs());
         }
         assert!(worst < 0.05, "worst MRC error {worst}");
+    }
+
+    /// A seeded run of interns and forgets over addresses on both sides of
+    /// `SMALL_ADDR_LIMIT`, against a `HashMap` model, with and without the
+    /// small-address tier: a live address interns to its id and a dead one
+    /// forgets to `None`, two live addresses never share an id, and the
+    /// table and id list stay within a constant of the largest live count
+    /// (forgotten ids are reused before new ones are handed out).
+    #[test]
+    fn interner_forgets_like_a_map() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+        let mut rng = StdRng::seed_from_u64(61);
+        let pool: Vec<u64> = (0..3000u64)
+            .map(|i| match i % 3 {
+                0 => i,
+                1 => SMALL_ADDR_LIMIT - 1500 + i,
+                _ => rng.gen::<u64>() | SMALL_ADDR_LIMIT,
+            })
+            .collect();
+        for mut interner in [AddrInterner::new(), AddrInterner::without_small_tier()] {
+            let mut model: HashMap<u64, u32> = HashMap::new();
+            let mut owner: HashMap<u32, u64> = HashMap::new();
+            let mut peak = 0usize;
+            for step in 0..120_000 {
+                // Phases of mostly interning and mostly forgetting move the
+                // live count up and down across the whole pool.
+                let interning = if (step / 20_000) % 2 == 0 { 0.8 } else { 0.2 };
+                let addr = pool[rng.gen_range(0..pool.len())];
+                if rng.gen_bool(interning) {
+                    let id = interner.intern(addr);
+                    if let Some(&known) = model.get(&addr) {
+                        assert_eq!(id, known, "step {step}");
+                    } else {
+                        assert!(owner.insert(id, addr).is_none(), "id {id} collides");
+                        model.insert(addr, id);
+                    }
+                } else {
+                    let forgotten = interner.forget(addr);
+                    assert_eq!(forgotten, model.remove(&addr), "step {step}");
+                    if let Some(id) = forgotten {
+                        owner.remove(&id);
+                    }
+                }
+                assert_eq!(interner.len(), model.len());
+                peak = peak.max(model.len());
+                assert_eq!(interner.id_bound(), peak, "step {step}");
+                assert!(interner.table.len() <= 4 * peak.max(MIN_TIMELINE_CAPACITY));
+            }
+            let live = model.len();
+            assert!(peak > 2000 && live < 1000, "peak {peak}, live {live}");
+            for &addr in &pool {
+                match model.get(&addr) {
+                    Some(&id) => {
+                        assert_eq!(interner.address(id), addr);
+                        assert_eq!(interner.intern(addr), id);
+                    }
+                    None => assert_eq!(interner.forget(addr), None),
+                }
+            }
+            assert_eq!(interner.len(), live);
+        }
     }
 
     #[test]

@@ -763,6 +763,14 @@ mod tests {
         SlotCounter::new(3).clear(64);
     }
 
+    /// The exact engines store slots as `u32` and rely on this bound, so a
+    /// longer counter must fail before it allocates, not wrap a slot.
+    #[test]
+    #[should_panic(expected = "exceed the u32 block counts")]
+    fn slot_counter_rejects_more_slots_than_u32_numbers() {
+        let _ = SlotCounter::new(u32::MAX as usize + 1);
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn slot_counter_rejects_counting_past_the_end() {

@@ -26,7 +26,7 @@ use symloc_core::jsonio::{self, JsonValue};
 use symloc_core::partition::{solve, Bounds, PartitionSolution, TenantCurve};
 use symloc_core::serve::{ServeState, PARTITION_MRC_POINTS};
 use symloc_core::tracesweep::{MrcPoint, OnlineReuseEngine};
-use symloc_trace::stream::TraceSource;
+use symloc_trace::stream::{ReadPlan, TraceSource};
 
 use super::flags::{CommandSpec, FlagSpec, CHECKPOINT, JSON};
 use super::CliError;
@@ -162,7 +162,8 @@ struct SimulatedTenant {
 }
 
 /// Replays every tenant's trace source through the exact engine and
-/// simulates both the solver's allocation and the equal split.
+/// simulates both the solver's allocation and the equal split. A source
+/// that cannot be read or decoded is an error naming it.
 fn simulate(
     tenants: &[ReportTenant],
     solution: &PartitionSolution,
@@ -178,11 +179,16 @@ fn simulate(
         })?;
         let source = TraceSource::from_fingerprint(fingerprint)
             .map_err(|e| CliError(format!("tenant {:?}: {e}", tenant.curve.name())))?;
+        let cannot_replay = |e| CliError(format!("cannot replay {fingerprint}: {e}"));
+        let plan = ReadPlan::whole(&source).map_err(cannot_replay)?;
+        let mut blocks = source
+            .read_blocks(&plan, 0, u64::MAX)
+            .map_err(cannot_replay)?;
         let mut engine = OnlineReuseEngine::new();
-        let stream = source
-            .stream()
-            .map_err(|e| CliError(format!("cannot replay {fingerprint}: {e}")))?;
-        engine.record_all(stream);
+        let mut block = Vec::new();
+        while blocks.try_next_block(&mut block).map_err(cannot_replay)? > 0 {
+            engine.record_block(&block);
+        }
         let histogram = engine.histogram();
         let at = |size: u64| histogram.miss_ratio(usize::try_from(size).unwrap_or(usize::MAX));
         rows.push(SimulatedTenant {

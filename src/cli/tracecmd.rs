@@ -588,9 +588,10 @@ fn run_checkpointed_job(
     } else if path.exists() {
         // A checkpoint is on disk but did not match this source, access
         // count or plan — say so before overwriting it, so a mistyped
-        // flag or path does not silently discard progress.
-        let _ = writeln!(
-            out,
+        // flag or path does not silently discard progress. It goes to
+        // stderr before any chunk runs, since the report is lost when the
+        // run then fails (and a `--json` report has no place for it).
+        let warning = format!(
             "warning: existing checkpoint {checkpoint} does not match this \
              source/plan (source {source}, {} accesses, {} chunks, {}, {} hash \
              shards); starting fresh and overwriting it",
@@ -599,6 +600,8 @@ fn run_checkpointed_job(
             plan.halves(),
             plan.shards
         );
+        eprintln!("{warning}");
+        let _ = writeln!(out, "{warning}");
     }
     let ran = job
         .run_with_checkpoint_metered(

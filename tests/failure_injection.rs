@@ -778,6 +778,47 @@ fn partition_failure_rows_are_loud_named_errors_never_panics() {
     std::fs::remove_file(&ck).ok();
 }
 
+/// `partition --verify` replays the trace each report records; a trace
+/// that changed since its report was written fails naming it, and never
+/// panics.
+#[test]
+fn partition_verify_over_traces_damaged_after_their_reports_fails_loudly() {
+    use symmetric_locality::cli;
+
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_verify_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (text, binary) = (dir.join("a.txt"), dir.join("b.sltr"));
+    let mut reports = Vec::new();
+    for (spec, trace) in [
+        ("gen:zipf:200:3000:0.8:1", &text),
+        ("gen:zipf:300:3000:0.5:2", &binary),
+    ] {
+        let convert = format!("trace convert {spec} {{}} --index 0");
+        let (ok, stderr) = run_symloc(&symloc_args(&convert, &[trace]));
+        assert!(ok, "{stderr}");
+        let report = trace.with_extension("json");
+        let json = cli::run(&symloc_args("trace mrc {} --json", &[trace])).unwrap();
+        std::fs::write(&report, json).unwrap();
+        reports.push(report);
+    }
+    let verify = symloc_args("partition 100 {} {} --verify", &[&reports[0], &reports[1]]);
+    let (ok, stderr) = run_symloc(&verify);
+    assert!(ok, "{stderr}");
+
+    let good_text = std::fs::read_to_string(&text).unwrap();
+    let mut lines: Vec<&str> = good_text.lines().collect();
+    lines[99] = "notanaddress";
+    std::fs::write(&text, lines.join("\n") + "\n").unwrap();
+    assert_fails_loudly(&verify, &["cannot replay text:", "a.txt", "notanaddress"]);
+
+    std::fs::write(&text, &good_text).unwrap();
+    let good_binary = std::fs::read(&binary).unwrap();
+    std::fs::write(&binary, &good_binary[..good_binary.len() - 3]).unwrap();
+    assert_fails_loudly(&verify, &["cannot replay sltr:", "b.sltr"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_surfaces_errors_instead_of_panicking() {
     use symmetric_locality::cli;
@@ -1467,6 +1508,46 @@ fn a_shifted_sidecar_offset_fails_the_job_the_stream_and_the_resume() {
     );
     assert_fails_loudly(&symloc_args("job resume {}", &[&checkpoint]), &named);
     assert_eq!(std::fs::read(&checkpoint).unwrap(), saved);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run that replaces a checkpoint of another plan warns on stderr before
+/// any chunk runs, so the warning is still there when the run then fails.
+#[test]
+fn a_failed_run_over_a_mismatched_checkpoint_keeps_its_overwrite_warning() {
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_overwrite_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, checkpoint) = (dir.join("t.txt"), dir.join("ck.json"));
+    for command in [
+        "trace convert gen:zipf:5000:40000:0.8:3 {}",
+        "trace mrc {} --exact --shards 4 --threads 1 --checkpoint {}",
+    ] {
+        let (ok, stderr) = run_symloc(&symloc_args(command, &[&trace, &checkpoint]));
+        assert!(ok, "{stderr}");
+    }
+    // The line before access 36 864 one digit shorter and the line after
+    // it one digit longer: the sidecar's length and count still match,
+    // but its offset of access 36 864 is a byte late.
+    let good = std::fs::read_to_string(&trace).unwrap();
+    let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+    assert!(lines[36863].len() > 1);
+    lines[36863].pop();
+    lines[36865].push('0');
+    std::fs::write(&trace, lines.join("\n") + "\n").unwrap();
+    assert_eq!(std::fs::metadata(&trace).unwrap().len(), good.len() as u64);
+    assert_fails_loudly(
+        &symloc_args(
+            "trace mrc {} --exact --shards 3 --threads 1 --checkpoint {}",
+            &[&trace, &checkpoint],
+        ),
+        &[
+            "warning: existing checkpoint",
+            "starting fresh and overwriting it",
+            "cannot read text:",
+            "access 36864",
+        ],
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
