@@ -436,15 +436,14 @@ const SMALL_ADDR_LIMIT: u64 = 1 << 21;
 /// ones go through a linear-probing open-addressing table keyed by
 /// `splitmix64`, and `id → addr` is a plain `Vec` lookup.
 ///
-/// An owner may also make the interner forget an address
-/// ([`AddrInterner::forget`]): its table entry is removed by backward-shift
-/// deletion, so no tombstone is left behind, and its id goes on a free
-/// list that the next first touch takes from. An interner that never
-/// forgets hands out its ids in first-touch order, which the chunk
-/// partials rely on. The sampled estimator forgets every address it
-/// evicts, and its interner has no small-address tier
-/// ([`AddrInterner::without_small_tier`]), so its memory follows the
-/// addresses it holds, never their values.
+/// An owner in this crate may also make the interner forget an address
+/// (`forget`): its table entry is removed by backward-shift deletion, so
+/// no tombstone is left behind, and its id goes on a free list that the
+/// next first touch takes from. An interner that never forgets hands out
+/// its ids in first-touch order, which the chunk partials rely on. The
+/// sampled estimator forgets every address it evicts, and its interner
+/// has no small-address tier (`without_small_tier`), so its memory
+/// follows the addresses it holds, never their values.
 #[derive(Debug, Clone)]
 pub struct AddrInterner {
     /// Addresses below this bound intern through `small`:
