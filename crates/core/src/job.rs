@@ -15,7 +15,7 @@
 //!   ([`Job::run_unit`]), in-order absorption ([`Job::absorb`]), a
 //!   streaming checkpoint codec built on [`crate::jsonio`]
 //!   ([`Job::write_json`] + the shared [`write_checkpoint_header`] /
-//!   [`parse_checkpoint`] pair), and a [`Job::fingerprint`] identity
+//!   [`check_checkpoint_header`] pair), and a [`Job::fingerprint`] identity
 //!   embedded in every checkpoint.
 //! * [`JobRunner`] — the generic runner that owns the windowed unit
 //!   scheduling (`std::thread::scope` underneath), checkpointing with
@@ -962,11 +962,18 @@ impl Heartbeat {
                 .and_then(JsonValue::as_usize)
                 .ok_or_else(|| format!("heartbeat missing {key}"))
         };
-        let rate = |key: &str| {
-            doc.get(key)
+        // Times and rates are finite and non-negative as written; one that
+        // is not (`1e999` reads as infinity) would render as `inf`, which
+        // is not JSON, in the `job status --json` report that embeds it.
+        let seconds = |value: Option<&JsonValue>, key: &str| {
+            value
                 .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("heartbeat missing {key}"))
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| {
+                    format!("heartbeat {key} is missing or not a finite, non-negative number")
+                })
         };
+        let rate = |key: &str| seconds(doc.get(key), key);
         let items = match (
             doc.get("items_name").and_then(JsonValue::as_str),
             doc.get("items_done").and_then(JsonValue::as_u64),
@@ -977,7 +984,7 @@ impl Heartbeat {
         };
         let eta_secs = match doc.get("eta_secs") {
             None | Some(JsonValue::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or("heartbeat eta_secs is not a number")?),
+            eta => Some(seconds(eta, "eta_secs")?),
         };
         Ok(Heartbeat {
             job_kind,
@@ -1033,19 +1040,17 @@ pub fn write_checkpoint_header(
     )
 }
 
-/// Parses a checkpoint document and validates its header against the
-/// expected kind and version, returning the parsed document for the
-/// caller's body decoder.
+/// Validates a parsed checkpoint document's header against the expected
+/// kind and version: the first step of every kind's `from_doc` decoder.
 ///
 /// # Errors
 ///
-/// Returns a descriptive error on malformed JSON, a missing kind, an
-/// unsupported version — and, crucially, a **kind mismatch**: a document
-/// of another registered kind names both kinds and points at
-/// `symloc job resume`, so resuming a checkpoint with the wrong command
-/// can never quietly misparse it.
-pub fn parse_checkpoint(text: &str, expected: JobKind) -> Result<JsonValue, String> {
-    let doc = jsonio::parse(text)?;
+/// Returns a descriptive error on a missing kind, an unsupported version
+/// — and, crucially, a **kind mismatch**: a document of another
+/// registered kind names both kinds and points at `symloc job resume`, so
+/// resuming a checkpoint with the wrong command can never quietly
+/// misparse it.
+pub fn check_checkpoint_header(doc: &JsonValue, expected: JobKind) -> Result<(), String> {
     match doc.get("kind").and_then(JsonValue::as_str) {
         None => {
             return Err(format!(
@@ -1077,34 +1082,55 @@ pub fn parse_checkpoint(text: &str, expected: JobKind) -> Result<JsonValue, Stri
     if version != Some(expected.version()) {
         return Err(format!("unsupported checkpoint version {version:?}"));
     }
-    Ok(doc)
+    Ok(())
 }
 
-/// The kind recorded in a checkpoint document: `Ok(Some(kind))` for a
-/// registered tag, `Ok(None)` when the text is not JSON or carries no
-/// registered tag.
+/// The registered kind a `"kind"` tag names, `None` for any other tag.
 ///
 /// # Errors
 ///
 /// Returns a loud error naming the retired kind, and saying to re-run,
 /// for a retired tag.
-pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
-    let Ok(doc) = jsonio::parse(text) else {
-        return Ok(None);
-    };
-    let Some(tag) = doc.get("kind").and_then(JsonValue::as_str) else {
-        return Ok(None);
-    };
+fn registered_kind(tag: &str) -> Result<Option<JobKind>, String> {
     match retired_kind_error(tag) {
         Some(err) => Err(err),
         None => Ok(JobKind::parse(tag)),
     }
 }
 
+/// The kind a parsed checkpoint document records: `Ok(Some(kind))` for a
+/// registered tag, `Ok(None)` when it carries no registered tag.
+///
+/// # Errors
+///
+/// Returns a loud error naming the retired kind, and saying to re-run,
+/// for a retired tag.
+pub fn recorded_kind(doc: &JsonValue) -> Result<Option<JobKind>, String> {
+    doc.get("kind")
+        .and_then(JsonValue::as_str)
+        .map_or(Ok(None), registered_kind)
+}
+
+/// The `"kind"` tag a document opens with, read from its first bytes
+/// alone: what a checkpoint that no longer parses — cut short, a byte
+/// changed, no longer UTF-8 — still says it is. Every checkpoint opens
+/// with its tag ([`write_checkpoint_header`]).
+fn header_kind(bytes: &[u8]) -> Option<&str> {
+    let rest = bytes.trim_ascii_start().strip_prefix(b"{")?;
+    let rest = rest.trim_ascii_start().strip_prefix(b"\"kind\"")?;
+    let rest = rest.trim_ascii_start().strip_prefix(b":")?;
+    let rest = rest.trim_ascii_start().strip_prefix(b"\"")?;
+    let end = rest.iter().position(|&b| b == b'"')?;
+    std::str::from_utf8(&rest[..end]).ok()
+}
+
 /// The shared resume policy of every pipeline: load the checkpoint at
-/// `path` or plan a fresh job.
+/// `path` or plan a fresh job. The file is parsed once; `decode` gets the
+/// parsed document.
 ///
 /// * No file (or unreadable): fresh plan.
+/// * A file whose kind is not registered (not JSON, no `"kind"`, an
+///   unknown tag): fresh plan.
 /// * A checkpoint of a **different registered kind**: a loud error naming
 ///   both kinds — a sampled-sweep checkpoint must never be silently
 ///   discarded (or worse, misread) by an exhaustive sweep, and vice versa
@@ -1120,6 +1146,15 @@ pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
 /// * The right kind and a matching plan: resumed; the returned flag says
 ///   whether any completed progress actually came back.
 ///
+/// **Damaged files.** A file that does not parse — cut short, a byte
+/// changed, not UTF-8, nested past [`jsonio::MAX_DEPTH`] — is judged by
+/// the `"kind"` tag its first bytes name. A registered tag makes it a
+/// damaged checkpoint of that kind: the cross-kind error for another
+/// kind, the undecodable-document error (carrying the parse error) for
+/// the expected one, and the file is left byte for byte as it was. A
+/// retired tag is the retired-kind error. Without a registered or retired
+/// tag it is not a checkpoint, and a fresh plan replaces it.
+///
 /// Whatever the outcome, temp files that interrupted saves to `path` left
 /// behind are removed first ([`jsonio::remove_stale_temps`]).
 ///
@@ -1130,18 +1165,31 @@ pub fn sniff_kind(text: &str) -> Result<Option<JobKind>, String> {
 pub fn resume_or_new_with<T>(
     path: &Path,
     expected: JobKind,
-    decode: impl FnOnce(&str) -> Result<T, String>,
+    decode: impl FnOnce(&JsonValue) -> Result<T, String>,
     matches: impl FnOnce(&T) -> bool,
     completed: impl FnOnce(&T) -> usize,
     fresh: impl FnOnce() -> T,
 ) -> Result<(T, bool), String> {
     jsonio::remove_stale_temps(path);
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return Ok((fresh(), false));
     };
-    let sniffed = sniff_kind(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-    if let Some(found) = sniffed {
-        if found != expected {
+    let parsed = std::str::from_utf8(&bytes)
+        .map_err(|e| format!("not UTF-8 text: {e}"))
+        .and_then(jsonio::parse);
+    let tag = match &parsed {
+        Ok(doc) => doc.get("kind").and_then(JsonValue::as_str),
+        Err(_) => header_kind(&bytes),
+    };
+    let found = match tag {
+        Some(tag) => {
+            registered_kind(tag).map_err(|e| format!("checkpoint {}: {e}", path.display()))?
+        }
+        None => None,
+    };
+    match found {
+        None => return Ok((fresh(), false)),
+        Some(found) if found != expected => {
             return Err(format!(
                 "checkpoint {} holds a {} ({:?}), not the {} this command would resume; \
                  resume it with the matching command (or `symloc job resume`), or point \
@@ -1150,15 +1198,17 @@ pub fn resume_or_new_with<T>(
                 found.describe(),
                 found.kind_str(),
                 expected.describe(),
-            ));
+            ))
         }
+        Some(_) => {}
     }
-    match decode(&text) {
+    match parsed.and_then(|doc| decode(&doc)) {
         Ok(job) if matches(&job) => {
             let resumed = completed(&job) > 0;
             Ok((job, resumed))
         }
-        Err(e) if sniffed == Some(expected) => Err(format!(
+        Ok(_) => Ok((fresh(), false)),
+        Err(e) => Err(format!(
             "checkpoint {} holds a {} ({:?}) that does not decode: {e}; it was left \
              untouched — remove it to start over, or point the checkpoint flag at a \
              different file",
@@ -1166,7 +1216,6 @@ pub fn resume_or_new_with<T>(
             expected.describe(),
             expected.kind_str(),
         )),
-        _ => Ok((fresh(), false)),
     }
 }
 
@@ -1195,7 +1244,8 @@ impl JobStatus {
 }
 
 /// Decodes any registered checkpoint document into a [`JobStatus`],
-/// dispatching on the kind the document itself records.
+/// dispatching on the kind the document itself records. The text is
+/// parsed once, and the kind's `from_doc` decodes the parsed document.
 ///
 /// # Errors
 ///
@@ -1211,7 +1261,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
     let detail_pair = |label: &str, value: String| (label.to_string(), value);
     match kind {
         JobKind::ShardedSweep => {
-            let sweep = crate::shard::ShardedSweep::from_json(text, 1)?;
+            let sweep = crate::shard::ShardedSweep::from_doc(&doc, 1)?;
             Ok(JobStatus {
                 kind,
                 fingerprint: sweep.spec().fingerprint(),
@@ -1221,7 +1271,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::SampledSweep => {
-            let sweep = crate::shard::SampledSweep::from_json(text, 1)?;
+            let sweep = crate::shard::SampledSweep::from_doc(&doc, 1)?;
             Ok(JobStatus {
                 kind,
                 fingerprint: sweep.spec().fingerprint(),
@@ -1235,7 +1285,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::FusedIngest => {
-            let ingest = crate::tracesweep::FusedIngest::from_json(text, 1)?;
+            let ingest = crate::tracesweep::FusedIngest::from_doc(&doc, 1)?;
             let plan = ingest.plan();
             Ok(JobStatus {
                 kind,
@@ -1251,7 +1301,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::ServeState => {
-            let state = crate::serve::ServeState::from_json(text)?;
+            let state = crate::serve::ServeState::from_doc(&doc)?;
             // A serve checkpoint is a snapshot of a daemon, not a batch with
             // a planned end: every persisted tenant counts as complete.
             Ok(JobStatus {
@@ -1294,12 +1344,17 @@ mod tests {
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::ShardedSweep, "m=5;x").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
-        let doc = parse_checkpoint(&out, JobKind::ShardedSweep).unwrap();
+        let doc = jsonio::parse(&out).unwrap();
+        check_checkpoint_header(&doc, JobKind::ShardedSweep).unwrap();
         assert_eq!(
             doc.get("fingerprint").and_then(JsonValue::as_str),
             Some("m=5;x")
         );
-        assert_eq!(sniff_kind(&out), Ok(Some(JobKind::ShardedSweep)));
+        assert_eq!(recorded_kind(&doc), Ok(Some(JobKind::ShardedSweep)));
+        assert_eq!(
+            header_kind(out.as_bytes()),
+            Some(JobKind::ShardedSweep.kind_str())
+        );
     }
 
     #[test]
@@ -1307,7 +1362,8 @@ mod tests {
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::SampledSweep, "fp").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
-        let err = parse_checkpoint(&out, JobKind::ShardedSweep).unwrap_err();
+        let doc = jsonio::parse(&out).unwrap();
+        let err = check_checkpoint_header(&doc, JobKind::ShardedSweep).unwrap_err();
         assert!(err.contains("kind mismatch"), "{err}");
         assert!(err.contains(JobKind::SampledSweep.kind_str()), "{err}");
         assert!(err.contains(JobKind::ShardedSweep.kind_str()), "{err}");
@@ -1315,37 +1371,66 @@ mod tests {
     }
 
     #[test]
-    fn parse_checkpoint_rejects_foreign_and_versioned_documents() {
-        assert!(parse_checkpoint("not json", JobKind::FusedIngest).is_err());
-        assert!(parse_checkpoint("{}", JobKind::FusedIngest).is_err());
-        let err =
-            parse_checkpoint("{\"kind\": \"something_else\"}", JobKind::FusedIngest).unwrap_err();
+    fn checkpoint_header_check_rejects_foreign_and_versioned_documents() {
+        let check = |text: &str| {
+            check_checkpoint_header(&jsonio::parse(text).unwrap(), JobKind::FusedIngest)
+        };
+        assert!(check("[1, 2]").is_err());
+        assert!(check("{}").is_err());
+        let err = check("{\"kind\": \"something_else\"}").unwrap_err();
         assert!(err.contains("something_else"), "{err}");
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::FusedIngest, "fp").unwrap();
         out.push_str("  \"x\": 1\n}\n");
         let bumped = out.replace("\"version\": 1", "\"version\": 9");
-        assert!(parse_checkpoint(&bumped, JobKind::FusedIngest)
-            .unwrap_err()
-            .contains("version"));
+        assert!(check(&bumped).unwrap_err().contains("version"));
     }
 
     #[test]
-    fn sniff_kind_handles_garbage() {
-        assert_eq!(sniff_kind("not json"), Ok(None));
-        assert_eq!(sniff_kind("{}"), Ok(None));
-        assert_eq!(sniff_kind("{\"kind\": \"mystery\"}"), Ok(None));
+    fn recorded_kind_handles_garbage() {
+        let kind = |text: &str| recorded_kind(&jsonio::parse(text).unwrap());
+        assert_eq!(kind("[1, 2]"), Ok(None));
+        assert_eq!(kind("{}"), Ok(None));
+        assert_eq!(kind("{\"kind\": 7}"), Ok(None));
+        assert_eq!(kind("{\"kind\": \"mystery\"}"), Ok(None));
         // Retired tags are not garbage: they fail loudly, naming the job.
         for (tag, job) in RETIRED_KINDS {
             let doc = format!("{{\"kind\": \"{tag}\", \"version\": 1}}");
-            let err = sniff_kind(&doc).unwrap_err();
+            let err = kind(&doc).unwrap_err();
             assert!(err.contains(tag) && err.contains(job), "{err}");
             assert!(err.contains("re-run"), "{err}");
             let err = checkpoint_status(&doc).unwrap_err();
             assert!(err.contains("retired"), "{err}");
-            let err = parse_checkpoint(&doc, JobKind::FusedIngest).unwrap_err();
+            let err = check_checkpoint_header(&jsonio::parse(&doc).unwrap(), JobKind::FusedIngest)
+                .unwrap_err();
             assert!(err.contains("retired"), "{err}");
             assert!(JobKind::parse(tag).is_none());
+        }
+    }
+
+    #[test]
+    fn header_kind_reads_the_opening_tag_only() {
+        let tag = "symloc_serve_checkpoint";
+        for text in [
+            format!("{{\"kind\": \"{tag}\", \"version\": 1"),
+            format!(" \n{{\n  \"kind\"  :  \"{tag}\",\n  \"vers\u{0}"),
+            format!("{{\"kind\":\"{tag}\""),
+        ] {
+            assert_eq!(header_kind(text.as_bytes()), Some(tag), "{text:?}");
+        }
+        let mut not_utf8 = format!("{{\"kind\": \"{tag}\", \"x\": \"").into_bytes();
+        not_utf8.extend([0xB1, b'"', b'}']);
+        assert_eq!(header_kind(&not_utf8), Some(tag));
+        for text in [
+            "",
+            "[",
+            "{}",
+            "{\"version\": 1, \"kind\": \"symloc_serve_checkpoint\"}",
+            "{\"kind\": 5}",
+            "{\"kind\": \"unterminated",
+            "x{\"kind\": \"symloc_serve_checkpoint\"}",
+        ] {
+            assert_eq!(header_kind(text.as_bytes()), None, "{text:?}");
         }
     }
 
@@ -2021,6 +2106,56 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("retired"), "{err}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), retired);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_or_new_with_judges_a_damaged_file_by_its_header() {
+        let path =
+            std::env::temp_dir().join(format!("symloc_job_damaged_{}.json", std::process::id()));
+        let resume = |expected: JobKind| {
+            resume_or_new_with(&path, expected, |_| Ok(1u32), |_| true, |_| 1, || 0u32)
+        };
+        let mut doc = String::new();
+        write_checkpoint_header(&mut doc, JobKind::ServeState, "fp").unwrap();
+        doc.push_str("  \"tenants\": [[1, 2], [3, 4]]\n}\n");
+        let mut not_utf8 = doc.clone().into_bytes();
+        let digit = doc.find('3').unwrap();
+        not_utf8[digit] = 0xB1;
+        let deep = doc.replace("[[1, 2]", &"[".repeat(100_000));
+        for damaged in [
+            doc.as_bytes()[..doc.len() / 2].to_vec(),
+            doc.replacen('3', "x", 1).into_bytes(),
+            not_utf8,
+            deep.into_bytes(),
+        ] {
+            std::fs::write(&path, &damaged).unwrap();
+            let err = resume(JobKind::ServeState).unwrap_err();
+            assert!(err.contains("does not decode"), "{err}");
+            assert!(err.contains("untouched"), "{err}");
+            let err = resume(JobKind::ShardedSweep).unwrap_err();
+            assert!(err.contains(JobKind::ServeState.describe()), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), damaged);
+        }
+        // A retired tag in a damaged file is the retired-kind error.
+        std::fs::write(
+            &path,
+            "{\"kind\": \"symloc_trace_ingest_checkpoint\", \"ver",
+        )
+        .unwrap();
+        assert!(resume(JobKind::FusedIngest)
+            .unwrap_err()
+            .contains("retired"));
+        // Without a registered tag in its header a file is no checkpoint.
+        for other in [
+            "not json",
+            "[[[[",
+            "{\"kind\": \"mystery\", ",
+            "{\"version\": 1, \"kind",
+        ] {
+            std::fs::write(&path, other).unwrap();
+            assert_eq!(resume(JobKind::ServeState).unwrap(), (0, false), "{other}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -395,16 +395,23 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// How deep arrays and objects may nest in a document [`parse`] accepts.
+/// Every document symloc writes nests at most 6 deep (a sweep checkpoint's
+/// level sums); the bound keeps a hostile document of nothing but `[` from
+/// recursing the parser off the end of its stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error, with its
-/// byte offset.
+/// byte offset, or of the first array or object nested deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -428,11 +435,19 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "arrays and objects nest deeper than {MAX_DEPTH} at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -457,7 +472,37 @@ fn parse_literal(
     }
 }
 
+/// Parses the number at `pos`. A non-negative integer that fits `u64` —
+/// every count, address and distance a checkpoint holds — is read straight
+/// from its digits; any other number goes through [`parse_number_token`],
+/// which gives those integers the same value, only slower.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    let mut value = 0u64;
+    let mut end = *pos;
+    while let Some(&c) = bytes.get(end) {
+        if !c.is_ascii_digit() {
+            break;
+        }
+        match value
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(u64::from(c - b'0')))
+        {
+            Some(v) => value = v,
+            None => return parse_number_token(bytes, pos),
+        }
+        end += 1;
+    }
+    if end > *pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        *pos = end;
+        return Ok(JsonValue::Int(i128::from(value)));
+    }
+    parse_number_token(bytes, pos)
+}
+
+/// Parses the number at `pos` as a token: the longest run of digits and
+/// `.eE+-` after an optional sign, kept exact as an `i128` when it is an
+/// integer in range, else read as an `f64`.
+fn parse_number_token(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -535,7 +580,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -544,7 +589,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -557,7 +602,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -569,7 +614,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -633,6 +678,91 @@ mod tests {
         let v = parse("10888869450418352160768000000").unwrap();
         assert_eq!(v.as_u128(), Some(10_888_869_450_418_352_160_768_000_000));
         assert_eq!(v.as_u64(), None);
+    }
+
+    /// The `u64` fast path of `parse_number` returns what the token path
+    /// alone returns — the same value, down to a float's bits, the same
+    /// error and the same end position — on random number tokens: leading
+    /// zeros, integers around `u64::MAX`, negative numbers, fractions,
+    /// exponents and malformed runs, each followed by a random terminator.
+    #[test]
+    fn integer_fast_path_matches_the_token_path() {
+        use rand::{Rng, SeedableRng};
+        let max = u128::from(u64::MAX);
+        let mut tokens: Vec<String> = [max - 1, max, max + 1, max * 10, 0, 9, 10]
+            .iter()
+            .flat_map(|n| [format!("{n}"), format!("00{n}"), format!("-{n}")])
+            .collect();
+        tokens.extend(
+            [
+                "-", "-0", "0", "00", "1e5", "1E+5", "2e-3", "12.5", "1.", "7-", "3+4", "1e999",
+            ]
+            .map(String::from),
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        const ALPHABET: &[u8] = b"0123456789-+.eE";
+        for _ in 0..20_000 {
+            let token = match rng.gen_range(0..4) {
+                // A random integer of any digit count, leading zeros and all.
+                0 => {
+                    let zeros = "0".repeat(rng.gen_range(0..3));
+                    let n = rng.gen::<u64>() >> rng.gen_range(0..64u32);
+                    format!("{zeros}{n}")
+                }
+                // Near u64::MAX, above it, or negated.
+                1 => {
+                    let n = max - 5 + u128::from(rng.gen_range(0..10u64));
+                    if rng.gen() {
+                        format!("-{n}")
+                    } else {
+                        format!("{n}")
+                    }
+                }
+                // A decimal or exponent form.
+                2 => format!(
+                    "{}{}{}",
+                    rng.gen_range(0..1000u32),
+                    [".5", "e3", "E-2", "e+7", ".25e1", ""][rng.gen_range(0..6usize)],
+                    ["", "0", "1"][rng.gen_range(0..3usize)],
+                ),
+                // Any run of number bytes after a digit or a sign.
+                _ => {
+                    let len = rng.gen_range(0..30);
+                    let mut token = String::from(["-", "0", "5"][rng.gen_range(0..3usize)]);
+                    token.extend(
+                        (0..len).map(|_| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())])),
+                    );
+                    token
+                }
+            };
+            tokens.push(token);
+        }
+        for (i, token) in tokens.iter().enumerate() {
+            let text = format!("{token}{}", ["", ",", "]", "}", " ", "x"][i % 6]);
+            let bytes = text.as_bytes();
+            let (mut fast_end, mut token_end) = (0, 0);
+            let fast = parse_number(bytes, &mut fast_end);
+            let reference = parse_number_token(bytes, &mut token_end);
+            assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{text:?}");
+            assert_eq!(fast_end, token_end, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nest deeper than 64"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().contains("nest deeper"));
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\": [".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -428,7 +428,13 @@ impl MetricsRegistry {
                 let b = b.as_usize().filter(|&b| b < 65).ok_or_else(bad)?;
                 h.buckets[b] = n.as_u64().ok_or_else(bad)?;
             }
-            if h.buckets.iter().sum::<u64>() != h.count {
+            // Checked: bucket counts that overflow a u64 never add up to a
+            // count, they must not wrap around to one.
+            let total = h
+                .buckets
+                .iter()
+                .try_fold(0u64, |sum, &n| sum.checked_add(n));
+            if total != Some(h.count) {
                 return Err(bad());
             }
             *registry.entry(name, || Metric::Histogram(Box::default())) =

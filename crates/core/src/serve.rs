@@ -4,7 +4,7 @@
 //! owning one unsharded [`ShardsEstimator`] fed by that tenant's live
 //! access stream. The table is a first-class [`JobKind::ServeState`]
 //! checkpoint document: it round-trips through the same
-//! `write_checkpoint_header` / `parse_checkpoint` codec as the batch
+//! `write_checkpoint_header` / `check_checkpoint_header` codec as the batch
 //! pipelines, saves atomically via [`jsonio::save_atomic`], and resumes
 //! through [`job::resume_or_new_with`] — so killing the daemon mid-stream
 //! and restarting it restores every tenant byte-identically (the same
@@ -453,7 +453,18 @@ impl ServeState {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(text: &str) -> Result<ServeState, String> {
-        let doc = job::parse_checkpoint(text, JobKind::ServeState)?;
+        Self::from_doc(&jsonio::parse(text)?)
+    }
+
+    /// Rebuilds a tenant table from a parsed checkpoint document: what
+    /// [`ServeState::from_json`] does after its parse, for a caller that
+    /// already parsed the text to read its kind.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeState::from_json`], bar the syntax errors.
+    pub fn from_doc(doc: &JsonValue) -> Result<ServeState, String> {
+        job::check_checkpoint_header(doc, JobKind::ServeState)?;
         let budget = doc
             .get("budget")
             .and_then(JsonValue::as_usize)
@@ -567,7 +578,7 @@ impl ServeState {
         job::resume_or_new_with(
             path,
             JobKind::ServeState,
-            ServeState::from_json,
+            ServeState::from_doc,
             |state| state.fingerprint() == fingerprint,
             ServeState::tenant_count,
             || fresh,

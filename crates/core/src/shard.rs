@@ -35,7 +35,7 @@
 
 use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
 use crate::job::{self, Job, JobError, JobKind, JobRunner};
-use crate::jsonio::{JsonValue, StagingWriter};
+use crate::jsonio::{self, JsonValue, StagingWriter};
 use crate::model::CacheModel;
 use std::fmt::{self, Write as _};
 use std::path::Path;
@@ -227,7 +227,18 @@ impl ShardedSweep {
     /// count, or hit sums above `m` (squared sums above `m²`) per
     /// permutation.
     pub fn from_json(text: &str, threads: usize) -> Result<ShardedSweep, String> {
-        let doc = job::parse_checkpoint(text, JobKind::ShardedSweep)?;
+        Self::from_doc(&jsonio::parse(text)?, threads)
+    }
+
+    /// Rebuilds a sweep from a parsed checkpoint document: what
+    /// [`ShardedSweep::from_json`] does after its parse, for a caller that
+    /// already parsed the text to read its kind.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedSweep::from_json`], bar the syntax errors.
+    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<ShardedSweep, String> {
+        job::check_checkpoint_header(doc, JobKind::ShardedSweep)?;
         let m = doc
             .get("m")
             .and_then(JsonValue::as_usize)
@@ -367,7 +378,7 @@ impl ShardedSweep {
         job::resume_or_new_with(
             path,
             JobKind::ShardedSweep,
-            |text| ShardedSweep::from_json(text, threads),
+            |doc| ShardedSweep::from_doc(doc, threads),
             |sweep| sweep.spec == spec && sweep.shard_count() == shard_count,
             ShardedSweep::completed_count,
             || ShardedSweep::new(spec, shard_count, threads),
@@ -682,7 +693,18 @@ impl SampledSweep {
     /// produce: a count other than its planned draws, or hit sums above
     /// `m` (squared sums above `m²`) per draw.
     pub fn from_json(text: &str, threads: usize) -> Result<SampledSweep, String> {
-        let doc = job::parse_checkpoint(text, JobKind::SampledSweep)?;
+        Self::from_doc(&jsonio::parse(text)?, threads)
+    }
+
+    /// Rebuilds a sampled sweep from a parsed checkpoint document: what
+    /// [`SampledSweep::from_json`] does after its parse, for a caller that
+    /// already parsed the text to read its kind.
+    ///
+    /// # Errors
+    ///
+    /// As [`SampledSweep::from_json`], bar the syntax errors.
+    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<SampledSweep, String> {
+        job::check_checkpoint_header(doc, JobKind::SampledSweep)?;
         let m = doc
             .get("m")
             .and_then(JsonValue::as_usize)
@@ -810,7 +832,7 @@ impl SampledSweep {
         job::resume_or_new_with(
             path,
             JobKind::SampledSweep,
-            |text| SampledSweep::from_json(text, threads),
+            |doc| SampledSweep::from_doc(doc, threads),
             |sweep| {
                 sweep.spec == spec
                     && sweep.budget == budget

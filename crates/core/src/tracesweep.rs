@@ -66,7 +66,7 @@
 //! ```
 
 use crate::job::{self, Job, JobError, JobKind, JobRunner};
-use crate::jsonio::{JsonValue, StagingWriter};
+use crate::jsonio::{self, JsonValue, StagingWriter};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -160,6 +160,22 @@ impl StreamHistogram {
     fn grow(&mut self, d: usize) {
         self.counts
             .resize(d.next_power_of_two().max(MIN_TIMELINE_CAPACITY), 0);
+    }
+
+    /// A histogram of `cold` cold accesses and the `(distance, count)`
+    /// bins, given in increasing distance order, grown once to the last.
+    fn from_bins(cold: u64, bins: &[(usize, u64)]) -> Self {
+        let mut histogram = StreamHistogram {
+            counts: Vec::new(),
+            cold,
+        };
+        if let Some(&(last, _)) = bins.last() {
+            histogram.grow(last);
+        }
+        for &(d, count) in bins {
+            histogram.record_finite(d, count);
+        }
+        histogram
     }
 
     /// Records one access at each finite distance of `distances`.
@@ -502,6 +518,18 @@ impl AddrInterner {
             large: 0,
             free: Vec::new(),
             max_ids,
+        }
+    }
+
+    /// Creates an interner that takes `ids` addresses, `large` of them at
+    /// or above the small-address bound, without growing its id list or
+    /// its table: the table starts at the size interning them one by one
+    /// would leave it.
+    fn with_capacity(ids: usize, large: usize) -> Self {
+        AddrInterner {
+            table: vec![NO_ID; (2 * large + 1).next_power_of_two().max(64)],
+            addrs: Vec::with_capacity(ids),
+            ..Self::new()
         }
     }
 
@@ -1275,11 +1303,18 @@ impl ShardsEstimator {
                 .filter(|w| w.is_finite() && *w >= 0.0)
                 .ok_or_else(|| format!("estimator {what} is not a finite count"))
         };
-        let mut histogram = WeightedHistogram::default();
-        histogram.record_cold(weight(entry.get("cold"), "cold weight")?);
-        for (d, w) in histogram_bins(entry.get("histogram"))? {
-            histogram.record_finite(d, weight(Some(w), "histogram weight")?);
-        }
+        let cold = weight(entry.get("cold"), "cold weight")?;
+        // The bins come sorted, so the map is built in one bulk pass. Each
+        // weight is stored as `0.0 + w`, the sum one record into an empty
+        // bin gives, so a `-0` weight keeps that sum's bits.
+        let counts = histogram_bins(entry.get("histogram"))?
+            .into_iter()
+            .map(|(d, w)| Ok((d, 0.0 + weight(Some(w), "histogram weight")?)))
+            .collect::<Result<BTreeMap<usize, f64>, String>>()?;
+        let histogram = WeightedHistogram {
+            counts,
+            cold: 0.0 + cold,
+        };
         let tracked = entry
             .get("tracked")
             .and_then(JsonValue::as_array)
@@ -1845,14 +1880,6 @@ impl MergeState {
         self.distances = distances;
     }
 
-    /// Interns `addr`, growing `slot_of` alongside the id space (a new id
-    /// has no slot yet).
-    fn intern(&mut self, addr: u64) -> u32 {
-        let id = self.interner.intern(addr);
-        self.slot_of.resize(self.interner.id_bound(), NO_SLOT);
-        id
-    }
-
     /// Appends `id` (which must have no live slot) as the newest entry.
     fn append(&mut self, id: u32) {
         if self.slots.len() == self.dead.len() {
@@ -1942,6 +1969,12 @@ impl MergeState {
     /// that appears twice — each would otherwise resume to a wrong curve.
     /// The counts are checked before anything is allocated for them, so a
     /// hostile document costs memory in proportion to its own length.
+    ///
+    /// Everything is built once at the size the document gives: the
+    /// interner, the slots and the dead counter for the timeline's length
+    /// (the counter at twice it, as a repack leaves it), and the dense
+    /// histogram up to its last bin. The timeline lists each address once,
+    /// so the `i`-th address gets id `i` and slot `i`.
     fn restore(doc: &JsonValue) -> Result<Self, String> {
         let cold = doc
             .get("cold")
@@ -1957,24 +1990,38 @@ impl MergeState {
                 timeline.len()
             ));
         }
-        let mut state = MergeState::new();
-        state.histogram.record_cold(cold);
-        for (d, c) in histogram_bins(doc.get("histogram"))? {
-            if d as u64 > cold {
-                return Err(format!(
-                    "histogram distance {d} exceeds the cold count {cold}"
-                ));
-            }
-            let c = c.as_u64().ok_or("bad histogram count")?;
-            state.histogram.record_finite(d, c);
-        }
+        let bins = histogram_bins(doc.get("histogram"))?
+            .into_iter()
+            .map(|(d, c)| {
+                if d as u64 > cold {
+                    return Err(format!(
+                        "histogram distance {d} exceeds the cold count {cold}"
+                    ));
+                }
+                Ok((d, c.as_u64().ok_or("bad histogram count")?))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let large = timeline
+            .iter()
+            .filter(|addr| addr.as_u64().is_some_and(|addr| addr >= SMALL_ADDR_LIMIT))
+            .count();
+        let mut state = MergeState {
+            interner: AddrInterner::with_capacity(timeline.len(), large),
+            slots: Vec::with_capacity(timeline.len()),
+            slot_of: Vec::with_capacity(timeline.len()),
+            dead: SlotCounter::new((timeline.len() * 2).max(MIN_TIMELINE_CAPACITY)),
+            histogram: StreamHistogram::from_bins(cold, &bins),
+            ids: Vec::new(),
+            distances: Vec::new(),
+        };
         for addr in timeline {
             let addr = addr.as_u64().ok_or("bad timeline address")?;
-            let id = state.intern(addr);
-            if state.slot_of[id as usize] != NO_SLOT {
+            let id = state.interner.intern(addr);
+            if id as usize != state.slots.len() {
                 return Err(format!("timeline address {addr} appears twice"));
             }
-            state.append(id);
+            state.slot_of.push(id);
+            state.slots.push(id);
         }
         Ok(state)
     }
@@ -2580,7 +2627,18 @@ impl FusedIngest {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_json(text: &str, threads: usize) -> Result<FusedIngest, String> {
-        let doc = job::parse_checkpoint(text, JobKind::FusedIngest)?;
+        Self::from_doc(&jsonio::parse(text)?, threads)
+    }
+
+    /// Rebuilds a job from a parsed checkpoint document: what
+    /// [`FusedIngest::from_json`] does after its parse, for a caller that
+    /// already parsed the text to read its kind.
+    ///
+    /// # Errors
+    ///
+    /// As [`FusedIngest::from_json`], bar the syntax errors.
+    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<FusedIngest, String> {
+        job::check_checkpoint_header(doc, JobKind::FusedIngest)?;
         let number = |key: &str| {
             doc.get(key)
                 .and_then(JsonValue::as_u64)
@@ -2645,7 +2703,7 @@ impl FusedIngest {
             ));
         }
         let state = if exact {
-            MergeState::restore(&doc)?
+            MergeState::restore(doc)?
         } else {
             MergeState::new()
         };
@@ -2745,7 +2803,7 @@ impl FusedIngest {
         let (job, resumed) = job::resume_or_new_with(
             path,
             JobKind::FusedIngest,
-            |text| FusedIngest::from_json(text, threads),
+            |doc| FusedIngest::from_doc(doc, threads),
             |ingest| {
                 other_count.set(ingest.fingerprint == fingerprint && ingest.total != total);
                 ingest.fingerprint == fingerprint

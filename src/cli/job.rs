@@ -9,8 +9,8 @@ use super::CliError;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use symloc_core::job::{checkpoint_status, Heartbeat, JobError, JobKind, JobStatus};
-use symloc_core::jsonio::escape;
+use symloc_core::job::{checkpoint_status, recorded_kind, Heartbeat, JobError, JobKind, JobStatus};
+use symloc_core::jsonio::{self, escape, JsonValue};
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
 use symloc_core::tracesweep::FusedIngest;
@@ -259,6 +259,15 @@ fn reopen_source(fingerprint: &str, recorded_total: u64) -> Result<TraceSource, 
     Ok(source)
 }
 
+/// Decodes a parsed checkpoint with its kind's `from_doc`; the document is
+/// freed once the job is built, before the job runs.
+fn decode<T>(
+    doc: JsonValue,
+    from_doc: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<T, CliError> {
+    from_doc(&doc).map_err(CliError)
+}
+
 /// `symloc job resume <checkpoint>` — continues any registered checkpoint
 /// to completion (or `--max-units`), dispatching on its recorded kind, and
 /// prints the finished job's report.
@@ -280,11 +289,16 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
     let json = parsed.switch(JSON.name);
     let metrics_path = parsed.value(METRICS.name);
     let mut registry = MetricsRegistry::new();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))?;
-    // Sniff the kind only — each arm decodes the (possibly large)
-    // checkpoint exactly once and prints the banner from the decoded job.
-    let kind = symloc_core::job::sniff_kind(&text)
+    // The (possibly large) checkpoint is parsed once: the kind is read
+    // from the parsed document, and each arm decodes that document, frees
+    // it before the run, and prints the banner from the decoded job.
+    let doc = std::fs::read_to_string(path)
+        .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))
+        .and_then(|text| {
+            jsonio::parse(&text)
+                .map_err(|e| CliError(format!("cannot decode checkpoint {path_str}: {e}")))
+        })?;
+    let kind = recorded_kind(&doc)
         .map_err(|e| CliError(format!("cannot resume checkpoint {path_str}: {e}")))?
         .ok_or_else(|| {
             CliError(format!(
@@ -311,7 +325,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
     };
     match kind {
         JobKind::ShardedSweep => {
-            let mut sweep = ShardedSweep::from_json(&text, threads).map_err(CliError)?;
+            let mut sweep = decode(doc, |doc| ShardedSweep::from_doc(doc, threads))?;
             banner(
                 &mut out,
                 &sweep.spec().fingerprint(),
@@ -347,7 +361,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             }
         }
         JobKind::SampledSweep => {
-            let mut sweep = SampledSweep::from_json(&text, threads).map_err(CliError)?;
+            let mut sweep = decode(doc, |doc| SampledSweep::from_doc(doc, threads))?;
             banner(
                 &mut out,
                 &sweep.spec().fingerprint(),
@@ -383,7 +397,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             }
         }
         JobKind::FusedIngest => {
-            let mut job = FusedIngest::from_json(&text, threads).map_err(CliError)?;
+            let mut job = decode(doc, |doc| FusedIngest::from_doc(doc, threads))?;
             banner(
                 &mut out,
                 job.fingerprint(),

@@ -1395,18 +1395,25 @@ fn an_oversized_sweep_shard_count_is_rejected_before_planning() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs the `symloc` binary on `args` and returns whether it exited 0 and
-/// its stderr.
-fn run_symloc(args: &[String]) -> (bool, String) {
+/// Runs the `symloc` binary on `args`, with an empty stdin, and returns
+/// its exit code (`None` when a signal ended it) and its stderr.
+fn symloc_exit(args: &[String]) -> (Option<i32>, String) {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_symloc"))
         .args(args)
         .stdin(std::process::Stdio::null())
         .output()
         .expect("spawn symloc");
     (
-        output.status.success(),
+        output.status.code(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// Runs the `symloc` binary on `args` and returns whether it exited 0 and
+/// its stderr.
+fn run_symloc(args: &[String]) -> (bool, String) {
+    let (code, stderr) = symloc_exit(args);
+    (code == Some(0), stderr)
 }
 
 /// Asserts that `symloc args` fails with every one of `needles` in its
@@ -1629,5 +1636,150 @@ fn cut_overlong_and_overcounted_payloads_fail_every_trace_read_path() {
         assert!(stderr.contains("t.sltr"), "{case}: {stderr}");
         assert_eq!(std::fs::read(&checkpoint).unwrap(), saved, "{case}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The three ways a checkpoint is damaged on disk that keep its header: cut
+/// in half, one digit in its second half changed to `x`, and one byte in
+/// its second half made a stray UTF-8 continuation byte.
+fn damaged_copies(good: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let middle = good.len() / 2;
+    let digit = middle
+        + good[middle..]
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("a digit in the second half");
+    let mut letter = good.to_vec();
+    letter[digit] = b'x';
+    let mut not_utf8 = good.to_vec();
+    not_utf8[middle] = 0xB1;
+    vec![
+        ("cut in half", good[..middle].to_vec()),
+        ("a digit changed", letter),
+        ("a non-UTF-8 byte", not_utf8),
+    ]
+}
+
+/// A checkpoint that no longer parses still opens with its kind. Every
+/// command that would resume it — the kind's own command, `job resume` —
+/// fails with exit 1 saying it does not decode, and `job status` fails
+/// too; none overwrites it with a fresh job: the file stays byte for byte
+/// as it was. A file that did not parse used to count as no checkpoint,
+/// so a damaged trace checkpoint was replaced by a fresh job and a
+/// damaged serve checkpoint by an empty tenant table.
+#[test]
+fn damaged_checkpoints_fail_loudly_and_stay_untouched() {
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_damaged_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("ck.json");
+    // Runs `command` over a fresh checkpoint and returns what it saved.
+    let written = |command: &str| {
+        std::fs::remove_file(&checkpoint).ok();
+        let (ok, stderr) = run_symloc(&symloc_args(command, &[&checkpoint]));
+        assert!(ok, "{command}: {stderr}");
+        std::fs::read(&checkpoint).unwrap()
+    };
+    let trace = "trace mrc gen:zipf:1000:20000:0.9:3 --exact --sample 64 --shards 4 \
+                 --threads 2 --checkpoint {}";
+    let sweep = "sweep 6 --shards 4 --checkpoint {}";
+    let serve = "serve --stdin --budget 32 --checkpoint {}";
+    let mut state = symmetric_locality::core::serve::ServeState::new(32, 64).unwrap();
+    let tenant = state.ensure_tenant("alpha").unwrap();
+    state.record_block(tenant, &(0..500).map(|i| i % 70).collect::<Vec<u64>>());
+    for (good, resumes) in [
+        (
+            written(&format!("{trace} --max-chunks 2")),
+            [(trace, "does not decode"), ("job resume {}", "checkpoint")],
+        ),
+        (
+            written(&format!("{sweep} --max-shards 2")),
+            [(sweep, "does not decode"), ("job resume {}", "checkpoint")],
+        ),
+        (
+            state.to_json().into_bytes(),
+            [(serve, "does not decode"), ("job status {}", "checkpoint")],
+        ),
+    ] {
+        for (case, damaged) in damaged_copies(&good) {
+            std::fs::write(&checkpoint, &damaged).unwrap();
+            for (command, needle) in resumes {
+                let args = symloc_args(command, &[&checkpoint]);
+                let (code, stderr) = symloc_exit(&args);
+                assert_eq!(
+                    code,
+                    Some(1),
+                    "{case}: `symloc {}`: {stderr}",
+                    args.join(" ")
+                );
+                assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+                assert!(
+                    stderr.contains(needle),
+                    "{case}: {needle:?} not in {stderr}"
+                );
+                assert!(
+                    std::fs::read(&checkpoint).unwrap() == damaged,
+                    "{case}: `symloc {}` changed the checkpoint",
+                    args.join(" ")
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 200 KB of `[` used to recurse the JSON parser off the end of its stack
+/// (exit 134). Nesting is bounded now: `job status` on such a file and a
+/// serve checkpoint whose body nests that deep fail with exit 1, the
+/// checkpoint left as it was; a heartbeat sidecar that deep is an
+/// unreadable sidecar, which `job status` reports and goes on (exit 0),
+/// since the sidecar is advisory.
+#[test]
+fn deeply_nested_documents_are_errors_not_stack_overflows() {
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_deep_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = "[".repeat(200_000);
+    let no_overflow = |args: &[String], want: i32| {
+        let (code, stderr) = symloc_exit(args);
+        assert!(!stderr.contains("overflowed its stack"), "{stderr}");
+        assert_eq!(code, Some(want), "`symloc {}`: {stderr}", args.join(" "));
+        stderr
+    };
+
+    let brackets = dir.join("brackets.json");
+    std::fs::write(&brackets, &deep).unwrap();
+    let stderr = no_overflow(&symloc_args("job status {}", &[&brackets]), 1);
+    assert!(stderr.contains("nest deeper than"), "{stderr}");
+
+    let serve = dir.join("serve.json");
+    let document = format!(
+        "{{\n  \"kind\": \"symloc_serve_checkpoint\",\n  \"version\": 1,\n  \
+         \"fingerprint\": \"serve;budget=32;max_tenants=64\",\n  \"tenants\": {deep}"
+    );
+    std::fs::write(&serve, &document).unwrap();
+    for command in ["serve --stdin --budget 32 --checkpoint {}", "job status {}"] {
+        let stderr = no_overflow(&symloc_args(command, &[&serve]), 1);
+        assert!(stderr.contains("nest deeper than"), "{stderr}");
+        assert_eq!(std::fs::read_to_string(&serve).unwrap(), document);
+    }
+
+    let checkpoint = dir.join("sweep.json");
+    let (ok, stderr) = run_symloc(&symloc_args(
+        "sweep 5 --shards 4 --max-shards 2 --checkpoint {}",
+        &[&checkpoint],
+    ));
+    assert!(ok, "{stderr}");
+    std::fs::write(dir.join("sweep.json.hb"), &deep).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args(symloc_args("job status {}", &[&checkpoint]))
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("overflowed its stack"), "{stderr}");
+    assert!(output.status.success(), "{stderr}");
+    assert!(report.contains("unreadable sidecar"), "{report}");
+    assert!(report.contains("nest deeper than"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
