@@ -15,7 +15,7 @@
 //!   ([`Job::run_unit`]), in-order absorption ([`Job::absorb`]), a
 //!   streaming checkpoint codec built on [`crate::jsonio`]
 //!   ([`Job::write_json`] + the shared [`write_checkpoint_header`] /
-//!   [`check_checkpoint_header`] pair), and a [`Job::fingerprint`] identity
+//!   [`read_checkpoint_fields`] pair), and a [`Job::fingerprint`] identity
 //!   embedded in every checkpoint.
 //! * [`JobRunner`] — the generic runner that owns the windowed unit
 //!   scheduling (`std::thread::scope` underneath), checkpointing with
@@ -67,8 +67,9 @@
 //! *byte-identically* — the invariant `core/tests/job_props.rs` pins for
 //! every pipeline at every unit boundary.
 
-use crate::jsonio::{self, JsonValue};
+use crate::jsonio::{self, JsonValue, Reader};
 use crate::obs::{MetricsRegistry, Span};
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
@@ -1040,49 +1041,77 @@ pub fn write_checkpoint_header(
     )
 }
 
-/// Validates a parsed checkpoint document's header against the expected
-/// kind and version: the first step of every kind's `from_doc` decoder.
+/// Reads the top-level object of a checkpoint of kind `expected` — the
+/// first step of every kind's decoder. `"kind"` and `"version"` are checked
+/// as soon as each is read, and every other key goes to `field` with the
+/// reader at its value, which `field` must read or skip. Keys come in any
+/// order; of duplicate keys the first wins, as in [`JsonValue::get`].
 ///
 /// # Errors
 ///
-/// Returns a descriptive error on a missing kind, an unsupported version
-/// — and, crucially, a **kind mismatch**: a document of another
-/// registered kind names both kinds and points at `symloc job resume`, so
-/// resuming a checkpoint with the wrong command can never quietly
-/// misparse it.
-pub fn check_checkpoint_header(doc: &JsonValue, expected: JobKind) -> Result<(), String> {
-    match doc.get("kind").and_then(JsonValue::as_str) {
-        None => {
-            return Err(format!(
-                "not a {} checkpoint (no kind field)",
-                expected.describe()
-            ))
+/// Returns `field`'s error, a syntax error, or a descriptive error on a
+/// missing kind, an unsupported version — and, crucially, a **kind
+/// mismatch**: a document of another registered kind names both kinds and
+/// points at `symloc job resume`, so resuming a checkpoint with the wrong
+/// command can never quietly misread it.
+pub fn read_checkpoint_fields<'a>(
+    reader: &mut Reader<'a>,
+    expected: JobKind,
+    mut field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let (mut kind, mut version) = (None, None);
+    reader.object(|reader, key| match key {
+        "kind" if kind.is_none() => {
+            let tag = reader.str()?;
+            check_kind(tag.as_deref(), expected)?;
+            kind = tag;
+            Ok(())
         }
-        Some(tag) if tag != expected.kind_str() => {
-            return Err(match JobKind::parse(tag) {
-                Some(found) => format!(
-                    "checkpoint kind mismatch: this file holds a {} ({:?}), not the {} \
-                     ({:?}) being decoded; resume it with the matching command or \
-                     `symloc job resume`",
-                    found.describe(),
-                    tag,
-                    expected.describe(),
-                    expected.kind_str(),
-                ),
-                None => format!(
-                    "not a {} checkpoint: {}",
-                    expected.describe(),
-                    unregistered_kind_error(tag)
-                ),
-            });
+        "version" if version.is_none() => {
+            version = Some(reader.u64()?);
+            check_version(version.flatten(), expected)
         }
-        Some(_) => {}
+        "kind" | "version" => reader.skip(),
+        _ => field(reader, key),
+    })?;
+    check_kind(kind.as_deref(), expected)?;
+    check_version(version.flatten(), expected)
+}
+
+/// Checks a checkpoint's `"kind"` tag against the expected kind.
+fn check_kind(tag: Option<&str>, expected: JobKind) -> Result<(), String> {
+    match tag {
+        None => Err(format!(
+            "not a {} checkpoint (no kind field)",
+            expected.describe()
+        )),
+        Some(tag) if tag != expected.kind_str() => Err(match JobKind::parse(tag) {
+            Some(found) => format!(
+                "checkpoint kind mismatch: this file holds a {} ({:?}), not the {} \
+                 ({:?}) being decoded; resume it with the matching command or \
+                 `symloc job resume`",
+                found.describe(),
+                tag,
+                expected.describe(),
+                expected.kind_str(),
+            ),
+            None => format!(
+                "not a {} checkpoint: {}",
+                expected.describe(),
+                unregistered_kind_error(tag)
+            ),
+        }),
+        Some(_) => Ok(()),
     }
-    let version = doc.get("version").and_then(JsonValue::as_u64);
-    if version != Some(expected.version()) {
-        return Err(format!("unsupported checkpoint version {version:?}"));
+}
+
+/// Checks a checkpoint's `"version"` against the expected kind's.
+fn check_version(version: Option<u64>, expected: JobKind) -> Result<(), String> {
+    if version == Some(expected.version()) {
+        Ok(())
+    } else {
+        Err(format!("unsupported checkpoint version {version:?}"))
     }
-    Ok(())
 }
 
 /// The registered kind a `"kind"` tag names, `None` for any other tag.
@@ -1098,17 +1127,49 @@ fn registered_kind(tag: &str) -> Result<Option<JobKind>, String> {
     }
 }
 
-/// The kind a parsed checkpoint document records: `Ok(Some(kind))` for a
-/// registered tag, `Ok(None)` when it carries no registered tag.
+/// The `"kind"` tag a checkpoint text records, as a parse of the whole
+/// text reads it: the first `"kind"` member of the top-level object.
+///
+/// Every writer and every committed fixture puts `"kind"` first, so the
+/// tag its first bytes name ([`header_kind`]) is the answer whenever it is
+/// a registered or retired tag. Otherwise the top-level keys are scanned,
+/// so a document with `"kind"` elsewhere is still recognised.
+///
+/// # Errors
+///
+/// Returns the syntax error of a text that does not parse and whose first
+/// bytes name no registered or retired tag.
+fn recorded_tag(text: &str) -> Result<Option<Cow<'_, str>>, String> {
+    if let Some(tag) = header_kind(text.as_bytes()) {
+        if JobKind::parse(tag).is_some() || retired_kind_error(tag).is_some() {
+            return Ok(Some(Cow::Borrowed(tag)));
+        }
+    }
+    jsonio::read_document(text, |reader| {
+        if reader.peek()? != jsonio::Token::Object {
+            reader.skip()?;
+            return Ok(None);
+        }
+        let mut kind = None;
+        reader.object(|reader, key| match key {
+            "kind" => reader.first(&mut kind, Reader::str),
+            _ => reader.skip(),
+        })?;
+        Ok(kind.flatten())
+    })
+}
+
+/// The kind a checkpoint text records: `Ok(Some(kind))` for a registered
+/// tag, `Ok(None)` when it carries no registered tag. Only the tag is
+/// read when the document opens with it, as every checkpoint does.
 ///
 /// # Errors
 ///
 /// Returns a loud error naming the retired kind, and saying to re-run,
-/// for a retired tag.
-pub fn recorded_kind(doc: &JsonValue) -> Result<Option<JobKind>, String> {
-    doc.get("kind")
-        .and_then(JsonValue::as_str)
-        .map_or(Ok(None), registered_kind)
+/// for a retired tag; and the syntax error of a text that does not parse
+/// and opens with no registered tag.
+pub fn recorded_kind(text: &str) -> Result<Option<JobKind>, String> {
+    recorded_tag(text)?.map_or(Ok(None), |tag| registered_kind(&tag))
 }
 
 /// The `"kind"` tag a document opens with, read from its first bytes
@@ -1125,8 +1186,8 @@ fn header_kind(bytes: &[u8]) -> Option<&str> {
 }
 
 /// The shared resume policy of every pipeline: load the checkpoint at
-/// `path` or plan a fresh job. The file is parsed once; `decode` gets the
-/// parsed document.
+/// `path` or plan a fresh job. The kind is read from the text's header
+/// ([`recorded_kind`]), and `decode` builds the job straight from the text.
 ///
 /// * No file (or unreadable): fresh plan.
 /// * A file whose kind is not registered (not JSON, no `"kind"`, an
@@ -1165,7 +1226,7 @@ fn header_kind(bytes: &[u8]) -> Option<&str> {
 pub fn resume_or_new_with<T>(
     path: &Path,
     expected: JobKind,
-    decode: impl FnOnce(&JsonValue) -> Result<T, String>,
+    decode: impl FnOnce(&str) -> Result<T, String>,
     matches: impl FnOnce(&T) -> bool,
     completed: impl FnOnce(&T) -> usize,
     fresh: impl FnOnce() -> T,
@@ -1174,16 +1235,15 @@ pub fn resume_or_new_with<T>(
     let Ok(bytes) = std::fs::read(path) else {
         return Ok((fresh(), false));
     };
-    let parsed = std::str::from_utf8(&bytes)
-        .map_err(|e| format!("not UTF-8 text: {e}"))
-        .and_then(jsonio::parse);
-    let tag = match &parsed {
-        Ok(doc) => doc.get("kind").and_then(JsonValue::as_str),
-        Err(_) => header_kind(&bytes),
+    let text = std::str::from_utf8(&bytes).map_err(|e| format!("not UTF-8 text: {e}"));
+    let tag = match text.as_deref().map(recorded_tag) {
+        Ok(Ok(tag)) => tag,
+        // Not text, or text that does not parse: judged by its header.
+        _ => header_kind(&bytes).map(Cow::Borrowed),
     };
     let found = match tag {
         Some(tag) => {
-            registered_kind(tag).map_err(|e| format!("checkpoint {}: {e}", path.display()))?
+            registered_kind(&tag).map_err(|e| format!("checkpoint {}: {e}", path.display()))?
         }
         None => None,
     };
@@ -1202,7 +1262,7 @@ pub fn resume_or_new_with<T>(
         }
         Some(_) => {}
     }
-    match parsed.and_then(|doc| decode(&doc)) {
+    match text.and_then(decode) {
         Ok(job) if matches(&job) => {
             let resumed = completed(&job) > 0;
             Ok((job, resumed))
@@ -1244,24 +1304,20 @@ impl JobStatus {
 }
 
 /// Decodes any registered checkpoint document into a [`JobStatus`],
-/// dispatching on the kind the document itself records. The text is
-/// parsed once, and the kind's `from_doc` decodes the parsed document.
+/// dispatching on the kind the document itself records
+/// ([`recorded_kind`]); the kind's decoder reads the text once.
 ///
 /// # Errors
 ///
 /// Returns a descriptive error for unparseable documents, unknown kinds,
 /// or structurally invalid bodies (via the kind's own decoder).
 pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
-    let doc = jsonio::parse(text)?;
-    let tag = doc
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("not a symloc checkpoint (no kind field)")?;
-    let kind = JobKind::parse(tag).ok_or_else(|| unregistered_kind_error(tag))?;
+    let tag = recorded_tag(text)?.ok_or("not a symloc checkpoint (no kind field)")?;
+    let kind = JobKind::parse(&tag).ok_or_else(|| unregistered_kind_error(&tag))?;
     let detail_pair = |label: &str, value: String| (label.to_string(), value);
     match kind {
         JobKind::ShardedSweep => {
-            let sweep = crate::shard::ShardedSweep::from_doc(&doc, 1)?;
+            let sweep = crate::shard::ShardedSweep::from_json(text, 1)?;
             Ok(JobStatus {
                 kind,
                 fingerprint: sweep.spec().fingerprint(),
@@ -1271,7 +1327,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::SampledSweep => {
-            let sweep = crate::shard::SampledSweep::from_doc(&doc, 1)?;
+            let sweep = crate::shard::SampledSweep::from_json(text, 1)?;
             Ok(JobStatus {
                 kind,
                 fingerprint: sweep.spec().fingerprint(),
@@ -1285,7 +1341,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::FusedIngest => {
-            let ingest = crate::tracesweep::FusedIngest::from_doc(&doc, 1)?;
+            let ingest = crate::tracesweep::FusedIngest::from_json(text, 1)?;
             let plan = ingest.plan();
             Ok(JobStatus {
                 kind,
@@ -1301,7 +1357,7 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
             })
         }
         JobKind::ServeState => {
-            let state = crate::serve::ServeState::from_doc(&doc)?;
+            let state = crate::serve::ServeState::from_json(text)?;
             // A serve checkpoint is a snapshot of a daemon, not a batch with
             // a planned end: every persisted tenant counts as complete.
             Ok(JobStatus {
@@ -1339,18 +1395,26 @@ mod tests {
         assert_eq!(JobKind::parse("bogus"), None);
     }
 
+    /// Reads `text` as a checkpoint of kind `expected` whose body fields
+    /// are all skipped.
+    fn check_header(text: &str, expected: JobKind) -> Result<(), String> {
+        jsonio::read_document(text, |reader| {
+            read_checkpoint_fields(reader, expected, |reader, _| reader.skip())
+        })
+    }
+
     #[test]
     fn header_writer_and_parser_agree() {
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::ShardedSweep, "m=5;x").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
+        check_header(&out, JobKind::ShardedSweep).unwrap();
         let doc = jsonio::parse(&out).unwrap();
-        check_checkpoint_header(&doc, JobKind::ShardedSweep).unwrap();
         assert_eq!(
             doc.get("fingerprint").and_then(JsonValue::as_str),
             Some("m=5;x")
         );
-        assert_eq!(recorded_kind(&doc), Ok(Some(JobKind::ShardedSweep)));
+        assert_eq!(recorded_kind(&out), Ok(Some(JobKind::ShardedSweep)));
         assert_eq!(
             header_kind(out.as_bytes()),
             Some(JobKind::ShardedSweep.kind_str())
@@ -1362,8 +1426,7 @@ mod tests {
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::SampledSweep, "fp").unwrap();
         out.push_str("  \"payload\": 1\n}\n");
-        let doc = jsonio::parse(&out).unwrap();
-        let err = check_checkpoint_header(&doc, JobKind::ShardedSweep).unwrap_err();
+        let err = check_header(&out, JobKind::ShardedSweep).unwrap_err();
         assert!(err.contains("kind mismatch"), "{err}");
         assert!(err.contains(JobKind::SampledSweep.kind_str()), "{err}");
         assert!(err.contains(JobKind::ShardedSweep.kind_str()), "{err}");
@@ -1372,9 +1435,7 @@ mod tests {
 
     #[test]
     fn checkpoint_header_check_rejects_foreign_and_versioned_documents() {
-        let check = |text: &str| {
-            check_checkpoint_header(&jsonio::parse(text).unwrap(), JobKind::FusedIngest)
-        };
+        let check = |text: &str| check_header(text, JobKind::FusedIngest);
         assert!(check("[1, 2]").is_err());
         assert!(check("{}").is_err());
         let err = check("{\"kind\": \"something_else\"}").unwrap_err();
@@ -1382,27 +1443,45 @@ mod tests {
         let mut out = String::new();
         write_checkpoint_header(&mut out, JobKind::FusedIngest, "fp").unwrap();
         out.push_str("  \"x\": 1\n}\n");
+        check(&out).unwrap();
         let bumped = out.replace("\"version\": 1", "\"version\": 9");
         assert!(check(&bumped).unwrap_err().contains("version"));
+        // Keys in any order, the first of duplicates winning.
+        let moved = "{\"x\": [1, {\"kind\": 2}], \"version\": 1, \
+                     \"kind\": \"symloc_fused_trace_checkpoint\", \"version\": 9}";
+        check(moved).unwrap();
+        let shadowed = "{\"kind\": 5, \"kind\": \"symloc_fused_trace_checkpoint\", \
+                        \"version\": 1}";
+        assert!(check(shadowed).unwrap_err().contains("no kind field"));
+        assert!(check(&format!("{out} {{}}"))
+            .unwrap_err()
+            .contains("trailing"));
     }
 
     #[test]
     fn recorded_kind_handles_garbage() {
-        let kind = |text: &str| recorded_kind(&jsonio::parse(text).unwrap());
-        assert_eq!(kind("[1, 2]"), Ok(None));
-        assert_eq!(kind("{}"), Ok(None));
-        assert_eq!(kind("{\"kind\": 7}"), Ok(None));
-        assert_eq!(kind("{\"kind\": \"mystery\"}"), Ok(None));
+        assert_eq!(recorded_kind("[1, 2]"), Ok(None));
+        assert_eq!(recorded_kind("{}"), Ok(None));
+        assert_eq!(recorded_kind("{\"kind\": 7}"), Ok(None));
+        assert_eq!(recorded_kind("{\"kind\": \"mystery\"}"), Ok(None));
+        assert!(recorded_kind("{\"kind\": \"mystery\"").is_err());
+        // A tag that is not first, or that is escaped, is found by a scan
+        // of the top-level keys: nested objects do not count.
+        for text in [
+            "{\"version\": 1, \"x\": {\"kind\": \"mystery\"}, \"kind\": \"symloc_serve_checkpoint\"}",
+            "{\"kind\": \"symloc_serve_checkpoin\\u0074\", \"version\": 1}",
+        ] {
+            assert_eq!(recorded_kind(text), Ok(Some(JobKind::ServeState)), "{text}");
+        }
         // Retired tags are not garbage: they fail loudly, naming the job.
         for (tag, job) in RETIRED_KINDS {
             let doc = format!("{{\"kind\": \"{tag}\", \"version\": 1}}");
-            let err = kind(&doc).unwrap_err();
+            let err = recorded_kind(&doc).unwrap_err();
             assert!(err.contains(tag) && err.contains(job), "{err}");
             assert!(err.contains("re-run"), "{err}");
             let err = checkpoint_status(&doc).unwrap_err();
             assert!(err.contains("retired"), "{err}");
-            let err = check_checkpoint_header(&jsonio::parse(&doc).unwrap(), JobKind::FusedIngest)
-                .unwrap_err();
+            let err = check_header(&doc, JobKind::FusedIngest).unwrap_err();
             assert!(err.contains("retired"), "{err}");
             assert!(JobKind::parse(tag).is_none());
         }
@@ -2113,8 +2192,10 @@ mod tests {
     fn resume_or_new_with_judges_a_damaged_file_by_its_header() {
         let path =
             std::env::temp_dir().join(format!("symloc_job_damaged_{}.json", std::process::id()));
+        // A decoder that reads the whole text, as every kind's does.
+        let decode = |text: &str| jsonio::read_document(text, Reader::skip).map(|()| 1u32);
         let resume = |expected: JobKind| {
-            resume_or_new_with(&path, expected, |_| Ok(1u32), |_| true, |_| 1, || 0u32)
+            resume_or_new_with(&path, expected, decode, |_| true, |_| 1, || 0u32)
         };
         let mut doc = String::new();
         write_checkpoint_header(&mut doc, JobKind::ServeState, "fp").unwrap();

@@ -1,15 +1,22 @@
 //! Minimal hand-rolled JSON reading and writing.
 //!
-//! The build environment is fully offline (no serde), so the sweep
-//! checkpoints and the bench tooling serialize by formatting strings and
-//! deserialize through this small recursive-descent parser. It supports the
-//! JSON subset those documents use — objects, arrays, strings with the
-//! escapes [`escape`] emits, integers, floats, booleans and null — and is
-//! *not* a general-purpose validator (it is permissive about things like
-//! duplicate keys). Checkpoints write their integers through
-//! `StagingWriter`, a local buffer filled from a digit-pair table, instead
-//! of one `write!` per integer.
+//! The build environment is fully offline (no serde), so the checkpoints and
+//! the bench tooling serialize by formatting strings and read back through
+//! one small tokenizer, [`Reader`]. It supports the JSON subset those
+//! documents use — objects, arrays, strings with the escapes [`escape`]
+//! emits (and `\uXXXX` escapes, surrogate pairs joined), integers, floats,
+//! booleans and null — and is *not* a general-purpose validator (the first
+//! of duplicate keys wins, as in [`JsonValue::get`]).
+//!
+//! Checkpoints are decoded straight from their text: each kind's decoder
+//! pulls keys and scalars from a [`Reader`] and builds its state as it
+//! reads, so a restore builds no tree of values. [`parse`], built on the
+//! same reader, keeps the [`JsonValue`] tree for the small generic
+//! documents: reports, metrics snapshots, heartbeats and partition inputs.
+//! Checkpoints write their integers through `StagingWriter`, a local buffer
+//! filled from a digit-pair table, instead of one `write!` per integer.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -395,13 +402,15 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// How deep arrays and objects may nest in a document [`parse`] accepts.
-/// Every document symloc writes nests at most 6 deep (a sweep checkpoint's
-/// level sums); the bound keeps a hostile document of nothing but `[` from
-/// recursing the parser off the end of its stack.
+/// How deep arrays and objects may nest in a document [`parse`] or a
+/// [`Reader`] accepts. Every document symloc writes nests at most 6 deep (a
+/// sweep checkpoint's level sums); the bound keeps a hostile document of
+/// nothing but `[` from recursing the reader off the end of its stack.
 pub const MAX_DEPTH: usize = 64;
 
-/// Parses a JSON document.
+/// Parses a JSON document into a [`JsonValue`] tree, for the small generic
+/// documents: reports, metrics snapshots, heartbeats and partition inputs.
+/// Checkpoints are decoded straight from their text through a [`Reader`].
 ///
 /// # Errors
 ///
@@ -409,99 +418,713 @@ pub const MAX_DEPTH: usize = 64;
 /// byte offset, or of the first array or object nested deeper than
 /// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Reads one whole document with `read`, then checks that nothing but
+/// whitespace follows it. On any error the text's first syntax error, when
+/// it has one, is returned instead — the error [`parse`] gives — so a
+/// decoder's own complaint is only ever about a document that parses.
+///
+/// # Errors
+///
+/// Returns the syntax error, `read`'s error, or the trailing-content error.
+pub fn read_document<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut reader = Reader::new(text);
+    read(&mut reader)
+        .and_then(|value| reader.finish().map(|()| value))
+        .map_err(|error| {
+            let mut check = Reader::new(text);
+            match check.skip().and_then(|()| check.finish()) {
+                Err(syntax) => syntax,
+                Ok(()) => error,
+            }
+        })
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
+/// What the value at a [`Reader`]'s cursor is, from its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token {
+    /// `{`.
+    Object,
+    /// `[`.
+    Array,
+    /// `"`.
+    String,
+    /// `-` or a digit.
+    Number,
+    /// `t` or `f`.
+    Bool,
+    /// `n`.
+    Null,
+}
+
+/// A place in a document that a [`Reader`] can go back to.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    pos: usize,
+    depth: usize,
+    fresh: bool,
+}
+
+/// A pull reader over one JSON document: the one tokenizer behind
+/// [`parse`] and every checkpoint decoder. It enters and leaves objects and
+/// arrays, yields keys (borrowed from the text unless they hold escapes),
+/// reads scalars and skips values, with nesting bounded by [`MAX_DEPTH`].
+/// Errors carry a byte offset; nothing panics on any input.
+///
+/// The scalar readers take a value of any type. For the value of their
+/// type they return what [`JsonValue`]'s `as_*` accessor returns for the
+/// parsed token — `1.0` is not a `u64`, nor is an integer above
+/// `u64::MAX`, and any integer is an `f64` — and for a value of another
+/// type they check its syntax, skip it and return `None`. So
+/// `reader.u64()` at a member's value is `doc.get(key).and_then(as_u64)`
+/// without the tree.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
+    /// The innermost container was just opened: its first member or item
+    /// takes no comma, and it may close at once.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// `claimed` items of at least `item_bytes` bytes each, or as many as
+    /// the rest of the document could hold if that is fewer: the capacity
+    /// to reserve for a count the document states, so that memory stays in
+    /// proportion to the document whatever the count claims.
+    #[must_use]
+    pub fn bounded(&self, claimed: u64, item_bytes: usize) -> usize {
+        let room = (self.text.len() - self.pos) / item_bytes.max(1);
+        usize::try_from(claimed).map_or(room, |claimed| claimed.min(room))
+    }
+
+    /// The cursor, to come back to with [`Reader::seek`].
+    fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            depth: self.depth,
+            fresh: self.fresh,
+        }
+    }
+
+    /// Moves the cursor back to `mark`, taken from this reader.
+    fn seek(&mut self, mark: Mark) {
+        self.pos = mark.pos;
+        self.depth = mark.depth;
+        self.fresh = mark.fresh;
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    /// The next byte that is not whitespace, left unread.
+    fn peek_byte(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek_byte() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", c as char, self.pos))
+        }
+    }
+
+    /// What the next value is.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when no value starts at the cursor.
+    pub fn peek(&mut self) -> Result<Token, String> {
+        match self.peek_byte() {
+            Some(b'{') => Ok(Token::Object),
+            Some(b'[') => Ok(Token::Array),
+            Some(b'"') => Ok(Token::String),
+            Some(b'-' | b'0'..=b'9') => Ok(Token::Number),
+            Some(b't' | b'f') => Ok(Token::Bool),
+            Some(b'n') => Ok(Token::Null),
+            Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
+            None => Err("unexpected end of document".to_string()),
+        }
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        if self.peek_byte() != Some(bracket) {
+            return Err(format!(
+                "expected {:?} at byte {}",
+                bracket as char, self.pos
+            ));
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
         Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
+    }
+
+    /// Enters the object at the cursor; [`Reader::next_key`] walks it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when no object starts at the cursor, or when it
+    /// would nest deeper than [`MAX_DEPTH`].
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{')
+    }
+
+    /// Enters the array at the cursor; [`Reader::next_item`] walks it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::begin_object`], for an array.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    /// Steps past the comma before the next member or item of the
+    /// innermost container, or past its `close` bracket: true while a
+    /// member or item follows.
+    fn next_in(&mut self, close: u8) -> Result<bool, String> {
+        let c = self.peek_byte();
+        if std::mem::take(&mut self.fresh) && c != Some(close) {
+            return Ok(true);
+        }
+        match c {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(format!(
+                "expected ',' or {:?} at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// The next key of the object being walked, with the cursor left at its
+    /// value, which the caller must read or skip; `None` once the object
+    /// closes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error at the cursor.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.next_in(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Whether another item of the array being walked follows, with the
+    /// cursor left at it; false once the array closes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error at the cursor.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.next_in(b']')
+    }
+
+    /// Walks the object at the cursor, handing each key to `field` with
+    /// the cursor at its value, which `field` must read or skip.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error or error of `field`.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.begin_object()?;
+        while let Some(key) = self.next_key()? {
+            field(self, &key)?;
+        }
+        Ok(())
+    }
+
+    /// Walks the array at the cursor, calling `item` with the cursor at
+    /// each item, which `item` must read or skip.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error or error of `item`.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.begin_array()?;
+        while self.next_item()? {
+            item(self)?;
+        }
+        Ok(())
+    }
+
+    /// Reads the value at the cursor as an array of exactly two items, the
+    /// first read by `first` and the second by `second`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `not_a_pair` for any other value, or the error of a read.
+    pub fn pair<A, B>(
+        &mut self,
+        not_a_pair: &str,
+        first: impl FnOnce(&mut Self) -> Result<A, String>,
+        second: impl FnOnce(&mut Self) -> Result<B, String>,
+    ) -> Result<(A, B), String> {
+        if self.peek()? != Token::Array {
+            return Err(not_a_pair.to_string());
+        }
+        self.begin_array()?;
+        if !self.next_item()? {
+            return Err(not_a_pair.to_string());
+        }
+        let a = first(self)?;
+        if !self.next_item()? {
+            return Err(not_a_pair.to_string());
+        }
+        let b = second(self)?;
+        if self.next_item()? {
+            return Err(not_a_pair.to_string());
+        }
+        Ok((a, b))
+    }
+
+    /// Reads a member's value into `slot` unless an earlier member of the
+    /// same key already filled it: the first of duplicate keys wins, as in
+    /// [`JsonValue::get`], and a later one is only checked and skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns `read`'s error, or the syntax error of a skipped value.
+    pub fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<(), String> {
+        if slot.is_some() {
+            self.skip()
+        } else {
+            *slot = Some(read(self)?);
+            Ok(())
+        }
+    }
+
+    /// Reads the value at the cursor with `read`, for a value that only
+    /// matters if a later part of the document says so. When `read` fails,
+    /// the value is skipped from its start instead and `read`'s error is
+    /// handed back inside `Ok`, to be raised only if the value turns out to
+    /// matter.
+    ///
+    /// # Errors
+    ///
+    /// Returns a syntax error of the value.
+    pub fn attempt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Result<T, String>, String> {
+        let mark = self.mark();
+        match read(self) {
+            Ok(value) => Ok(Ok(value)),
+            Err(error) => {
+                self.seek(mark);
+                self.skip()?;
+                Ok(Err(error))
+            }
+        }
+    }
+
+    /// Skips the value at the cursor, checking its syntax.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error in the value.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            Token::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Token::Array => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Token::String => self.string().map(drop),
+            Token::Number => self.number().map(drop),
+            Token::Bool | Token::Null => self.literal().map(drop),
+        }
+    }
+
+    /// Reads the value at the cursor into a tree.
+    fn value(&mut self) -> Result<JsonValue, String> {
+        match self.peek()? {
+            Token::Object => {
+                let mut members = Vec::new();
+                self.begin_object()?;
+                while let Some(key) = self.next_key()? {
+                    members.push((key.into_owned(), self.value()?));
+                }
+                Ok(JsonValue::Object(members))
+            }
+            Token::Array => {
+                let mut items = Vec::new();
+                self.begin_array()?;
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Token::String => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Token::Number => self.number(),
+            Token::Bool | Token::Null => self.literal(),
+        }
+    }
+
+    /// Checks that nothing but whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// Returns the trailing-content error.
+    pub fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing content at byte {}", self.pos))
+        }
+    }
+
+    /// The number at the cursor when the value is one, as [`parse`] keeps
+    /// it, handed to `get`; any other value is skipped and gives `None`.
+    fn number_as<T>(
+        &mut self,
+        get: impl FnOnce(&JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        if self.peek()? == Token::Number {
+            Ok(get(&self.number()?))
+        } else {
+            self.skip()?;
+            Ok(None)
+        }
+    }
+
+    /// The value as a `u64`, as [`JsonValue::as_u64`] gives it. A plain
+    /// run of digits is read straight from the text.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn u64(&mut self) -> Result<Option<u64>, String> {
+        if matches!(self.peek_byte(), Some(b'0'..=b'9')) {
+            if let Some((value, end)) = plain_u64(self.text.as_bytes(), self.pos) {
+                self.pos = end;
+                return Ok(Some(value));
+            }
+        }
+        self.number_as(JsonValue::as_u64)
+    }
+
+    /// The value as a `usize`, as [`JsonValue::as_usize`] gives it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn usize(&mut self) -> Result<Option<usize>, String> {
+        Ok(self.u64()?.and_then(|n| usize::try_from(n).ok()))
+    }
+
+    /// The value as a `u128`, as [`JsonValue::as_u128`] gives it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn u128(&mut self) -> Result<Option<u128>, String> {
+        self.number_as(JsonValue::as_u128)
+    }
+
+    /// The value as an `f64`, as [`JsonValue::as_f64`] gives it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn f64(&mut self) -> Result<Option<f64>, String> {
+        self.number_as(JsonValue::as_f64)
+    }
+
+    /// The value as a `bool`, when it is `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn bool(&mut self) -> Result<Option<bool>, String> {
+        if self.peek()? == Token::Bool {
+            Ok(match self.literal()? {
+                JsonValue::Bool(b) => Some(b),
+                _ => None,
+            })
+        } else {
+            self.skip()?;
+            Ok(None)
+        }
+    }
+
+    /// The value as a string, escapes resolved: borrowed from the text
+    /// unless it holds escapes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the syntax error of the value.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.peek()? == Token::String {
+            self.string().map(Some)
+        } else {
+            self.skip()?;
+            Ok(None)
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        parse_number(self.text, &mut self.pos)
+    }
+
+    fn literal(&mut self) -> Result<JsonValue, String> {
+        let (word, value) = match self.text.as_bytes()[self.pos] {
+            b't' => ("true", JsonValue::Bool(true)),
+            b'f' => ("false", JsonValue::Bool(false)),
+            _ => ("null", JsonValue::Null),
+        };
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("malformed literal at byte {}", self.pos))
+        }
+    }
+
+    /// The string at the cursor. A run up to the closing quote without a
+    /// backslash is the text itself; both delimiters are ASCII, so a run
+    /// always ends on a character boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let len = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        self.pos = start + len;
+        if bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..start + len]));
+        }
+        let mut out = self.text[start..start + len].to_string();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            out.push(self.unicode_escape()?);
+                        }
+                        _ => return Err(format!("unknown escape at byte {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    let run = &bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
+                }
+            }
+        }
+    }
+
+    /// The character of the `\uXXXX` escape whose `u` is at the cursor,
+    /// leaving the cursor on its last hex digit. A high surrogate followed
+    /// by a `\u` escape of a low one is the one character the pair
+    /// encodes, and the cursor ends on the second escape's last digit; any
+    /// other surrogate is U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = hex4(self.text, self.pos + 1)?;
+        self.pos += 4;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = self
+                .text
+                .as_bytes()
+                .get(self.pos + 1..self.pos + 3)
+                .filter(|escape| *escape == b"\\u")
+                .and_then(|_| hex4(self.text, self.pos + 3).ok())
+                .filter(|low| (0xDC00..0xE000).contains(low));
+            if let Some(low) = low {
+                self.pos += 6;
+                let joined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(joined).unwrap_or('\u{FFFD}'));
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
     }
 }
 
-/// Parses the value at `pos`, which sits inside `depth` arrays and
-/// objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
-        return Err(format!(
-            "arrays and objects nest deeper than {MAX_DEPTH} at byte {}",
-            *pos
-        ));
+/// The four hex digits at byte `at` of `text`.
+fn hex4(text: &str, at: usize) -> Result<u32, String> {
+    if at + 4 > text.len() {
+        return Err("truncated \\u escape".to_string());
     }
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&c) => Err(format!("unexpected {:?} at byte {}", c as char, *pos)),
-        None => Err("unexpected end of document".to_string()),
-    }
+    text.get(at..at + 4)
+        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| "malformed \\u escape".to_string())
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("malformed literal at byte {}", *pos))
-    }
-}
-
-/// Parses the number at `pos`. A non-negative integer that fits `u64` —
-/// every count, address and distance a checkpoint holds — is read straight
-/// from its digits; any other number goes through [`parse_number_token`],
-/// which gives those integers the same value, only slower.
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// The non-negative integer written at `pos` as a plain run of digits that
+/// fits `u64` and ends the number token, with the offset past it; `None`
+/// for any other number.
+#[inline]
+fn plain_u64(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
     let mut value = 0u64;
-    let mut end = *pos;
+    let mut end = pos;
     while let Some(&c) = bytes.get(end) {
         if !c.is_ascii_digit() {
             break;
         }
-        match value
-            .checked_mul(10)
-            .and_then(|v| v.checked_add(u64::from(c - b'0')))
-        {
-            Some(v) => value = v,
-            None => return parse_number_token(bytes, pos),
+        value = value.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        end += 1;
+    }
+    (end > pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')))
+        .then_some((value, end))
+}
+
+/// The powers of ten an `f64` holds exactly.
+const EXACT_POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The number written at `pos` as `-?digits.digits`, without an exponent
+/// and with digits that, read as an integer, fit `u64`, with the offset
+/// past it; `None` for any other number. When that integer is at most 2^53
+/// and the number has at most 22 digits after the point, both the integer
+/// and the power of ten are exact `f64`s, so one division rounds to the
+/// nearest `f64` once (Clinger's fast path); otherwise the token goes to
+/// `str::parse` straight away. Either way the value is what parsing the
+/// token gives, without the token pass.
+#[inline]
+fn plain_decimal(text: &str, pos: usize) -> Option<(f64, usize)> {
+    let bytes = text.as_bytes();
+    let negative = bytes.get(pos) == Some(&b'-');
+    let mut end = pos + usize::from(negative);
+    let (mut digits, mut count, mut point) = (0u64, 0usize, None);
+    loop {
+        match bytes.get(end) {
+            Some(&c @ b'0'..=b'9') => {
+                digits = digits.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+                count += 1;
+            }
+            Some(b'.') if point.is_none() => point = Some(count),
+            _ => break,
         }
         end += 1;
     }
-    if end > *pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+    let after_point = count - point?;
+    if count == 0 || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        return None;
+    }
+    let value = match EXACT_POWERS_OF_TEN.get(after_point) {
+        #[allow(clippy::cast_precision_loss)]
+        Some(power) if digits <= 1 << 53 => {
+            let value = digits as f64 / power;
+            if negative {
+                -value
+            } else {
+                value
+            }
+        }
+        // The token is ASCII, so its ends are character boundaries.
+        _ => text[pos..end].parse().ok()?,
+    };
+    Some((value, end))
+}
+
+/// Parses the number at `pos`. A non-negative integer that fits `u64` —
+/// every count, address and distance a checkpoint holds — is read straight
+/// from its digits, and a plain decimal ([`plain_decimal`]) is read
+/// without the token pass; any other number goes through
+/// [`parse_number_token`], which gives those numbers the same value, only
+/// slower.
+fn parse_number(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
+    if let Some((value, end)) = plain_u64(bytes, *pos) {
         *pos = end;
         return Ok(JsonValue::Int(i128::from(value)));
+    }
+    if let Some((value, end)) = plain_decimal(text, *pos) {
+        *pos = end;
+        return Ok(JsonValue::Float(value));
     }
     parse_number_token(bytes, pos)
 }
 
 /// Parses the number at `pos` as a token: the longest run of digits and
 /// `.eE+-` after an optional sign, kept exact as an `i128` when it is an
-/// integer in range, else read as an `f64`.
+/// integer in range, else read as an `f64` from the token's text.
 fn parse_number_token(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
@@ -528,104 +1151,6 @@ fn parse_number_token(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String
         .parse::<f64>()
         .map(JsonValue::Float)
         .map_err(|_| format!("malformed number {token:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "malformed \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("unknown escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the run up to the next quote or backslash at once.
-                // Both are ASCII, so the run ends on a character boundary
-                // and only the run needs a UTF-8 check, which keeps
-                // parsing linear in the document size.
-                let run = &bytes[*pos..];
-                let len = run
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .unwrap_or(run.len());
-                out.push_str(std::str::from_utf8(&run[..len]).map_err(|_| "non-utf8 string")?);
-                *pos += len;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -680,11 +1205,13 @@ mod tests {
         assert_eq!(v.as_u64(), None);
     }
 
-    /// The `u64` fast path of `parse_number` returns what the token path
-    /// alone returns — the same value, down to a float's bits, the same
-    /// error and the same end position — on random number tokens: leading
-    /// zeros, integers around `u64::MAX`, negative numbers, fractions,
-    /// exponents and malformed runs, each followed by a random terminator.
+    /// The fast paths of `parse_number`, for `u64` integers and for plain
+    /// decimals, return what the token path alone returns — the same value,
+    /// down to a float's bits, the same error and the same end position —
+    /// on random number tokens: leading zeros, integers around `u64::MAX`,
+    /// negative numbers, decimals around 2^53 and with many digits after
+    /// the point, the shortest forms of random floats, exponents and
+    /// malformed runs, each followed by a random terminator.
     #[test]
     fn integer_fast_path_matches_the_token_path() {
         use rand::{Rng, SeedableRng};
@@ -695,14 +1222,41 @@ mod tests {
             .collect();
         tokens.extend(
             [
-                "-", "-0", "0", "00", "1e5", "1E+5", "2e-3", "12.5", "1.", "7-", "3+4", "1e999",
+                "-",
+                "-0",
+                "0",
+                "00",
+                "1e5",
+                "1E+5",
+                "2e-3",
+                "12.5",
+                "1.",
+                "7-",
+                "3+4",
+                "1e999",
+                "-0.0",
+                "0.0",
+                "-.5",
+                ".",
+                "-.",
+                "1..2",
+                "1.2.3",
+                "1.5e3",
+                "1.5-",
+                "9007199254740992.0",
+                "9007199254740993.0",
+                "0.9007199254740993",
+                "1.0000000000000000000001",
+                "12345678901234567890.5",
+                "0.0000000000000000000001",
+                "0.00000000000000000000001",
             ]
             .map(String::from),
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(24);
         const ALPHABET: &[u8] = b"0123456789-+.eE";
         for _ in 0..20_000 {
-            let token = match rng.gen_range(0..4) {
+            let token = match rng.gen_range(0..7) {
                 // A random integer of any digit count, leading zeros and all.
                 0 => {
                     let zeros = "0".repeat(rng.gen_range(0..3));
@@ -718,6 +1272,18 @@ mod tests {
                         format!("{n}")
                     }
                 }
+                // A decimal of up to 20 digits around the 2^53 bound, as
+                // the shortest round-trip form of a random float, or with
+                // up to 25 digits after the point.
+                4 => {
+                    let digits = rng.gen::<u64>() >> rng.gen_range(0..64u32);
+                    let text = format!("{digits}");
+                    let point = rng.gen_range(0..=text.len());
+                    let zeros = "0".repeat(rng.gen_range(0..12));
+                    format!("{}.{zeros}{}", &text[..point], &text[point..])
+                }
+                5 => format!("{}", f64::from_bits(rng.gen::<u64>()).abs() % 1e6),
+                6 => format!("-{}", rng.gen::<f64>() * 10f64.powi(rng.gen_range(-8..9))),
                 // A decimal or exponent form.
                 2 => format!(
                     "{}{}{}",
@@ -741,7 +1307,7 @@ mod tests {
             let text = format!("{token}{}", ["", ",", "]", "}", " ", "x"][i % 6]);
             let bytes = text.as_bytes();
             let (mut fast_end, mut token_end) = (0, 0);
-            let fast = parse_number(bytes, &mut fast_end);
+            let fast = parse_number(&text, &mut fast_end);
             let reference = parse_number_token(bytes, &mut token_end);
             assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{text:?}");
             assert_eq!(fast_end, token_end, "{text:?}");
@@ -778,6 +1344,203 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.get("k").and_then(JsonValue::as_str), Some(nasty));
+    }
+
+    /// An escaped surrogate pair — how Python's `json.dump` writes a
+    /// character outside the Basic Multilingual Plane — is that one
+    /// character; a surrogate without its partner is U+FFFD.
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_are_replaced() {
+        let read = |text: &str| parse(text).unwrap().as_str().map(str::to_string);
+        assert_eq!(read(r#""\ud83d\ude00""#).as_deref(), Some("😀"));
+        assert_eq!(read(r#""a\uD834\uDD1Eb""#).as_deref(), Some("a𝄞b"));
+        assert_eq!(read(r#""\ud83d""#).as_deref(), Some("\u{FFFD}"));
+        assert_eq!(read(r#""\ude00""#).as_deref(), Some("\u{FFFD}"));
+        assert_eq!(
+            read(r#""\ude00\ud83d""#).as_deref(),
+            Some("\u{FFFD}\u{FFFD}")
+        );
+        assert_eq!(read(r#""\ud83dx""#).as_deref(), Some("\u{FFFD}x"));
+        assert_eq!(read(r#""\ud83d\n""#).as_deref(), Some("\u{FFFD}\n"));
+        assert_eq!(read(r#""\ud83d\u0041""#).as_deref(), Some("\u{FFFD}A"));
+        assert_eq!(
+            read(r#""\ud83d\ud83d\ude00""#).as_deref(),
+            Some("\u{FFFD}😀")
+        );
+        // A key is read the same way, and a broken second escape is still
+        // the error it always was.
+        let doc = parse(r#"{"\ud83d\ude00": 1}"#).unwrap();
+        assert_eq!(doc.get("😀"), Some(&JsonValue::Int(1)));
+        assert!(parse(r#""\ud83d\uzzzz""#)
+            .unwrap_err()
+            .contains("malformed"));
+        assert!(parse(r#""\ud83d\ude0""#).is_err());
+        // What the writer escapes still round-trips.
+        assert_eq!(
+            read(&format!("\"{}\"", escape("😀 \u{1}"))).as_deref(),
+            Some("😀 \u{1}")
+        );
+    }
+
+    /// The reader's scalar readers give what the tree's accessors give
+    /// for the same value, and skip a value of another type.
+    #[test]
+    fn reader_scalars_match_the_tree_accessors() {
+        let values = [
+            "0",
+            "7",
+            "-0",
+            "-3",
+            "1.0",
+            "1e3",
+            "2.5",
+            "18446744073709551615",
+            "18446744073709551616",
+            "340282366920938463463374607431768211456",
+            "1e999",
+            "true",
+            "false",
+            "null",
+            "\"s\"",
+            "\"\\u0041\"",
+            "[1, [2]]",
+            "{\"a\": {}}",
+        ];
+        for text in values {
+            let tree = parse(text).unwrap();
+            let read = |f: &dyn Fn(&mut Reader<'_>) -> String| {
+                let mut reader = Reader::new(text);
+                let got = f(&mut reader);
+                reader.finish().unwrap();
+                got
+            };
+            assert_eq!(
+                read(&|r| format!("{:?}", r.u64().unwrap())),
+                format!("{:?}", tree.as_u64()),
+                "{text}"
+            );
+            assert_eq!(
+                read(&|r| format!("{:?}", r.usize().unwrap())),
+                format!("{:?}", tree.as_usize()),
+                "{text}"
+            );
+            assert_eq!(
+                read(&|r| format!("{:?}", r.u128().unwrap())),
+                format!("{:?}", tree.as_u128()),
+                "{text}"
+            );
+            assert_eq!(
+                read(&|r| format!("{:?}", r.f64().unwrap())),
+                format!("{:?}", tree.as_f64()),
+                "{text}"
+            );
+            assert_eq!(
+                read(&|r| format!("{:?}", r.str().unwrap().as_deref())),
+                format!("{:?}", tree.as_str()),
+                "{text}"
+            );
+            let boolean = match tree {
+                JsonValue::Bool(b) => Some(b),
+                _ => None,
+            };
+            assert_eq!(
+                read(&|r| format!("{:?}", r.bool().unwrap())),
+                format!("{boolean:?}"),
+                "{text}"
+            );
+            assert_eq!(
+                read(&|r| {
+                    r.skip().unwrap();
+                    String::new()
+                }),
+                ""
+            );
+        }
+    }
+
+    /// Keys come borrowed unless escaped; duplicate keys are all walked,
+    /// and `first` keeps the first; a trial read that fails skips its
+    /// value and keeps the reason; claimed counts are bounded by the bytes
+    /// left.
+    #[test]
+    fn reader_walks_objects_and_arrays() {
+        let text = r#" {"a": [1, 2, {"x": null}], "b\n": "v", "a": 9, "c": [] } "#;
+        let mut reader = Reader::new(text);
+        let mut keys = Vec::new();
+        let mut a = None;
+        reader
+            .object(|reader, key| {
+                keys.push(key.to_string());
+                match key {
+                    "a" => reader.first(&mut a, |reader| {
+                        let mut items = 0;
+                        reader.array(|reader| {
+                            items += 1;
+                            reader.skip()
+                        })?;
+                        Ok(items)
+                    }),
+                    _ => reader.skip(),
+                }
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        assert_eq!(keys, ["a", "b\n", "a", "c"]);
+        assert_eq!(a, Some(3));
+        let mut reader = Reader::new(r#"{"k": "v"}"#);
+        reader.begin_object().unwrap();
+        assert!(matches!(
+            reader.next_key().unwrap(),
+            Some(Cow::Borrowed("k"))
+        ));
+        let mut reader = Reader::new(r#"{"\u006b": 1}"#);
+        reader.begin_object().unwrap();
+        assert!(matches!(reader.next_key().unwrap(), Some(Cow::Owned(k)) if k == "k"));
+
+        let mut reader = Reader::new("[[1, 2], [3, \"x\"], 4]");
+        reader.begin_array().unwrap();
+        let mut sums = Vec::new();
+        while reader.next_item().unwrap() {
+            sums.push(reader.attempt(|reader| {
+                let mut sum = 0;
+                reader.array(|reader| {
+                    sum += reader.u64()?.ok_or("not a count")?;
+                    Ok(())
+                })?;
+                Ok(sum)
+            }));
+        }
+        reader.finish().unwrap();
+        assert_eq!(sums[0], Ok(Ok(3)));
+        assert_eq!(sums[1], Ok(Err("not a count".to_string())));
+        assert!(matches!(&sums[2], Ok(Err(e)) if e.contains("expected '['")));
+
+        let reader = Reader::new("[1, 2, 3]");
+        assert_eq!(reader.bounded(2, 2), 2);
+        assert_eq!(reader.bounded(1_000_000_000_000, 2), 4);
+        assert_eq!(reader.bounded(u64::MAX, 1), 9);
+    }
+
+    /// A decoder's complaint about a document that does not parse gives
+    /// way to the syntax error `parse` reports; trailing content is one.
+    #[test]
+    fn read_document_reports_syntax_errors_first() {
+        let complain = |_: &mut Reader<'_>| Err::<(), _>("decoder".to_string());
+        assert_eq!(
+            read_document("[1, 2]", complain),
+            Err("decoder".to_string())
+        );
+        for bad in ["[1, 2", "[1, 2] x", "[1, 2 3]", &"[".repeat(200)] {
+            assert_eq!(
+                read_document(bad, complain),
+                Err(parse(bad).unwrap_err()),
+                "{bad}"
+            );
+        }
+        assert_eq!(read_document(" 5 ", Reader::u64), Ok(Some(5)));
+        assert!(read_document("5 6", Reader::u64)
+            .unwrap_err()
+            .contains("trailing"));
     }
 
     #[test]

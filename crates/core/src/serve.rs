@@ -4,7 +4,7 @@
 //! owning one unsharded [`ShardsEstimator`] fed by that tenant's live
 //! access stream. The table is a first-class [`JobKind::ServeState`]
 //! checkpoint document: it round-trips through the same
-//! `write_checkpoint_header` / `check_checkpoint_header` codec as the batch
+//! `write_checkpoint_header` / `read_checkpoint_fields` codec as the batch
 //! pipelines, saves atomically via [`jsonio::save_atomic`], and resumes
 //! through [`job::resume_or_new_with`] — so killing the daemon mid-stream
 //! and restarting it restores every tenant byte-identically (the same
@@ -20,14 +20,17 @@
 //! aliasing — SHARDS makes each tenant O(budget), so the operator picks
 //! the fleet size explicitly.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::job::{self, JobKind};
-use crate::jsonio::{self, JsonValue};
+use crate::jsonio::{self, Reader};
 use crate::obs::MetricsRegistry;
 use crate::partition::{self, Bounds, PartitionSolution, TenantCurve};
-use crate::tracesweep::{log_spaced_sizes, MrcPoint, ShardsEstimator, SHARDS_MODULUS};
+use crate::tracesweep::{
+    log_spaced_sizes, EstimatorFields, MrcPoint, ShardsEstimator, SHARDS_MODULUS,
+};
 
 /// Point count of the MRC grid the `PARTITION` command evaluates every
 /// tenant's curve over. One shared constant so the daemon and the offline
@@ -447,66 +450,50 @@ impl ServeState {
         out
     }
 
-    /// Rebuilds a tenant table from a checkpoint document.
+    /// Rebuilds a tenant table from a checkpoint document, read straight
+    /// from its text; its keys, and each tenant's, may come in any order.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first syntax or structural problem.
     pub fn from_json(text: &str) -> Result<ServeState, String> {
-        Self::from_doc(&jsonio::parse(text)?)
+        jsonio::read_document(text, Self::read)
     }
 
-    /// Rebuilds a tenant table from a parsed checkpoint document: what
-    /// [`ServeState::from_json`] does after its parse, for a caller that
-    /// already parsed the text to read its kind.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeState::from_json`], bar the syntax errors.
-    pub fn from_doc(doc: &JsonValue) -> Result<ServeState, String> {
-        job::check_checkpoint_header(doc, JobKind::ServeState)?;
-        let budget = doc
-            .get("budget")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget")?;
-        let max_tenants = doc
-            .get("max_tenants")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing max_tenants")?;
+    /// Reads and builds a tenant table from the checkpoint document at
+    /// `reader`.
+    fn read(reader: &mut Reader<'_>) -> Result<ServeState, String> {
+        let (mut budget, mut max_tenants, mut rejected, mut saves, mut partitions) =
+            (None, None, None, None, None);
+        let mut last_partition = None;
+        let mut entries: Option<Vec<TenantFields>> = None;
+        job::read_checkpoint_fields(reader, JobKind::ServeState, |reader, key| match key {
+            "budget" => reader.first(&mut budget, Reader::usize),
+            "max_tenants" => reader.first(&mut max_tenants, Reader::usize),
+            "rejected" => reader.first(&mut rejected, Reader::u64),
+            "saves" => reader.first(&mut saves, Reader::u64),
+            "partitions" => reader.first(&mut partitions, Reader::u64),
+            "last_partition" => reader.first(&mut last_partition, read_last_partition),
+            "tenants" => reader.first(&mut entries, |reader| {
+                let mut entries = Vec::new();
+                reader.array(|reader| {
+                    entries.push(TenantFields::read(reader)?);
+                    Ok(())
+                })?;
+                Ok(entries)
+            }),
+            _ => reader.skip(),
+        })?;
+        let budget = budget.flatten().ok_or("missing budget")?;
+        let max_tenants = max_tenants.flatten().ok_or("missing max_tenants")?;
         let mut state = ServeState::new(budget, max_tenants)?;
-        state.rejected = doc
-            .get("rejected")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing rejected")?;
-        state.saves = doc
-            .get("saves")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing saves")?;
+        state.rejected = rejected.flatten().ok_or("missing rejected")?;
+        state.saves = saves.flatten().ok_or("missing saves")?;
         // Both partition fields are absent from pre-partitioner
         // checkpoints; resuming one is fine (zero answers recorded).
-        state.partitions = doc
-            .get("partitions")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if let Some(pair) = doc.get("last_partition") {
-            let pair = pair
-                .as_array()
-                .ok_or("last_partition is not a [budget, miss_ratio] pair")?;
-            state.last_partition = match pair {
-                [budget, aggregate] => Some((
-                    budget.as_u64().ok_or("bad last_partition budget")?,
-                    aggregate
-                        .as_f64()
-                        .filter(|m| m.is_finite() && (0.0..=1.0).contains(m))
-                        .ok_or("bad last_partition miss ratio")?,
-                )),
-                _ => return Err("last_partition is not a [budget, miss_ratio] pair".to_string()),
-            };
-        }
-        let entries = doc
-            .get("tenants")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing tenants")?;
+        state.partitions = partitions.flatten().unwrap_or(0);
+        state.last_partition = last_partition;
+        let entries = entries.ok_or("missing tenants")?;
         if entries.len() > max_tenants {
             return Err(format!(
                 "{} tenants exceed max_tenants {max_tenants}",
@@ -514,13 +501,10 @@ impl ServeState {
             ));
         }
         for entry in entries {
-            let name = entry
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("tenant missing name")?;
-            validate_tenant_name(name)?;
+            let name = entry.name.flatten().ok_or("tenant missing name")?;
+            validate_tenant_name(&name)?;
             if let Some(last) = state.tenants.last() {
-                if last.name.as_str() >= name {
+                if last.name >= name {
                     return Err(format!(
                         "tenant {name:?} out of order after {:?} (table must be \
                          strictly name-sorted)",
@@ -528,11 +512,10 @@ impl ServeState {
                     ));
                 }
             }
-            let accesses = entry
-                .get("accesses")
-                .and_then(JsonValue::as_u64)
-                .ok_or("tenant missing accesses")?;
-            let estimator = ShardsEstimator::restore_state(entry, budget, SHARDS_MODULUS, 0, 1)
+            let accesses = entry.accesses.flatten().ok_or("tenant missing accesses")?;
+            let estimator = entry
+                .estimator
+                .build(budget, SHARDS_MODULUS, 0, 1)
                 .map_err(|e| format!("tenant {name:?}: {e}"))?;
             // The tenant's one estimator sees every access it streams.
             if accesses != estimator.raw_accesses() {
@@ -543,7 +526,7 @@ impl ServeState {
                 ));
             }
             state.tenants.push(TenantState {
-                name: name.to_string(),
+                name,
                 accesses,
                 estimator,
             });
@@ -578,12 +561,59 @@ impl ServeState {
         job::resume_or_new_with(
             path,
             JobKind::ServeState,
-            ServeState::from_doc,
+            ServeState::from_json,
             |state| state.fingerprint() == fingerprint,
             ServeState::tenant_count,
             || fresh,
         )
     }
+}
+
+/// One tenant entry of a serve checkpoint as a [`Reader`] meets it.
+struct TenantFields {
+    name: Option<Option<String>>,
+    accesses: Option<Option<u64>>,
+    estimator: EstimatorFields,
+}
+
+impl TenantFields {
+    /// Reads the tenant entry at `reader`; the first of duplicate keys
+    /// wins.
+    fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let mut entry = TenantFields {
+            name: None,
+            accesses: None,
+            estimator: EstimatorFields::default(),
+        };
+        reader.object(|reader, key| match key {
+            "name" => reader.first(&mut entry.name, |reader| {
+                Ok(reader.str()?.map(Cow::into_owned))
+            }),
+            "accesses" => reader.first(&mut entry.accesses, Reader::u64),
+            _ => {
+                if !entry.estimator.read(reader, key)? {
+                    reader.skip()?;
+                }
+                Ok(())
+            }
+        })?;
+        Ok(entry)
+    }
+}
+
+/// Reads a `[budget, miss_ratio]` pair with a miss ratio in `0..=1`.
+fn read_last_partition(reader: &mut Reader<'_>) -> Result<(u64, f64), String> {
+    let (budget, aggregate) = reader.pair(
+        "last_partition is not a [budget, miss_ratio] pair",
+        Reader::u64,
+        Reader::f64,
+    )?;
+    Ok((
+        budget.ok_or("bad last_partition budget")?,
+        aggregate
+            .filter(|m| m.is_finite() && (0.0..=1.0).contains(m))
+            .ok_or("bad last_partition miss ratio")?,
+    ))
 }
 
 #[cfg(test)]
@@ -787,10 +817,13 @@ mod tests {
         assert!(line.contains("\"mrc\": [["), "{line}");
         let doc = jsonio::parse(&line).unwrap();
         assert_eq!(
-            doc.get("accesses").and_then(JsonValue::as_u64),
+            doc.get("accesses").and_then(jsonio::JsonValue::as_u64),
             Some(state.tenant("alpha").unwrap().accesses())
         );
-        assert!(doc.get("mrc").and_then(JsonValue::as_array).is_some());
+        assert!(doc
+            .get("mrc")
+            .and_then(jsonio::JsonValue::as_array)
+            .is_some());
         let back = ServeState::from_json(&state.to_json()).unwrap();
         assert_eq!(back.mrcj_line("alpha", 6).unwrap(), line);
         let ghost = state.mrcj_line("ghost", 6).unwrap_err();

@@ -35,7 +35,7 @@
 
 use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
 use crate::job::{self, Job, JobError, JobKind, JobRunner};
-use crate::jsonio::{self, JsonValue, StagingWriter};
+use crate::jsonio::{self, Reader, StagingWriter, Token};
 use crate::model::CacheModel;
 use std::fmt::{self, Write as _};
 use std::path::Path;
@@ -216,59 +216,41 @@ impl ShardedSweep {
         Job::to_json(self)
     }
 
-    /// Rebuilds a sweep from a checkpoint document.
+    /// Rebuilds a sweep from a checkpoint document, read straight from its
+    /// text; its keys may come in any order.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem (wrong kind
-    /// or version — cross-kind documents name both kinds — unknown
-    /// statistic/model, malformed shards), or of a completed shard no
-    /// sweep can produce: level counts that do not sum to the shard's rank
-    /// count, or hit sums above `m` (squared sums above `m²`) per
+    /// Returns a description of the first syntax or structural problem
+    /// (wrong kind or version — cross-kind documents name both kinds —
+    /// unknown statistic/model, malformed shards), or of a completed shard
+    /// no sweep can produce: level counts that do not sum to the shard's
+    /// rank count, or hit sums above `m` (squared sums above `m²`) per
     /// permutation.
     pub fn from_json(text: &str, threads: usize) -> Result<ShardedSweep, String> {
-        Self::from_doc(&jsonio::parse(text)?, threads)
+        jsonio::read_document(text, |reader| Self::read(reader, threads))
     }
 
-    /// Rebuilds a sweep from a parsed checkpoint document: what
-    /// [`ShardedSweep::from_json`] does after its parse, for a caller that
-    /// already parsed the text to read its kind.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSweep::from_json`], bar the syntax errors.
-    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<ShardedSweep, String> {
-        job::check_checkpoint_header(doc, JobKind::ShardedSweep)?;
-        let m = doc
-            .get("m")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing m")?;
+    /// Reads and builds a sweep from the checkpoint document at `reader`.
+    fn read(reader: &mut Reader<'_>, threads: usize) -> Result<ShardedSweep, String> {
+        let mut head = SpecFields::default();
+        let mut declared = None;
+        let mut entries: Option<Option<Vec<ShardFields>>> = None;
+        job::read_checkpoint_fields(reader, JobKind::ShardedSweep, |reader, key| match key {
+            "shard_count" => reader.first(&mut declared, Reader::usize),
+            "shards" => reader.first(&mut entries, |reader| {
+                lenient_list(reader, ShardFields::read)
+            }),
+            _ => head.read(reader, key),
+        })?;
+        let m = head.m()?;
         if m > 12 {
             return Err(format!("degree {m} too large for a factorial sweep"));
         }
-        let statistic = doc
-            .get("statistic")
-            .and_then(JsonValue::as_str)
-            .and_then(Statistic::parse)
-            .ok_or("missing or unknown statistic")?;
-        let model = doc
-            .get("model")
-            .and_then(JsonValue::as_str)
-            .and_then(CacheModel::parse)
-            .ok_or("missing or unknown model")?;
-        let spec = SweepSpec {
-            m,
-            statistic,
-            model,
-        };
-        let shard_entries = doc
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing shards")?;
-        let declared = doc
-            .get("shard_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing shard_count")?;
+        let spec = head.spec(m)?;
+        let statistic = spec.statistic;
+        let shard_entries = entries.flatten().ok_or("missing shards")?;
+        let declared = declared.flatten().ok_or("missing shard_count")?;
         if declared != shard_entries.len() || declared == 0 {
             return Err(format!(
                 "shard_count {declared} does not match {} shard entries",
@@ -279,27 +261,20 @@ impl ShardedSweep {
         if sweep.shards.len() != shard_entries.len() {
             return Err("shard plan mismatch (degree too small for shard count?)".to_string());
         }
-        for (i, entry) in shard_entries.iter().enumerate() {
-            let start = entry
-                .get("start")
-                .and_then(JsonValue::as_u128)
-                .ok_or("shard missing start")?;
-            let end = entry
-                .get("end")
-                .and_then(JsonValue::as_u128)
-                .ok_or("shard missing end")?;
+        for (i, entry) in shard_entries.into_iter().enumerate() {
+            let start = entry.start.flatten().ok_or("shard missing start")?;
+            let end = entry.end.flatten().ok_or("shard missing end")?;
             if sweep.shards[i] != (RankRange { start, end }) {
                 return Err(format!(
                     "shard {i} bounds {start}..{end} do not match the deterministic plan"
                 ));
             }
-            let done = entry.get("done") == Some(&JsonValue::Bool(true));
-            if !done {
+            if entry.done != Some(Some(true)) {
                 continue;
             }
             let level_entries = entry
-                .get("levels")
-                .and_then(JsonValue::as_array)
+                .levels
+                .flatten()
                 .ok_or("completed shard missing levels")?;
             if level_entries.len() != statistic.level_count(m) {
                 return Err(format!(
@@ -309,22 +284,19 @@ impl ShardedSweep {
                 ));
             }
             let mut levels = Vec::with_capacity(level_entries.len());
-            for (expected_level, level_entry) in level_entries.iter().enumerate() {
+            for (expected_level, level_entry) in level_entries.into_iter().enumerate() {
                 let level = level_entry
-                    .get("level")
-                    .and_then(JsonValue::as_usize)
+                    .level
+                    .flatten()
                     .ok_or("level entry missing level")?;
                 if level != expected_level {
                     return Err(format!("level entries out of order at {expected_level}"));
                 }
                 let count = level_entry
-                    .get("count")
-                    .and_then(JsonValue::as_u64)
+                    .count
+                    .flatten()
                     .ok_or("level entry missing count")?;
-                let hit_sums = parse_u64_array(level_entry.get("hit_sums"), m)
-                    .ok_or("level entry missing hit_sums")?;
-                let hit_sq_sums = parse_u64_array(level_entry.get("hit_sq_sums"), m)
-                    .ok_or("level entry missing hit_sq_sums")?;
+                let (hit_sums, hit_sq_sums) = level_entry.sums(m)?;
                 let level = SweepLevel {
                     level,
                     count,
@@ -378,7 +350,7 @@ impl ShardedSweep {
         job::resume_or_new_with(
             path,
             JobKind::ShardedSweep,
-            |doc| ShardedSweep::from_doc(doc, threads),
+            |text| ShardedSweep::from_json(text, threads),
             |sweep| sweep.spec == spec && sweep.shard_count() == shard_count,
             ShardedSweep::completed_count,
             || ShardedSweep::new(spec, shard_count, threads),
@@ -682,72 +654,48 @@ impl SampledSweep {
         Job::to_json(self)
     }
 
-    /// Rebuilds a sampled sweep from a checkpoint document.
+    /// Rebuilds a sampled sweep from a checkpoint document, read straight
+    /// from its text; its keys may come in any order.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem (wrong kind
-    /// or version — cross-kind documents name both kinds — unknown
-    /// statistic/model, a draw plan that does not match the deterministic
-    /// one, malformed levels), or of a completed level no sampling can
-    /// produce: a count other than its planned draws, or hit sums above
-    /// `m` (squared sums above `m²`) per draw.
+    /// Returns a description of the first syntax or structural problem
+    /// (wrong kind or version — cross-kind documents name both kinds —
+    /// unknown statistic/model, a draw plan that does not match the
+    /// deterministic one, malformed levels), or of a completed level no
+    /// sampling can produce: a count other than its planned draws, or hit
+    /// sums above `m` (squared sums above `m²`) per draw.
     pub fn from_json(text: &str, threads: usize) -> Result<SampledSweep, String> {
-        Self::from_doc(&jsonio::parse(text)?, threads)
+        jsonio::read_document(text, |reader| Self::read(reader, threads))
     }
 
-    /// Rebuilds a sampled sweep from a parsed checkpoint document: what
-    /// [`SampledSweep::from_json`] does after its parse, for a caller that
-    /// already parsed the text to read its kind.
-    ///
-    /// # Errors
-    ///
-    /// As [`SampledSweep::from_json`], bar the syntax errors.
-    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<SampledSweep, String> {
-        job::check_checkpoint_header(doc, JobKind::SampledSweep)?;
-        let m = doc
-            .get("m")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing m")?;
-        let statistic = doc
-            .get("statistic")
-            .and_then(JsonValue::as_str)
-            .and_then(Statistic::parse)
-            .ok_or("missing or unknown statistic")?;
-        let model = doc
-            .get("model")
-            .and_then(JsonValue::as_str)
-            .and_then(CacheModel::parse)
-            .ok_or("missing or unknown model")?;
-        let budget = doc
-            .get("budget")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget")?;
-        let min_per_level = doc
-            .get("min_per_level")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing min_per_level")?;
-        let seed = doc
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing seed")?;
+    /// Reads and builds a sampled sweep from the checkpoint document at
+    /// `reader`.
+    fn read(reader: &mut Reader<'_>, threads: usize) -> Result<SampledSweep, String> {
+        let mut head = SpecFields::default();
+        let (mut budget, mut min_per_level, mut seed, mut declared) = (None, None, None, None);
+        let mut entries: Option<Option<Vec<LevelFields>>> = None;
+        job::read_checkpoint_fields(reader, JobKind::SampledSweep, |reader, key| match key {
+            "budget" => reader.first(&mut budget, Reader::usize),
+            "min_per_level" => reader.first(&mut min_per_level, Reader::usize),
+            "seed" => reader.first(&mut seed, Reader::u64),
+            "level_count" => reader.first(&mut declared, Reader::usize),
+            "levels" => reader.first(&mut entries, |reader| {
+                lenient_list(reader, LevelFields::read)
+            }),
+            _ => head.read(reader, key),
+        })?;
+        let m = head.m()?;
+        let spec = head.spec(m)?;
+        let budget = budget.flatten().ok_or("missing budget")?;
+        let min_per_level = min_per_level.flatten().ok_or("missing min_per_level")?;
+        let seed = seed.flatten().ok_or("missing seed")?;
         if m > 34 {
             return Err(format!("degree {m} exceeds the supported maximum (34)"));
         }
-        let spec = SweepSpec {
-            m,
-            statistic,
-            model,
-        };
         let mut sweep = SampledSweep::new(spec, budget, min_per_level, seed, threads);
-        let declared = doc
-            .get("level_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing level_count")?;
-        let entries = doc
-            .get("levels")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing levels")?;
+        let declared = declared.flatten().ok_or("missing level_count")?;
+        let entries = entries.flatten().ok_or("missing levels")?;
         if declared != entries.len() || declared != sweep.partials.len() {
             return Err(format!(
                 "level_count {declared} does not match {} entries / {} planned levels",
@@ -755,36 +703,23 @@ impl SampledSweep {
                 sweep.partials.len()
             ));
         }
-        for (i, entry) in entries.iter().enumerate() {
-            let level = entry
-                .get("level")
-                .and_then(JsonValue::as_usize)
-                .ok_or("level entry missing level")?;
+        for (i, entry) in entries.into_iter().enumerate() {
+            let level = entry.level.flatten().ok_or("level entry missing level")?;
             if level != i {
                 return Err(format!("level entries out of order at {i}"));
             }
-            let draws = entry
-                .get("draws")
-                .and_then(JsonValue::as_usize)
-                .ok_or("level entry missing draws")?;
+            let draws = entry.draws.flatten().ok_or("level entry missing draws")?;
             if draws != sweep.draws[i] {
                 return Err(format!(
                     "level {i} plans {draws} draws, expected {} from the deterministic plan",
                     sweep.draws[i]
                 ));
             }
-            let done = entry.get("done") == Some(&JsonValue::Bool(true));
-            if !done {
+            if entry.done != Some(Some(true)) {
                 continue;
             }
-            let count = entry
-                .get("count")
-                .and_then(JsonValue::as_u64)
-                .ok_or("level entry missing count")?;
-            let hit_sums =
-                parse_u64_array(entry.get("hit_sums"), m).ok_or("level entry missing hit_sums")?;
-            let hit_sq_sums = parse_u64_array(entry.get("hit_sq_sums"), m)
-                .ok_or("level entry missing hit_sq_sums")?;
+            let count = entry.count.flatten().ok_or("level entry missing count")?;
+            let (hit_sums, hit_sq_sums) = entry.sums(m)?;
             if count != draws as u64 {
                 return Err(format!(
                     "level {i} aggregates {count} draws, but its plan has {draws}"
@@ -832,7 +767,7 @@ impl SampledSweep {
         job::resume_or_new_with(
             path,
             JobKind::SampledSweep,
-            |doc| SampledSweep::from_doc(doc, threads),
+            |text| SampledSweep::from_json(text, threads),
             |sweep| {
                 sweep.spec == spec
                     && sweep.budget == budget
@@ -991,12 +926,146 @@ fn write_u64_array(w: &mut StagingWriter<'_>, values: &[u64]) {
     w.str("]");
 }
 
-fn parse_u64_array(value: Option<&JsonValue>, expected_len: usize) -> Option<Vec<u64>> {
-    let items = value?.as_array()?;
-    if items.len() != expected_len {
-        return None;
+/// The spec fields both sweep checkpoints open with, as a [`Reader`] meets
+/// them; the first of duplicate keys wins.
+#[derive(Debug, Default)]
+struct SpecFields {
+    m: Option<Option<usize>>,
+    statistic: Option<Option<Statistic>>,
+    model: Option<Option<CacheModel>>,
+}
+
+impl SpecFields {
+    /// Reads the value of `key` when it names a spec field, and skips it
+    /// otherwise.
+    fn read(&mut self, reader: &mut Reader<'_>, key: &str) -> Result<(), String> {
+        match key {
+            "m" => reader.first(&mut self.m, Reader::usize),
+            "statistic" => reader.first(&mut self.statistic, |reader| {
+                Ok(reader.str()?.as_deref().and_then(Statistic::parse))
+            }),
+            "model" => reader.first(&mut self.model, |reader| {
+                Ok(reader.str()?.as_deref().and_then(CacheModel::parse))
+            }),
+            _ => reader.skip(),
+        }
     }
-    items.iter().map(JsonValue::as_u64).collect()
+
+    fn m(&self) -> Result<usize, String> {
+        self.m.flatten().ok_or_else(|| "missing m".to_string())
+    }
+
+    fn spec(&self, m: usize) -> Result<SweepSpec, String> {
+        Ok(SweepSpec {
+            m,
+            statistic: self
+                .statistic
+                .flatten()
+                .ok_or("missing or unknown statistic")?,
+            model: self.model.flatten().ok_or("missing or unknown model")?,
+        })
+    }
+}
+
+/// One shard entry of an exhaustive-sweep checkpoint as a [`Reader`] meets
+/// it. Its levels matter only when the entry says it is done, so the
+/// entry is read leniently ([`lenient_object`]) and checked when built.
+#[derive(Debug, Default)]
+struct ShardFields {
+    start: Option<Option<u128>>,
+    end: Option<Option<u128>>,
+    done: Option<Option<bool>>,
+    levels: Option<Option<Vec<LevelFields>>>,
+}
+
+impl ShardFields {
+    fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let mut entry = ShardFields::default();
+        lenient_object(reader, |reader, key| match key {
+            "start" => reader.first(&mut entry.start, Reader::u128),
+            "end" => reader.first(&mut entry.end, Reader::u128),
+            "done" => reader.first(&mut entry.done, Reader::bool),
+            "levels" => reader.first(&mut entry.levels, |reader| {
+                lenient_list(reader, LevelFields::read)
+            }),
+            _ => reader.skip(),
+        })?;
+        Ok(entry)
+    }
+}
+
+/// One level entry of a sweep checkpoint as a [`Reader`] meets it, read
+/// leniently ([`lenient_object`]) and checked when built.
+#[derive(Debug, Default)]
+struct LevelFields {
+    level: Option<Option<usize>>,
+    draws: Option<Option<usize>>,
+    done: Option<Option<bool>>,
+    count: Option<Option<u64>>,
+    hit_sums: Option<Option<Vec<u64>>>,
+    hit_sq_sums: Option<Option<Vec<u64>>>,
+}
+
+impl LevelFields {
+    fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let mut entry = LevelFields::default();
+        lenient_object(reader, |reader, key| match key {
+            "level" => reader.first(&mut entry.level, Reader::usize),
+            "draws" => reader.first(&mut entry.draws, Reader::usize),
+            "done" => reader.first(&mut entry.done, Reader::bool),
+            "count" => reader.first(&mut entry.count, Reader::u64),
+            "hit_sums" => reader.first(&mut entry.hit_sums, read_u64_list),
+            "hit_sq_sums" => reader.first(&mut entry.hit_sq_sums, read_u64_list),
+            _ => reader.skip(),
+        })?;
+        Ok(entry)
+    }
+
+    /// The level's hit sums and squared hit sums, `m` of each.
+    fn sums(self, m: usize) -> Result<(Vec<u64>, Vec<u64>), String> {
+        let sums = |list: Option<Option<Vec<u64>>>| list.flatten().filter(|sums| sums.len() == m);
+        Ok((
+            sums(self.hit_sums).ok_or("level entry missing hit_sums")?,
+            sums(self.hit_sq_sums).ok_or("level entry missing hit_sq_sums")?,
+        ))
+    }
+}
+
+/// Walks the object at the cursor like [`Reader::object`], but takes a
+/// value of any other type as an object without members: what a lookup in
+/// a parsed document finds in it.
+fn lenient_object<'a>(
+    reader: &mut Reader<'a>,
+    field: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    if reader.peek()? == Token::Object {
+        reader.object(field)
+    } else {
+        reader.skip()
+    }
+}
+
+/// The items of the array at the cursor, each read by `item`; `None` for
+/// a value of any other type.
+fn lenient_list<'a, T>(
+    reader: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
+    if reader.peek()? != Token::Array {
+        reader.skip()?;
+        return Ok(None);
+    }
+    let mut items = Vec::new();
+    reader.array(|reader| {
+        items.push(item(reader)?);
+        Ok(())
+    })?;
+    Ok(Some(items))
+}
+
+/// The array at the cursor when every item is a `u64`, `None` otherwise.
+fn read_u64_list(reader: &mut Reader<'_>) -> Result<Option<Vec<u64>>, String> {
+    Ok(lenient_list(reader, Reader::u64)?.and_then(|items| items.into_iter().collect()))
 }
 
 #[cfg(test)]

@@ -66,7 +66,8 @@
 //! ```
 
 use crate::job::{self, Job, JobError, JobKind, JobRunner};
-use crate::jsonio::{self, JsonValue, StagingWriter};
+use crate::jsonio::{self, Reader, StagingWriter};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -537,9 +538,15 @@ impl AddrInterner {
     /// `O(addresses held)` whatever their values: the interner of an owner
     /// that forgets addresses to stay within a budget.
     pub(crate) fn without_small_tier() -> Self {
+        Self::hashing_all(0)
+    }
+
+    /// [`AddrInterner::without_small_tier`] sized to take `ids` addresses
+    /// without growing ([`AddrInterner::with_capacity`]).
+    fn hashing_all(ids: usize) -> Self {
         AddrInterner {
             small_limit: 0,
-            ..Self::new()
+            ..Self::with_capacity(ids, ids)
         }
     }
 
@@ -709,8 +716,21 @@ impl AddrInterner {
     }
 
     fn grow_table(&mut self) {
-        let doubled = vec![NO_ID; self.table.len() * 2];
-        let old = std::mem::replace(&mut self.table, doubled);
+        self.rehash(self.table.len() * 2);
+    }
+
+    /// Shrinks a table sized for more large addresses than it holds to the
+    /// size interning them one by one would leave it.
+    fn fit_table(&mut self) {
+        let fitted = (2 * self.large + 1).next_power_of_two().max(64);
+        if fitted < self.table.len() {
+            self.rehash(fitted);
+        }
+    }
+
+    /// Moves every table entry into a new table of `len` positions.
+    fn rehash(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.table, vec![NO_ID; len]);
         for id in old.into_iter().filter(|&id| id != NO_ID) {
             let pos = self
                 .probe(self.addrs[id as usize])
@@ -811,6 +831,32 @@ impl Timeline {
             slot_of: Vec::new(),
             id_of_slot: vec![0; MIN_TIMELINE_CAPACITY],
             next_slot: 0,
+            compactions: 0,
+            ids: Vec::new(),
+            distances: Vec::new(),
+        }
+    }
+
+    /// The timeline of an interner's addresses in id order, each observed
+    /// once — what observing them one by one leaves, bar the slot
+    /// capacity, which is twice their number, as a compaction leaves it.
+    /// The interner must never have forgotten an address.
+    fn from_interned(interner: AddrInterner) -> Self {
+        let live = interner.id_bound();
+        let capacity = (2 * live).max(MIN_TIMELINE_CAPACITY);
+        let mut marks = SlotCounter::new(0);
+        marks.reset_ones_prefix(capacity, live);
+        // Below the capacity, hence below `NO_SLOT`.
+        let ids = 0..live as u32;
+        let mut id_of_slot: Vec<u32> = Vec::with_capacity(capacity);
+        id_of_slot.extend(ids.clone());
+        id_of_slot.resize(capacity, 0);
+        Timeline {
+            marks,
+            interner,
+            slot_of: ids.collect(),
+            id_of_slot,
+            next_slot: live,
             compactions: 0,
             ids: Vec::new(),
             distances: Vec::new(),
@@ -1255,108 +1301,6 @@ impl ShardsEstimator {
         w.finish()
     }
 
-    /// Rebuilds the estimator of one hash shard from an entry written by
-    /// [`ShardsEstimator::write_state`]: the counters and weighted
-    /// histogram restore verbatim, the timeline is rebuilt by re-observing
-    /// the tracked addresses (relative marker order fully determines every
-    /// future distance), and the eviction heap is rebuilt from the
-    /// addresses' recomputed hashes (the heap is a multiset with a unique
-    /// maximum, so its internal layout never affects behavior). A restored
-    /// estimator is therefore logically identical to the one serialized:
-    /// continuing both over the same accesses produces identical results
-    /// *and* identical re-serializations.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem: a missing
-    /// or mistyped field, a threshold outside `1 ..= max_threshold`, a
-    /// negative or non-finite weight, or a tracked list with more
-    /// addresses than the budget, a duplicate, one hashing outside this
-    /// shard, or one hashing at or above the threshold (none of which a
-    /// real checkpoint can contain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s_max == 0` or `shard_index >= shard_count`.
-    pub(crate) fn restore_state(
-        entry: &JsonValue,
-        s_max: usize,
-        max_threshold: u64,
-        shard_index: u64,
-        shard_count: u64,
-    ) -> Result<Self, String> {
-        let number = |key: &str| {
-            entry
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("estimator missing {key}"))
-        };
-        let threshold = number("threshold")?;
-        if threshold == 0 || threshold > max_threshold {
-            return Err(format!(
-                "estimator threshold {threshold} outside 1..={max_threshold}"
-            ));
-        }
-        let weight = |value: Option<&JsonValue>, what: &str| {
-            value
-                .and_then(JsonValue::as_f64)
-                .filter(|w| w.is_finite() && *w >= 0.0)
-                .ok_or_else(|| format!("estimator {what} is not a finite count"))
-        };
-        let cold = weight(entry.get("cold"), "cold weight")?;
-        // The bins come sorted, so the map is built in one bulk pass. Each
-        // weight is stored as `0.0 + w`, the sum one record into an empty
-        // bin gives, so a `-0` weight keeps that sum's bits.
-        let counts = histogram_bins(entry.get("histogram"))?
-            .into_iter()
-            .map(|(d, w)| Ok((d, 0.0 + weight(Some(w), "histogram weight")?)))
-            .collect::<Result<BTreeMap<usize, f64>, String>>()?;
-        let histogram = WeightedHistogram {
-            counts,
-            cold: 0.0 + cold,
-        };
-        let tracked = entry
-            .get("tracked")
-            .and_then(JsonValue::as_array)
-            .ok_or("estimator missing tracked")?;
-        let mut est = Self::for_shard(s_max, threshold, shard_index, shard_count);
-        if tracked.len() > s_max {
-            return Err(format!(
-                "{} tracked addresses exceed the budget {s_max}",
-                tracked.len()
-            ));
-        }
-        for addr in tracked {
-            let addr = addr.as_u64().ok_or("bad tracked address")?;
-            let hash = splitmix64(addr) % SHARDS_MODULUS;
-            if hash % shard_count != shard_index {
-                return Err(format!(
-                    "tracked address {addr} does not belong to hash shard {shard_index}"
-                ));
-            }
-            if hash >= threshold {
-                return Err(format!(
-                    "tracked address {addr} hashes at or above the threshold {threshold}"
-                ));
-            }
-            if est.timeline.observe(addr).is_some() {
-                return Err(format!("tracked address {addr} appears twice"));
-            }
-            est.by_hash.push((hash, addr));
-        }
-        est.histogram = histogram;
-        est.raw_accesses = number("raw")?;
-        est.sampled_accesses = number("sampled")?;
-        if est.sampled_accesses > est.raw_accesses {
-            return Err(format!(
-                "estimator sampled count {} exceeds its raw count {}",
-                est.sampled_accesses, est.raw_accesses
-            ));
-        }
-        est.evictions = number("evictions")?;
-        Ok(est)
-    }
-
     /// The current sampling rate relative to the whole address space:
     /// `(T / P) / shard_count` (1.0 for an unsharded estimator until the
     /// budget first binds).
@@ -1523,6 +1467,159 @@ impl ShardsEstimator {
     pub fn summary(&self) -> SampledSummary {
         SampledSummary::merge(&[SampledShardResult::from_estimator(self)])
     }
+}
+
+/// The fields of one estimator entry ([`ShardsEstimator::write_state`])
+/// as a [`Reader`] meets them, in any order: the accumulator serve tenants
+/// and trace-job shard entries share. Each field is checked as far as it
+/// can be on its own as it is read; [`EstimatorFields::build`] checks the
+/// rest once the owner's budget and hash shard are known.
+#[derive(Debug, Default)]
+pub(crate) struct EstimatorFields {
+    threshold: Option<Option<u64>>,
+    raw: Option<Option<u64>>,
+    sampled: Option<Option<u64>>,
+    evictions: Option<Option<u64>>,
+    cold: Option<Option<f64>>,
+    /// The bins, each weight stored as `0.0 + w`, the sum one record into
+    /// an empty bin gives, so a `-0` weight keeps that sum's bits.
+    histogram: Option<Vec<(usize, f64)>>,
+    /// The tracked addresses in last-access order, each as `(hash, addr)`.
+    tracked: Option<Vec<(u64, u64)>>,
+}
+
+impl EstimatorFields {
+    /// Reads the value of `key` when it names an estimator field, and says
+    /// whether it did; the first of duplicate keys wins.
+    ///
+    /// # Errors
+    ///
+    /// Returns a syntax error, a histogram that is not a list of
+    /// `[distance, weight]` pairs with positive, increasing distances and
+    /// finite non-negative weights, or a tracked list that is not a list
+    /// of addresses.
+    pub(crate) fn read(&mut self, reader: &mut Reader<'_>, key: &str) -> Result<bool, String> {
+        match key {
+            "threshold" => reader.first(&mut self.threshold, Reader::u64)?,
+            "raw" => reader.first(&mut self.raw, Reader::u64)?,
+            "sampled" => reader.first(&mut self.sampled, Reader::u64)?,
+            "evictions" => reader.first(&mut self.evictions, Reader::u64)?,
+            "cold" => reader.first(&mut self.cold, Reader::f64)?,
+            "histogram" => reader.first(&mut self.histogram, |reader| {
+                read_bins(reader, |reader| {
+                    Ok(0.0 + finite_weight(reader.f64()?, "histogram weight")?)
+                })
+            })?,
+            "tracked" => reader.first(&mut self.tracked, |reader| {
+                let mut tracked = Vec::new();
+                reader.array(|reader| {
+                    let addr = reader.u64()?.ok_or("bad tracked address")?;
+                    tracked.push((splitmix64(addr) % SHARDS_MODULUS, addr));
+                    Ok(())
+                })?;
+                Ok(tracked)
+            })?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Builds the estimator of one hash shard from the fields read. The
+    /// counters and weighted histogram restore verbatim. The timeline and
+    /// the eviction heap are built once at their recorded size: the
+    /// tracked list is in last-access order, so the `i`-th address gets id
+    /// and slot `i` (relative marker order fully determines every future
+    /// distance), and the heap is built from the addresses' hashes in one
+    /// pass (it is a multiset with a unique maximum, so its internal
+    /// layout never affects behavior). A restored estimator is therefore
+    /// logically identical to the one serialized: continuing both over the
+    /// same accesses produces identical results *and* identical
+    /// re-serializations.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first structural problem: a missing
+    /// or mistyped field, a threshold outside `1 ..= max_threshold`, a
+    /// negative or non-finite weight, or a tracked list with more
+    /// addresses than the budget, a duplicate, one hashing outside this
+    /// shard, or one hashing at or above the threshold (none of which a
+    /// real checkpoint can contain).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s_max == 0` or `shard_index >= shard_count`.
+    pub(crate) fn build(
+        self,
+        s_max: usize,
+        max_threshold: u64,
+        shard_index: u64,
+        shard_count: u64,
+    ) -> Result<ShardsEstimator, String> {
+        let number = |value: Option<Option<u64>>, key: &str| {
+            value
+                .flatten()
+                .ok_or_else(|| format!("estimator missing {key}"))
+        };
+        let threshold = number(self.threshold, "threshold")?;
+        if threshold == 0 || threshold > max_threshold {
+            return Err(format!(
+                "estimator threshold {threshold} outside 1..={max_threshold}"
+            ));
+        }
+        let cold = finite_weight(self.cold.flatten(), "cold weight")?;
+        let counts: BTreeMap<usize, f64> = self
+            .histogram
+            .ok_or("missing histogram")?
+            .into_iter()
+            .collect();
+        let tracked = self.tracked.ok_or("estimator missing tracked")?;
+        let mut est = ShardsEstimator::for_shard(s_max, threshold, shard_index, shard_count);
+        if tracked.len() > s_max {
+            return Err(format!(
+                "{} tracked addresses exceed the budget {s_max}",
+                tracked.len()
+            ));
+        }
+        let mut interner = AddrInterner::hashing_all(tracked.len());
+        for (i, &(hash, addr)) in tracked.iter().enumerate() {
+            if hash % shard_count != shard_index {
+                return Err(format!(
+                    "tracked address {addr} does not belong to hash shard {shard_index}"
+                ));
+            }
+            if hash >= threshold {
+                return Err(format!(
+                    "tracked address {addr} hashes at or above the threshold {threshold}"
+                ));
+            }
+            if interner.intern(addr) as usize != i {
+                return Err(format!("tracked address {addr} appears twice"));
+            }
+        }
+        est.timeline = Timeline::from_interned(interner);
+        est.by_hash = BinaryHeap::from(tracked);
+        est.histogram = WeightedHistogram {
+            counts,
+            cold: 0.0 + cold,
+        };
+        est.raw_accesses = number(self.raw, "raw")?;
+        est.sampled_accesses = number(self.sampled, "sampled")?;
+        if est.sampled_accesses > est.raw_accesses {
+            return Err(format!(
+                "estimator sampled count {} exceeds its raw count {}",
+                est.sampled_accesses, est.raw_accesses
+            ));
+        }
+        est.evictions = number(self.evictions, "evictions")?;
+        Ok(est)
+    }
+}
+
+/// A weight a checkpoint records: finite and not negative.
+fn finite_weight(weight: Option<f64>, what: &str) -> Result<f64, String> {
+    weight
+        .filter(|w| w.is_finite() && *w >= 0.0)
+        .ok_or_else(|| format!("estimator {what} is not a finite count"))
 }
 
 /// The estimator consumes trace streams directly, like the exact engine.
@@ -1957,8 +2054,53 @@ impl MergeState {
         w.str("],\n");
         w.finish()
     }
+}
 
-    /// Rebuilds a state from the fields [`MergeState::write_json`] wrote.
+/// The exact half's checkpoint fields ([`MergeState::write_json`]) as a
+/// [`Reader`] meets them. They matter only while the exact half is on,
+/// which the document may say after them, so the histogram and the
+/// timeline are read on trial ([`Reader::attempt`]): what is wrong with
+/// them is kept, to be raised by [`MergeFields::build`].
+#[derive(Debug, Default)]
+struct MergeFields {
+    cold: Option<Option<u64>>,
+    histogram: Option<Result<Vec<(usize, u64)>, String>>,
+    /// The interner of the timeline's addresses, each interned once in
+    /// last-access order, so the `i`-th address has id `i`.
+    timeline: Option<Result<AddrInterner, String>>,
+}
+
+impl MergeFields {
+    /// Reads the value of `key` when it names a field of the exact half,
+    /// and says whether it did; the first of duplicate keys wins.
+    ///
+    /// # Errors
+    ///
+    /// Returns a syntax error.
+    fn read(&mut self, reader: &mut Reader<'_>, key: &str) -> Result<bool, String> {
+        match key {
+            "cold" => reader.first(&mut self.cold, Reader::u64)?,
+            "histogram" => reader.first(&mut self.histogram, |reader| {
+                reader.attempt(|reader| {
+                    read_bins(reader, |reader| {
+                        reader
+                            .u64()?
+                            .ok_or_else(|| "bad histogram count".to_string())
+                    })
+                })
+            })?,
+            "timeline" => {
+                let cold = self.cold.flatten();
+                reader.first(&mut self.timeline, |reader| {
+                    reader.attempt(|reader| read_timeline(reader, cold))
+                })?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Builds the merge state from the fields read.
     ///
     /// # Errors
     ///
@@ -1970,89 +2112,83 @@ impl MergeState {
     /// The counts are checked before anything is allocated for them, so a
     /// hostile document costs memory in proportion to its own length.
     ///
-    /// Everything is built once at the size the document gives: the
-    /// interner, the slots and the dead counter for the timeline's length
-    /// (the counter at twice it, as a repack leaves it), and the dense
-    /// histogram up to its last bin. The timeline lists each address once,
-    /// so the `i`-th address gets id `i` and slot `i`.
-    fn restore(doc: &JsonValue) -> Result<Self, String> {
-        let cold = doc
-            .get("cold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing cold")?;
-        let timeline = doc
-            .get("timeline")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing timeline")?;
-        if cold != timeline.len() as u64 {
+    /// Everything is built once at the size the document gives: the slots
+    /// and the dead counter for the timeline's length (the counter at
+    /// twice it, as a repack leaves it), and the dense histogram up to its
+    /// last bin. The timeline lists each address once, so the `i`-th
+    /// address has id and slot `i`.
+    fn build(self) -> Result<MergeState, String> {
+        let cold = self.cold.flatten().ok_or("missing cold")?;
+        let interner = self.timeline.ok_or("missing timeline")??;
+        let len = interner.id_bound();
+        if cold != len as u64 {
             return Err(format!(
-                "cold count {cold} differs from the {} timeline addresses",
-                timeline.len()
+                "cold count {cold} differs from the {len} timeline addresses"
             ));
         }
-        let bins = histogram_bins(doc.get("histogram"))?
-            .into_iter()
-            .map(|(d, c)| {
-                if d as u64 > cold {
-                    return Err(format!(
-                        "histogram distance {d} exceeds the cold count {cold}"
-                    ));
-                }
-                Ok((d, c.as_u64().ok_or("bad histogram count")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let large = timeline
-            .iter()
-            .filter(|addr| addr.as_u64().is_some_and(|addr| addr >= SMALL_ADDR_LIMIT))
-            .count();
-        let mut state = MergeState {
-            interner: AddrInterner::with_capacity(timeline.len(), large),
-            slots: Vec::with_capacity(timeline.len()),
-            slot_of: Vec::with_capacity(timeline.len()),
-            dead: SlotCounter::new((timeline.len() * 2).max(MIN_TIMELINE_CAPACITY)),
+        let bins = self.histogram.ok_or("missing histogram")??;
+        if let Some(&(d, _)) = bins.iter().find(|&&(d, _)| d as u64 > cold) {
+            return Err(format!(
+                "histogram distance {d} exceeds the cold count {cold}"
+            ));
+        }
+        // Below the id space, hence below `NO_SLOT`.
+        let slots: Vec<u32> = (0..len as u32).collect();
+        Ok(MergeState {
+            interner,
+            slot_of: slots.clone(),
+            slots,
+            dead: SlotCounter::new((len * 2).max(MIN_TIMELINE_CAPACITY)),
             histogram: StreamHistogram::from_bins(cold, &bins),
             ids: Vec::new(),
             distances: Vec::new(),
-        };
-        for addr in timeline {
-            let addr = addr.as_u64().ok_or("bad timeline address")?;
-            let id = state.interner.intern(addr);
-            if id as usize != state.slots.len() {
-                return Err(format!("timeline address {addr} appears twice"));
-            }
-            state.slot_of.push(id);
-            state.slots.push(id);
-        }
-        Ok(state)
+        })
     }
+}
+
+/// Reads a timeline straight into an interner, sized for the `cold` count
+/// read before it when there is one, as far as the rest of the document
+/// could hold.
+fn read_timeline(reader: &mut Reader<'_>, cold: Option<u64>) -> Result<AddrInterner, String> {
+    let capacity = cold.map_or(0, |cold| reader.bounded(cold, 2));
+    let mut interner = AddrInterner::with_capacity(capacity, capacity);
+    reader.array(|reader| {
+        let addr = reader.u64()?.ok_or("bad timeline address")?;
+        let next = interner.id_bound();
+        if interner.intern(addr) as usize != next {
+            return Err(format!("timeline address {addr} appears twice"));
+        }
+        Ok(())
+    })?;
+    interner.fit_table();
+    Ok(interner)
 }
 
 // ---------------------------------------------------------------------------
 // The trace job: one streaming pass, an exact half and a sampled half
 // ---------------------------------------------------------------------------
 
-/// The `[[distance, count], ...]` bins of a checkpoint histogram, with
-/// each count left for the caller to type. Distances must be positive and
-/// strictly increasing, as every writer emits them.
-fn histogram_bins(bins: Option<&JsonValue>) -> Result<Vec<(usize, &JsonValue)>, String> {
-    let bins = bins
-        .and_then(JsonValue::as_array)
-        .ok_or("missing histogram")?;
-    let mut out: Vec<(usize, &JsonValue)> = Vec::with_capacity(bins.len());
-    for bin in bins {
-        let Some([d, count]) = bin.as_array() else {
-            return Err("histogram entry is not a pair".to_string());
-        };
-        let d = d.as_usize().ok_or("bad histogram distance")?;
+/// Reads the `[[distance, count], ...]` bins of a checkpoint histogram,
+/// each count read by `count`. Distances must be positive and strictly
+/// increasing, as every writer emits them.
+fn read_bins<'a, C>(
+    reader: &mut Reader<'a>,
+    mut count: impl FnMut(&mut Reader<'a>) -> Result<C, String>,
+) -> Result<Vec<(usize, C)>, String> {
+    let mut bins: Vec<(usize, C)> = Vec::new();
+    reader.array(|reader| {
+        let (d, c) = reader.pair("histogram entry is not a pair", Reader::usize, &mut count)?;
+        let d = d.ok_or("bad histogram distance")?;
         if d == 0 {
             return Err("histogram distance 0 is not representable".to_string());
         }
-        if out.last().is_some_and(|&(prev, _)| prev >= d) {
+        if bins.last().is_some_and(|&(prev, _)| prev >= d) {
             return Err(format!("histogram distance {d} out of order"));
         }
-        out.push((d, count));
-    }
-    Ok(out)
+        bins.push((d, c));
+        Ok(())
+    })?;
+    Ok(bins)
 }
 
 /// What a [`FusedIngest`] computes: its chunk plan, and which of its two
@@ -2621,45 +2757,81 @@ impl FusedIngest {
         out.write_str("  ]\n}\n")
     }
 
-    /// Rebuilds a job from a checkpoint document.
+    /// Rebuilds a job from a checkpoint document, read straight from its
+    /// text; its keys may come in any order.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first syntax or structural problem.
     pub fn from_json(text: &str, threads: usize) -> Result<FusedIngest, String> {
-        Self::from_doc(&jsonio::parse(text)?, threads)
+        jsonio::read_document(text, |reader| Self::read(reader, threads))
     }
 
-    /// Rebuilds a job from a parsed checkpoint document: what
-    /// [`FusedIngest::from_json`] does after its parse, for a caller that
-    /// already parsed the text to read its kind.
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedIngest::from_json`], bar the syntax errors.
-    pub fn from_doc(doc: &JsonValue, threads: usize) -> Result<FusedIngest, String> {
-        job::check_checkpoint_header(doc, JobKind::FusedIngest)?;
+    /// Reads and builds a job from the checkpoint document at `reader`.
+    fn read(reader: &mut Reader<'_>, threads: usize) -> Result<FusedIngest, String> {
+        let mut fingerprint = None;
+        let mut numbers: [Option<Option<u64>>; 7] = Default::default();
+        const NUMBERS: [&str; 7] = [
+            "total_accesses",
+            "chunk_count",
+            "shard_count",
+            "budget_per_shard",
+            "threshold",
+            "next_chunk",
+            "streamed",
+        ];
+        let mut exact = None;
+        let mut merge = MergeFields::default();
+        let mut entries: Option<Vec<EstimatorFields>> = None;
+        job::read_checkpoint_fields(reader, JobKind::FusedIngest, |reader, key| {
+            if let Some(i) = NUMBERS.iter().position(|&name| name == key) {
+                return reader.first(&mut numbers[i], Reader::u64);
+            }
+            match key {
+                "fingerprint" => reader.first(&mut fingerprint, |reader| {
+                    Ok(reader.str()?.map(Cow::into_owned))
+                }),
+                "exact" => reader.first(&mut exact, Reader::bool),
+                "shards" => reader.first(&mut entries, |reader| {
+                    let mut entries = Vec::new();
+                    reader.array(|reader| {
+                        let mut fields = EstimatorFields::default();
+                        reader.object(|reader, key| {
+                            if !fields.read(reader, key)? {
+                                reader.skip()?;
+                            }
+                            Ok(())
+                        })?;
+                        entries.push(fields);
+                        Ok(())
+                    })?;
+                    Ok(entries)
+                }),
+                _ => {
+                    if !merge.read(reader, key)? {
+                        reader.skip()?;
+                    }
+                    Ok(())
+                }
+            }
+        })?;
         let number = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing {key}"))
+            let i = NUMBERS
+                .iter()
+                .position(|&name| name == key)
+                .expect("a known field");
+            numbers[i].flatten().ok_or_else(|| format!("missing {key}"))
         };
         let count = |key: &str| {
-            doc.get(key)
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| format!("missing {key}"))
+            number(key).and_then(|n| usize::try_from(n).map_err(|_| format!("missing {key}")))
         };
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
+        let fingerprint = fingerprint.flatten().ok_or("missing fingerprint")?;
         let total = number("total_accesses")?;
         // The exact half is on unless the document says otherwise, and
         // `false` is the only thing it ever says.
-        let exact = match doc.get("exact") {
+        let exact = match exact {
             None => true,
-            Some(JsonValue::Bool(false)) => false,
+            Some(Some(false)) => false,
             Some(_) => return Err("\"exact\" may only record false (the half is off)".to_string()),
         };
         let recorded = TracePlan {
@@ -2703,7 +2875,7 @@ impl FusedIngest {
             ));
         }
         let state = if exact {
-            MergeState::restore(doc)?
+            merge.build()?
         } else {
             MergeState::new()
         };
@@ -2720,10 +2892,7 @@ impl FusedIngest {
                  streamed"
             ));
         }
-        let entries = doc
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing shards")?;
+        let entries = entries.ok_or("missing shards")?;
         if entries.len() != plan.shards {
             return Err(format!(
                 "shard_count {} does not match {} shard entries",
@@ -2732,11 +2901,10 @@ impl FusedIngest {
             ));
         }
         let estimators = entries
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(index, entry)| {
-                ShardsEstimator::restore_state(
-                    entry,
+            .map(|(index, fields)| {
+                fields.build(
                     plan.budget_per_shard,
                     threshold,
                     index as u64,
@@ -2803,7 +2971,7 @@ impl FusedIngest {
         let (job, resumed) = job::resume_or_new_with(
             path,
             JobKind::FusedIngest,
-            |doc| FusedIngest::from_doc(doc, threads),
+            |text| FusedIngest::from_json(text, threads),
             |ingest| {
                 other_count.set(ingest.fingerprint == fingerprint && ingest.total != total);
                 ingest.fingerprint == fingerprint

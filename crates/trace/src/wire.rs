@@ -363,6 +363,82 @@ mod tests {
         assert!(parse_line(b"4\xff").unwrap_err().contains("UTF-8"));
     }
 
+    /// Hostile bytes: seeded random lines, single-byte changes and
+    /// truncations of every request form, and lines of `MAX_LINE_BYTES`
+    /// each parse to a request or an error, never a panic; on every UTF-8
+    /// line `parse_line` answers what `parse_request` answers.
+    #[test]
+    fn hostile_lines_parse_or_fail_and_both_parsers_agree() {
+        use rand::{Rng, SeedableRng};
+        const FORMS: [&str; 15] = [
+            "HELLO tenant-1",
+            "12345",
+            "18446744073709551615\r",
+            "MRC t",
+            "MRC t 12",
+            "MRCJ t",
+            "MRCJ t 8",
+            "PARTITION 4096",
+            "WSS t",
+            "STATS",
+            "STATS t",
+            "SAVE",
+            "PING",
+            "QUIT",
+            "# a comment",
+        ];
+        const PICKS: &[u8] = b" \r\t#0123456789+-xHMS\xff\x80\xc3\xa9";
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        let byte = |rng: &mut rand::rngs::StdRng| rng.gen_range(0..=u8::MAX);
+        let mut lines: Vec<Vec<u8>> = Vec::new();
+        for form in FORMS {
+            let form = form.as_bytes();
+            lines.extend((0..form.len()).map(|cut| form[..cut].to_vec()));
+            for at in 0..form.len() {
+                for pick in PICKS.iter().copied().chain((0..8).map(|_| byte(&mut rng))) {
+                    let mut line = form.to_vec();
+                    line[at] = pick;
+                    lines.push(line);
+                }
+            }
+        }
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..48);
+            lines.push(
+                (0..len)
+                    .map(|_| {
+                        if rng.gen() {
+                            PICKS[rng.gen_range(0..PICKS.len())]
+                        } else {
+                            byte(&mut rng)
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        let full = |head: &str, fill: u8| {
+            let mut line = head.as_bytes().to_vec();
+            line.resize(MAX_LINE_BYTES, fill);
+            line
+        };
+        lines.extend([
+            full("", b'9'),
+            full("1", b'0'),
+            full("HELLO ", b'a'),
+            full("MRC t ", b'7'),
+            full("STATS ", b' '),
+            full("#", 0xff),
+            (0..MAX_LINE_BYTES).map(|_| byte(&mut rng)).collect(),
+        ]);
+        for line in &lines {
+            let parsed = parse_line(line);
+            match std::str::from_utf8(line) {
+                Ok(text) => assert_eq!(parsed, parse_request(text), "{line:?}"),
+                Err(_) => assert!(parsed.is_ok() || parsed.unwrap_err().contains("UTF-8")),
+            }
+        }
+    }
+
     #[test]
     fn batcher_coalesces_and_flushes_exactly_once() {
         let mut sink = CountingSink::new();

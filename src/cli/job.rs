@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use symloc_core::job::{checkpoint_status, recorded_kind, Heartbeat, JobError, JobKind, JobStatus};
-use symloc_core::jsonio::{self, escape, JsonValue};
+use symloc_core::jsonio::escape;
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
 use symloc_core::tracesweep::FusedIngest;
@@ -259,13 +259,14 @@ fn reopen_source(fingerprint: &str, recorded_total: u64) -> Result<TraceSource, 
     Ok(source)
 }
 
-/// Decodes a parsed checkpoint with its kind's `from_doc`; the document is
-/// freed once the job is built, before the job runs.
+/// Decodes a checkpoint's text with its kind's `from_json`, and frees the
+/// text once the job is built, before the job runs.
 fn decode<T>(
-    doc: JsonValue,
-    from_doc: impl FnOnce(&JsonValue) -> Result<T, String>,
+    text: String,
+    path: &str,
+    from_json: impl FnOnce(&str) -> Result<T, String>,
 ) -> Result<T, CliError> {
-    from_doc(&doc).map_err(CliError)
+    from_json(&text).map_err(|e| CliError(format!("cannot decode checkpoint {path}: {e}")))
 }
 
 /// `symloc job resume <checkpoint>` — continues any registered checkpoint
@@ -289,16 +290,12 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
     let json = parsed.switch(JSON.name);
     let metrics_path = parsed.value(METRICS.name);
     let mut registry = MetricsRegistry::new();
-    // The (possibly large) checkpoint is parsed once: the kind is read
-    // from the parsed document, and each arm decodes that document, frees
-    // it before the run, and prints the banner from the decoded job.
-    let doc = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))
-        .and_then(|text| {
-            jsonio::parse(&text)
-                .map_err(|e| CliError(format!("cannot decode checkpoint {path_str}: {e}")))
-        })?;
-    let kind = recorded_kind(&doc)
+    // The (possibly large) checkpoint is read once: the kind comes from
+    // its header, and each arm decodes the text straight into the job,
+    // frees the text before the run, and prints the banner from the job.
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))?;
+    let kind = recorded_kind(&text)
         .map_err(|e| CliError(format!("cannot resume checkpoint {path_str}: {e}")))?
         .ok_or_else(|| {
             CliError(format!(
@@ -325,7 +322,9 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
     };
     match kind {
         JobKind::ShardedSweep => {
-            let mut sweep = decode(doc, |doc| ShardedSweep::from_doc(doc, threads))?;
+            let mut sweep = decode(text, &path_str, |text| {
+                ShardedSweep::from_json(text, threads)
+            })?;
             banner(
                 &mut out,
                 &sweep.spec().fingerprint(),
@@ -361,7 +360,9 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             }
         }
         JobKind::SampledSweep => {
-            let mut sweep = decode(doc, |doc| SampledSweep::from_doc(doc, threads))?;
+            let mut sweep = decode(text, &path_str, |text| {
+                SampledSweep::from_json(text, threads)
+            })?;
             banner(
                 &mut out,
                 &sweep.spec().fingerprint(),
@@ -397,7 +398,9 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             }
         }
         JobKind::FusedIngest => {
-            let mut job = decode(doc, |doc| FusedIngest::from_doc(doc, threads))?;
+            let mut job = decode(text, &path_str, |text| {
+                FusedIngest::from_json(text, threads)
+            })?;
             banner(
                 &mut out,
                 job.fingerprint(),

@@ -974,6 +974,43 @@ fn hostile_histogram_distances_fail_loudly_and_leave_the_checkpoint_untouched() 
     std::fs::remove_file(format!("{ck_str}.hb")).ok();
 }
 
+/// A trace checkpoint whose `cold` count claims 10^12 addresses over a
+/// 3-entry timeline: the count comes before the timeline and sizes the
+/// restore, so a reader that believed it would ask for terabytes (and
+/// abort). Every command that reads the file fails at once with exit 1,
+/// naming the mismatch, and leaves the file as it was.
+#[test]
+fn an_overclaimed_cold_count_fails_at_once_without_allocating_by_it() {
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_cold_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("ck.json");
+    let trace = "trace mrc gen:cyclic:3:4 --exact --shards 2 --threads 1 --checkpoint {}";
+    let (ok, stderr) = run_symloc(&symloc_args(
+        &format!("{trace} --max-chunks 1"),
+        &[&checkpoint],
+    ));
+    assert!(ok, "{stderr}");
+    let good = std::fs::read_to_string(&checkpoint).unwrap();
+    assert!(good.contains("\"timeline\": [0, 1, 2]"), "{good}");
+    let hostile = good.replace("\"cold\": 3,", "\"cold\": 1000000000000,");
+    assert_ne!(hostile, good);
+    std::fs::write(&checkpoint, &hostile).unwrap();
+    for command in [trace, "job status {}", "job resume {}"] {
+        let args = symloc_args(command, &[&checkpoint]);
+        let started = std::time::Instant::now();
+        let (code, stderr) = symloc_exit(&args);
+        assert_eq!(code, Some(1), "`symloc {}`: {stderr}", args.join(" "));
+        assert!(
+            stderr.contains("cold count 1000000000000 differs from the 3 timeline addresses"),
+            "{stderr}"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(20));
+        assert_eq!(std::fs::read_to_string(&checkpoint).unwrap(), hostile);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn impossible_trace_counts_fail_loudly_and_leave_the_checkpoint_untouched() {
     use symmetric_locality::cli;
