@@ -1187,7 +1187,11 @@ fn header_kind(bytes: &[u8]) -> Option<&str> {
 
 /// The shared resume policy of every pipeline: load the checkpoint at
 /// `path` or plan a fresh job. The kind is read from the text's header
-/// ([`recorded_kind`]), and `decode` builds the job straight from the text.
+/// ([`recorded_kind`]), and `decode` builds the job from a [`Reader`] at
+/// the start of the text. The policy reads the document whole
+/// ([`jsonio::read_document`]): a job comes back only when the text parses
+/// to its end, so a decoder that stops short can never accept a damaged
+/// or truncated file.
 ///
 /// * No file (or unreadable): fresh plan.
 /// * A file whose kind is not registered (not JSON, no `"kind"`, an
@@ -1226,7 +1230,7 @@ fn header_kind(bytes: &[u8]) -> Option<&str> {
 pub fn resume_or_new_with<T>(
     path: &Path,
     expected: JobKind,
-    decode: impl FnOnce(&str) -> Result<T, String>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
     matches: impl FnOnce(&T) -> bool,
     completed: impl FnOnce(&T) -> usize,
     fresh: impl FnOnce() -> T,
@@ -1262,7 +1266,7 @@ pub fn resume_or_new_with<T>(
         }
         Some(_) => {}
     }
-    match text.and_then(decode) {
+    match text.and_then(|text| jsonio::read_document(text, decode)) {
         Ok(job) if matches(&job) => {
             let resumed = completed(&job) > 0;
             Ok((job, resumed))
@@ -2118,7 +2122,21 @@ mod tests {
         write_checkpoint_header(&mut doc, JobKind::ShardedSweep, "fp").unwrap();
         doc.push_str("  \"x\": 1\n}\n");
         std::fs::write(&path, &doc).unwrap();
+        let read_any = |reader: &mut Reader<'_>| reader.skip().map(|()| 1u32);
         let (value, resumed) = resume_or_new_with(
+            &path,
+            JobKind::ShardedSweep,
+            read_any,
+            |_| true,
+            |_| 1,
+            || 0u32,
+        )
+        .unwrap();
+        assert_eq!((value, resumed), (1, true));
+
+        // A decoder that stops short of the document's end resumes
+        // nothing: the policy reads the document whole.
+        let err = resume_or_new_with(
             &path,
             JobKind::ShardedSweep,
             |_| Ok(1u32),
@@ -2126,8 +2144,11 @@ mod tests {
             |_| 1,
             || 0u32,
         )
-        .unwrap();
-        assert_eq!((value, resumed), (1, true));
+        .unwrap_err();
+        assert!(
+            err.contains("trailing content") && err.contains("untouched"),
+            "{err}"
+        );
 
         // Right kind, undecodable: loud error carrying the reason, and
         // the file is left as it was.
@@ -2150,7 +2171,7 @@ mod tests {
         let (value, resumed) = resume_or_new_with(
             &path,
             JobKind::ShardedSweep,
-            |_| Ok(1u32),
+            read_any,
             |_| false,
             |_| 1,
             || 0u32,
@@ -2192,10 +2213,8 @@ mod tests {
     fn resume_or_new_with_judges_a_damaged_file_by_its_header() {
         let path =
             std::env::temp_dir().join(format!("symloc_job_damaged_{}.json", std::process::id()));
-        // A decoder that reads the whole text, as every kind's does.
-        let decode = |text: &str| jsonio::read_document(text, Reader::skip).map(|()| 1u32);
         let resume = |expected: JobKind| {
-            resume_or_new_with(&path, expected, decode, |_| true, |_| 1, || 0u32)
+            resume_or_new_with(&path, expected, |_| Ok(1u32), |_| true, |_| 1, || 0u32)
         };
         let mut doc = String::new();
         write_checkpoint_header(&mut doc, JobKind::ServeState, "fp").unwrap();

@@ -600,7 +600,7 @@ impl<'a> Reader<'a> {
     ///
     /// Returns an error when no object starts at the cursor, or when it
     /// would nest deeper than [`MAX_DEPTH`].
-    pub fn begin_object(&mut self) -> Result<(), String> {
+    fn begin_object(&mut self) -> Result<(), String> {
         self.open(b'{')
     }
 
@@ -609,7 +609,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// As [`Reader::begin_object`], for an array.
-    pub fn begin_array(&mut self) -> Result<(), String> {
+    fn begin_array(&mut self) -> Result<(), String> {
         self.open(b'[')
     }
 
@@ -645,7 +645,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns the syntax error at the cursor.
-    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
         if !self.next_in(b'}')? {
             return Ok(None);
         }
@@ -660,7 +660,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns the syntax error at the cursor.
-    pub fn next_item(&mut self) -> Result<bool, String> {
+    fn next_item(&mut self) -> Result<bool, String> {
         self.next_in(b']')
     }
 
@@ -852,19 +852,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The value as a `u64`, as [`JsonValue::as_u64`] gives it. A plain
-    /// run of digits is read straight from the text.
+    /// The value as a `u64`, as [`JsonValue::as_u64`] gives it.
     ///
     /// # Errors
     ///
     /// Returns the syntax error of the value.
     pub fn u64(&mut self) -> Result<Option<u64>, String> {
-        if matches!(self.peek_byte(), Some(b'0'..=b'9')) {
-            if let Some((value, end)) = plain_u64(self.text.as_bytes(), self.pos) {
-                self.pos = end;
-                return Ok(Some(value));
-            }
-        }
         self.number_as(JsonValue::as_u64)
     }
 
@@ -928,7 +921,7 @@ impl<'a> Reader<'a> {
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
-        parse_number(self.text, &mut self.pos)
+        parse_number(self.text.as_bytes(), &mut self.pos)
     }
 
     fn literal(&mut self) -> Result<JsonValue, String> {
@@ -1052,72 +1045,14 @@ fn plain_u64(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
         .then_some((value, end))
 }
 
-/// The powers of ten an `f64` holds exactly.
-const EXACT_POWERS_OF_TEN: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
-
-/// The number written at `pos` as `-?digits.digits`, without an exponent
-/// and with digits that, read as an integer, fit `u64`, with the offset
-/// past it; `None` for any other number. When that integer is at most 2^53
-/// and the number has at most 22 digits after the point, both the integer
-/// and the power of ten are exact `f64`s, so one division rounds to the
-/// nearest `f64` once (Clinger's fast path); otherwise the token goes to
-/// `str::parse` straight away. Either way the value is what parsing the
-/// token gives, without the token pass.
-#[inline]
-fn plain_decimal(text: &str, pos: usize) -> Option<(f64, usize)> {
-    let bytes = text.as_bytes();
-    let negative = bytes.get(pos) == Some(&b'-');
-    let mut end = pos + usize::from(negative);
-    let (mut digits, mut count, mut point) = (0u64, 0usize, None);
-    loop {
-        match bytes.get(end) {
-            Some(&c @ b'0'..=b'9') => {
-                digits = digits.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-                count += 1;
-            }
-            Some(b'.') if point.is_none() => point = Some(count),
-            _ => break,
-        }
-        end += 1;
-    }
-    let after_point = count - point?;
-    if count == 0 || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
-        return None;
-    }
-    let value = match EXACT_POWERS_OF_TEN.get(after_point) {
-        #[allow(clippy::cast_precision_loss)]
-        Some(power) if digits <= 1 << 53 => {
-            let value = digits as f64 / power;
-            if negative {
-                -value
-            } else {
-                value
-            }
-        }
-        // The token is ASCII, so its ends are character boundaries.
-        _ => text[pos..end].parse().ok()?,
-    };
-    Some((value, end))
-}
-
 /// Parses the number at `pos`. A non-negative integer that fits `u64` —
 /// every count, address and distance a checkpoint holds — is read straight
-/// from its digits, and a plain decimal ([`plain_decimal`]) is read
-/// without the token pass; any other number goes through
-/// [`parse_number_token`], which gives those numbers the same value, only
-/// slower.
-fn parse_number(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
+/// from its digits; any other number goes through [`parse_number_token`],
+/// which gives those integers the same value, only slower.
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     if let Some((value, end)) = plain_u64(bytes, *pos) {
         *pos = end;
         return Ok(JsonValue::Int(i128::from(value)));
-    }
-    if let Some((value, end)) = plain_decimal(text, *pos) {
-        *pos = end;
-        return Ok(JsonValue::Float(value));
     }
     parse_number_token(bytes, pos)
 }
@@ -1205,13 +1140,11 @@ mod tests {
         assert_eq!(v.as_u64(), None);
     }
 
-    /// The fast paths of `parse_number`, for `u64` integers and for plain
-    /// decimals, return what the token path alone returns — the same value,
-    /// down to a float's bits, the same error and the same end position —
-    /// on random number tokens: leading zeros, integers around `u64::MAX`,
-    /// negative numbers, decimals around 2^53 and with many digits after
-    /// the point, the shortest forms of random floats, exponents and
-    /// malformed runs, each followed by a random terminator.
+    /// The `u64` fast path of `parse_number` returns what the token path
+    /// alone returns — the same value, down to a float's bits, the same
+    /// error and the same end position — on random number tokens: leading
+    /// zeros, integers around `u64::MAX`, negative numbers, fractions,
+    /// exponents and malformed runs, each followed by a random terminator.
     #[test]
     fn integer_fast_path_matches_the_token_path() {
         use rand::{Rng, SeedableRng};
@@ -1222,41 +1155,14 @@ mod tests {
             .collect();
         tokens.extend(
             [
-                "-",
-                "-0",
-                "0",
-                "00",
-                "1e5",
-                "1E+5",
-                "2e-3",
-                "12.5",
-                "1.",
-                "7-",
-                "3+4",
-                "1e999",
-                "-0.0",
-                "0.0",
-                "-.5",
-                ".",
-                "-.",
-                "1..2",
-                "1.2.3",
-                "1.5e3",
-                "1.5-",
-                "9007199254740992.0",
-                "9007199254740993.0",
-                "0.9007199254740993",
-                "1.0000000000000000000001",
-                "12345678901234567890.5",
-                "0.0000000000000000000001",
-                "0.00000000000000000000001",
+                "-", "-0", "0", "00", "1e5", "1E+5", "2e-3", "12.5", "1.", "7-", "3+4", "1e999",
             ]
             .map(String::from),
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(24);
         const ALPHABET: &[u8] = b"0123456789-+.eE";
         for _ in 0..20_000 {
-            let token = match rng.gen_range(0..7) {
+            let token = match rng.gen_range(0..4) {
                 // A random integer of any digit count, leading zeros and all.
                 0 => {
                     let zeros = "0".repeat(rng.gen_range(0..3));
@@ -1272,18 +1178,6 @@ mod tests {
                         format!("{n}")
                     }
                 }
-                // A decimal of up to 20 digits around the 2^53 bound, as
-                // the shortest round-trip form of a random float, or with
-                // up to 25 digits after the point.
-                4 => {
-                    let digits = rng.gen::<u64>() >> rng.gen_range(0..64u32);
-                    let text = format!("{digits}");
-                    let point = rng.gen_range(0..=text.len());
-                    let zeros = "0".repeat(rng.gen_range(0..12));
-                    format!("{}.{zeros}{}", &text[..point], &text[point..])
-                }
-                5 => format!("{}", f64::from_bits(rng.gen::<u64>()).abs() % 1e6),
-                6 => format!("-{}", rng.gen::<f64>() * 10f64.powi(rng.gen_range(-8..9))),
                 // A decimal or exponent form.
                 2 => format!(
                     "{}{}{}",
@@ -1307,7 +1201,7 @@ mod tests {
             let text = format!("{token}{}", ["", ",", "]", "}", " ", "x"][i % 6]);
             let bytes = text.as_bytes();
             let (mut fast_end, mut token_end) = (0, 0);
-            let fast = parse_number(&text, &mut fast_end);
+            let fast = parse_number(bytes, &mut fast_end);
             let reference = parse_number_token(bytes, &mut token_end);
             assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{text:?}");
             assert_eq!(fast_end, token_end, "{text:?}");

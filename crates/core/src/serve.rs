@@ -561,7 +561,7 @@ impl ServeState {
         job::resume_or_new_with(
             path,
             JobKind::ServeState,
-            ServeState::from_json,
+            ServeState::read,
             |state| state.fingerprint() == fingerprint,
             ServeState::tenant_count,
             || fresh,

@@ -350,7 +350,7 @@ impl ShardedSweep {
         job::resume_or_new_with(
             path,
             JobKind::ShardedSweep,
-            |text| ShardedSweep::from_json(text, threads),
+            |reader| ShardedSweep::read(reader, threads),
             |sweep| sweep.spec == spec && sweep.shard_count() == shard_count,
             ShardedSweep::completed_count,
             || ShardedSweep::new(spec, shard_count, threads),
@@ -767,7 +767,7 @@ impl SampledSweep {
         job::resume_or_new_with(
             path,
             JobKind::SampledSweep,
-            |text| SampledSweep::from_json(text, threads),
+            |reader| SampledSweep::read(reader, threads),
             |sweep| {
                 sweep.spec == spec
                     && sweep.budget == budget

@@ -716,21 +716,8 @@ impl AddrInterner {
     }
 
     fn grow_table(&mut self) {
-        self.rehash(self.table.len() * 2);
-    }
-
-    /// Shrinks a table sized for more large addresses than it holds to the
-    /// size interning them one by one would leave it.
-    fn fit_table(&mut self) {
-        let fitted = (2 * self.large + 1).next_power_of_two().max(64);
-        if fitted < self.table.len() {
-            self.rehash(fitted);
-        }
-    }
-
-    /// Moves every table entry into a new table of `len` positions.
-    fn rehash(&mut self, len: usize) {
-        let old = std::mem::replace(&mut self.table, vec![NO_ID; len]);
+        let doubled = vec![NO_ID; self.table.len() * 2];
+        let old = std::mem::replace(&mut self.table, doubled);
         for id in old.into_iter().filter(|&id| id != NO_ID) {
             let pos = self
                 .probe(self.addrs[id as usize])
@@ -2146,12 +2133,13 @@ impl MergeFields {
     }
 }
 
-/// Reads a timeline straight into an interner, sized for the `cold` count
-/// read before it when there is one, as far as the rest of the document
-/// could hold.
+/// Reads a timeline straight into an interner whose id list is sized for
+/// the `cold` count read before it when there is one, as far as the rest
+/// of the document could hold. Its large-address table grows as the
+/// addresses come, as interning them one by one grows it.
 fn read_timeline(reader: &mut Reader<'_>, cold: Option<u64>) -> Result<AddrInterner, String> {
     let capacity = cold.map_or(0, |cold| reader.bounded(cold, 2));
-    let mut interner = AddrInterner::with_capacity(capacity, capacity);
+    let mut interner = AddrInterner::with_capacity(capacity, 0);
     reader.array(|reader| {
         let addr = reader.u64()?.ok_or("bad timeline address")?;
         let next = interner.id_bound();
@@ -2160,7 +2148,6 @@ fn read_timeline(reader: &mut Reader<'_>, cold: Option<u64>) -> Result<AddrInter
         }
         Ok(())
     })?;
-    interner.fit_table();
     Ok(interner)
 }
 
@@ -2971,7 +2958,7 @@ impl FusedIngest {
         let (job, resumed) = job::resume_or_new_with(
             path,
             JobKind::FusedIngest,
-            |text| FusedIngest::from_json(text, threads),
+            |reader| FusedIngest::read(reader, threads),
             |ingest| {
                 other_count.set(ingest.fingerprint == fingerprint && ingest.total != total);
                 ingest.fingerprint == fingerprint
