@@ -27,7 +27,9 @@ use symloc_core::tracesweep::{
 use symloc_par::default_threads;
 use symloc_trace::binio::{sltr_index_path, write_sltr, write_sltr_indexed, SltrReader};
 use symloc_trace::io::write_trace;
-use symloc_trace::stream::{build_text_index, AccessSink as _, GenSpec, MeteredSink, TraceSource};
+use symloc_trace::stream::{
+    build_text_index, AccessSink as _, GenSpec, MeteredSink, ReadPlan, TraceSource,
+};
 use symloc_trace::wire::WIRE_BLOCK_LEN;
 use symloc_trace::Trace;
 
@@ -434,18 +436,25 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         },
     ));
     // Decode-only microbenches: the format layer's contribution with the
-    // engine excluded — text parsing, one-varint-at-a-time `.sltr` decode,
-    // and the zero-copy block decode. Each folds the decoded accesses into
-    // a black-boxed sum so the decode work cannot be optimized away.
+    // engine excluded — the text block reader (unplanned, so the sidecar
+    // written above is not read), one-varint-at-a-time `.sltr` decode, and
+    // the zero-copy block decode. Each folds the decoded accesses into a
+    // black-boxed sum so the decode work cannot be optimized away.
     measurements.push(measure_trace(
         "trace_decode_text_single_thread",
         accesses,
         1,
         runs.min(3),
         || {
+            let mut blocks = text_source
+                .read_blocks(&ReadPlan::default(), 0, u64::MAX)
+                .expect("written trace");
+            let mut buf = Vec::new();
             let mut sum = 0u64;
-            for addr in text_source.stream().expect("written trace") {
-                sum = sum.wrapping_add(addr);
+            while blocks.next_block(&mut buf) > 0 {
+                for &addr in &buf {
+                    sum = sum.wrapping_add(addr);
+                }
             }
             std::hint::black_box(sum);
         },

@@ -1017,13 +1017,17 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The four hex digits at byte `at` of `text`.
+/// The four hex digits at byte `at` of `text`: each must be an ASCII hex
+/// digit (`u32::from_str_radix` would also take a leading `+`).
 fn hex4(text: &str, at: usize) -> Result<u32, String> {
-    if at + 4 > text.len() {
+    let Some(digits) = text.as_bytes().get(at..at + 4) else {
         return Err("truncated \\u escape".to_string());
-    }
-    text.get(at..at + 4)
-        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+    };
+    digits
+        .iter()
+        .try_fold(0, |code, &byte| {
+            Some(code << 4 | char::from(byte).to_digit(16)?)
+        })
         .ok_or_else(|| "malformed \\u escape".to_string())
 }
 
@@ -1274,6 +1278,24 @@ mod tests {
             read(&format!("\"{}\"", escape("😀 \u{1}"))).as_deref(),
             Some("😀 \u{1}")
         );
+    }
+
+    /// A `\u` escape is exactly four ASCII hex digits: no sign, no space.
+    #[test]
+    fn unicode_escapes_take_four_hex_digits() {
+        let read = |text: &str| parse(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(read(r#""\u0041""#), Ok(Some("A".to_string())));
+        assert_eq!(read(r#""\u00e9\u00C9""#), Ok(Some("éÉ".to_string())));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u 041""#,
+            r#""\u-041""#,
+            r#""\u004g""#,
+            r#""\u00é""#,
+        ] {
+            assert!(read(bad).unwrap_err().contains("malformed"), "{bad}");
+        }
+        assert!(read(r#""\u004"#).is_err());
     }
 
     /// The reader's scalar readers give what the tree's accessors give

@@ -1764,13 +1764,14 @@ impl SampledIngest {
 
     /// Runs up to `limit` pending shards (all of them when `None`): the
     /// shards are split contiguously across the workers, and each worker
-    /// streams the source once, feeding only the shards it owns. Returns
-    /// how many shards ran.
+    /// reads the source once ([`TraceSource::stream_blocks_range`]),
+    /// feeding only the shards it owns. Returns how many shards ran.
     ///
     /// # Panics
     ///
-    /// Panics if the source fails to stream (it was validated by
-    /// [`SampledIngest::new`]).
+    /// Panics with the reader's error if the source fails to read (it was
+    /// scanned by [`SampledIngest::new`], so only a file that changed since
+    /// fails), as [`fused_chunk_partial`] does.
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
         let first = self.partials.len();
         let pending = limit.map_or(self.shard_count - first, |l| {
@@ -1786,11 +1787,18 @@ impl SampledIngest {
             let mut estimators: Vec<ShardsEstimator> = (lo..hi)
                 .map(|i| ShardsEstimator::for_shard(budget, SHARDS_MODULUS, i, count))
                 .collect();
-            for addr in source.stream().expect("validated source streams") {
-                let hash = splitmix64(addr) % SHARDS_MODULUS;
-                let shard = hash % count;
-                if (lo..hi).contains(&shard) {
-                    estimators[(shard - lo) as usize].record_hashed(addr, hash);
+            // `next_block` panics with a file reader's error.
+            let mut blocks = source
+                .stream_blocks_range(0, u64::MAX)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let mut buf = Vec::new();
+            while blocks.next_block(&mut buf) > 0 {
+                for &addr in &buf {
+                    let hash = splitmix64(addr) % SHARDS_MODULUS;
+                    let shard = hash % count;
+                    if (lo..hi).contains(&shard) {
+                        estimators[(shard - lo) as usize].record_hashed(addr, hash);
+                    }
                 }
             }
             estimators

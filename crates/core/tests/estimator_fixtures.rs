@@ -10,7 +10,7 @@
 
 use symloc_core::serve::ServeState;
 use symloc_core::tracesweep::{FusedIngest, TracePlan};
-use symloc_trace::stream::TraceSource;
+use symloc_trace::stream::{GenSpec, TraceSource};
 
 /// The final checkpoint of `symloc trace mrc gen:zipf:4194304:20000:0.6:11
 /// --sample 64 --shards 4 --checkpoint F`: four chunks, and four hash
@@ -53,13 +53,7 @@ fn sampled_trace_job_reproduces_its_recorded_checkpoint() {
 /// Two tenants at budget 16, fed alternating blocks of 1000 accesses: one
 /// over 2^22 Zipf-distributed addresses, one over 2^20 (all below 2^21).
 fn churned_tenants() -> ServeState {
-    let stream = |spec: &str| -> Vec<u64> {
-        TraceSource::parse(spec)
-            .unwrap()
-            .stream()
-            .unwrap()
-            .collect()
-    };
+    let stream = |spec: &str| -> Vec<u64> { GenSpec::parse(spec).unwrap().stream().collect() };
     let wide = stream("gen:zipf:4194304:12000:0.6:5");
     let narrow = stream("gen:zipf:1048576:12000:0.8:6");
     let mut state = ServeState::new(16, 4).unwrap();

@@ -7,9 +7,13 @@
 //! three-chunk trace job planned at [`TraceSource::planned_accesses`], and
 //! the one streaming read under [`ReadPlan::whole`]. Each read either
 //! fails, or returns exactly what a plain decode of the same bytes without
-//! the sidecar yields. None panics, and none allocates by a count the
-//! input claims: the largest single allocation of the test process stays
-//! far below what any claimed total would ask for.
+//! the sidecar yields. The count scan [`TraceSource::total_accesses`] (what
+//! `symloc trace convert` and a job over a file without a sidecar count
+//! with) runs on each too, with the sidecar in place and with it removed,
+//! and either fails or returns the plain decode's length. None panics, and
+//! none allocates by a count the input claims: the largest single
+//! allocation of the test process stays far below what any claimed total
+//! would ask for.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,9 +198,31 @@ fn stream_read(source: &TraceSource) -> Result<Vec<u64>, String> {
     Ok(all)
 }
 
-/// Reads the damaged files both ways and checks each read against the
-/// plain decode; returns how many of the two reads succeeded.
-fn check(path: &Path, text: bool, trace: &[u8], sidecar: &[u8]) -> usize {
+/// The count scan of `source`, whose file is at `path`: with its sidecar in
+/// place, then with the sidecar removed. Each count is checked against the
+/// plain decode; returns how many of the two succeeded.
+fn count_reads(source: &TraceSource, path: &Path, plain: Option<&Vec<u64>>) -> usize {
+    let mut succeeded = 0;
+    for sidecar in ["with", "without"] {
+        if sidecar == "without" {
+            std::fs::remove_file(sltr_index_path(path)).unwrap();
+        }
+        if let Ok(count) = source.total_accesses() {
+            assert_eq!(
+                Some(count),
+                plain.map(|plain| plain.len() as u64),
+                "the count {sidecar} the sidecar differs from a plain decode"
+            );
+            succeeded += 1;
+        }
+    }
+    succeeded
+}
+
+/// Reads the damaged files the two ways `trace mrc` does and checks each
+/// read against the plain decode, then counts them both ways; returns how
+/// many of the two reads, and of the two counts, succeeded.
+fn check(path: &Path, text: bool, trace: &[u8], sidecar: &[u8]) -> (usize, usize) {
     std::fs::write(path, trace).unwrap();
     std::fs::write(sltr_index_path(path), sidecar).unwrap();
     let source = if text {
@@ -232,7 +258,7 @@ fn check(path: &Path, text: bool, trace: &[u8], sidecar: &[u8]) -> usize {
         );
         succeeded += 1;
     }
-    succeeded
+    (succeeded, count_reads(&source, path, plain.as_ref()))
 }
 
 #[test]
@@ -242,12 +268,12 @@ fn damaged_traces_and_sidecars_are_read_right_or_rejected() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let originals = originals(&dir);
-    // The undamaged files read right both ways.
+    // The undamaged files read right both ways, and count right.
     for original in &originals {
         let path = dir.join(format!("case.{}", original.name));
         assert_eq!(
             check(&path, original.text, &original.trace, &original.sidecar),
-            2,
+            (2, 2),
             "{}",
             original.name
         );
@@ -257,7 +283,7 @@ fn damaged_traces_and_sidecars_are_read_right_or_rejected() {
         .into_iter()
         .enumerate()
     {
-        let mut read = [0usize; 3];
+        let (mut read, mut counted) = ([0usize; 3], [0usize; 3]);
         for seed in 0..CASES {
             let mut rng = StdRng::seed_from_u64(seed ^ ((salt as u64 + 1) << 32));
             let original = &originals[(seed % 2) as usize];
@@ -279,7 +305,7 @@ fn damaged_traces_and_sidecars_are_read_right_or_rejected() {
                 original.name,
                 if in_sidecar { "sidecar" } else { "trace" }
             );
-            let succeeded = catch_unwind(AssertUnwindSafe(|| {
+            let (succeeded, counts) = catch_unwind(AssertUnwindSafe(|| {
                 check(&path, original.text, &trace, &sidecar)
             }))
             .unwrap_or_else(|panic| {
@@ -291,16 +317,26 @@ fn damaged_traces_and_sidecars_are_read_right_or_rejected() {
                 panic!("{case}: {message}")
             });
             read[succeeded] += 1;
+            counted[counts] += 1;
         }
-        outcomes.push((damage, read));
+        outcomes.push((damage, read, counted));
     }
     std::fs::remove_dir_all(&dir).ok();
     // Every kind of damage is caught, and some damage is harmless (a
-    // changed digit or comment byte), so both outcomes are exercised.
-    for (damage, read) in &outcomes {
+    // changed digit or comment byte), so both outcomes are exercised; the
+    // count scan rejects some damaged files even without their sidecar.
+    for (damage, read, counted) in &outcomes {
         assert!(read[0] > 0, "{damage:?}: {read:?}");
+        assert!(counted[0] > 0, "{damage:?}: {counted:?}");
     }
-    assert!(outcomes.iter().any(|(_, read)| read[2] > 0), "{outcomes:?}");
+    assert!(
+        outcomes.iter().any(|(_, read, _)| read[2] > 0),
+        "{outcomes:?}"
+    );
+    assert!(
+        outcomes.iter().any(|(_, _, counted)| counted[2] > 0),
+        "{outcomes:?}"
+    );
     let largest = LARGEST.load(Ordering::Relaxed);
     assert!(
         largest < ALLOCATION_BOUND,

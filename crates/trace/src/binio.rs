@@ -33,7 +33,6 @@
 //! (`read_sltr(write_sltr(t)) == read_trace_from_str(write_trace_to_string(t))`).
 
 use crate::io::TraceIoError;
-use crate::stream::BLOCK_LEN;
 use crate::trace::{Addr, Trace};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -172,8 +171,9 @@ pub fn sltr_index_path(sltr: &Path) -> std::path::PathBuf {
 
 /// A chunk index over a `.sltr` payload: the byte offset (relative to the
 /// start of the payload, i.e. past the 5-byte header) of every `interval`-th
-/// access, so [`crate::stream::TraceSource::stream_range`] can *seek* to a
-/// chunk instead of decode-skipping the prefix.
+/// access, so the block readers of [`crate::stream::TraceSource::read_blocks`]
+/// can *seek* to a chunk instead of decode-skipping the prefix, checking
+/// every offset they pass against the bytes they decode.
 ///
 /// Stored as a sidecar file (`<trace>.sltr.idx`) so the `.sltr` format
 /// itself stays version-1, append-friendly and concatenation-safe:
@@ -274,19 +274,6 @@ impl SltrIndex {
     #[must_use]
     pub fn entry_count(&self) -> usize {
         self.offsets.len()
-    }
-
-    /// Where to start reading for access `start`: returns `(payload byte
-    /// offset, accesses still to skip by decoding)` for the largest indexed
-    /// position `≤ start`. The decode-skip is always `< interval`.
-    #[must_use]
-    pub fn seek_hint(&self, start: u64) -> (u64, u64) {
-        let k = (start / self.interval).min(self.offsets.len() as u64);
-        if k == 0 {
-            (0, start)
-        } else {
-            (self.offsets[k as usize - 1], start - k * self.interval)
-        }
     }
 
     /// Serializes the index.
@@ -972,20 +959,6 @@ pub fn read_sltr<P: AsRef<Path>>(path: P) -> Result<Trace, SltrError> {
     read_sltr_from_reader(File::open(path)?)
 }
 
-/// Counts the accesses of a `.sltr` file without materializing them, by
-/// draining [`SltrReader::decode_block`] into one reused buffer — the same
-/// count, and the same first error, as draining the per-access iterator.
-///
-/// # Errors
-///
-/// Returns the first decode or I/O error.
-pub fn count_sltr_accesses<P: AsRef<Path>>(path: P) -> Result<u64, SltrError> {
-    let mut reader = SltrReader::new(File::open(path)?)?;
-    let mut block = Vec::with_capacity(BLOCK_LEN);
-    while reader.decode_block(&mut block, BLOCK_LEN)? > 0 {}
-    Ok(reader.decoded())
-}
-
 /// Builds a chunk index over an *existing* `.sltr` file by streaming one
 /// decode pass (the writer-side path is [`SltrWriter::new_indexed`]; this
 /// is the `symloc trace index` path for files written without one). The
@@ -1095,7 +1068,8 @@ mod tests {
         let t = sawtooth_trace(6, 4);
         write_sltr(&t, &path).unwrap();
         assert_eq!(read_sltr(&path).unwrap(), t);
-        assert_eq!(count_sltr_accesses(&path).unwrap(), t.len() as u64);
+        let source = crate::stream::TraceSource::Binary(path.clone());
+        assert_eq!(source.total_accesses().unwrap(), t.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1261,13 +1235,13 @@ mod tests {
         assert_eq!(reader.decode_block(&mut block, 1024).unwrap(), 0);
     }
 
-    /// A length scan's outcome in comparable form: the count, or the error
-    /// variant with its access index.
-    fn scan_outcome(result: Result<u64, SltrError>) -> Result<u64, String> {
+    /// A length scan's outcome in comparable form: the count, or the
+    /// message of a decode error (which names its access), or the kind of
+    /// an I/O error.
+    fn scan_outcome(result: Result<u64, TraceIoError>) -> Result<u64, String> {
         result.map_err(|e| match e {
-            SltrError::TruncatedVarint { access } => format!("truncated at access {access}"),
-            SltrError::Overflow { access } => format!("overflow at access {access}"),
-            SltrError::Io(e) => format!("I/O {:?}", e.kind()),
+            TraceIoError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData => e.to_string(),
+            TraceIoError::Io(e) => format!("I/O {:?}", e.kind()),
             other => other.to_string(),
         })
     }
@@ -1319,18 +1293,21 @@ mod tests {
             }
         }
         let mut seen = std::collections::BTreeSet::new();
+        let source = crate::stream::TraceSource::Binary(path.clone());
         for bytes in &inputs {
             std::fs::write(&path, bytes).unwrap();
-            let want = scan_outcome(iterator_count(&path));
+            let want = scan_outcome(iterator_count(&path).map_err(TraceIoError::from));
             assert_eq!(
-                scan_outcome(count_sltr_accesses(&path)),
+                scan_outcome(source.total_accesses()),
                 want,
                 "{} bytes",
                 bytes.len()
             );
             seen.insert(match want {
                 Ok(_) => "ok".to_string(),
-                Err(e) => e.split(" at ").next().unwrap().to_string(),
+                Err(e) if e.contains("truncated inside access") => "truncated".to_string(),
+                Err(e) if e.contains("overflows") => "overflow".to_string(),
+                Err(e) => e,
             });
         }
         std::fs::remove_file(&path).ok();
@@ -1367,21 +1344,18 @@ mod tests {
             // The index serializes and parses back identically.
             let parsed = SltrIndex::from_bytes(&index.to_bytes()).unwrap();
             assert_eq!(parsed, index);
-            // Every seek hint lands on the exact byte offset of its access:
-            // decoding from (offset, skip) reproduces the suffix.
-            for start in [0u64, 1, interval, interval + 3, 2 * interval + 1, 2999] {
-                let (offset, skip) = index.seek_hint(start);
-                assert!(skip < interval.max(start + 1));
-                let payload = &bytes[5 + offset as usize..];
-                let mut reader = SltrReader::resume(payload, start - skip);
-                for _ in 0..skip {
-                    if reader.next().is_none() {
-                        break; // start past the end of the trace
-                    }
-                }
+            // Every offset lands on the exact byte of its access: decoding
+            // from it reproduces that access, and no other point has one.
+            for k in 0..=expected_entries + 1 {
+                let point = k * interval;
+                let Some(offset) = index.offset_of(point) else {
+                    assert!(k == 0 || k > expected_entries, "interval={interval} k={k}");
+                    continue;
+                };
+                let mut reader = SltrReader::resume(&bytes[5 + offset as usize..], point);
                 let got = reader.next().map(|r| r.unwrap());
-                let expect = t.accesses().get(start as usize).map(|a| a.value() as u64);
-                assert_eq!(got, expect, "interval={interval} start={start}");
+                let expect = t.accesses()[point as usize].value() as u64;
+                assert_eq!(got, Some(expect), "interval={interval} point={point}");
             }
         }
     }

@@ -65,17 +65,27 @@ pub fn read_trace_from_reader<R: Read>(reader: R) -> Result<Trace, TraceIoError>
     let mut trace = Trace::new();
     for (idx, line) in buf.lines().enumerate() {
         let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
+        let Some(parsed) = parse_text_line(&line) else {
             continue;
-        }
-        let addr: usize = text.parse().map_err(|_| TraceIoError::Parse {
-            line: idx + 1,
-            text: text.to_string(),
-        })?;
+        };
+        let addr = parsed
+            .ok()
+            .and_then(|addr| usize::try_from(addr).ok())
+            .ok_or_else(|| TraceIoError::Parse {
+                line: idx + 1,
+                text: line.trim().to_string(),
+            })?;
         trace.push(Addr(addr));
     }
     Ok(trace)
+}
+
+/// Parses one line of a text trace, the grammar every text reader shares:
+/// `None` for a blank or `#` comment line, otherwise the address, or the
+/// trimmed text of a line that is not one.
+pub(crate) fn parse_text_line(line: &str) -> Option<Result<u64, &str>> {
+    let text = line.trim();
+    (!text.is_empty() && !text.starts_with('#')).then(|| text.parse().map_err(|_| text))
 }
 
 /// Parses a trace from an in-memory string.

@@ -16,8 +16,8 @@
 //! * Matrix/tensor traversal patterns ([`matrix`]).
 //! * Plain-text trace I/O ([`io`]); compact varint binary `.sltr` I/O
 //!   ([`binio`]).
-//! * Streaming trace sources — files, generator specs, in-memory — with
-//!   range streaming for sharded ingestion ([`stream`]).
+//! * Streaming trace sources — files, generator specs, in-memory — read as
+//!   checked blocks of any range, for sharded ingestion ([`stream`]).
 //! * Footprint / frequency / reuse-interval statistics ([`stats`]).
 //! * The line-framed `symloc serve` wire protocol: request grammar and
 //!   the socket-side [`stream::AccessSink`] block producer ([`wire`]).
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::io::{read_trace, read_trace_from_str, write_trace, write_trace_to_string};
     pub use crate::matrix::{matrix_traversal_trace, MatrixLayout, MatrixTraversal};
     pub use crate::stats::{footprint, frequencies, reuse_intervals, TraceStats};
-    pub use crate::stream::{AccessIter, GenSpec, GenStream, TraceSource};
+    pub use crate::stream::{GenSpec, GenStream, TraceSource};
     pub use crate::trace::{Addr, Trace};
     pub use crate::wire::{parse_request, AccessBatcher, Request};
 }

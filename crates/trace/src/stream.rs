@@ -5,10 +5,10 @@
 //! whatever fits in memory. This module is the substrate of the streaming
 //! trace-analysis subsystem: a [`TraceSource`] describes where accesses come
 //! from — a plain-text file, a binary `.sltr` file ([`crate::binio`]), a
-//! synthetic generator spec, or an in-memory trace — and yields them one at
-//! a time through [`TraceSource::stream`], or any contiguous sub-range
-//! through [`TraceSource::stream_range`] (the hook chunk-sharded parallel
-//! ingestion hangs off: each worker streams only its own chunk).
+//! synthetic generator spec, or an in-memory trace — and yields any
+//! contiguous sub-range of them as decoded blocks through
+//! [`TraceSource::read_blocks`] (the hook chunk-sharded parallel ingestion
+//! hangs off: each worker reads only its own chunk).
 //!
 //! Generator specs ([`GenSpec`]) are parsed from compact `gen:` strings so
 //! the CLI can run synthetic workloads of any size without writing a file:
@@ -23,25 +23,23 @@
 //! ```
 //!
 //! Deterministic-pattern generators (cyclic, sawtooth, strided, tiled) are
-//! random-access — `stream_range` starts mid-pattern in `O(1)` — while the
-//! seeded random generators (random, zipf) replay and discard the prefix,
-//! which costs RNG draws but no memory. Either way a generator stream is
-//! `O(m)` state (the Zipfian CDF) regardless of trace length.
+//! random-access — [`GenSpec::stream_range`] starts mid-pattern in `O(1)` —
+//! while the seeded random generators (random, zipf) replay and discard the
+//! prefix, which costs RNG draws but no memory. Either way a generator
+//! stream is `O(m)` state (the Zipfian CDF) regardless of trace length.
 //!
-//! Files are read in one of two ways. The iterator streams assume content
-//! that [`TraceSource::total_accesses`] has scanned in full, and panic on
-//! bytes that do not decode. The block readers ([`TraceSource::read_blocks`]
-//! under a [`ReadPlan`]) return every read, decode and sidecar-check error
-//! instead, so their one decode pass is also the validation: a job plans an
-//! indexed file at the access count its sidecar records
+//! Files have one reader per format, and it is checked: the block readers
+//! of [`TraceSource::read_blocks`] under a [`ReadPlan`] return every read,
+//! decode and sidecar-check error, never panic on the bytes they read, and
+//! so their one decode pass is also the validation. A job plans an indexed
+//! file at the access count its sidecar records
 //! ([`TraceSource::planned_accesses`]), and each chunk checks the bytes it
-//! decodes against that sidecar.
+//! decodes against that sidecar; [`TraceSource::total_accesses`] counts a
+//! file by draining the same reader.
 
-use crate::binio::{
-    count_sltr_accesses, read_sltr_header, sltr_index_path, SltrError, SltrIndex, SltrReader,
-};
-use crate::io::TraceIoError;
-use crate::trace::Trace;
+use crate::binio::{read_sltr_header, sltr_index_path, SltrError, SltrIndex, SltrReader};
+use crate::io::{parse_text_line, TraceIoError};
+use crate::trace::{Addr, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
@@ -401,10 +399,6 @@ pub enum TraceSource {
     Memory(Trace),
 }
 
-/// A boxed streaming iterator of addresses, `Send` so chunk workers can own
-/// one each.
-pub type AccessIter = Box<dyn Iterator<Item = u64> + Send>;
-
 /// Preferred number of accesses per block of [`BlockRead::next_block`]:
 /// large enough to amortize the per-block call, small enough that a block
 /// of `u64`s stays cache-resident.
@@ -412,9 +406,8 @@ pub const BLOCK_LEN: usize = 4096;
 
 /// A block-streaming source of addresses: refills a caller-provided buffer
 /// with the next run of accesses instead of answering one virtual `next()`
-/// call per access. The hot-loop counterpart of [`AccessIter`], produced by
-/// [`TraceSource::stream_blocks_range`]; both shapes yield identical
-/// access sequences.
+/// call per access. The one shape every trace source is read in, produced
+/// by [`TraceSource::read_blocks`] and [`TraceSource::stream_blocks_range`].
 pub trait BlockRead: Send {
     /// Refills `buf` (cleared first) with up to [`BLOCK_LEN`] accesses,
     /// returning how many were produced; `0` means the range is exhausted.
@@ -588,16 +581,36 @@ impl<S: AccessSink> AccessSink for MeteredSink<S> {
     }
 }
 
-/// Adapts any access iterator to the block interface — the generic path
-/// for sources without a native block decoder.
-struct IterBlocks {
-    iter: AccessIter,
-}
+/// Blocks of a generator spec's accesses, drawn from
+/// [`GenSpec::stream_range`].
+struct GenBlocks(GenStream);
 
-impl BlockRead for IterBlocks {
+impl BlockRead for GenBlocks {
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
         buf.clear();
-        buf.extend(self.iter.by_ref().take(BLOCK_LEN));
+        buf.extend(self.0.by_ref().take(BLOCK_LEN));
+        buf.len()
+    }
+}
+
+/// Blocks copied from a range of an in-memory trace. The reader owns a
+/// copy of its range, since an [`AccessBlocks`] may outlive the source it
+/// was opened on.
+struct MemoryBlocks {
+    accesses: Vec<Addr>,
+    next: usize,
+}
+
+impl BlockRead for MemoryBlocks {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        let end = self.accesses.len().min(self.next + BLOCK_LEN);
+        buf.clear();
+        buf.extend(
+            self.accesses[self.next..end]
+                .iter()
+                .map(|a| a.value() as u64),
+        );
+        self.next = end;
         buf.len()
     }
 }
@@ -1011,46 +1024,41 @@ impl TraceSource {
         }
     }
 
-    /// Total number of accesses, by a full scan of a file: every access is
-    /// read and decoded, so the content is validated and later
-    /// [`TraceSource::stream_range`] iterators, which panic on malformed
-    /// content, may assume it decodes. Generators and in-memory traces
+    /// Total number of accesses. A file is counted by draining
+    /// [`TraceSource::read_blocks`] under the unplanned plan
+    /// ([`ReadPlan::default`]: no sidecar, no planned count), so every
+    /// access is read, decoded and checked; generators and in-memory traces
     /// answer in `O(1)`. A job plans with [`TraceSource::planned_accesses`]
     /// instead, which reads an indexed file's count off its sidecar.
     ///
     /// A file with a sidecar chunk index also validates the index here: a
-    /// corrupt sidecar, or one describing a different payload (the trace
-    /// was truncated, appended to or replaced after indexing), is a loud
-    /// error rather than a silent mis-seek later.
+    /// corrupt sidecar, or one describing another access count or payload
+    /// length (the trace was truncated, appended to or replaced after
+    /// indexing), is a loud error rather than a silent mis-seek later.
     ///
     /// # Errors
     ///
-    /// Returns the first read or parse error.
+    /// Returns the first read or parse error (a malformed text line is
+    /// [`TraceIoError::Parse`] with its 1-based line number), then the
+    /// sidecar's error.
     pub fn total_accesses(&self) -> Result<u64, TraceIoError> {
-        match self {
-            TraceSource::Text(path) => {
-                let mut count = 0u64;
-                for_each_text_access(path, &mut |_| count += 1)?;
-                let sidecar = sltr_index_path(path);
-                if sidecar.exists() {
-                    let index = SltrIndex::read(&sidecar)?;
-                    index.check_matches(count, std::fs::metadata(path)?.len())?;
-                }
-                Ok(count)
-            }
-            TraceSource::Binary(path) => {
-                let count = count_sltr_accesses(path)?;
-                let sidecar = sltr_index_path(path);
-                if sidecar.exists() {
-                    let index = SltrIndex::read(&sidecar)?;
-                    let payload_len = std::fs::metadata(path)?.len().saturating_sub(5);
-                    index.check_matches(count, payload_len)?;
-                }
-                Ok(count)
-            }
-            TraceSource::Gen(spec) => Ok(spec.total_accesses()),
-            TraceSource::Memory(trace) => Ok(trace.len() as u64),
+        let (path, header) = match self {
+            TraceSource::Text(path) => (path, 0),
+            TraceSource::Binary(path) => (path, 5),
+            TraceSource::Gen(spec) => return Ok(spec.total_accesses()),
+            TraceSource::Memory(trace) => return Ok(trace.len() as u64),
+        };
+        let mut blocks = self.read_blocks(&ReadPlan::default(), 0, u64::MAX)?;
+        let (mut count, mut buf) = (0u64, Vec::with_capacity(BLOCK_LEN));
+        while blocks.try_next_block(&mut buf)? > 0 {
+            count += buf.len() as u64;
         }
+        let sidecar = sltr_index_path(path);
+        if sidecar.exists() {
+            let index = SltrIndex::read(&sidecar)?;
+            index.check_matches(count, std::fs::metadata(path)?.len().saturating_sub(header))?;
+        }
+        Ok(count)
     }
 
     /// The access count a job plans with: an indexed file's count as its
@@ -1097,92 +1105,12 @@ impl TraceSource {
         Ok(Some(index))
     }
 
-    /// Streams the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of opening the underlying file, if any. Decode
-    /// errors past that point panic — validate first with
-    /// [`TraceSource::total_accesses`].
-    pub fn stream(&self) -> Result<AccessIter, TraceIoError> {
-        self.stream_range(0, u64::MAX)
-    }
-
-    /// Streams accesses `start..end` (clamped to the trace length). File
-    /// sources open a fresh reader and skip `start` accesses, seeking first
-    /// when a valid sidecar applies; generator sources position natively
-    /// (see [`GenSpec::stream_range`]). The iterator assumes validated
-    /// content: decode errors panic, so validate first with
-    /// [`TraceSource::total_accesses`], or read blocks through
-    /// [`TraceSource::read_blocks`], which returns them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of opening the underlying file, if any.
-    pub fn stream_range(&self, start: u64, end: u64) -> Result<AccessIter, TraceIoError> {
-        let take = end.saturating_sub(start);
-        // A sidecar that does not apply (missing, corrupt, or describing a
-        // different file length) means the prefix is skipped by decoding.
-        let index = self.sidecar_index().ok().flatten();
-        match self {
-            TraceSource::Text(path) => {
-                // With a valid line-offset sidecar index the range starts
-                // with a seek to an access's line start (decode-skipping at
-                // most `interval - 1` lines); without one, fall back to
-                // parse-skipping the whole prefix. Both paths yield
-                // identical accesses.
-                if let Some(index) = index {
-                    return text_seek_range(path, &index, start, take);
-                }
-                let file = File::open(path)?;
-                let iter = BufReader::new(file)
-                    .lines()
-                    .map(|line| line.expect("trace file readable"))
-                    .filter_map(|line| text_access_of_line(&line))
-                    .skip(usize::try_from(start).unwrap_or(usize::MAX))
-                    .take(usize::try_from(take).unwrap_or(usize::MAX));
-                Ok(Box::new(iter))
-            }
-            TraceSource::Binary(path) => {
-                // With a valid sidecar chunk index the range starts with a
-                // seek (decode-skipping at most `interval - 1` accesses);
-                // without one, fall back to decode-skipping the whole
-                // prefix. Both paths yield identical accesses.
-                if let Some(index) = index {
-                    return sltr_seek_range(path, &index, start, take);
-                }
-                let reader = SltrReader::new(File::open(path)?).map_err(TraceIoError::from)?;
-                let iter = reader
-                    .map(|item| item.expect("validated sltr payload"))
-                    .skip(usize::try_from(start).unwrap_or(usize::MAX))
-                    .take(usize::try_from(take).unwrap_or(usize::MAX));
-                Ok(Box::new(iter))
-            }
-            TraceSource::Gen(spec) => {
-                let end = end.min(spec.total_accesses());
-                Ok(Box::new(spec.stream_range(start, end)))
-            }
-            TraceSource::Memory(trace) => {
-                let len = trace.len() as u64;
-                let end = end.min(len);
-                let start = start.min(end);
-                let addrs: Vec<u64> = trace.accesses()
-                    [usize::try_from(start).unwrap()..usize::try_from(end).unwrap()]
-                    .iter()
-                    .map(|a| a.value() as u64)
-                    .collect();
-                Ok(Box::new(addrs.into_iter()))
-            }
-        }
-    }
-
-    /// Streams accesses `start..end` as decoded blocks instead of one
-    /// virtual call per access — the hot-loop shape of
-    /// [`TraceSource::stream_range`]: [`TraceSource::read_blocks`] under the
-    /// plan of a read through the whole source ([`ReadPlan::whole`]), with
-    /// the sidecar read and checked on every call. A sidecar that does not
-    /// apply means decode-skipping the prefix, as on the iterator path, and
-    /// both stream shapes yield identical access sequences.
+    /// Streams accesses `start..end` as decoded blocks:
+    /// [`TraceSource::read_blocks`] under the plan of a read through the
+    /// whole source ([`ReadPlan::whole`]), with the sidecar read and checked
+    /// on every call. A sidecar that does not apply (corrupt, or describing
+    /// another payload length) means decode-skipping the prefix instead, so
+    /// either way the accesses are those a plain decode of the file yields.
     ///
     /// # Errors
     ///
@@ -1199,7 +1127,8 @@ impl TraceSource {
     /// buffer. With the plan's sidecar both seek, one index point before
     /// the range, and both check what they decode against the plan as
     /// [`ReadPlan`] describes; without one they decode-skip the prefix.
-    /// Other source kinds adapt their iterator into blocks.
+    /// Generator specs draw their blocks from [`GenSpec::stream_range`],
+    /// and in-memory traces copy theirs from the trace.
     ///
     /// # Errors
     ///
@@ -1215,9 +1144,15 @@ impl TraceSource {
         Ok(match self {
             TraceSource::Binary(path) => Box::new(SltrBlocks::open(path, plan, start, end)?),
             TraceSource::Text(path) => Box::new(TextBlocks::open(path, plan, start, end)?),
-            TraceSource::Gen(_) | TraceSource::Memory(_) => Box::new(IterBlocks {
-                iter: self.stream_range(start, end)?,
-            }),
+            TraceSource::Gen(spec) => Box::new(GenBlocks(spec.stream_range(start, end))),
+            TraceSource::Memory(trace) => {
+                let end = usize::try_from(end).unwrap_or(usize::MAX).min(trace.len());
+                let start = usize::try_from(start).unwrap_or(usize::MAX).min(end);
+                Box::new(MemoryBlocks {
+                    accesses: trace.accesses()[start..end].to_vec(),
+                    next: 0,
+                })
+            }
         })
     }
 }
@@ -1315,30 +1250,6 @@ impl std::fmt::Display for TraceSource {
     }
 }
 
-/// Opens a seek-positioned range over a `.sltr` file with the applicable
-/// sidecar `index`.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file itself.
-fn sltr_seek_range(
-    path: &Path,
-    index: &SltrIndex,
-    start: u64,
-    take: u64,
-) -> Result<AccessIter, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let mut file = File::open(path)?;
-    let (offset, skip) = index.seek_hint(start);
-    file.seek(SeekFrom::Start(5 + offset))?;
-    let reader = SltrReader::resume(file, start - skip);
-    let iter = reader
-        .map(|item| item.expect("validated sltr payload"))
-        .skip(usize::try_from(skip).unwrap_or(usize::MAX))
-        .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Box::new(iter))
-}
-
 /// Block parsing of a text trace under a [`ReadPlan`] through one reused
 /// line buffer: seek-positioned by the sidecar when one applies, checked
 /// as it parses.
@@ -1391,15 +1302,15 @@ impl TextBlocks {
             };
             let position = self.checks.position;
             self.checks.check_offset(position, line_start)?;
-            let addr = parsed.map_err(|_| {
-                let text = self.line.trim().to_string();
-                match self.lines {
-                    Some(line) => TraceIoError::Parse { line, text },
-                    None => invalid_data(format!(
-                        "trace line {text:?} at byte {line_start} (access #{position}) \
-                         is not an address"
-                    )),
-                }
+            let addr = parsed.map_err(|text| match self.lines {
+                Some(line) => TraceIoError::Parse {
+                    line,
+                    text: text.to_string(),
+                },
+                None => invalid_data(format!(
+                    "trace line {text:?} at byte {line_start} (access #{position}) \
+                     is not an address"
+                )),
             })?;
             self.checks.position += 1;
             self.check_end()?;
@@ -1454,64 +1365,24 @@ impl BlockRead for TextBlocks {
     }
 }
 
-/// Parses one line of a text trace: `None` for comments and blank lines,
-/// the access (or why it is malformed) otherwise.
-fn parse_text_line(line: &str) -> Option<Result<u64, std::num::ParseIntError>> {
-    let text = line.trim();
-    (!text.is_empty() && !text.starts_with('#')).then(|| text.parse::<u64>())
-}
-
-/// Parses one line of a text trace into its access, skipping comments and
-/// blank lines. Panics on malformed content — callers validate sources
-/// with [`TraceSource::total_accesses`] before streaming.
-fn text_access_of_line(line: &str) -> Option<u64> {
-    parse_text_line(line).map(|parsed| parsed.expect("validated trace line"))
-}
-
-/// Opens a seek-positioned range over a text trace with the applicable
-/// sidecar `index`. The text counterpart of [`sltr_seek_range`]: offsets
-/// index the byte position of the *line* starting every `interval`-th
-/// access, with the whole file as the payload.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file itself.
-fn text_seek_range(
-    path: &Path,
-    index: &SltrIndex,
-    start: u64,
-    take: u64,
-) -> Result<AccessIter, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let mut file = File::open(path)?;
-    let (offset, skip) = index.seek_hint(start);
-    file.seek(SeekFrom::Start(offset))?;
-    let iter = BufReader::new(file)
-        .lines()
-        .map(|line| line.expect("trace file readable"))
-        .filter_map(|line| text_access_of_line(&line))
-        .skip(usize::try_from(skip).unwrap_or(usize::MAX))
-        .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Box::new(iter))
-}
-
 /// Builds a line-offset chunk index over a text trace file: the same
 /// `SLIX` sidecar shape as `.sltr` indexes ([`SltrIndex`]), with the whole
 /// file as the payload and entry `k` holding the byte offset of the line
 /// that starts access `k·interval` (comment and blank lines do not count
 /// as accesses but do count bytes). Written to [`sltr_index_path`], it
-/// makes [`TraceSource::stream_range`] *seek* on text sources — the same
-/// sharded-ingest speedup binary traces got in PR 4.
+/// makes [`TraceSource::read_blocks`] *seek* on text sources as it does on
+/// indexed `.sltr` files. Lines are read by the grammar every text reader
+/// shares: trimmed, blank and `#` lines skipped, the rest addresses.
 ///
 /// # Errors
 ///
-/// Returns the first read or parse error of the trace file.
+/// Returns the first read or parse error of the trace file
+/// ([`TraceIoError::Parse`] with its 1-based line number).
 ///
 /// # Panics
 ///
 /// Panics if `interval == 0`.
 pub fn build_text_index(path: &Path, interval: u64) -> Result<SltrIndex, TraceIoError> {
-    use std::io::BufRead as _;
     assert!(interval > 0, "the index interval must be positive");
     let mut reader = BufReader::new(File::open(path)?);
     let mut line = String::new();
@@ -1525,9 +1396,8 @@ pub fn build_text_index(path: &Path, interval: u64) -> Result<SltrIndex, TraceIo
             break;
         }
         lineno += 1;
-        let text = line.trim();
-        if !text.is_empty() && !text.starts_with('#') {
-            let _: u64 = text.parse().map_err(|_| TraceIoError::Parse {
+        if let Some(parsed) = parse_text_line(&line) {
+            parsed.map_err(|text| TraceIoError::Parse {
                 line: lineno,
                 text: text.to_string(),
             })?;
@@ -1549,24 +1419,6 @@ fn file_has_sltr_magic(path: &Path) -> bool {
     };
     let mut magic = [0u8; 4];
     file.read_exact(&mut magic).is_ok() && magic == crate::binio::SLTR_MAGIC
-}
-
-/// Applies `f` to every access of a text-format trace file, streaming.
-fn for_each_text_access(path: &Path, f: &mut dyn FnMut(u64)) -> Result<(), TraceIoError> {
-    let file = File::open(path)?;
-    for (idx, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let addr: u64 = text.parse().map_err(|_| TraceIoError::Parse {
-            line: idx + 1,
-            text: text.to_string(),
-        })?;
-        f(addr);
-    }
-    Ok(())
 }
 
 /// FNV-1a over the address values, for in-memory source fingerprints.
@@ -1596,6 +1448,25 @@ mod tests {
 
     fn as_u64(trace: &Trace) -> Vec<u64> {
         trace.iter().map(|a| a.value() as u64).collect()
+    }
+
+    /// The whole of `source`, decoded without the block readers: the
+    /// whole-file readers of [`crate::io`] and [`crate::binio`], or the
+    /// generator's own stream.
+    fn decoded(source: &TraceSource) -> Vec<u64> {
+        match source {
+            TraceSource::Text(path) => as_u64(&crate::io::read_trace(path).unwrap()),
+            TraceSource::Binary(path) => as_u64(&crate::binio::read_sltr(path).unwrap()),
+            TraceSource::Gen(spec) => spec.stream().collect(),
+            TraceSource::Memory(trace) => as_u64(trace),
+        }
+    }
+
+    /// Accesses `start..end` of `all`, clamped to its length.
+    fn range_of(all: &[u64], start: u64, end: u64) -> Vec<u64> {
+        let end = usize::try_from(end).unwrap_or(usize::MAX).min(all.len());
+        let start = usize::try_from(start).unwrap_or(usize::MAX).min(end);
+        all[start..end].to_vec()
     }
 
     #[test]
@@ -1721,9 +1592,9 @@ mod tests {
             TraceSource::Memory(t.clone()),
         ] {
             assert_eq!(source.total_accesses().unwrap(), 18, "{source}");
-            let all: Vec<u64> = source.stream().unwrap().collect();
+            let all = collect_blocks(source.stream_blocks_range(0, u64::MAX).unwrap().as_mut());
             assert_eq!(all, as_u64(&t), "{source}");
-            let mid: Vec<u64> = source.stream_range(4, 9).unwrap().collect();
+            let mid = collect_blocks(source.stream_blocks_range(4, 9).unwrap().as_mut());
             assert_eq!(mid, as_u64(&t)[4..9].to_vec(), "{source}");
         }
         std::fs::remove_file(&text_path).ok();
@@ -1763,6 +1634,7 @@ mod tests {
         let b = TraceSource::Binary(indexed.clone());
         assert_eq!(a.total_accesses().unwrap(), 2000);
         assert_eq!(b.total_accesses().unwrap(), 2000);
+        let all = as_u64(&t);
         for (start, end) in [
             (0u64, 2000u64),
             (0, 17),
@@ -1772,8 +1644,9 @@ mod tests {
             (1999, 5000),
             (2000, 2000),
         ] {
-            let via_skip: Vec<u64> = a.stream_range(start, end).unwrap().collect();
-            let via_seek: Vec<u64> = b.stream_range(start, end).unwrap().collect();
+            let via_skip = collect_blocks(a.stream_blocks_range(start, end).unwrap().as_mut());
+            let via_seek = collect_blocks(b.stream_blocks_range(start, end).unwrap().as_mut());
+            assert_eq!(via_skip, range_of(&all, start, end), "range {start}..{end}");
             assert_eq!(via_seek, via_skip, "range {start}..{end}");
         }
         std::fs::remove_file(&plain).ok();
@@ -1796,6 +1669,8 @@ mod tests {
         }
     }
 
+    /// Every source kind's block reader yields what a whole decode of the
+    /// source yields, sliced to the range.
     #[test]
     fn block_streams_equal_iterator_streams_for_every_kind() {
         use crate::binio::{sltr_index_path, write_sltr_indexed};
@@ -1820,6 +1695,8 @@ mod tests {
         ] {
             // 9500 accesses spans multiple BLOCK_LEN refills; the ranges
             // cover empty, sub-block, cross-block, and tail-clamped shapes.
+            let all = decoded(&source);
+            assert_eq!(all.len(), 9500, "{source}");
             for (start, end) in [
                 (0u64, 9500u64),
                 (0, 17),
@@ -1829,10 +1706,13 @@ mod tests {
                 (9500, 9500),
                 (20_000, 30_000),
             ] {
-                let via_iter: Vec<u64> = source.stream_range(start, end).unwrap().collect();
                 let via_blocks =
                     collect_blocks(source.stream_blocks_range(start, end).unwrap().as_mut());
-                assert_eq!(via_blocks, via_iter, "{source} range {start}..{end}");
+                assert_eq!(
+                    via_blocks,
+                    range_of(&all, start, end),
+                    "{source} range {start}..{end}"
+                );
             }
         }
         std::fs::remove_file(&text).ok();
@@ -1881,6 +1761,7 @@ mod tests {
             );
             // Consecutive takes, skips inside and across blocks, and a
             // take clamped at the end of the source.
+            let all = decoded(&source);
             let mut cursor = BlockCursor::new(source.stream_blocks_range(5, u64::MAX).unwrap(), 5);
             for (start, end) in [
                 (5u64, 17u64),
@@ -1893,8 +1774,11 @@ mod tests {
                 cursor.skip_to(start).unwrap();
                 assert_eq!(cursor.position(), start, "{source} skip to {start}");
                 let taken = collect_blocks(&mut cursor.take(end - start));
-                let expect: Vec<u64> = source.stream_range(start, end).unwrap().collect();
-                assert_eq!(taken, expect, "{source} range {start}..{end}");
+                assert_eq!(
+                    taken,
+                    range_of(&all, start, end),
+                    "{source} range {start}..{end}"
+                );
             }
             assert_eq!(cursor.position(), 9500, "{source}");
             assert!(collect_blocks(&mut cursor.take(10)).is_empty());
@@ -1919,9 +1803,9 @@ mod tests {
         write_sltr(&sawtooth_trace(30, 10), &path).unwrap();
         let err = source.total_accesses().unwrap_err();
         assert!(err.to_string().contains("stale"), "{err}");
-        // Streaming falls back to decode-skip rather than mis-seeking —
-        // on both the iterator and the block path.
-        let all: Vec<u64> = source.stream_range(0, 10).unwrap().collect();
+        // Block reads fall back to decode-skip rather than mis-seeking,
+        // from the first access and from inside the trace.
+        let all = collect_blocks(source.stream_blocks_range(0, 10).unwrap().as_mut());
         assert_eq!(all, as_u64(&sawtooth_trace(30, 10))[..10].to_vec());
         let blocks = collect_blocks(source.stream_blocks_range(3, 10).unwrap().as_mut());
         assert_eq!(blocks, as_u64(&sawtooth_trace(30, 10))[3..10].to_vec());
@@ -1968,6 +1852,7 @@ mod tests {
         let sidecar = sltr_index_path(&path);
         write_trace(&t, &path).unwrap();
         let source = TraceSource::Text(path.clone());
+        let all = as_u64(&t);
         let plain: Vec<Vec<u64>> = [
             (0u64, 1500u64),
             (0, 17),
@@ -1978,7 +1863,11 @@ mod tests {
             (1500, 1500),
         ]
         .iter()
-        .map(|&(a, b)| source.stream_range(a, b).unwrap().collect())
+        .map(|&(a, b)| {
+            let blocks = collect_blocks(source.stream_blocks_range(a, b).unwrap().as_mut());
+            assert_eq!(blocks, range_of(&all, a, b), "range {a}..{b}");
+            blocks
+        })
         .collect();
         // Build and write the line-offset index; ranges must now seek and
         // still yield identical accesses, and validation must pass.
@@ -1999,7 +1888,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let via_seek: Vec<u64> = source.stream_range(a, b).unwrap().collect();
+            let via_seek = collect_blocks(source.stream_blocks_range(a, b).unwrap().as_mut());
             assert_eq!(via_seek, plain[i], "range {a}..{b}");
         }
         std::fs::remove_file(&path).ok();
@@ -2021,7 +1910,7 @@ mod tests {
         index.write(&sidecar).unwrap();
         let source = TraceSource::Text(path.clone());
         assert_eq!(source.total_accesses().unwrap(), 5);
-        let got: Vec<u64> = source.stream_range(2, 5).unwrap().collect();
+        let got = collect_blocks(source.stream_blocks_range(2, 5).unwrap().as_mut());
         assert_eq!(got, vec![12, 13, 14]);
         // Malformed content is a parse error with its line number.
         std::fs::write(&path, "0\nnope\n").unwrap();
@@ -2052,7 +1941,7 @@ mod tests {
         write_trace(&sawtooth_trace(20, 5), &path).unwrap();
         let err = source.total_accesses().unwrap_err();
         assert!(err.to_string().contains("stale"), "{err}");
-        let got: Vec<u64> = source.stream_range(0, 5).unwrap().collect();
+        let got = collect_blocks(source.stream_blocks_range(0, 5).unwrap().as_mut());
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
 
         // A corrupt sidecar is a loud validation error too.
@@ -2067,11 +1956,16 @@ mod tests {
     fn total_accesses_reports_file_errors() {
         let missing = TraceSource::Text(PathBuf::from("/no/such/file.trace"));
         assert!(missing.total_accesses().is_err());
-        assert!(missing.stream().is_err());
+        assert!(missing.stream_blocks_range(0, u64::MAX).is_err());
         let path = std::env::temp_dir().join("symloc_stream_bad_test.trace");
-        std::fs::write(&path, "0\nnot-a-number\n").unwrap();
+        std::fs::write(&path, "# header\n0\n\n  not-a-number \n1\n").unwrap();
         let bad = TraceSource::Text(path.clone());
-        assert!(bad.total_accesses().is_err());
+        match bad.total_accesses() {
+            Err(TraceIoError::Parse { line, text }) => {
+                assert_eq!((line, text.as_str()), (4, "not-a-number"));
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

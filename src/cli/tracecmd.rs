@@ -213,18 +213,6 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
     Ok(options)
 }
 
-/// Opens a fully validated stream over `source`: scans it once (catching
-/// unreadable files and malformed content as a [`CliError`] instead of the
-/// panic `stream_range` reserves for validated sources), then streams.
-fn validated_stream(source: &TraceSource) -> Result<symloc_trace::stream::AccessIter, CliError> {
-    source
-        .total_accesses()
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
-    source
-        .stream()
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))
-}
-
 /// The CLI error of a trace job run that `error` stopped: `cannot read
 /// <source>: …` for a chunk that could not be read or did not match the
 /// source's sidecar, `cannot write checkpoint <path>: …` for a failed save.
@@ -649,7 +637,21 @@ pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
         .clone();
     let interval = parsed.u64(INDEX.name)?.unwrap_or(DEFAULT_INDEX_INTERVAL);
     let source = TraceSource::parse(source_arg).map_err(CliError)?;
-    let stream = validated_stream(&source)?;
+    // Count first, so a damaged source fails before any output exists; the
+    // copy then reads under that count and fails, instead of writing a
+    // different trace, if the source changed in between.
+    let cannot_read = |e| CliError(format!("cannot read {source}: {e}"));
+    let total = source.total_accesses().map_err(cannot_read)?;
+    let mut blocks = source
+        .read_blocks(&ReadPlan::planned(&source, total), 0, total)
+        .map_err(cannot_read)?;
+    let mut copy = |push: &mut dyn FnMut(u64) -> Result<(), CliError>| -> Result<(), CliError> {
+        let mut buf = Vec::new();
+        while blocks.try_next_block(&mut buf).map_err(cannot_read)? > 0 {
+            buf.iter().try_for_each(|&addr| push(addr))?;
+        }
+        Ok(())
+    };
     let binary = Path::new(&out_path)
         .extension()
         .is_some_and(|e| e == "sltr");
@@ -661,9 +663,7 @@ pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError(format!("cannot create {out_path}: {e}")))?;
         if interval > 0 {
             let mut writer = SltrWriter::new_indexed(file, interval).map_err(io_err)?;
-            for addr in stream {
-                writer.push(addr).map_err(io_err)?;
-            }
+            copy(&mut |addr| writer.push(addr).map_err(io_err))?;
             let (written, index) = writer.finish_indexed().map_err(io_err)?;
             index
                 .write(&sidecar)
@@ -675,37 +675,33 @@ pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
             // previous conversion cannot outlive the new payload.
             std::fs::remove_file(&sidecar).ok();
             let mut writer = SltrWriter::new(file).map_err(io_err)?;
-            for addr in stream {
-                writer.push(addr).map_err(io_err)?;
-            }
+            copy(&mut |addr| writer.push(addr).map_err(io_err))?;
             writer.finish().map_err(io_err)?
         }
     } else {
         use std::io::Write as _;
+        let io_err = |e| CliError(format!("cannot write {out_path}: {e}"));
         let file = std::fs::File::create(&out_path)
             .map_err(|e| CliError(format!("cannot create {out_path}: {e}")))?;
         let mut writer = std::io::BufWriter::new(file);
+        let header = "# symloc trace\n";
+        writer.write_all(header.as_bytes()).map_err(io_err)?;
         let mut written = 0u64;
-        let mut bytes = 0u64;
+        let mut bytes = header.len() as u64;
         let mut offsets = Vec::new();
-        (|| -> std::io::Result<()> {
-            let header = "# symloc trace\n";
-            writer.write_all(header.as_bytes())?;
-            bytes += header.len() as u64;
-            let mut line = String::new();
-            for addr in stream {
-                if interval > 0 && written > 0 && written.is_multiple_of(interval) {
-                    offsets.push(bytes);
-                }
-                line.clear();
-                let _ = writeln!(line, "{addr}");
-                writer.write_all(line.as_bytes())?;
-                bytes += line.len() as u64;
-                written += 1;
+        let mut line = String::new();
+        copy(&mut |addr| {
+            if interval > 0 && written > 0 && written.is_multiple_of(interval) {
+                offsets.push(bytes);
             }
-            writer.flush()
-        })()
-        .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
+            line.clear();
+            let _ = writeln!(line, "{addr}");
+            writer.write_all(line.as_bytes()).map_err(io_err)?;
+            bytes += line.len() as u64;
+            written += 1;
+            Ok(())
+        })?;
+        writer.flush().map_err(io_err)?;
         if interval > 0 {
             SltrIndex::from_parts(interval, written, bytes, offsets)
                 .write(&sidecar)
@@ -1301,6 +1297,16 @@ mod tests {
         std::fs::remove_file(&text_sidecar).ok();
     }
 
+    /// Accesses `start..end` of `source`, read in blocks.
+    fn read_range(source: &TraceSource, start: u64, end: u64) -> Vec<u64> {
+        let mut blocks = source.stream_blocks_range(start, end).unwrap();
+        let (mut all, mut buf) = (Vec::new(), Vec::new());
+        while blocks.try_next_block(&mut buf).unwrap() > 0 {
+            all.extend_from_slice(&buf);
+        }
+        all
+    }
+
     #[test]
     fn converted_text_index_makes_ranges_seek_identically() {
         // The line index written by `trace convert` must validate and give
@@ -1319,10 +1325,16 @@ mod tests {
         assert!(sidecar.exists());
         let source = TraceSource::Text(text.clone());
         assert_eq!(source.total_accesses().unwrap(), 3000);
-        let with_index: Vec<u64> = source.stream_range(640, 700).unwrap().collect();
+        let with_index = read_range(&source, 640, 700);
         std::fs::remove_file(&sidecar).unwrap();
-        let without: Vec<u64> = source.stream_range(640, 700).unwrap().collect();
+        let without = read_range(&source, 640, 700);
         assert_eq!(with_index, without);
+        let whole = read_trace(&text).unwrap();
+        let expected: Vec<u64> = whole.accesses()[640..700]
+            .iter()
+            .map(|a| a.value() as u64)
+            .collect();
+        assert_eq!(without, expected);
         std::fs::remove_file(&text).ok();
     }
 
@@ -1362,8 +1374,7 @@ mod tests {
             TraceSource::Text(text.clone()),
         ] {
             assert_eq!(source.total_accesses().unwrap(), 300);
-            let got: Vec<u64> = source.stream_range(64, 66).unwrap().collect();
-            assert_eq!(got.len(), 2);
+            assert_eq!(read_range(&source, 64, 66).len(), 2);
         }
         // Rejections: generator specs, zero intervals, missing files.
         assert!(trace_index(&sargs("gen:cyclic:4:2")).is_err());

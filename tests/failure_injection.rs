@@ -219,8 +219,11 @@ fn bogus_sltr_indexes_are_errors_not_panics() {
     ));
     // Streaming never trusts a mismatched index: it falls back to
     // decode-skip and still yields the true content.
-    let got: Vec<u64> = source.stream_range(64, 70).unwrap().collect();
+    let mut blocks = source.stream_blocks_range(64, 70).unwrap();
+    let mut got = Vec::new();
+    assert_eq!(blocks.try_next_block(&mut got).unwrap(), 6);
     assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(blocks.try_next_block(&mut got).unwrap(), 0);
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&sidecar).ok();

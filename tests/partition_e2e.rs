@@ -12,7 +12,7 @@
 use symmetric_locality::cli;
 use symmetric_locality::core::jsonio::{self, JsonValue};
 use symmetric_locality::core::serve::ServeState;
-use symmetric_locality::trace::stream::TraceSource;
+use symmetric_locality::trace::stream::GenSpec;
 
 fn run(args: &[&str]) -> Result<String, String> {
     cli::run(
@@ -92,8 +92,7 @@ fn partition_answers_survive_restart_and_match_the_offline_cli() {
     // A daemon table with the acceptance workloads streamed in.
     let mut state = ServeState::new(256, 8).unwrap();
     for (name, spec) in [("skewed", SKEWED), ("uniform", UNIFORM)] {
-        let source = TraceSource::from_fingerprint(spec).unwrap();
-        let block: Vec<u64> = source.stream().unwrap().collect();
+        let block: Vec<u64> = GenSpec::parse(spec).unwrap().stream().collect();
         let index = state.ensure_tenant(name).unwrap();
         state.record_block(index, &block);
     }
