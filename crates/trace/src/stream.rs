@@ -1011,7 +1011,8 @@ impl TraceSource {
     /// the trace it is about to process. File fingerprints are *path*-based
     /// (hashing gigabytes on every save would defeat streaming); consumers
     /// that must detect a file changing between runs additionally compare
-    /// [`TraceSource::total_accesses`], as the ingest resume does.
+    /// the access count ([`TraceSource::planned_accesses`]), as the trace
+    /// job's resume does.
     #[must_use]
     pub fn fingerprint(&self) -> String {
         match self {
